@@ -33,12 +33,10 @@ from .integrator import (
     evolve,
     evolve_pair,
     final_state,
+    march,
     step,
 )
 from .spectral import (
-    Spectrum,
-    backward,
-    forward,
     free_propagator,
     hs_multiplier_norm,
     truncate_modes,

@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Subcommands: simulate, experiment, norms, check-inequality. Exit codes:
-0 all verdicts pass, 1 any fail, 2 usage or configuration error.
+0 all verdicts pass, 1 any fail, 2 usage, configuration or integration error.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .experiments import (
 )
 from .data import make_datum
 from .geometry import LatticeVelocity
-from .integrator import SimConfig, evolve
+from .integrator import IntegrationError, SimConfig, evolve
 from .io import (
     ConfigDocument,
     ConfigError,
@@ -218,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (SnapshotFormatError, FileNotFoundError, ValueError) as exc:
+    except (SnapshotFormatError, FileNotFoundError, ValueError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .geometry import Field, GeometryError, odd_extension, require_same_geometry
-from .spectral import hs_multiplier_norm, squared_frequency
+from .spectral import hs_multiplier_norm, mode_grids, squared_frequency
 
 __all__ = [
     "DiagnosticsRecord",
@@ -35,7 +35,6 @@ class DiagnosticsRecord:
     mass: float
     energy: float
     hs_norms: dict[float, float] = dataclass_field(default_factory=dict)
-    extra: dict[str, float] = dataclass_field(default_factory=dict)
 
 
 def mass(field: Field) -> float:
@@ -137,22 +136,19 @@ def hs_gagliardo_norm(field: Field, s: float) -> float:
 
     if d == 1:
         profile = _difference_energy_1d(field.data)
-        n = geom.points[0]
-        k = np.arange(n)
-        signed = np.where(k < n // 2, k, k - n)
+        signed = mode_grids(geom)[0]
         y_abs = np.abs(signed) * spacings[0]
-        mask = k != 0
+        mask = signed != 0
         weighted = profile[mask] / y_abs[mask] ** (1.0 + 2.0 * s)
         double_sum = float(np.sum(weighted))
     else:
         double_sum = 0.0
         exponent = d + 2.0 * s
+        signed_modes = [k.ravel().tolist() for k in mode_grids(geom)]
         for shift in np.ndindex(*geom.points):
             if all(c == 0 for c in shift):
                 continue
-            signed = tuple(
-                c if c < n // 2 else c - n for c, n in zip(shift, geom.points)
-            )
+            signed = tuple(modes[c] for modes, c in zip(signed_modes, shift))
             neg = tuple((-c) % n for c, n in zip(shift, geom.points))
             if shift > neg:
                 continue  # y <-> -y pair already counted

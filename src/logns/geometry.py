@@ -206,15 +206,13 @@ def galilean_boost(field: Field, velocity: LatticeVelocity, t: float) -> Field:
 
     data = field.data
     if t != 0.0 and any(modes):
+        from .spectral import mode_grids  # spectral imports this module
+
         # shift by a = 2 v t: multiply mode n by exp(-2 pi i n . a / L)
         coeffs = np.fft.fftn(data)
-        for axis, (n_pts, l) in enumerate(zip(geom.points, geom.lengths)):
+        for axis, (n_idx, l) in enumerate(zip(mode_grids(geom), geom.lengths)):
             a = 2.0 * v[axis] * t
-            n_idx = np.fft.fftfreq(n_pts, d=1.0 / n_pts)
-            phase = np.exp(-2j * math.pi * n_idx * a / l)
-            shape = [1] * geom.dim
-            shape[axis] = n_pts
-            coeffs = coeffs * phase.reshape(shape)
+            coeffs = coeffs * np.exp(-2j * math.pi * n_idx * a / l)
         data = np.fft.ifftn(coeffs)
 
     grids = geom.coordinate_grids()

@@ -2,27 +2,38 @@
 
 Both substeps are exactly solvable: the free flow by Fourier symbol and the
 nonlinearity by a modulus-preserving phase rotation, so every step conserves
-mass to roundoff. Dirichlet geometries route the free flow through odd
-extension; the nonlinear rotation acts pointwise and keeps boundary zeros.
+mass to roundoff. `march` is the only loop that advances the splitting; every
+other entry point consumes the (t, field) samples it yields.
+
+Inside `march`:
+- Dirichlet state lives on the doubled periodic grid for the whole run. The
+  rotation depends on |u| only, so it keeps the odd symmetry of the
+  extension; the state is restricted to the half grid only when sampled.
+- The free-flow symbol is cached per (geometry, dt) in `spectral`.
+- Strang's adjacent half-rotations are merged: the running state w satisfies
+  u_k = N(dt/2) w_k and advances by w_{k+1} = F(dt) N(dt) w_k. A sample
+  applies the closing half-rotation to a copy, so the state, and hence every
+  result, does not depend on which steps are sampled.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
 from . import nonlinearity
 from .diagnostics import DiagnosticsRecord, energy, hs_norm, l2_distance, mass
-from .geometry import Field, GeometryError, odd_extension, restrict_to_half
+from .geometry import Field, GeometryError, GridGeometry, odd_extension, restrict_to_half
 from .spectral import free_propagator
-from .geometry import GridGeometry
 
 __all__ = [
     "SimConfig",
     "Trajectory",
     "IntegrationError",
+    "march",
     "step",
     "evolve",
     "evolve_pair",
@@ -49,7 +60,6 @@ class SimConfig:
     record_every: int = 1
     hs_values: tuple[float, ...] = ()
     snapshot_every: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "hs_values", tuple(float(s) for s in self.hs_values))
@@ -80,6 +90,15 @@ class SimConfig:
             raise ValueError("t_final is not an integer multiple of dt")
         return n
 
+    @property
+    def record_steps(self) -> list[int]:
+        """Diagnostic sample steps: 0, every record_every-th step, and the last."""
+        return _strided(self.record_every, self.n_steps)
+
+
+def _strided(every: int | None, n: int) -> list[int]:
+    return sorted({*range(0, n + 1, every), n}) if every else []
+
 
 @dataclass
 class Trajectory:
@@ -90,27 +109,55 @@ class Trajectory:
     snapshots: list[tuple[float, Field]] = dataclass_field(default_factory=list)
 
 
-def _nonlinear_substep(field: Field, lam: float, eps: float, tau: float) -> Field:
-    return Field(field.geometry, nonlinearity.phase_flow(field.data, lam, eps, tau))
+def march(datum: Field, config: SimConfig, steps: Iterable[int]) -> Iterator[tuple[float, Field]]:
+    """Advance the splitting, yielding (t, u(t)) at each requested step index.
+
+    `steps` must be nondecreasing and within [0, n_steps]; the run stops at the
+    last of them. Yielded fields are fresh arrays the caller may keep.
+    """
+    if datum.geometry != config.geometry:
+        raise GeometryError("datum geometry does not match the configuration")
+    if not np.all(np.isfinite(datum.data)):
+        raise IntegrationError("initial datum contains non-finite samples")
+    lam, eps, dt, n = config.lam, config.eps, config.dt, config.n_steps
+    strang = config.splitting == "strang"
+    dirichlet = datum.geometry.is_dirichlet
+    state = odd_extension(datum) if dirichlet else datum.copy()
+
+    i = 0
+    for target in steps:
+        if not i <= target <= n:
+            raise ValueError(f"sample steps must be nondecreasing within [0, {n}], got {target}")
+        while i < target:
+            i += 1
+            tau = dt / 2.0 if strang and i == 1 else dt
+            rotated = Field(state.geometry, nonlinearity.phase_flow(state.data, lam, eps, tau))
+            state = free_propagator(rotated, dt)
+            if not np.all(np.isfinite(state.data)):
+                finite_max = float(np.max(np.abs(np.nan_to_num(state.data))))
+                raise IntegrationError(
+                    f"non-finite sample at step {i} (t={i * dt:g}); "
+                    f"max finite |u| = {finite_max:g}"
+                )
+        sample = state
+        if strang and i > 0:
+            sample = Field(state.geometry, nonlinearity.phase_flow(state.data, lam, eps, dt / 2.0))
+        if dirichlet:
+            sample = restrict_to_half(sample)
+        elif sample is state:
+            sample = state.copy()
+        yield i * dt, sample
 
 
-def _free_substep(field: Field, dt: float) -> Field:
-    if field.geometry.is_dirichlet:
-        return restrict_to_half(free_propagator(odd_extension(field), dt))
-    return free_propagator(field, dt)
+def final_state(datum: Field, config: SimConfig) -> Field:
+    """Endpoint of the run, skipping all diagnostics."""
+    [(_, end)] = march(datum, config, [config.n_steps])
+    return end
 
 
 def step(field: Field, config: SimConfig) -> Field:
     """One splitting step of size config.dt."""
-    if field.geometry != config.geometry:
-        raise GeometryError("field geometry does not match the configuration")
-    lam, eps, dt = config.lam, config.eps, config.dt
-    if config.splitting == "strang":
-        out = _nonlinear_substep(field, lam, eps, dt / 2.0)
-        out = _free_substep(out, dt)
-        return _nonlinear_substep(out, lam, eps, dt / 2.0)
-    out = _nonlinear_substep(field, lam, eps, dt)
-    return _free_substep(out, dt)
+    return final_state(field, replace(config, t_final=config.dt, record_every=1))
 
 
 def _make_record(field: Field, t: float, config: SimConfig) -> DiagnosticsRecord:
@@ -122,73 +169,34 @@ def _make_record(field: Field, t: float, config: SimConfig) -> DiagnosticsRecord
     )
 
 
-def evolve(datum: Field, config: SimConfig, sample_fields: bool = False) -> Trajectory:
+def evolve(datum: Field, config: SimConfig) -> Trajectory:
     """Iterate the splitting to t_final, recording diagnostics on the schedule.
 
-    Deterministic given (datum, config). With sample_fields=True a snapshot is
-    kept at every diagnostic sample regardless of snapshot_every.
+    Records are taken on `config.record_steps`; snapshots, if snapshot_every
+    is set, at every snapshot_every-th step and the final step. Deterministic
+    given (datum, config).
     """
-    if datum.geometry != config.geometry:
-        raise GeometryError("datum geometry does not match the configuration")
-    if not np.all(np.isfinite(datum.data)):
-        raise IntegrationError("initial datum contains non-finite samples")
-
+    records = set(config.record_steps)
+    snapshots = set(_strided(config.snapshot_every, config.n_steps))
+    steps = sorted(records | snapshots)
     traj = Trajectory(config)
-    current = datum.copy()
-    traj.records.append(_make_record(current, 0.0, config))
-
-    def want_snapshot(i: int) -> bool:
-        if sample_fields:
-            return i % config.record_every == 0 or i == config.n_steps
-        if config.snapshot_every is None:
-            return False
-        return i % config.snapshot_every == 0 or i == config.n_steps
-
-    if want_snapshot(0):
-        traj.snapshots.append((0.0, current.copy()))
-
-    n = config.n_steps
-    for i in range(1, n + 1):
-        current = step(current, config)
-        if not np.all(np.isfinite(current.data)):
-            finite_max = float(np.max(np.abs(np.nan_to_num(current.data))))
-            raise IntegrationError(
-                f"non-finite sample at step {i} (t={i * config.dt:g}); "
-                f"max finite |u| = {finite_max:g}"
-            )
-        t = i * config.dt
-        if i % config.record_every == 0 or i == n:
-            traj.records.append(_make_record(current, t, config))
-        if want_snapshot(i):
-            traj.snapshots.append((t, current.copy()))
+    for i, (t, u) in zip(steps, march(datum, config, steps)):
+        if i in records:
+            traj.records.append(_make_record(u, t, config))
+        if i in snapshots:
+            traj.snapshots.append((t, u))
     return traj
 
 
-def final_state(datum: Field, config: SimConfig) -> Field:
-    """Endpoint of the run, skipping all diagnostics."""
-    if datum.geometry != config.geometry:
-        raise GeometryError("datum geometry does not match the configuration")
-    current = datum.copy()
-    for i in range(1, config.n_steps + 1):
-        current = step(current, config)
-        if not np.all(np.isfinite(current.data)):
-            raise IntegrationError(f"non-finite sample at step {i} (t={i * config.dt:g})")
-    return current
-
-
-def evolve_pair(
-    datum_a: Field, datum_b: Field, config: SimConfig
-) -> tuple[Trajectory, Trajectory, list[tuple[float, float]]]:
-    """Evolve two data jointly, recording their L^2 distance on the schedule."""
+def evolve_pair(datum_a: Field, datum_b: Field, config: SimConfig) -> list[tuple[float, float]]:
+    """L^2 distance between the runs of two data on the record schedule."""
     if datum_a.geometry != datum_b.geometry:
         raise GeometryError("paired data must share a geometry")
-    traj_a = evolve(datum_a, config, sample_fields=True)
-    traj_b = evolve(datum_b, config, sample_fields=True)
-    distances = [
-        (ta, l2_distance(fa, fb))
-        for (ta, fa), (_, fb) in zip(traj_a.snapshots, traj_b.snapshots)
+    steps = config.record_steps
+    return [
+        (t, l2_distance(u, v))
+        for (t, u), (_, v) in zip(march(datum_a, config, steps), march(datum_b, config, steps))
     ]
-    return traj_a, traj_b, distances
 
 
 def eps_continuation(
@@ -197,21 +205,18 @@ def eps_continuation(
     """Sup-in-time L^2 distance between runs at consecutive regularizations.
 
     eps_sequence must be strictly decreasing and positive; "sup in time" means
-    the maximum over the diagnostic sample times.
+    the maximum over the diagnostic sample times. The runs advance in
+    lockstep, so only one sample per regularization is held at a time.
     """
     if any(e <= 0 for e in eps_sequence):
         raise ValueError("eps_sequence entries must be positive")
     if any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
         raise ValueError("eps_sequence must be strictly decreasing")
 
-    runs = [
-        evolve(datum, replace(config, eps=e), sample_fields=True).snapshots
-        for e in eps_sequence
-    ]
-    out = []
-    for (e1, snaps1), (e2, snaps2) in zip(
-        zip(eps_sequence, runs), zip(eps_sequence[1:], runs[1:])
-    ):
-        sup = max(l2_distance(f1, f2) for (_, f1), (_, f2) in zip(snaps1, snaps2))
-        out.append(((e1, e2), sup))
-    return out
+    steps = config.record_steps
+    runs = [march(datum, replace(config, eps=e), steps) for e in eps_sequence]
+    sups = [0.0] * (len(eps_sequence) - 1)
+    for samples in zip(*runs):
+        for k, ((_, u), (_, v)) in enumerate(zip(samples, samples[1:])):
+            sups[k] = max(sups[k], l2_distance(u, v))
+    return list(zip(zip(eps_sequence, eps_sequence[1:]), sups))

@@ -158,7 +158,7 @@ def _parse_sim(obj, check: _Checker) -> dict | None:
         check.fail(path, "expected an object")
         return None
     required = {"lambda", "eps", "dt", "t_final"}
-    optional = {"splitting", "record_every", "hs_values", "snapshot_every", "seed"}
+    optional = {"splitting", "record_every", "hs_values", "snapshot_every"}
     check.require_keys(obj, path, required, optional)
 
     sim: dict = {}
@@ -175,8 +175,6 @@ def _parse_sim(obj, check: _Checker) -> dict | None:
         sim["record_every"] = v
     if (v := check.integer(obj, path, "snapshot_every", lo=1)) is not None:
         sim["snapshot_every"] = v
-    if (v := check.integer(obj, path, "seed")) is not None:
-        sim["seed"] = v
     if "hs_values" in obj:
         hs = obj["hs_values"]
         if not isinstance(hs, list) or not all(
@@ -268,21 +266,17 @@ def _fmt(v: float) -> str:
 
 
 def write_timeseries(records: list[DiagnosticsRecord], destination: str | Path) -> None:
-    """CSV with columns time,mass,energy,hs_<s>...,extra_<label>....
+    """CSV with columns time,mass,energy,hs_<s>... (s ascending).
 
-    Column order is deterministic: s ascending, extra labels lexicographic.
     17 significant digits, LF line endings.
     """
     s_values = sorted({s for rec in records for s in rec.hs_norms})
-    labels = sorted({k for rec in records for k in rec.extra})
     header = ["time", "mass", "energy"]
     header += [f"hs_{s:g}" for s in s_values]
-    header += [f"extra_{label}" for label in labels]
     lines = [",".join(header)]
     for rec in records:
         row = [_fmt(rec.time), _fmt(rec.mass), _fmt(rec.energy)]
         row += [_fmt(rec.hs_norms[s]) for s in s_values]
-        row += [_fmt(rec.extra[label]) for label in labels]
         lines.append(",".join(row))
     path = Path(destination)
     try:
@@ -300,11 +294,9 @@ def read_timeseries(source: str | Path) -> list[DiagnosticsRecord]:
         values = [float(tok) for tok in line.split(",")]
         row = dict(zip(header, values))
         hs = {float(k[3:]): v for k, v in row.items() if k.startswith("hs_")}
-        extra = {k[6:]: v for k, v in row.items() if k.startswith("extra_")}
         records.append(
             DiagnosticsRecord(
-                time=row["time"], mass=row["mass"], energy=row["energy"],
-                hs_norms=hs, extra=extra,
+                time=row["time"], mass=row["mass"], energy=row["energy"], hs_norms=hs
             )
         )
     return records

@@ -1,16 +1,14 @@
-"""Fourier machinery: transforms, exact free propagator, multiplier H^s norm.
+"""Fourier machinery: frequency grids, exact free propagator, multiplier H^s norm.
 
-Conventions follow the transform f^(n) = integral f(x) e^{-2 pi i n.x} dx on
-the unit torus: `forward` returns coefficients normalized so a plane wave of
-amplitude A has a single coefficient A. For a box with side lengths L the
-frequency of mode n is n / L and norms carry the volume factor so that the
-s = 0 multiplier norm squared equals the mass.
+Fourier coefficients are fftn(data) / data.size, so a plane wave of amplitude
+A has a single coefficient A. For a box with side lengths L the frequency of
+mode n is n / L and norms carry the volume factor so that the s = 0
+multiplier norm squared equals the mass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -18,28 +16,10 @@ import numpy as np
 from .geometry import Field, GeometryError, GridGeometry
 
 __all__ = [
-    "Spectrum",
-    "forward",
-    "backward",
     "free_propagator",
     "hs_multiplier_norm",
     "truncate_modes",
 ]
-
-
-@dataclass
-class Spectrum:
-    """Fourier coefficients in numpy fft mode ordering, one per grid point."""
-
-    geometry: GridGeometry
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.ascontiguousarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != self.geometry.points:
-            raise GeometryError(
-                f"coeff shape {self.coeffs.shape} does not match grid {self.geometry.points}"
-            )
 
 
 def _require_periodic(geometry: GridGeometry, what: str) -> None:
@@ -47,45 +27,41 @@ def _require_periodic(geometry: GridGeometry, what: str) -> None:
         raise GeometryError(f"{what} requires a periodic geometry, got {geometry.kind.value}")
 
 
-def forward(field: Field) -> Spectrum:
-    _require_periodic(field.geometry, "forward transform")
-    n_total = field.data.size
-    return Spectrum(field.geometry, np.fft.fftn(field.data) / n_total)
-
-
-def backward(spec: Spectrum) -> Field:
-    _require_periodic(spec.geometry, "backward transform")
-    n_total = spec.coeffs.size
-    return Field(spec.geometry, np.fft.ifftn(spec.coeffs * n_total))
+def mode_grids(geometry: GridGeometry) -> list[np.ndarray]:
+    """Signed integer mode indices n per axis in fft order, broadcastable like
+    GridGeometry.coordinate_grids(): 0, 1, ..., N/2 - 1, -N/2, ..., -1."""
+    return list(np.ix_(*[np.fft.fftfreq(n, d=1.0 / n) for n in geometry.points]))
 
 
 @lru_cache(maxsize=32)
 def squared_frequency(geometry: GridGeometry) -> np.ndarray:
     """|n / L|^2 on the full mode grid, fft ordering. Cached per geometry."""
-    axes = []
-    for n_pts, l in zip(geometry.points, geometry.lengths):
-        n_idx = np.fft.fftfreq(n_pts, d=1.0 / n_pts)
-        axes.append((n_idx / l) ** 2)
-    grids = np.ix_(*axes)
-    out = sum(grids)
+    out = sum((n / l) ** 2 for n, l in zip(mode_grids(geometry), geometry.lengths))
     return np.broadcast_to(out, geometry.points).copy()
 
 
 @lru_cache(maxsize=32)
 def mode_radius(geometry: GridGeometry) -> np.ndarray:
     """|n| (integer mode index magnitude) on the full mode grid."""
-    axes = []
-    for n_pts in geometry.points:
-        axes.append(np.fft.fftfreq(n_pts, d=1.0 / n_pts) ** 2)
-    out = sum(np.ix_(*axes))
+    out = sum(n**2 for n in mode_grids(geometry))
     return np.sqrt(np.broadcast_to(out, geometry.points))
 
 
-def free_propagator(field: Field, dt: float) -> Field:
-    """Exact flow of i u_t + Lap u = 0: mode n picks up e^{-4 pi^2 |n/L|^2 i dt}."""
-    _require_periodic(field.geometry, "free_propagator")
-    xi2 = squared_frequency(field.geometry)
+@lru_cache(maxsize=8)
+def _free_symbol(geometry: GridGeometry, dt: float) -> np.ndarray:
+    xi2 = squared_frequency(geometry)
     symbol = np.exp(-4.0 * math.pi**2 * xi2 * 1j * dt)
+    symbol.flags.writeable = False
+    return symbol
+
+
+def free_propagator(field: Field, dt: float) -> Field:
+    """Exact flow of i u_t + Lap u = 0: mode n picks up e^{-4 pi^2 |n/L|^2 i dt}.
+
+    The symbol is cached per (geometry, dt), so a run builds it once.
+    """
+    _require_periodic(field.geometry, "free_propagator")
+    symbol = _free_symbol(field.geometry, dt)
     return Field(field.geometry, np.fft.ifftn(np.fft.fftn(field.data) * symbol))
 
 

@@ -48,6 +48,15 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_integration_error_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM)
+        cfg.write_text(cfg.read_text().replace('"lambda": 1.0', '"lambda": 1e308'))
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite sample at step 1")
+        assert "Traceback" not in err
+
     def test_invalid_config_reports_every_error(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text('{"geometry": {"kind": "x", "points": [32]}, "sim": {}}')
@@ -106,6 +115,20 @@ class TestExperiment:
         )
         assert code == 0
         assert json.loads(report_path.read_text())["name"] == "galilean"
+
+    def test_convergence_report_is_json(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            extra=GAUSSIAN_DATUM + ',"experiment": {"dt_ladder": [0.02, 0.01, 0.005]}',
+        )
+        report_path = tmp_path / "report.json"
+        code = main(
+            ["experiment", "convergence", "--config", str(cfg), "--out", str(report_path)]
+        )
+        report = json.loads(report_path.read_text())
+        assert report["name"] == "convergence_order"
+        assert report["passed"] is True and code == 0
+        assert 1.7 <= report["margins"]["order"] <= 2.3
 
 
 class TestNorms:

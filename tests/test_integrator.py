@@ -1,12 +1,23 @@
 """Splitting scheme mechanics: substeps, schedules, conservation, errors."""
 
 import math
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from logns import nonlinearity
+from logns.data import DatumSpec, make_datum
 from logns.diagnostics import l2_distance, mass
-from logns.geometry import DomainKind, Field, GeometryError, GridGeometry
+from logns.geometry import (
+    DomainKind,
+    Field,
+    GeometryError,
+    GridGeometry,
+    odd_extension,
+    restrict_to_half,
+)
 from logns.integrator import (
     IntegrationError,
     SimConfig,
@@ -14,12 +25,18 @@ from logns.integrator import (
     evolve,
     evolve_pair,
     final_state,
+    march,
     step,
 )
+from logns.spectral import free_propagator
 
 
 def torus(n=64):
     return GridGeometry(DomainKind.TORUS, (1.0,), (n,))
+
+
+def interval(n=64):
+    return GridGeometry(DomainKind.DIRICHLET_INTERVAL, (1.0,), (n,))
 
 
 def config(geom=None, **kw):
@@ -115,15 +132,10 @@ class TestEvolve:
         traj = evolve(random_field(torus(32)), config(torus(32)))
         assert traj.snapshots == []
 
-    def test_sample_fields_snapshots_follow_records(self):
-        traj = evolve(random_field(torus(32)), config(torus(32), record_every=2),
-                      sample_fields=True)
-        assert [t for t, _ in traj.snapshots] == [rec.time for rec in traj.records]
-
     def test_deterministic(self):
         f = random_field(torus(), seed=9)
-        a = evolve(f, config(), sample_fields=True)
-        b = evolve(f, config(), sample_fields=True)
+        a = evolve(f, config(snapshot_every=1))
+        b = evolve(f, config(snapshot_every=1))
         assert np.array_equal(a.snapshots[-1][1].data, b.snapshots[-1][1].data)
 
     def test_rejects_non_finite_datum(self):
@@ -147,8 +159,7 @@ class TestEvolve:
         geom = GridGeometry(DomainKind.DIRICHLET_INTERVAL, (1.0,), (64,))
         x = geom.axis_coordinates(0)
         f = Field(geom, np.sin(2 * math.pi * x) + 0.5 * np.sin(5 * math.pi * x))
-        traj = evolve(f, config(geom), sample_fields=True)
-        final = traj.snapshots[-1][1]
+        final = final_state(f, config(geom))
         assert abs(final.data[0]) < 1e-13
         assert mass(final) == pytest.approx(mass(f), rel=1e-12)
 
@@ -159,19 +170,98 @@ class TestEvolve:
         assert l2_distance(back, f) < 1e-12
 
 
+def dirichlet_datum(geom):
+    return make_datum(DatumSpec(kind="random_band_limited", cutoff=8.0, seed=5), geom)
+
+
+class TestMarch:
+    def test_yields_at_requested_steps(self):
+        f = random_field(torus(32))
+        cfg = config(torus(32))
+        samples = list(march(f, cfg, [0, 3, 4, 10]))
+        assert [t for t, _ in samples] == [0.0, 3 * cfg.dt, 4 * cfg.dt, 10 * cfg.dt]
+        assert np.array_equal(samples[0][1].data, f.data)
+
+    def test_stops_at_last_requested_step(self):
+        f = random_field(torus(32))
+        [(t, u)] = march(f, config(torus(32)), [4])
+        assert np.array_equal(u.data, final_state(f, config(torus(32), t_final=0.04)).data)
+
+    @pytest.mark.parametrize("steps", [[3, 2], [11]])
+    def test_rejects_steps_off_the_run(self, steps):
+        with pytest.raises(ValueError):
+            list(march(random_field(torus(32)), config(torus(32)), steps))
+
+    def test_samples_are_independent_copies(self):
+        f = random_field(torus(32))
+        samples = list(march(f, config(torus(32), splitting="lie"), range(11)))
+        samples[3][1].data[:] = 0.0
+        again = list(march(f, config(torus(32), splitting="lie"), range(11)))
+        assert np.array_equal(samples[-1][1].data, again[-1][1].data)
+
+
 class TestFinalState:
     def test_matches_evolve_endpoint(self):
         f = random_field(torus(), seed=4)
-        traj = evolve(f, config(), sample_fields=True)
+        traj = evolve(f, config(snapshot_every=1))
         end = final_state(f, config())
         assert np.array_equal(end.data, traj.snapshots[-1][1].data)
+
+    @pytest.mark.parametrize("splitting", ["lie", "strang"])
+    @pytest.mark.parametrize("geometry", ["torus", "dirichlet_interval"])
+    def test_schedule_independent_bitwise(self, splitting, geometry):
+        geom = torus() if geometry == "torus" else interval()
+        f = random_field(geom, seed=6) if geometry == "torus" else dirichlet_datum(geom)
+        base = config(geom, splitting=splitting, t_final=0.2)
+        end = final_state(f, base).data
+        for record_every in (1, 7):
+            cfg = replace(base, record_every=record_every, snapshot_every=5)
+            assert np.array_equal(evolve(f, cfg).snapshots[-1][1].data, end)
+            assert np.array_equal(list(march(f, cfg, cfg.record_steps))[-1][1].data, end)
+        assert np.array_equal(list(march(f, base, range(21)))[-1][1].data, end)
+
+
+def per_step_dirichlet_reference(datum, cfg):
+    """Odd-extend, propagate and restrict on every step; yields every state."""
+    def rotate(u, tau):
+        return Field(u.geometry, nonlinearity.phase_flow(u.data, cfg.lam, cfg.eps, tau))
+
+    def free(u):
+        return restrict_to_half(free_propagator(odd_extension(u), cfg.dt))
+
+    u = datum
+    yield u
+    for _ in range(cfg.n_steps):
+        if cfg.splitting == "strang":
+            u = rotate(free(rotate(u, cfg.dt / 2.0)), cfg.dt / 2.0)
+        else:
+            u = free(rotate(u, cfg.dt))
+        yield u
+
+
+class TestDirichletOnDoubledGrid:
+    @pytest.mark.parametrize("splitting", ["lie", "strang"])
+    @pytest.mark.parametrize(
+        "geom",
+        [interval(128), GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 2.0), (16, 32))],
+        ids=["interval", "slab"],
+    )
+    def test_matches_per_step_reference(self, geom, splitting):
+        datum = dirichlet_datum(geom)
+        cfg = config(geom, splitting=splitting, dt=1e-3, t_final=0.1, lam=-1.0, eps=1e-3)
+        scale = math.sqrt(mass(datum))
+        for (t, u), ref in zip(march(datum, cfg, range(cfg.n_steps + 1)),
+                               per_step_dirichlet_reference(datum, cfg)):
+            assert u.geometry == geom
+            assert not np.any(u.data[..., 0])
+            assert l2_distance(u, ref) <= 1e-12 * scale, t
 
 
 class TestEvolvePair:
     def test_distance_series(self):
         a = random_field(torus(32), seed=1)
         b = random_field(torus(32), seed=2)
-        _, _, distances = evolve_pair(a, b, config(torus(32)))
+        distances = evolve_pair(a, b, config(torus(32)))
         assert len(distances) == 11
         assert distances[0][1] == pytest.approx(l2_distance(a, b), rel=1e-13)
 
@@ -196,3 +286,17 @@ class TestEpsContinuation:
         out = eps_continuation(f, config(torus(32)), [0.25, 0.125, 0.0625])
         assert [pair for pair, _ in out] == [(0.25, 0.125), (0.125, 0.0625)]
         assert all(d >= 0.0 for _, d in out)
+
+    def test_streams_without_holding_samples(self):
+        # 11 runs x 101 samples of a 64^2 field would hold 72 MB if kept
+        geom = GridGeometry(DomainKind.TORUS, (1.0, 1.0), (64, 64))
+        f = make_datum(DatumSpec(kind="gaussian_bump", width=0.1), geom)
+        cfg = SimConfig(lam=1.0, eps=1e-2, dt=1e-3, t_final=0.1, geometry=geom)
+        tracemalloc.start()
+        try:
+            out = eps_continuation(f, cfg, [2.0**-k for k in range(2, 13)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(out) == 10
+        assert peak < 10 * 2**20

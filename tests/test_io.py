@@ -105,10 +105,9 @@ class TestParseConfig:
 
 def sample_records():
     return [
-        DiagnosticsRecord(0.0, 1.0, -0.5, hs_norms={0.5: 1.25, 0.25: 1.1},
-                          extra={"dist": 0.0}),
+        DiagnosticsRecord(0.0, 1.0, -0.5, hs_norms={0.5: 1.25, 0.25: 1.1}),
         DiagnosticsRecord(0.1, 1.0 + 1e-16, -0.5 + 1e-13,
-                          hs_norms={0.5: 1.3, 0.25: 1.2}, extra={"dist": math.pi}),
+                          hs_norms={0.5: math.pi, 0.25: 1.2}),
     ]
 
 
@@ -117,7 +116,7 @@ class TestTimeseries:
         path = tmp_path / "ts.csv"
         write_timeseries(sample_records(), path)
         first = path.read_text().splitlines()[0]
-        assert first == "time,mass,energy,hs_0.25,hs_0.5,extra_dist"
+        assert first == "time,mass,energy,hs_0.25,hs_0.5"
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "ts.csv"
@@ -137,7 +136,6 @@ class TestTimeseries:
             assert rec.mass == orig.mass
             assert rec.energy == orig.energy
             assert rec.hs_norms == orig.hs_norms
-            assert rec.extra == orig.extra
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
