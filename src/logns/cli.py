@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nonlinearity
-from .diagnostics import energy, hs_gagliardo_norm, mass
+from .diagnostics import energy, hs_gagliardo_norm, hs_norm, mass
 from .experiments import (
     ExperimentReport,
     run_convergence_order,
@@ -30,6 +30,7 @@ from .data import make_datum
 from .geometry import LatticeVelocity
 from .integrator import IntegrationError, SimConfig, evolve
 from .io import (
+    EXPERIMENT_KEYS,
     ConfigDocument,
     ConfigError,
     SnapshotFormatError,
@@ -38,7 +39,6 @@ from .io import (
     write_snapshot,
     write_timeseries,
 )
-from .spectral import hs_multiplier_norm
 
 __all__ = ["main"]
 
@@ -79,52 +79,26 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-_EXPERIMENT_KEYS = {
-    "lipschitz": set(),
-    "hs-growth": set(),
-    "scaling": {"z"},
-    "galilean": {"boost_modes"},
-    "eps-cauchy": {"eps_sequence"},
-    "h1-approx": {"cutoffs"},
-    "convergence": {"dt_ladder"},
-}
-
-
-def _experiment_params(name: str, doc: ConfigDocument) -> dict:
-    required = _EXPERIMENT_KEYS[name]
-    errors = [f"experiment.{k}: unknown key" for k in sorted(set(doc.experiment) - required)]
-    errors += [f"experiment.{k}: missing required key" for k in sorted(required - set(doc.experiment))]
-    if name != "lipschitz" and doc.datum is None:
-        errors.append("datum: missing required key")
-    if name == "lipschitz" and (doc.datum is None or doc.datum_b is None):
-        errors.append("lipschitz requires both datum and datum_b")
-    if errors:
-        raise ConfigError(errors)
-    return doc.experiment
-
-
 def _cmd_experiment(args) -> int:
-    doc = load_config(args.config)
+    doc = load_config(args.config, experiment=args.name)
     config = _sim_config(doc)
-    params = _experiment_params(args.name, doc)
+    params = doc.experiment
 
     if args.name == "lipschitz":
         report = run_lipschitz(doc.datum, doc.datum_b, config)
     elif args.name == "hs-growth":
         report = run_hs_growth(doc.datum, config)
     elif args.name == "scaling":
-        z = params["z"]
-        z = complex(z[0], z[1]) if isinstance(z, list) else complex(z)
-        report = run_scaling_invariance(doc.datum, z, config)
+        report = run_scaling_invariance(doc.datum, params["z"], config)
     elif args.name == "galilean":
-        velocity = LatticeVelocity(tuple(params["boost_modes"]))
+        velocity = LatticeVelocity(params["boost_modes"])
         report = run_galilean(doc.datum, velocity, config)
     elif args.name == "eps-cauchy":
-        report = run_eps_cauchy(doc.datum, config, list(params["eps_sequence"]))
+        report = run_eps_cauchy(doc.datum, config, params["eps_sequence"])
     elif args.name == "h1-approx":
-        report = run_h1_approximation(doc.datum, list(params["cutoffs"]), config)
+        report = run_h1_approximation(doc.datum, params["cutoffs"], config)
     else:
-        report = run_convergence_order(doc.datum, config, list(params["dt_ladder"]))
+        report = run_convergence_order(doc.datum, config, params["dt_ladder"])
 
     _print_report(report)
     Path(args.out).write_text(json.dumps(_report_json(report), indent=2) + "\n")
@@ -138,8 +112,6 @@ def _cmd_norms(args) -> int:
     print(f"mass   : {mass(field):.17g}")
     print(f"energy : {energy(field, args.lam, args.eps):.17g}")
     for s in s_values:
-        from .diagnostics import hs_norm
-
         line = f"H^{s:g}  : multiplier {hs_norm(field, s):.17g}"
         if 0.0 < s < 1.0:
             line += f"  gagliardo {hs_gagliardo_norm(field, s):.17g}"
@@ -189,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("experiment", help="run a named experiment")
-    p.add_argument("name", choices=sorted(_EXPERIMENT_KEYS))
+    p.add_argument("name", choices=sorted(EXPERIMENT_KEYS))
     p.add_argument("--config", required=True)
     p.add_argument("--out", default="report.json", help="JSON report destination")
     p.set_defaults(func=_cmd_experiment)

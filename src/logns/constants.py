@@ -27,7 +27,9 @@ GAGLIARDO_MULTIPLIER_RATIO = {
 
 # generous envelope for the one-off cross-check inside the H^s growth
 # experiment, which runs on arbitrary spectra and geometries (observed range
-# across rough/band-limited data and Dirichlet extensions: 1.86 .. 2.98)
+# across rough/band-limited data and Dirichlet extensions: 1.86 .. 2.98).
+# This is the 1-d band; experiments.gagliardo_equivalence_bounds scales its
+# upper end by sqrt(C(1, s) / C(d, s)) in d dimensions.
 GAGLIARDO_EQUIVALENCE_BOUNDS = (1.2, 4.5)
 
 # final consecutive-pair threshold of the dyadic eps ladder 2^-2 .. 2^-12,

@@ -80,6 +80,31 @@ def _self_error(datum: Field, config: SimConfig) -> float:
     return l2_distance(coarse, fine)
 
 
+def _fractional_laplacian_constant(dim: int, s: float) -> float:
+    """C(d, s) = s 2^{2s} Gamma((d + 2s)/2) / (pi^{d/2} Gamma(1 - s)).
+
+    Di Nezza, Palatucci & Valdinoci, Prop. 3.4: the Gagliardo seminorm squared
+    is 2 C(d, s)^{-1} times the |xi|^{2s}-weighted Fourier mass.
+    """
+    return s * 4.0**s * math.gamma((dim + 2.0 * s) / 2.0) / (
+        math.pi ** (dim / 2.0) * math.gamma(1.0 - s)
+    )
+
+
+def gagliardo_equivalence_bounds(dim: int, s: float) -> tuple[float, float]:
+    """Envelope of the Gagliardo / multiplier ratio in the H^s growth cross-check.
+
+    The pinned band was tuned in 1-d. At high frequency the ratio tends to
+    sqrt(2 / C(d, s)), so in d dimensions the upper end is scaled by
+    sqrt(C(1, s) / C(d, s)); the lower end and the 1-d band are unchanged.
+    """
+    lo, hi = constants.GAGLIARDO_EQUIVALENCE_BOUNDS
+    if dim == 1:
+        return lo, hi
+    c1, cd = (_fractional_laplacian_constant(d, s) for d in (1, dim))
+    return lo, hi * math.sqrt(c1 / cd)
+
+
 def run_lipschitz(spec_a: DatumSpec, spec_b: DatumSpec, config: SimConfig) -> ExperimentReport:
     """Check |u(t) - v(t)| <= e^{2 |lam| t} |u(0) - v(0)| on the sample schedule."""
     datum_a = make_datum(spec_a, config.geometry)
@@ -131,7 +156,7 @@ def run_hs_growth(spec: DatumSpec, config: SimConfig) -> ExperimentReport:
             continue
         ratio = hs_gagliardo_norm(final_field, s) / hs_norm(final_field, s)
         margins[f"gagliardo_ratio_s={s:g}"] = ratio
-        lo, hi = constants.GAGLIARDO_EQUIVALENCE_BOUNDS
+        lo, hi = gagliardo_equivalence_bounds(config.geometry.dim, s)
         passed &= lo <= ratio <= hi
 
     return ExperimentReport(

@@ -20,6 +20,7 @@ from .diagnostics import DiagnosticsRecord
 from .geometry import DomainKind, Field, GridGeometry
 
 __all__ = [
+    "EXPERIMENT_KEYS",
     "ConfigError",
     "SnapshotFormatError",
     "ConfigDocument",
@@ -66,6 +67,14 @@ class ConfigDocument:
     experiment: dict = dataclass_field(default_factory=dict)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 class _Checker:
     """Walks a JSON tree collecting all errors instead of stopping at the first."""
 
@@ -89,7 +98,7 @@ class _Checker:
         if key not in obj:
             return None
         v = obj[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
+        if not _is_number(v):
             self.fail(f"{path}.{key}", f"expected a number, got {v!r}")
             return None
         v = float(v)
@@ -101,11 +110,23 @@ class _Checker:
             return None
         return v
 
+    def complex_number(self, obj: dict, path: str, key: str):
+        """A number or an [re, im] pair, as a complex."""
+        if key not in obj:
+            return None
+        v = obj[key]
+        if _is_number(v):
+            return complex(v)
+        if isinstance(v, list) and len(v) == 2 and all(_is_number(x) for x in v):
+            return complex(v[0], v[1])
+        self.fail(f"{path}.{key}", f"expected a number or [re, im], got {v!r}")
+        return None
+
     def integer(self, obj: dict, path: str, key: str, lo=None):
         if key not in obj:
             return None
         v = obj[key]
-        if isinstance(v, bool) or not isinstance(v, int):
+        if not _is_int(v):
             self.fail(f"{path}.{key}", f"expected an integer, got {v!r}")
             return None
         if lo is not None and v < lo:
@@ -128,16 +149,12 @@ def _parse_geometry(obj, check: _Checker) -> GridGeometry | None:
         check.fail(f"{path}.kind", f"unknown domain kind {kind_raw!r}")
         return None
     points = obj["points"]
-    if not isinstance(points, list) or not all(
-        isinstance(p, int) and not isinstance(p, bool) for p in points
-    ):
+    if not isinstance(points, list) or not all(_is_int(p) for p in points):
         check.fail(f"{path}.points", "expected a list of integers")
         return None
     if "lengths" in obj:
         lengths = obj["lengths"]
-        if not isinstance(lengths, list) or not all(
-            isinstance(l, (int, float)) and not isinstance(l, bool) for l in lengths
-        ):
+        if not isinstance(lengths, list) or not all(_is_number(l) for l in lengths):
             check.fail(f"{path}.lengths", "expected a list of numbers")
             return None
     elif kind is DomainKind.TORUS:
@@ -177,9 +194,7 @@ def _parse_sim(obj, check: _Checker) -> dict | None:
         sim["snapshot_every"] = v
     if "hs_values" in obj:
         hs = obj["hs_values"]
-        if not isinstance(hs, list) or not all(
-            isinstance(s, (int, float)) and not isinstance(s, bool) and 0 < s <= 1 for s in hs
-        ):
+        if not isinstance(hs, list) or not all(_is_number(s) and 0 < s <= 1 for s in hs):
             check.fail(f"{path}.hs_values", "expected a list of exponents in (0, 1]")
         else:
             sim["hs_values"] = tuple(float(s) for s in hs)
@@ -210,9 +225,8 @@ def _parse_datum(obj, check: _Checker, path: str) -> DatumSpec | None:
     kwargs: dict = {}
     if "modes" in obj:
         kwargs["modes"] = tuple(obj["modes"])
-    if "amplitude" in obj:
-        amp = obj["amplitude"]
-        kwargs["amplitude"] = complex(amp[0], amp[1]) if isinstance(amp, list) else complex(amp)
+    if (v := check.complex_number(obj, path, "amplitude")) is not None:
+        kwargs["amplitude"] = v
     if "center" in obj:
         kwargs["center"] = tuple(obj["center"])
     if (v := check.number(obj, path, "width", lo=0.0, allow_eq_lo=False)) is not None:
@@ -230,8 +244,54 @@ def _parse_datum(obj, check: _Checker, path: str) -> DatumSpec | None:
         return None
 
 
-def parse_config(text: str) -> ConfigDocument:
-    """Validate a JSON config, reporting every error found."""
+# experiment name -> required keys of the config's `experiment` section
+EXPERIMENT_KEYS = {
+    "lipschitz": set(),
+    "hs-growth": set(),
+    "scaling": {"z"},
+    "galilean": {"boost_modes"},
+    "eps-cauchy": {"eps_sequence"},
+    "h1-approx": {"cutoffs"},
+    "convergence": {"dt_ladder"},
+}
+
+
+def _parse_experiment(obj: dict, name: str, geometry: GridGeometry | None,
+                      check: _Checker) -> dict:
+    """Parameters of one named experiment: z complex and nonzero, boost_modes
+    one integer per axis, the ladders lists of at least two numbers."""
+    path = "experiment"
+    check.require_keys(obj, path, EXPERIMENT_KEYS[name], set())
+    params: dict = {}
+    if (z := check.complex_number(obj, path, "z")) == 0:
+        check.fail(f"{path}.z", "must be nonzero")
+    elif z is not None:
+        params["z"] = z
+    if "boost_modes" in obj:
+        modes = obj["boost_modes"]
+        if not isinstance(modes, list) or not all(_is_int(m) for m in modes):
+            check.fail(f"{path}.boost_modes", f"expected a list of integers, got {modes!r}")
+        elif geometry is not None and len(modes) != geometry.dim:
+            check.fail(f"{path}.boost_modes",
+                       f"expected one integer per axis ({geometry.dim}), got {len(modes)}")
+        else:
+            params["boost_modes"] = tuple(modes)
+    for key in ("eps_sequence", "cutoffs", "dt_ladder"):
+        v = obj.get(key)
+        if isinstance(v, list) and len(v) >= 2 and all(_is_number(x) for x in v):
+            params[key] = v
+        elif key in obj:
+            check.fail(f"{path}.{key}", f"expected a list of at least two numbers, got {v!r}")
+    return params
+
+
+def parse_config(text: str, experiment: str | None = None) -> ConfigDocument:
+    """Validate a JSON config, reporting every error found.
+
+    With an experiment name (a key of EXPERIMENT_KEYS) the `experiment`
+    section and the data that experiment needs are checked too, and
+    ConfigDocument.experiment holds its parsed parameters.
+    """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -246,19 +306,25 @@ def parse_config(text: str) -> ConfigDocument:
     sim = _parse_sim(raw.get("sim"), check) if "sim" in raw else None
     datum = _parse_datum(raw["datum"], check, "datum") if "datum" in raw else None
     datum_b = _parse_datum(raw["datum_b"], check, "datum_b") if "datum_b" in raw else None
-    experiment = raw.get("experiment", {})
-    if not isinstance(experiment, dict):
+    params = raw.get("experiment", {})
+    if not isinstance(params, dict):
         check.fail("experiment", "expected an object")
-        experiment = {}
+        params = {}
+    if experiment is not None:
+        params = _parse_experiment(params, experiment, geometry, check)
+        if "datum" not in raw:
+            check.fail("datum", "missing required key")
+        if experiment == "lipschitz" and "datum_b" not in raw:
+            check.fail("datum_b", "missing required key (lipschitz compares two data)")
 
     if check.errors:
         raise ConfigError(check.errors)
     return ConfigDocument(geometry=geometry, sim=sim, datum=datum, datum_b=datum_b,
-                          experiment=experiment)
+                          experiment=params)
 
 
-def load_config(path: str | Path) -> ConfigDocument:
-    return parse_config(Path(path).read_text())
+def load_config(path: str | Path, experiment: str | None = None) -> ConfigDocument:
+    return parse_config(Path(path).read_text(), experiment)
 
 
 def _fmt(v: float) -> str:

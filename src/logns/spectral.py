@@ -65,16 +65,21 @@ def free_propagator(field: Field, dt: float) -> Field:
     return Field(field.geometry, np.fft.ifftn(np.fft.fftn(field.data) * symbol))
 
 
+def multiplier_norm(field: Field, weight: np.ndarray) -> float:
+    """sqrt(V sum_n weight(n) |f^(n)|^2) for a weight on the full mode grid."""
+    coeffs = np.fft.fftn(field.data) / field.data.size
+    total = float(np.sum(weight * np.abs(coeffs) ** 2))
+    return math.sqrt(field.geometry.volume * total)
+
+
 def hs_multiplier_norm(field: Field, s: float) -> float:
     """Bessel-potential norm: sqrt(V sum (1 + 4 pi^2 |n/L|^2)^s |f^(n)|^2).
 
     s = 0 reproduces the L^2 norm; any real s is accepted.
     """
     _require_periodic(field.geometry, "hs_multiplier_norm")
-    coeffs = np.fft.fftn(field.data) / field.data.size
     weight = (1.0 + 4.0 * math.pi**2 * squared_frequency(field.geometry)) ** s
-    total = float(np.sum(weight * np.abs(coeffs) ** 2))
-    return math.sqrt(field.geometry.volume * total)
+    return multiplier_norm(field, weight)
 
 
 def truncate_modes(field: Field, radius: float) -> Field:

@@ -99,6 +99,23 @@ class TestExperiment:
         assert main(["experiment", "hs-growth", "--config", str(cfg)]) == 2
         assert "boost_modes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, section, key",
+        [
+            ("eps-cauchy", '{"eps_sequence": [0.1, "x"]}', "experiment.eps_sequence"),
+            ("galilean", '{"boost_modes": 1}', "experiment.boost_modes"),
+            ("h1-approx", '{"cutoffs": null}', "experiment.cutoffs"),
+            ("scaling", '{"z": [0, 0]}', "experiment.z"),
+        ],
+    )
+    def test_malformed_experiment_section_exits_2(self, tmp_path, capsys, name, section, key):
+        cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM + ',"experiment": ' + section)
+        cfg.write_text(cfg.read_text().replace('"eps": 0.01', '"eps": 0.0'))
+        assert main(["experiment", name, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key}" in err
+        assert "Traceback" not in err
+
     def test_lipschitz_needs_both_data(self, tmp_path, capsys):
         cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM)
         assert main(["experiment", "lipschitz", "--config", str(cfg)]) == 2

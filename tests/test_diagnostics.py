@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from logns.data import DatumSpec, make_datum
 from logns.diagnostics import (
     DiagnosticsRecord,
     energy,
@@ -154,9 +155,42 @@ class TestGagliardoNorm:
         with pytest.raises(ValueError):
             hs_gagliardo_norm(constant_field(torus(16), 1.0), s)
 
-    def test_rejects_oversized_grids(self):
-        with pytest.raises(GeometryError):
-            hs_gagliardo_norm(constant_field(torus(16384), 1.0), 0.5)
+    def test_large_plane_wave_closed_form(self):
+        # A e^{2 pi i m x} on N points: D(k) = 2 N |A|^2 (1 - cos 2 pi m k / N)
+        n, m, amp, s = 16384, 5, 0.5 - 0.25j, 0.5
+        geom = torus(n)
+        f = Field(geom, amp * np.exp(2j * math.pi * m * geom.axis_coordinates(0)))
+        k = np.arange(1, n)
+        y = np.minimum(k, n - k) / n
+        d_k = 2.0 * n * abs(amp) ** 2 * (1.0 - np.cos(2.0 * math.pi * m * k / n))
+        double_sum = float(np.sum(d_k / y ** (1.0 + 2.0 * s)))
+        expected = math.sqrt(abs(amp) ** 2 + double_sum / n**2)
+        assert hs_gagliardo_norm(f, s) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_matches_brute_force_3d_unequal_box(self, s):
+        rng = np.random.default_rng(6)
+        geom = GridGeometry(DomainKind.PERIODIC_BOX, (1.0, 2.0, 0.5), (4, 8, 4))
+        f = Field(geom, rng.standard_normal(geom.points) + 1j * rng.standard_normal(geom.points))
+        assert hs_gagliardo_norm(f, s) == pytest.approx(gagliardo_brute_force(f, s), rel=1e-12)
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_matches_brute_force_dirichlet_slab(self, s):
+        rng = np.random.default_rng(7)
+        geom = GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 1.0), (8, 4))
+        data = rng.standard_normal(geom.points) + 1j * rng.standard_normal(geom.points)
+        data[..., 0] = 0.0
+        f = Field(geom, data)
+        assert hs_gagliardo_norm(f, s) == pytest.approx(
+            gagliardo_brute_force(odd_extension(f), s), rel=1e-12
+        )
+
+    def test_smooth_data_precision(self):
+        # W(0) - W(n) cancels in the symbol; measured 1.5e-12, bound 1e-10
+        f = make_datum(DatumSpec(kind="gaussian_bump", width=0.25), torus(4096))
+        assert hs_gagliardo_norm(f, 0.75) == pytest.approx(
+            gagliardo_brute_force(f, 0.75), rel=1e-10
+        )
 
     def test_dirichlet_via_extension(self):
         geom = GridGeometry(DomainKind.DIRICHLET_INTERVAL, (1.0,), (16,))

@@ -5,7 +5,9 @@ import math
 import pytest
 
 from logns.data import DatumSpec
+from logns import constants
 from logns.experiments import (
+    gagliardo_equivalence_bounds,
     run_convergence_order,
     run_eps_cauchy,
     run_galilean,
@@ -55,6 +57,28 @@ class TestHsGrowth:
         assert report.passed
         assert report.margins["max_ratio_s=0.25"] <= 1.0 + 1e-6
         assert 1.2 <= report.margins["gagliardo_ratio_s=0.5"] <= 4.5
+
+    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
+    def test_one_dimensional_envelope_is_the_pinned_band(self, s):
+        assert gagliardo_equivalence_bounds(1, s) == constants.GAGLIARDO_EQUIVALENCE_BOUNDS
+        assert gagliardo_equivalence_bounds(1, s) == (1.2, 4.5)
+
+    def test_envelope_scales_with_dimension(self):
+        # sqrt(C(1, 1/4) / C(d, 1/4)) is 1.548 in 2-d and 2.047 in 3-d
+        lo, hi = constants.GAGLIARDO_EQUIVALENCE_BOUNDS
+        assert gagliardo_equivalence_bounds(2, 0.25) == (lo, pytest.approx(hi * 1.548, rel=1e-3))
+        assert gagliardo_equivalence_bounds(3, 0.25) == (lo, pytest.approx(hi * 2.047, rel=1e-3))
+
+    def test_cross_check_passes_on_3d_torus(self):
+        # the Gagliardo ratio at s = 1/4 is 4.99 here, above the 1-d upper end 4.5
+        geom = GridGeometry(DomainKind.TORUS, (1.0, 1.0, 1.0), (16, 16, 16))
+        config = SimConfig(lam=1.0, eps=1e-3, dt=1e-3, t_final=0.05, geometry=geom,
+                           hs_values=(0.25, 0.5))
+        spec = DatumSpec(kind="random_band_limited", cutoff=4.0, seed=0)
+        report = run_hs_growth(spec, config)
+        assert report.margins["gagliardo_ratio_s=0.25"] > 4.5
+        assert report.margins["max_ratio_s=0.25"] <= 1.0 + 1e-6
+        assert report.passed
 
 
 class TestScalingInvariance:

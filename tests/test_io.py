@@ -97,6 +97,30 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="experiment"):
             parse_config(text)
 
+    def test_amplitude_must_be_a_number_or_pair(self):
+        bad = MINIMAL.rstrip().rstrip("}") + ""","datum": {
+            "kind": "plane_wave", "modes": [3], "amplitude": [1, 2, 3]}}"""
+        with pytest.raises(ConfigError, match="datum.amplitude"):
+            parse_config(bad)
+
+    def test_experiment_parameters_parsed(self):
+        text = MINIMAL.rstrip().rstrip("}") + ""","datum": {"kind": "gaussian_bump"},
+            "experiment": {"z": [1.0, 2.0]}}"""
+        assert parse_config(text, "scaling").experiment == {"z": 1.0 + 2.0j}
+        galilean = text.replace('"z": [1.0, 2.0]', '"boost_modes": [2]')
+        assert parse_config(galilean, "galilean").experiment == {"boost_modes": (2,)}
+
+    def test_experiment_errors_collected_with_the_rest(self):
+        text = MINIMAL.replace('"eps": 0.01', '"eps": -1').rstrip().rstrip("}") + """,
+            "experiment": {"boost_modes": [1, 2], "z": 3}}"""
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, "galilean")
+        errors = info.value.errors
+        assert "sim.eps: out of range: -1.0" in errors
+        assert "experiment.z: unknown key" in errors
+        assert "experiment.boost_modes: expected one integer per axis (1), got 2" in errors
+        assert "datum: missing required key" in errors
+
     def test_hs_values_range_checked(self):
         bad = MINIMAL.replace('"t_final": 1.0', '"t_final": 1.0, "hs_values": [0.5, 2.0]')
         with pytest.raises(ConfigError, match="hs_values"):
