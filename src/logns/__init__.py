@@ -12,6 +12,7 @@ from .diagnostics import (
     hs_norm,
     l2_distance,
     mass,
+    measure,
 )
 from .geometry import (
     DomainKind,

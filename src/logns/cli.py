@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nonlinearity
-from .diagnostics import energy, hs_gagliardo_norm, hs_norm, mass
+from .diagnostics import hs_gagliardo_norm, measure
 from .experiments import (
     ExperimentReport,
     run_convergence_order,
@@ -108,11 +108,12 @@ def _cmd_experiment(args) -> int:
 def _cmd_norms(args) -> int:
     field, t = read_snapshot(args.snapshot)
     s_values = [float(tok) for tok in args.s.split(",") if tok]
+    record = measure(field, t, args.lam, args.eps, tuple(s_values))
     print(f"time   : {t:.17g}")
-    print(f"mass   : {mass(field):.17g}")
-    print(f"energy : {energy(field, args.lam, args.eps):.17g}")
+    print(f"mass   : {record.mass:.17g}")
+    print(f"energy : {record.energy:.17g}")
     for s in s_values:
-        line = f"H^{s:g}  : multiplier {hs_norm(field, s):.17g}"
+        line = f"H^{s:g}  : multiplier {record.hs_norms[s]:.17g}"
         if 0.0 < s < 1.0:
             line += f"  gagliardo {hs_gagliardo_norm(field, s):.17g}"
         print(line)

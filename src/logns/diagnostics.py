@@ -1,9 +1,10 @@
 """Conserved quantities and Sobolev-norm diagnostics.
 
-Dirichlet fields are measured through their odd extension: gradient and H^s
-quantities are computed on the doubled periodic grid (integrals over the half
-domain are half of the extension's), while mass and the potential term are
-plain sums over the half grid.
+`_spectrum` is the one place a field becomes Fourier data: a Dirichlet field is
+odd-extended to the doubled periodic box, then one FFT gives the power spectrum
+P = V |c_n|^2; the kinetic energy and both H^s norms are weighted sums of P.
+Dirichlet H^s norms cover the doubled box (hs_norm(f, 0)^2 == 2 mass(f)); the
+kinetic energy is halved; mass and the potential are sums over the half grid.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import Field, GridGeometry, odd_extension, require_same_geometry
-from .spectral import hs_multiplier_norm, mode_grids, multiplier_norm, squared_frequency
+from .spectral import bessel_norm, mode_grids, power_spectrum, squared_frequency
 
 __all__ = [
     "DiagnosticsRecord",
+    "measure",
     "mass",
     "energy",
     "l2_distance",
@@ -58,28 +60,37 @@ def _log_potential_density(r: np.ndarray, eps: float) -> np.ndarray:
     return (r * r - eps * eps) * np.log(r + eps) - 0.5 * r * r + eps * r + eps * eps * math.log(eps)
 
 
+def _spectrum(field: Field) -> tuple[GridGeometry, np.ndarray]:
+    """(periodic geometry, P = V |c_n|^2), via the odd extension if Dirichlet."""
+    if field.geometry.is_dirichlet:
+        field = odd_extension(field)
+    return field.geometry, power_spectrum(field)
+
+
 def energy(field: Field, lam: float, eps: float = 0.0) -> float:
     """Conserved energy: |grad u|_{L^2}^2 - 2 lam int F(|u|).
 
     F is the antiderivative matching the 2 u ln(|u| + eps) nonlinearity; at
     eps = 0 the potential reduces to -lam |u|^2 (ln |u|^2 - 1).
     """
+    return measure(field, 0.0, lam, eps, ()).energy
+
+
+def measure(
+    field: Field, t: float, lam: float, eps: float, hs_values: tuple[float, ...]
+) -> DiagnosticsRecord:
+    """The record of mass(field), energy(field, lam, eps) and hs_norm(field, s)
+    for each s in hs_values, from one spectrum: one extension, one FFT."""
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
-    geom = field.geometry
-    if geom.is_dirichlet:
-        ext = odd_extension(field)
-        kinetic = _kinetic(ext) / 2.0
-    else:
-        kinetic = _kinetic(field)
-    potential = geom.cell_volume * float(np.sum(_log_potential_density(np.abs(field.data), eps)))
-    return kinetic - 2.0 * lam * potential
-
-
-def _kinetic(field: Field) -> float:
-    coeffs = np.fft.fftn(field.data) / field.data.size
-    xi2 = squared_frequency(field.geometry)
-    return field.geometry.volume * 4.0 * math.pi**2 * float(np.sum(xi2 * np.abs(coeffs) ** 2))
+    geometry, power = _spectrum(field)
+    kinetic = 4.0 * math.pi**2 * float(np.sum(squared_frequency(geometry) * power))
+    if field.geometry.is_dirichlet:
+        kinetic /= 2.0  # the extension's integral covers the domain twice
+    density = _log_potential_density(np.abs(field.data), eps)
+    potential = field.geometry.cell_volume * float(np.sum(density))
+    hs_norms = {s: bessel_norm(geometry, power, s) for s in hs_values}
+    return DiagnosticsRecord(t, mass(field), kinetic - 2.0 * lam * potential, hs_norms)
 
 
 def l2_distance(f: Field, g: Field) -> float:
@@ -89,10 +100,10 @@ def l2_distance(f: Field, g: Field) -> float:
 
 
 def hs_norm(field: Field, s: float) -> float:
-    """Multiplier H^s norm; Dirichlet fields are measured via odd extension."""
-    if field.geometry.is_dirichlet:
-        return hs_multiplier_norm(odd_extension(field), s)
-    return hs_multiplier_norm(field, s)
+    """Multiplier H^s norm (`spectral.hs_multiplier_norm`). A Dirichlet field is
+    measured via its odd extension over the doubled box, not halved:
+    hs_norm(f, 0)^2 == 2 mass(f)."""
+    return bessel_norm(*_spectrum(field), s)
 
 
 @lru_cache(maxsize=8)
@@ -131,9 +142,8 @@ def hs_gagliardo_norm(field: Field, s: float) -> float:
     """
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    if field.geometry.is_dirichlet:
-        field = odd_extension(field)
-    return multiplier_norm(field, _gagliardo_symbol(field.geometry, s))
+    geometry, power = _spectrum(field)
+    return math.sqrt(float(np.sum(_gagliardo_symbol(geometry, s) * power)))
 
 
 def hs_growth_ratio(

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import constants
 from .data import DatumSpec, make_datum
-from .diagnostics import hs_gagliardo_norm, hs_growth_ratio, hs_norm, l2_distance, mass
+from .diagnostics import hs_gagliardo_norm, hs_growth_ratio, l2_distance, mass
 from .geometry import Field, GeometryError, LatticeVelocity, galilean_boost, scale_datum
 from .integrator import SimConfig, eps_continuation, evolve, evolve_pair, final_state, march
 from .spectral import truncate_modes
@@ -73,11 +73,19 @@ def _digest(name: str, config: SimConfig, **extras) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _self_error(datum: Field, config: SimConfig) -> float:
-    """L^2 self-convergence error at config.dt against a dt/8 reference."""
-    coarse = final_state(datum, config)
-    fine = final_state(datum, replace(config, dt=config.dt / 8.0))
-    return l2_distance(coarse, fine)
+def _self_error(datum: Field, config: SimConfig, coarse: Field) -> float:
+    """L^2 error of `coarse`, the run's endpoint at config.dt, against a dt/8 run."""
+    return l2_distance(coarse, final_state(datum, replace(config, dt=config.dt / 8.0)))
+
+
+def _lipschitz_check(distances: list[tuple[float, float]], lam: float) -> tuple[float | None, bool]:
+    """Worst d(t) / (e^{2 |lam| |t|} d(0)) over a distance series and whether it
+    is within the envelope; when d(0) = 0, (None, whether every d is 0)."""
+    d0 = distances[0][1]
+    if d0 == 0.0:
+        return None, max(d for _, d in distances) == 0.0
+    worst = max(d / (math.exp(2.0 * abs(lam) * abs(t)) * d0) for t, d in distances)
+    return worst, worst <= 1.0 + BOUND_SLACK
 
 
 def _fractional_laplacian_constant(dim: int, s: float) -> float:
@@ -110,17 +118,8 @@ def run_lipschitz(spec_a: DatumSpec, spec_b: DatumSpec, config: SimConfig) -> Ex
     datum_a = make_datum(spec_a, config.geometry)
     datum_b = make_datum(spec_b, config.geometry)
     distances = evolve_pair(datum_a, datum_b, config)
-    d0 = distances[0][1]
-    margins: dict[str, float] = {}
-    if d0 == 0.0:
-        worst = max(d for _, d in distances)
-        margins["worst_ratio"] = 0.0
-        margins["degenerate"] = 1.0
-        passed = worst == 0.0
-    else:
-        ratios = [d / (math.exp(2.0 * abs(config.lam) * abs(t)) * d0) for t, d in distances]
-        margins["worst_ratio"] = max(ratios)
-        passed = margins["worst_ratio"] <= 1.0 + BOUND_SLACK
+    worst, passed = _lipschitz_check(distances, config.lam)
+    margins = {"worst_ratio": 0.0, "degenerate": 1.0} if worst is None else {"worst_ratio": worst}
     return ExperimentReport(
         name="lipschitz",
         config_digest=_digest("lipschitz", config, spec_a=spec_a, spec_b=spec_b),
@@ -150,11 +149,11 @@ def run_hs_growth(spec: DatumSpec, config: SimConfig) -> ExperimentReport:
         passed &= max(ratios) <= 1.0 + BOUND_SLACK
         series = [(rec.time, r) for rec, r in zip(traj.records, ratios)]
 
-    final_field = traj.snapshots[-1][1]
+    final_field, final_norms = traj.snapshots[-1][1], traj.records[-1].hs_norms
     for s in config.hs_values:
         if not 0.0 < s < 1.0:
             continue
-        ratio = hs_gagliardo_norm(final_field, s) / hs_norm(final_field, s)
+        ratio = hs_gagliardo_norm(final_field, s) / final_norms[s]
         margins[f"gagliardo_ratio_s={s:g}"] = ratio
         lo, hi = gagliardo_equivalence_bounds(config.geometry.dim, s)
         passed &= lo <= ratio <= hi
@@ -189,7 +188,7 @@ def run_scaling_invariance(spec: DatumSpec, z: complex, config: SimConfig) -> Ex
         predicted = scale_datum(u, z * cmath.exp(1j * config.lam * t * log_z2))
         errs.append((t, l2_distance(uz, predicted) / scale))
     worst = max(e for _, e in errs)
-    budget = max(10.0 * _self_error(datum, config), _EXACT_FLOOR)
+    budget = max(10.0 * _self_error(datum, config, u), _EXACT_FLOOR)
     return ExperimentReport(
         name="scaling_invariance",
         config_digest=_digest("scaling_invariance", config, spec=spec, z=z),
@@ -206,10 +205,10 @@ def run_galilean(spec: DatumSpec, velocity: LatticeVelocity, config: SimConfig) 
         raise GeometryError("Galilean boosts are incompatible with Dirichlet boundaries")
     datum = make_datum(spec, config.geometry)
     boosted_first = final_state(galilean_boost(datum, velocity, 0.0), config)
-    t_final = config.n_steps * config.dt
-    boosted_last = galilean_boost(final_state(datum, config), velocity, t_final)
+    end = final_state(datum, config)
+    boosted_last = galilean_boost(end, velocity, config.n_steps * config.dt)
     discrepancy = l2_distance(boosted_first, boosted_last) / math.sqrt(mass(datum))
-    budget = max(10.0 * _self_error(datum, config), _EXACT_FLOOR)
+    budget = max(10.0 * _self_error(datum, config, end), _EXACT_FLOOR)
     return ExperimentReport(
         name="galilean",
         config_digest=_digest("galilean", config, spec=spec, modes=list(velocity.modes)),
@@ -263,17 +262,12 @@ def run_h1_approximation(
     for (k1, f1), (k2, f2) in zip(zip(cutoffs, truncations), zip(cutoffs[1:], truncations[1:])):
         distances = evolve_pair(f1, f2, config)
         n_samples = len(distances)
-        d0 = distances[0][1]
         sups.append(max(d for _, d in distances))
         margins[f"sup_dist_K{k1:g}_K{k2:g}"] = sups[-1]
-        if d0 == 0.0:
-            passed &= sups[-1] == 0.0
-            continue
-        worst = max(
-            d / (math.exp(2.0 * abs(config.lam) * abs(t)) * d0) for t, d in distances
-        )
-        margins[f"worst_ratio_K{k1:g}_K{k2:g}"] = worst
-        passed &= worst <= 1.0 + BOUND_SLACK
+        worst, within = _lipschitz_check(distances, config.lam)
+        passed &= within
+        if worst is not None:
+            margins[f"worst_ratio_K{k1:g}_K{k2:g}"] = worst
     passed &= all(b < a or (a == b == 0.0) for a, b in zip(sups, sups[1:]))
     return ExperimentReport(
         name="h1_approximation",

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 import numpy as np
 
 from . import nonlinearity
-from .diagnostics import DiagnosticsRecord, energy, hs_norm, l2_distance, mass
+from .diagnostics import DiagnosticsRecord, l2_distance, measure
 from .geometry import Field, GeometryError, GridGeometry, odd_extension, restrict_to_half
 from .spectral import free_propagator
 
@@ -160,15 +160,6 @@ def step(field: Field, config: SimConfig) -> Field:
     return final_state(field, replace(config, t_final=config.dt, record_every=1))
 
 
-def _make_record(field: Field, t: float, config: SimConfig) -> DiagnosticsRecord:
-    return DiagnosticsRecord(
-        time=t,
-        mass=mass(field),
-        energy=energy(field, config.lam, config.eps),
-        hs_norms={s: hs_norm(field, s) for s in config.hs_values},
-    )
-
-
 def evolve(datum: Field, config: SimConfig) -> Trajectory:
     """Iterate the splitting to t_final, recording diagnostics on the schedule.
 
@@ -182,7 +173,7 @@ def evolve(datum: Field, config: SimConfig) -> Trajectory:
     traj = Trajectory(config)
     for i, (t, u) in zip(steps, march(datum, config, steps)):
         if i in records:
-            traj.records.append(_make_record(u, t, config))
+            traj.records.append(measure(u, t, config.lam, config.eps, config.hs_values))
         if i in snapshots:
             traj.snapshots.append((t, u))
     return traj

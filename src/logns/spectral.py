@@ -2,8 +2,8 @@
 
 Fourier coefficients are fftn(data) / data.size, so a plane wave of amplitude
 A has a single coefficient A. For a box with side lengths L the frequency of
-mode n is n / L and norms carry the volume factor so that the s = 0
-multiplier norm squared equals the mass.
+mode n is n / L, and norms carry the volume factor: the s = 0 multiplier norm
+squared is the mass of a periodic field (see `diagnostics` for Dirichlet ones).
 """
 
 from __future__ import annotations
@@ -65,11 +65,16 @@ def free_propagator(field: Field, dt: float) -> Field:
     return Field(field.geometry, np.fft.ifftn(np.fft.fftn(field.data) * symbol))
 
 
-def multiplier_norm(field: Field, weight: np.ndarray) -> float:
-    """sqrt(V sum_n weight(n) |f^(n)|^2) for a weight on the full mode grid."""
-    coeffs = np.fft.fftn(field.data) / field.data.size
-    total = float(np.sum(weight * np.abs(coeffs) ** 2))
-    return math.sqrt(field.geometry.volume * total)
+def power_spectrum(field: Field) -> np.ndarray:
+    """P(n) = V |f^(n)|^2 on the full mode grid; weight w gives sqrt(sum w P)."""
+    _require_periodic(field.geometry, "power_spectrum")
+    return field.geometry.volume * np.abs(np.fft.fftn(field.data) / field.data.size) ** 2
+
+
+def bessel_norm(geometry: GridGeometry, power: np.ndarray, s: float) -> float:
+    """sqrt(sum_n (1 + 4 pi^2 |n/L|^2)^s P(n)) for a power spectrum P on `geometry`."""
+    weight = (1.0 + 4.0 * math.pi**2 * squared_frequency(geometry)) ** s
+    return math.sqrt(float(np.sum(weight * power)))
 
 
 def hs_multiplier_norm(field: Field, s: float) -> float:
@@ -77,9 +82,7 @@ def hs_multiplier_norm(field: Field, s: float) -> float:
 
     s = 0 reproduces the L^2 norm; any real s is accepted.
     """
-    _require_periodic(field.geometry, "hs_multiplier_norm")
-    weight = (1.0 + 4.0 * math.pi**2 * squared_frequency(field.geometry)) ** s
-    return multiplier_norm(field, weight)
+    return bessel_norm(field.geometry, power_spectrum(field), s)
 
 
 def truncate_modes(field: Field, radius: float) -> Field:

@@ -5,7 +5,10 @@ import json
 import pytest
 
 from logns.cli import main
-from logns.io import read_snapshot, read_timeseries
+from logns.data import DatumSpec, make_datum
+from logns.diagnostics import energy, hs_gagliardo_norm, hs_norm, mass
+from logns.geometry import DomainKind, GridGeometry
+from logns.io import read_snapshot, read_timeseries, write_snapshot
 
 
 def write_config(tmp_path, extra="", sim_extra=""):
@@ -166,6 +169,29 @@ class TestNorms:
         assert "mass" in text
         assert "H^0.25" in text
         assert "gagliardo" in text
+
+    def slab_snapshot(self, tmp_path):
+        geom = GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 1.0), (16, 8))
+        field = make_datum(DatumSpec(kind="random_band_limited", cutoff=3.0, seed=2), geom)
+        write_snapshot(field, 0.5, tmp_path / "slab.bin")
+        return field, tmp_path / "slab.bin"
+
+    def test_dirichlet_values_match_the_diagnostics(self, tmp_path, capsys):
+        field, path = self.slab_snapshot(tmp_path)
+        argv = ["norms", "--snapshot", str(path), "--s", "0.25,1", "--lambda", "-1", "--eps", "0.01"]
+        assert main(argv) == 0
+        printed = [float(tok) for line in capsys.readouterr().out.splitlines()
+                   for tok in line.partition(":")[2].split()
+                   if tok not in ("multiplier", "gagliardo")]
+        expected = [0.5, mass(field), energy(field, -1.0, 0.01), hs_norm(field, 0.25),
+                    hs_gagliardo_norm(field, 0.25), hs_norm(field, 1.0)]
+        assert printed == expected
+
+    def test_negative_eps_exits_2(self, tmp_path, capsys):
+        _, path = self.slab_snapshot(tmp_path)
+        argv = ["norms", "--snapshot", str(path), "--s", "0.5", "--lambda", "1", "--eps", "-0.1"]
+        assert main(argv) == 2
+        assert "eps must be >= 0" in capsys.readouterr().err
 
     def test_bad_snapshot_exits_2(self, tmp_path, capsys):
         path = tmp_path / "junk.bin"

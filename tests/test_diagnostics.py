@@ -1,10 +1,12 @@
 """Mass, energy, and the two fractional Sobolev norms."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from logns import geometry
 from logns.data import DatumSpec, make_datum
 from logns.diagnostics import (
     DiagnosticsRecord,
@@ -14,6 +16,7 @@ from logns.diagnostics import (
     hs_norm,
     l2_distance,
     mass,
+    measure,
 )
 from logns.geometry import DomainKind, Field, GeometryError, GridGeometry, odd_extension
 from logns.spectral import hs_multiplier_norm
@@ -112,6 +115,78 @@ class TestHsNorm:
         x = geom.axis_coordinates(0)
         f = Field(geom, np.sin(3 * math.pi * x))
         assert hs_norm(f, 0.5) == hs_multiplier_norm(odd_extension(f), 0.5)
+
+
+def slab_field(seed=8):
+    geom = GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 2.0), (16, 8))
+    return make_datum(DatumSpec(kind="random_band_limited", cutoff=3.0, seed=seed), geom)
+
+
+class TestMeasure:
+    @pytest.mark.parametrize(
+        "f",
+        [
+            make_datum(
+                DatumSpec(kind="random_band_limited", cutoff=4.0, seed=1),
+                GridGeometry(DomainKind.PERIODIC_BOX, (1.0, 2.0), (16, 8)),
+            ),
+            slab_field(),
+        ],
+        ids=["box", "slab"],
+    )
+    def test_equals_the_single_quantity_functions(self, f):
+        lam, eps = -1.5, 1e-3
+        rec = measure(f, 0.25, lam, eps, (0.25, 0.5, 1.0))
+        assert rec.time == 0.25
+        assert rec.mass == mass(f)
+        assert rec.energy == energy(f, lam, eps)
+        assert rec.hs_norms == {s: hs_norm(f, s) for s in (0.25, 0.5, 1.0)}
+
+    def test_dirichlet_norms_cover_the_doubled_box(self):
+        # H^s norms are taken over the odd extension, not halved, so the
+        # s = 0 norm squared is twice the mass; the benchmark reference pins it
+        f = slab_field()
+        assert hs_norm(f, 0.0) ** 2 == pytest.approx(2.0 * mass(f), rel=1e-13)
+        rec = measure(f, 0.0, 1.0, 0.0, (0.0,))
+        assert rec.hs_norms[0.0] ** 2 == pytest.approx(2.0 * rec.mass, rel=1e-13)
+
+    def test_rejects_negative_eps(self):
+        with pytest.raises(ValueError):
+            measure(slab_field(), 0.0, 1.0, -0.1, ())
+
+
+@pytest.fixture
+def transform_counts(monkeypatch):
+    """Counts forward FFTs and odd extensions, wherever logns bound the latter."""
+    counts = {"fftn": 0, "odd_extension": 0}
+    fftn, extend = np.fft.fftn, geometry.odd_extension
+
+    def counted_fftn(*args, **kwargs):
+        counts["fftn"] += 1
+        return fftn(*args, **kwargs)
+
+    def counted_extension(field):
+        counts["odd_extension"] += 1
+        return extend(field)
+
+    monkeypatch.setattr(np.fft, "fftn", counted_fftn)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("logns") and getattr(module, "odd_extension", None) is extend:
+            monkeypatch.setattr(module, "odd_extension", counted_extension)
+    return counts
+
+
+class TestTransformCounts:
+    def test_one_extension_and_one_fft_per_record(self, transform_counts):
+        measure(slab_field(), 0.0, 1.0, 1e-3, (0.25, 0.5))
+        assert transform_counts == {"fftn": 1, "odd_extension": 1}
+
+    def test_one_extension_and_one_fft_per_gagliardo_norm(self, transform_counts):
+        f = slab_field()
+        hs_gagliardo_norm(f, 0.5)  # builds and caches the symbol
+        transform_counts.update(fftn=0, odd_extension=0)
+        hs_gagliardo_norm(f, 0.5)
+        assert transform_counts == {"fftn": 1, "odd_extension": 1}
 
 
 def gagliardo_brute_force(field, s):

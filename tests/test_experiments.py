@@ -127,6 +127,12 @@ class TestH1Approximation:
         sups = [v for k, v in report.margins.items() if k.startswith("sup_dist")]
         assert sups == sorted(sups, reverse=True)
 
+    def test_identical_truncations_degenerate_case(self):
+        # on 32 points no mode exceeds |n| = 16, so both truncations keep every mode
+        report = run_h1_approximation(BAND, [16.0, 20.0], quick_config())
+        assert report.passed
+        assert report.margins == {"sup_dist_K16_K20": 0.0}
+
 
 class TestConvergenceOrder:
     def test_ladder_validation(self):

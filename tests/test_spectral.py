@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from logns.geometry import DomainKind, Field, GridGeometry
+from logns.geometry import DomainKind, Field, GeometryError, GridGeometry
 from logns.spectral import (
     free_propagator,
     hs_multiplier_norm,
     mode_radius,
+    power_spectrum,
     squared_frequency,
     truncate_modes,
 )
@@ -113,6 +114,19 @@ class TestMultiplierNorm:
         f = Field(torus(), rng.standard_normal(64) + 1j * rng.standard_normal(64))
         norms = [hs_multiplier_norm(f, s) for s in (0.0, 0.25, 0.5, 1.0)]
         assert norms == sorted(norms)
+
+    def test_power_spectrum_sums_to_mass(self):
+        rng = np.random.default_rng(11)
+        geom = GridGeometry(DomainKind.PERIODIC_BOX, (2.0, 0.5), (16, 8))
+        f = Field(geom, rng.standard_normal(geom.points) + 1j * rng.standard_normal(geom.points))
+        m = geom.cell_volume * float(np.sum(np.abs(f.data) ** 2))
+        assert float(np.sum(power_spectrum(f))) == pytest.approx(m, rel=1e-13)
+
+    def test_rejects_dirichlet(self):
+        geom = GridGeometry(DomainKind.DIRICHLET_INTERVAL, (1.0,), (16,))
+        f = Field(geom, np.sin(math.pi * geom.axis_coordinates(0)))
+        with pytest.raises(GeometryError):
+            hs_multiplier_norm(f, 0.5)
 
 
 class TestTruncateModes:
