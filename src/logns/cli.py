@@ -122,8 +122,10 @@ def _cmd_norms(args) -> int:
 
 def _cmd_check_inequality(args) -> int:
     """Randomized suite for the monotonicity-gap inequality (and its eps = 0 case)."""
-    rng = np.random.default_rng(args.seed)
     n = args.samples
+    if n < 1:
+        raise ValueError(f"--samples must be at least 1, got {n}")
+    rng = np.random.default_rng(args.seed)
     worst = 0.0
     for eps_zero in (False, True):
         remaining = n

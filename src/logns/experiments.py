@@ -19,9 +19,10 @@ import numpy as np
 
 from . import constants
 from .data import DatumSpec, make_datum
-from .diagnostics import hs_gagliardo_norm, hs_growth_ratio, l2_distance, mass
+from .diagnostics import hs_gagliardo_norm, hs_growth_ratio, l2_distance, mass, measure
 from .geometry import Field, GeometryError, LatticeVelocity, galilean_boost, scale_datum
-from .integrator import SimConfig, eps_continuation, evolve, evolve_pair, final_state, march
+from .integrator import (SimConfig, eps_continuation, evolve_pair, final_state,
+                         lockstep_distances, march)
 from .spectral import truncate_modes
 
 __all__ = [
@@ -139,17 +140,19 @@ def run_hs_growth(spec: DatumSpec, config: SimConfig) -> ExperimentReport:
     if not config.hs_values:
         raise ValueError("hs growth experiment needs tracked hs_values")
     datum = make_datum(spec, config.geometry)
-    traj = evolve(datum, replace(config, snapshot_every=config.n_steps))
+    records = []  # the loop leaves the last sample in final_field for the cross-check
+    for t, final_field in march(datum, config, config.record_steps):
+        records.append(measure(final_field, t, config.lam, config.eps, config.hs_values))
     margins: dict[str, float] = {}
     passed = True
     series = []
     for s in config.hs_values:
-        ratios = [hs_growth_ratio(rec, traj.records[0], s, config.lam) for rec in traj.records]
+        ratios = [hs_growth_ratio(rec, records[0], s, config.lam) for rec in records]
         margins[f"max_ratio_s={s:g}"] = max(ratios)
         passed &= max(ratios) <= 1.0 + BOUND_SLACK
-        series = [(rec.time, r) for rec, r in zip(traj.records, ratios)]
+        series = [(rec.time, r) for rec, r in zip(records, ratios)]
 
-    final_field, final_norms = traj.snapshots[-1][1], traj.records[-1].hs_norms
+    final_norms = records[-1].hs_norms
     for s in config.hs_values:
         if not 0.0 < s < 1.0:
             continue
@@ -164,21 +167,24 @@ def run_hs_growth(spec: DatumSpec, config: SimConfig) -> ExperimentReport:
         passed=passed,
         margins=margins,
         series=series,
-        n_samples=len(traj.records),
+        n_samples=len(records),
     )
 
 
 def run_scaling_invariance(spec: DatumSpec, z: complex, config: SimConfig) -> ExperimentReport:
     """Compare evolve(z phi) against z evolve(phi) e^{i lam t ln |z|^2}.
 
-    Only meaningful at eps = 0: the regularization breaks the invariance.
+    Only meaningful at eps = 0 and z != 0: the regularization breaks the
+    invariance, and a zero z leaves nothing to compare.
     """
     if config.eps != 0.0:
         raise ValueError("scaling invariance holds only for the unregularized flow")
     z = complex(z)
+    if z == 0:
+        raise ValueError("scaling invariance needs a nonzero z")
     datum = make_datum(spec, config.geometry)
     scale = abs(z) * math.sqrt(mass(datum))
-    log_z2 = math.log(abs(z) ** 2) if z != 0 else 0.0
+    log_z2 = math.log(abs(z) ** 2)
 
     steps = config.record_steps
     base = march(datum, config, steps)
@@ -253,15 +259,13 @@ def run_h1_approximation(
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError("cutoffs must be strictly increasing")
     datum = make_datum(rough_spec, config.geometry)
-    truncations = [truncate_modes(datum, k) for k in cutoffs]
+    steps = config.record_steps
+    series = lockstep_distances([march(truncate_modes(datum, k), config, steps) for k in cutoffs])
 
     margins: dict[str, float] = {}
     passed = True
     sups = []
-    n_samples = 0
-    for (k1, f1), (k2, f2) in zip(zip(cutoffs, truncations), zip(cutoffs[1:], truncations[1:])):
-        distances = evolve_pair(f1, f2, config)
-        n_samples = len(distances)
+    for k1, k2, distances in zip(cutoffs, cutoffs[1:], series):
         sups.append(max(d for _, d in distances))
         margins[f"sup_dist_K{k1:g}_K{k2:g}"] = sups[-1]
         worst, within = _lipschitz_check(distances, config.lam)
@@ -274,7 +278,7 @@ def run_h1_approximation(
         config_digest=_digest("h1_approximation", config, spec=rough_spec, cutoffs=list(cutoffs)),
         passed=passed,
         margins=margins,
-        n_samples=n_samples,
+        n_samples=len(series[-1]),
     )
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "evolve",
     "evolve_pair",
     "eps_continuation",
+    "lockstep_distances",
 ]
 
 _MAX_STEPS = 10**8
@@ -179,15 +180,28 @@ def evolve(datum: Field, config: SimConfig) -> Trajectory:
     return traj
 
 
+def lockstep_distances(
+    runs: list[Iterator[tuple[float, Field]]],
+) -> list[list[tuple[float, float]]]:
+    """(t, L^2 distance) series between each consecutive pair of runs.
+
+    The runs (`march` iterators on a shared sample schedule) advance in
+    lockstep, so only one sample per run is held at a time.
+    """
+    series: list[list[tuple[float, float]]] = [[] for _ in runs[1:]]
+    for samples in zip(*runs):
+        for out, ((t, u), (_, v)) in zip(series, zip(samples, samples[1:])):
+            out.append((t, l2_distance(u, v)))
+    return series
+
+
 def evolve_pair(datum_a: Field, datum_b: Field, config: SimConfig) -> list[tuple[float, float]]:
     """L^2 distance between the runs of two data on the record schedule."""
     if datum_a.geometry != datum_b.geometry:
         raise GeometryError("paired data must share a geometry")
     steps = config.record_steps
-    return [
-        (t, l2_distance(u, v))
-        for (t, u), (_, v) in zip(march(datum_a, config, steps), march(datum_b, config, steps))
-    ]
+    [distances] = lockstep_distances([march(datum_a, config, steps), march(datum_b, config, steps)])
+    return distances
 
 
 def eps_continuation(
@@ -196,8 +210,7 @@ def eps_continuation(
     """Sup-in-time L^2 distance between runs at consecutive regularizations.
 
     eps_sequence must be strictly decreasing and positive; "sup in time" means
-    the maximum over the diagnostic sample times. The runs advance in
-    lockstep, so only one sample per regularization is held at a time.
+    the maximum over the diagnostic sample times.
     """
     if any(e <= 0 for e in eps_sequence):
         raise ValueError("eps_sequence entries must be positive")
@@ -205,9 +218,6 @@ def eps_continuation(
         raise ValueError("eps_sequence must be strictly decreasing")
 
     steps = config.record_steps
-    runs = [march(datum, replace(config, eps=e), steps) for e in eps_sequence]
-    sups = [0.0] * (len(eps_sequence) - 1)
-    for samples in zip(*runs):
-        for k, ((_, u), (_, v)) in enumerate(zip(samples, samples[1:])):
-            sups[k] = max(sups[k], l2_distance(u, v))
+    series = lockstep_distances([march(datum, replace(config, eps=e), steps) for e in eps_sequence])
+    sups = [max(d for _, d in distances) for distances in series]
     return list(zip(zip(eps_sequence, eps_sequence[1:]), sups))

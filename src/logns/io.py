@@ -1,17 +1,22 @@
 """Configuration parsing, CSV time series, and the binary snapshot format.
 
 Config files are strict JSON: unknown keys are errors and the physical
-parameters (lambda, eps, dt, t_final) have no defaults. CSV values use 17
-significant digits so doubles round-trip exactly. Snapshots are little-endian
-fixed binary, magic "LOGNSFLD".
+parameters (lambda, eps, dt, t_final) have no defaults. Each config section is
+a table of keys, and one walker reports every unknown, missing or ill-typed
+key as "section.key: message"; only checks that span sections are code.
+CSV values use 17 significant digits so doubles round-trip exactly. Snapshots
+are little-endian fixed binary, magic "LOGNSFLD".
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,182 +72,121 @@ class ConfigDocument:
     experiment: dict = dataclass_field(default_factory=dict)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # json.loads also yields NaN, Infinity and integers beyond the float range
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-class _Checker:
-    """Walks a JSON tree collecting all errors instead of stopping at the first."""
+# Converters: each maps one JSON value to its parsed value or raises ValueError
+# with the reason.
 
-    def __init__(self):
-        self.errors: list[str] = []
-
-    def fail(self, path: str, message: str) -> None:
-        self.errors.append(f"{path}: {message}")
-
-    def require_keys(self, obj: dict, path: str, required: set[str], optional: set[str]) -> bool:
-        ok = True
-        for key in sorted(set(obj) - required - optional):
-            self.fail(f"{path}.{key}", "unknown key")
-            ok = False
-        for key in sorted(required - set(obj)):
-            self.fail(f"{path}.{key}", "missing required key")
-            ok = False
-        return ok
-
-    def number(self, obj: dict, path: str, key: str, lo=None, hi=None, allow_eq_lo=True):
-        if key not in obj:
-            return None
-        v = obj[key]
+def _number(lo=None, hi=None, open_lo=False):
+    def convert(v):
         if not _is_number(v):
-            self.fail(f"{path}.{key}", f"expected a number, got {v!r}")
-            return None
+            raise ValueError(f"expected a number, got {v!r}")
         v = float(v)
-        if lo is not None and (v < lo or (v == lo and not allow_eq_lo)):
-            self.fail(f"{path}.{key}", f"out of range: {v}")
-            return None
-        if hi is not None and v > hi:
-            self.fail(f"{path}.{key}", f"out of range: {v}")
-            return None
+        if lo is not None and (v < lo or (v == lo and open_lo)) or hi is not None and v > hi:
+            raise ValueError(f"out of range: {v}")
         return v
+    return convert
 
-    def complex_number(self, obj: dict, path: str, key: str):
-        """A number or an [re, im] pair, as a complex."""
-        if key not in obj:
-            return None
-        v = obj[key]
-        if _is_number(v):
-            return complex(v)
-        if isinstance(v, list) and len(v) == 2 and all(_is_number(x) for x in v):
-            return complex(v[0], v[1])
-        self.fail(f"{path}.{key}", f"expected a number or [re, im], got {v!r}")
-        return None
 
-    def integer(self, obj: dict, path: str, key: str, lo=None):
-        if key not in obj:
-            return None
-        v = obj[key]
-        if not _is_int(v):
-            self.fail(f"{path}.{key}", f"expected an integer, got {v!r}")
-            return None
+def _integer(lo=None):
+    def convert(v):
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"expected an integer, got {v!r}")
         if lo is not None and v < lo:
-            self.fail(f"{path}.{key}", f"out of range: {v}")
-            return None
+            raise ValueError(f"out of range: {v}")
         return v
+    return convert
 
 
-def _parse_geometry(obj, check: _Checker) -> GridGeometry | None:
-    path = "geometry"
-    if not isinstance(obj, dict):
-        check.fail(path, "expected an object")
-        return None
-    if not check.require_keys(obj, path, {"kind", "points"}, {"lengths"}):
-        return None
-    kind_raw = obj["kind"]
-    try:
-        kind = DomainKind(kind_raw)
-    except ValueError:
-        check.fail(f"{path}.kind", f"unknown domain kind {kind_raw!r}")
-        return None
-    points = obj["points"]
-    if not isinstance(points, list) or not all(_is_int(p) for p in points):
-        check.fail(f"{path}.points", "expected a list of integers")
-        return None
-    if "lengths" in obj:
-        lengths = obj["lengths"]
-        if not isinstance(lengths, list) or not all(_is_number(l) for l in lengths):
-            check.fail(f"{path}.lengths", "expected a list of numbers")
-            return None
-    elif kind is DomainKind.TORUS:
-        lengths = [1.0] * len(points)
-    else:
-        check.fail(f"{path}.lengths", "missing required key")
-        return None
-    try:
-        return GridGeometry(kind, tuple(lengths), tuple(points))
-    except ValueError as exc:
-        check.fail(path, str(exc))
-        return None
-
-
-def _parse_sim(obj, check: _Checker) -> dict | None:
-    path = "sim"
-    if not isinstance(obj, dict):
-        check.fail(path, "expected an object")
-        return None
-    required = {"lambda", "eps", "dt", "t_final"}
-    optional = {"splitting", "record_every", "hs_values", "snapshot_every"}
-    check.require_keys(obj, path, required, optional)
-
-    sim: dict = {}
-    sim["lam"] = check.number(obj, path, "lambda")
-    sim["eps"] = check.number(obj, path, "eps", lo=0.0)
-    sim["dt"] = check.number(obj, path, "dt")
-    sim["t_final"] = check.number(obj, path, "t_final")
-    if "splitting" in obj:
-        if obj["splitting"] not in ("lie", "strang"):
-            check.fail(f"{path}.splitting", f"expected 'lie' or 'strang', got {obj['splitting']!r}")
+def _complex(nonzero=False):
+    """A number or an [re, im] pair, as a complex."""
+    def convert(v):
+        if _is_number(v):
+            z = complex(v)
+        elif isinstance(v, list) and len(v) == 2 and all(_is_number(x) for x in v):
+            z = complex(v[0], v[1])
         else:
-            sim["splitting"] = obj["splitting"]
-    if (v := check.integer(obj, path, "record_every", lo=1)) is not None:
-        sim["record_every"] = v
-    if (v := check.integer(obj, path, "snapshot_every", lo=1)) is not None:
-        sim["snapshot_every"] = v
-    if "hs_values" in obj:
-        hs = obj["hs_values"]
-        if not isinstance(hs, list) or not all(_is_number(s) and 0 < s <= 1 for s in hs):
-            check.fail(f"{path}.hs_values", "expected a list of exponents in (0, 1]")
-        else:
-            sim["hs_values"] = tuple(float(s) for s in hs)
-    if any(sim.get(k) is None for k in ("lam", "eps", "dt", "t_final")):
-        return None
-    return sim
+            raise ValueError(f"expected a number or [re, im], got {v!r}")
+        if nonzero and z == 0:
+            raise ValueError("must be nonzero")
+        return z
+    return convert
 
 
-_DATUM_KEYS = {
-    "plane_wave": ({"modes"}, {"amplitude"}),
-    "gaussian_bump": (set(), {"amplitude", "center", "width"}),
-    "random_band_limited": ({"cutoff"}, {"seed"}),
-    "random_rough": ({"target_s"}, {"seed"}),
+def _choice(*options):
+    def convert(v):
+        if v not in options:
+            raise ValueError(f"expected one of {', '.join(map(repr, options))}, got {v!r}")
+        return v
+    return convert
+
+
+def _list_of(item, min_len=0, into=tuple):
+    def convert(v):
+        if not isinstance(v, list):
+            raise ValueError(f"expected a list, got {v!r}")
+        if len(v) < min_len:
+            raise ValueError(f"expected at least {min_len} entries, got {len(v)}")
+        return into(item(x) for x in v)
+    return convert
+
+
+def _section(v):
+    if not isinstance(v, dict):
+        raise ValueError("expected an object")
+    return v
+
+
+class _Key(NamedTuple):
+    """One config key: whether it must be present, its converter, its parsed name."""
+
+    required: bool
+    convert: Callable
+    name: str | None = None  # None: the key itself
+
+
+_TOP_LEVEL = {
+    "geometry": _Key(True, _section),
+    "sim": _Key(True, _section),
+    "datum": _Key(False, _section),
+    "datum_b": _Key(False, _section),
+    "experiment": _Key(False, _section),
 }
 
+_GEOMETRY = {
+    "kind": _Key(True, _choice(*(k.value for k in DomainKind))),
+    "points": _Key(True, _list_of(_integer())),
+    "lengths": _Key(False, _list_of(_number())),  # required unless the kind is torus
+}
 
-def _parse_datum(obj, check: _Checker, path: str) -> DatumSpec | None:
-    if not isinstance(obj, dict):
-        check.fail(path, "expected an object")
-        return None
-    kind = obj.get("kind")
-    if kind not in _DATUM_KEYS:
-        check.fail(f"{path}.kind", f"unknown datum kind {kind!r}")
-        return None
-    required, optional = _DATUM_KEYS[kind]
-    if not check.require_keys(obj, path, required | {"kind"}, optional):
-        return None
-    kwargs: dict = {}
-    if "modes" in obj:
-        kwargs["modes"] = tuple(obj["modes"])
-    if (v := check.complex_number(obj, path, "amplitude")) is not None:
-        kwargs["amplitude"] = v
-    if "center" in obj:
-        kwargs["center"] = tuple(obj["center"])
-    if (v := check.number(obj, path, "width", lo=0.0, allow_eq_lo=False)) is not None:
-        kwargs["width"] = v
-    if (v := check.number(obj, path, "cutoff", lo=0.0)) is not None:
-        kwargs["cutoff"] = v
-    if (v := check.number(obj, path, "target_s", lo=0.0, allow_eq_lo=False)) is not None:
-        kwargs["target_s"] = v
-    if (v := check.integer(obj, path, "seed")) is not None:
-        kwargs["seed"] = v
-    try:
-        return DatumSpec(kind=kind, **kwargs)
-    except (ValueError, TypeError) as exc:
-        check.fail(path, str(exc))
-        return None
+_SIM = {
+    "lambda": _Key(True, _number(), "lam"),
+    "eps": _Key(True, _number(lo=0.0)),
+    "dt": _Key(True, _number()),
+    "t_final": _Key(True, _number()),
+    "splitting": _Key(False, _choice("lie", "strang")),
+    "record_every": _Key(False, _integer(lo=1)),
+    "hs_values": _Key(False, _list_of(_number(lo=0.0, hi=1.0, open_lo=True))),
+    "snapshot_every": _Key(False, _integer(lo=1)),
+}
 
+_AMPLITUDE = _Key(False, _complex())
+_SEED = _Key(False, _integer())
+# datum kind -> its keys other than `kind`
+_DATUM = {
+    "plane_wave": {"modes": _Key(True, _list_of(_integer())), "amplitude": _AMPLITUDE},
+    "gaussian_bump": {
+        "amplitude": _AMPLITUDE,
+        "center": _Key(False, _list_of(_number())),
+        "width": _Key(False, _number(lo=0.0, open_lo=True)),
+    },
+    "random_band_limited": {"cutoff": _Key(True, _number(lo=0.0)), "seed": _SEED},
+    "random_rough": {"target_s": _Key(True, _number(lo=0.0, open_lo=True)), "seed": _SEED},
+}
+_DATUM_KIND = _Key(True, _choice(*_DATUM))
 
 # experiment name -> required keys of the config's `experiment` section
 EXPERIMENT_KEYS = {
@@ -255,34 +199,51 @@ EXPERIMENT_KEYS = {
     "convergence": {"dt_ladder"},
 }
 
+_LADDER = _Key(True, _list_of(_number(), min_len=2, into=list))
+_EXPERIMENT = {
+    "z": _Key(True, _complex(nonzero=True)),
+    "boost_modes": _Key(True, _list_of(_integer())),
+    "eps_sequence": _LADDER,
+    "cutoffs": _LADDER,
+    "dt_ladder": _LADDER,
+}
 
-def _parse_experiment(obj: dict, name: str, geometry: GridGeometry | None,
-                      check: _Checker) -> dict:
-    """Parameters of one named experiment: z complex and nonzero, boost_modes
-    one integer per axis, the ladders lists of at least two numbers."""
-    path = "experiment"
-    check.require_keys(obj, path, EXPERIMENT_KEYS[name], set())
-    params: dict = {}
-    if (z := check.complex_number(obj, path, "z")) == 0:
-        check.fail(f"{path}.z", "must be nonzero")
-    elif z is not None:
-        params["z"] = z
-    if "boost_modes" in obj:
-        modes = obj["boost_modes"]
-        if not isinstance(modes, list) or not all(_is_int(m) for m in modes):
-            check.fail(f"{path}.boost_modes", f"expected a list of integers, got {modes!r}")
-        elif geometry is not None and len(modes) != geometry.dim:
-            check.fail(f"{path}.boost_modes",
-                       f"expected one integer per axis ({geometry.dim}), got {len(modes)}")
-        else:
-            params["boost_modes"] = tuple(modes)
-    for key in ("eps_sequence", "cutoffs", "dt_ladder"):
-        v = obj.get(key)
-        if isinstance(v, list) and len(v) >= 2 and all(_is_number(x) for x in v):
-            params[key] = v
-        elif key in obj:
-            check.fail(f"{path}.{key}", f"expected a list of at least two numbers, got {v!r}")
-    return params
+
+def _walk(raw: dict, schema: dict[str, _Key], path: str, errors: list[str]) -> dict:
+    """Parsed values of one section's keys, by parsed name.
+
+    Appends to `errors` every unknown, missing or ill-typed key as
+    "path.key: message"; keys with an error are left out of the result.
+    """
+    errors.extend(f"{path}.{key}: unknown key" for key in sorted(set(raw) - set(schema)))
+    parsed = {}
+    for key, entry in schema.items():
+        if key not in raw:
+            if entry.required:
+                errors.append(f"{path}.{key}: missing required key")
+            continue
+        try:
+            parsed[entry.name or key] = entry.convert(raw[key])
+        except ValueError as exc:
+            errors.append(f"{path}.{key}: {exc}")
+    return parsed
+
+
+def _datum(raw: dict, path: str, errors: list[str]) -> DatumSpec | None:
+    n_errors = len(errors)
+    kind = raw.get("kind")
+    if not isinstance(kind, str) or kind not in _DATUM:
+        # the other keys depend on the kind, so only the kind is reported
+        _walk({"kind": kind}, {"kind": _DATUM_KIND}, path, errors)
+        return None
+    fields = _walk(raw, {"kind": _DATUM_KIND, **_DATUM[kind]}, path, errors)
+    if len(errors) > n_errors:
+        return None
+    try:
+        return DatumSpec(**fields)
+    except ValueError as exc:
+        errors.append(f"{path}: {exc}")
+        return None
 
 
 def parse_config(text: str, experiment: str | None = None) -> ConfigDocument:
@@ -299,26 +260,42 @@ def parse_config(text: str, experiment: str | None = None) -> ConfigDocument:
     if not isinstance(raw, dict):
         raise ConfigError(["top level: expected an object"])
 
-    check = _Checker()
-    check.require_keys(raw, "top level", {"geometry", "sim"}, {"datum", "datum_b", "experiment"})
+    errors: list[str] = []
+    sections = _walk(raw, _TOP_LEVEL, "top level", errors)
 
-    geometry = _parse_geometry(raw.get("geometry"), check) if "geometry" in raw else None
-    sim = _parse_sim(raw.get("sim"), check) if "sim" in raw else None
-    datum = _parse_datum(raw["datum"], check, "datum") if "datum" in raw else None
-    datum_b = _parse_datum(raw["datum_b"], check, "datum_b") if "datum_b" in raw else None
-    params = raw.get("experiment", {})
-    if not isinstance(params, dict):
-        check.fail("experiment", "expected an object")
-        params = {}
+    geometry = None
+    if "geometry" in sections:
+        n_errors = len(errors)
+        fields = _walk(sections["geometry"], _GEOMETRY, "geometry", errors)
+        if "lengths" not in sections["geometry"] and "kind" in fields:
+            if fields["kind"] == DomainKind.TORUS:
+                fields["lengths"] = (1.0,) * len(fields.get("points", ()))
+            else:
+                errors.append("geometry.lengths: missing required key")
+        if len(errors) == n_errors:
+            try:
+                geometry = GridGeometry(**fields)
+            except ValueError as exc:
+                errors.append(f"geometry: {exc}")
+    sim = _walk(sections["sim"], _SIM, "sim", errors) if "sim" in sections else None
+    datum = _datum(sections["datum"], "datum", errors) if "datum" in sections else None
+    datum_b = _datum(sections["datum_b"], "datum_b", errors) if "datum_b" in sections else None
+
+    params = sections.get("experiment", {})
     if experiment is not None:
-        params = _parse_experiment(params, experiment, geometry, check)
+        schema = {key: _EXPERIMENT[key] for key in sorted(EXPERIMENT_KEYS[experiment])}
+        params = _walk(params, schema, "experiment", errors)
+        modes = params.get("boost_modes")
+        if geometry is not None and modes is not None and len(modes) != geometry.dim:
+            errors.append(f"experiment.boost_modes: expected one integer per axis "
+                          f"({geometry.dim}), got {len(modes)}")
         if "datum" not in raw:
-            check.fail("datum", "missing required key")
+            errors.append("datum: missing required key")
         if experiment == "lipschitz" and "datum_b" not in raw:
-            check.fail("datum_b", "missing required key (lipschitz compares two data)")
+            errors.append("datum_b: missing required key (lipschitz compares two data)")
 
-    if check.errors:
-        raise ConfigError(check.errors)
+    if errors:
+        raise ConfigError(errors)
     return ConfigDocument(geometry=geometry, sim=sim, datum=datum, datum_b=datum_b,
                           experiment=params)
 

@@ -207,3 +207,10 @@ class TestCheckInequality:
     def test_small_suite_passes(self, capsys):
         assert main(["check-inequality", "--samples", "20000", "--seed", "1"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_rejects_fewer_than_one_sample(self, samples, capsys):
+        assert main(["check-inequality", "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert "--samples must be at least 1" in captured.err
+        assert "PASS" not in captured.out

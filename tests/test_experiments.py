@@ -5,7 +5,7 @@ import math
 import pytest
 
 from logns.data import DatumSpec
-from logns import constants
+from logns import constants, experiments, integrator
 from logns.experiments import (
     gagliardo_equivalence_bounds,
     run_convergence_order,
@@ -86,6 +86,14 @@ class TestScalingInvariance:
         with pytest.raises(ValueError):
             run_scaling_invariance(GAUSSIAN, 2.0, quick_config())
 
+    def test_rejects_zero_z_before_marching(self, monkeypatch):
+        def no_march(*args):
+            raise AssertionError("marched before rejecting z = 0")
+
+        monkeypatch.setattr(experiments, "march", no_march)
+        with pytest.raises(ValueError, match="nonzero"):
+            run_scaling_invariance(GAUSSIAN, 0.0, quick_config(eps=0.0))
+
     def test_exact_invariance(self):
         report = run_scaling_invariance(GAUSSIAN, 1 + 1j, quick_config(eps=0.0))
         assert report.passed
@@ -126,6 +134,19 @@ class TestH1Approximation:
         assert report.passed
         sups = [v for k, v in report.margins.items() if k.startswith("sup_dist")]
         assert sups == sorted(sups, reverse=True)
+
+    def test_marches_each_truncation_once(self, monkeypatch):
+        marches = []
+
+        def counting_march(datum, config, steps):
+            marches.append(config)
+            return march(datum, config, steps)
+
+        march = integrator.march
+        monkeypatch.setattr(integrator, "march", counting_march)
+        monkeypatch.setattr(experiments, "march", counting_march)
+        run_h1_approximation(BAND, [2.0, 4.0, 8.0], quick_config())
+        assert len(marches) == 3
 
     def test_identical_truncations_degenerate_case(self):
         # on 32 points no mode exceeds |n| = 16, so both truncations keep every mode

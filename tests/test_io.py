@@ -1,13 +1,17 @@
 """Config validation, CSV time series, and the binary snapshot format."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from logns import io
 from logns.diagnostics import DiagnosticsRecord
 from logns.geometry import DomainKind, Field, GridGeometry
 from logns.io import (
+    EXPERIMENT_KEYS,
     ConfigError,
     SnapshotFormatError,
     parse_config,
@@ -78,6 +82,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sim.eps"):
             parse_config(bad)
 
+    @pytest.mark.parametrize("value", ["NaN", "-Infinity", "1" + "0" * 400])
+    def test_numbers_must_be_finite_floats(self, value):
+        bad = MINIMAL.replace('"lambda": 1.0', f'"lambda": {value}')
+        with pytest.raises(ConfigError, match="sim.lambda: expected a number"):
+            parse_config(bad)
+
     def test_datum_parsing(self):
         text = MINIMAL.rstrip().rstrip("}") + ""","datum": {
             "kind": "plane_wave", "modes": [3], "amplitude": [0.5, -0.5]}}"""
@@ -125,6 +135,79 @@ class TestParseConfig:
         bad = MINIMAL.replace('"t_final": 1.0', '"t_final": 1.0, "hs_values": [0.5, 2.0]')
         with pytest.raises(ConfigError, match="hs_values"):
             parse_config(bad)
+
+
+# A valid config holding every key of every schema section, one datum per kind.
+FULL_SECTIONS = {
+    "geometry": {"kind": "periodic_box", "points": [8], "lengths": [1.0]},
+    "sim": {"lambda": 1.0, "eps": 0.01, "dt": 0.001, "t_final": 1.0, "splitting": "strang",
+            "record_every": 10, "hs_values": [0.5], "snapshot_every": 100},
+}
+FULL_DATA = {
+    "plane_wave": {"kind": "plane_wave", "modes": [3], "amplitude": [1.0, 0.5]},
+    "gaussian_bump": {"kind": "gaussian_bump", "amplitude": 2.0, "center": [0.5], "width": 0.1},
+    "random_band_limited": {"kind": "random_band_limited", "cutoff": 4.0, "seed": 1},
+    "random_rough": {"kind": "random_rough", "target_s": 0.5, "seed": 1},
+}
+FULL_EXPERIMENT = {"z": 2.0, "boost_modes": [1], "eps_sequence": [0.5, 0.25],
+                   "cutoffs": [4.0, 8.0], "dt_ladder": [2e-3, 1e-3]}
+
+
+def schema_cases():
+    """(path, experiment name, valid document) for every key the schema accepts."""
+    datum = FULL_DATA["gaussian_bump"]
+    base = {**FULL_SECTIONS, "datum": datum, "datum_b": datum, "experiment": {}}
+    yield from ((f"top level.{key}", None, base) for key in io._TOP_LEVEL)
+    for section, table in (("geometry", io._GEOMETRY), ("sim", io._SIM)):
+        yield from ((f"{section}.{key}", None, base) for key in table)
+    yield "datum.kind", None, base
+    for kind, table in io._DATUM.items():
+        doc = {**base, "datum": FULL_DATA[kind]}
+        yield from ((f"datum.{key}", None, doc) for key in table)
+    for key in io._EXPERIMENT:
+        name = next(name for name, keys in EXPERIMENT_KEYS.items() if key in keys)
+        params = {k: FULL_EXPERIMENT[k] for k in EXPERIMENT_KEYS[name]}
+        yield f"experiment.{key}", name, {**base, "experiment": params}
+
+
+def wrong_values(valid):
+    """A string, null, a bool, NaN and an object, plus a float where an integer is expected."""
+    yield from ("x", None, True, math.nan)
+    if not isinstance(valid, dict):
+        yield {"k": 1}
+    if isinstance(valid, int) and not isinstance(valid, bool):
+        yield 1.5
+    if isinstance(valid, list):
+        yield [{"k": 1}]
+        if all(isinstance(v, int) for v in valid):
+            yield [1.5]
+
+
+CASES = list(schema_cases())
+
+
+@pytest.mark.parametrize("path, name, doc", CASES, ids=[
+    f"{path}-{doc['datum']['kind']}" if path.startswith("datum.") else path
+    for path, _, doc in CASES])
+def test_every_ill_typed_key_is_a_config_error_naming_its_path(path, name, doc):
+    parse_config(json.dumps(doc), name)
+    section, key = path.rsplit(".", 1)
+    for value in wrong_values(doc[key] if section == "top level" else doc[section][key]):
+        bad = {**doc, key: value} if section == "top level" else {
+            **doc, section: {**doc[section], key: value}}
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps(bad), name)
+        assert any(e.startswith(f"{path}: ") for e in info.value.errors), (value, info.value)
+
+
+def test_readme_config_section_names_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("A config file is strict JSON")
+    section = readme[start:readme.index("\n## ", start)]
+    missing = [path for path, _, _ in CASES
+               if f"`{path.rsplit('.', 1)[1]}`" not in section
+               and f'"{path.rsplit(".", 1)[1]}"' not in section]
+    assert not missing
 
 
 def sample_records():
