@@ -2,21 +2,25 @@
 
 Dirichlet data are built on the doubled periodic grid, antisymmetrized along
 the last axis, and restricted, so boundary zeros and odd symmetry are exact.
+A datum that vanishes to roundoff is rejected: no bound is tested on u = 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import DomainKind, Field, GridGeometry, restrict_to_half
+from .geometry import Field, GridGeometry, restrict_to_half
 from .spectral import mode_radius
 
 __all__ = ["DatumSpec", "make_datum"]
 
 _KINDS = ("plane_wave", "gaussian_bump", "random_band_limited", "random_rough")
+# a datum whose L^2 norm is at most this fraction of its samples' norm before
+# antisymmetrization is zero up to roundoff (about 450 ulps)
+_ZERO_NORM_RATIO = 1e-13
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,7 @@ def _plane_wave(spec: DatumSpec, geom: GridGeometry) -> np.ndarray:
 
 
 def _gaussian_bump(spec: DatumSpec, geom: GridGeometry) -> np.ndarray:
-    center = spec.center if spec.center is not None else tuple(l / 2 for l in geom.lengths)
+    center = spec.center
     if len(center) != geom.dim:
         raise ValueError(f"gaussian center needs {geom.dim} coordinates")
     grids = geom.coordinate_grids()
@@ -100,18 +104,25 @@ def make_datum(spec: DatumSpec, geometry: GridGeometry) -> Field:
     """Concrete initial datum for a geometry.
 
     Plane waves are periodic-only; the other kinds support Dirichlet grids via
-    odd antisymmetrization on the doubled box.
+    odd antisymmetrization on the doubled box. A Gaussian's default center is
+    the middle of `geometry`, not of the doubled box, whose middle is a node of
+    every odd extension. Raises ValueError on a datum that is zero to roundoff.
     """
+    if geometry.is_dirichlet and spec.kind == "plane_wave":
+        raise ValueError("plane waves are incompatible with Dirichlet boundaries")
+    if spec.kind == "gaussian_bump" and spec.center is None:
+        spec = replace(spec, center=tuple(l / 2 for l in geometry.lengths))
+    grid = geometry.doubled() if geometry.is_dirichlet else geometry
+    samples = data = _generate(spec, grid)
     if geometry.is_dirichlet:
-        if spec.kind == "plane_wave":
-            raise ValueError("plane waves are incompatible with Dirichlet boundaries")
-        doubled = geometry.doubled()
-        data = _generate(spec, doubled)
-        m = doubled.points[-1]
-        idx = (-np.arange(m)) % m
-        odd = 0.5 * (data - data[..., idx])
-        return restrict_to_half(Field(doubled, odd))
-    return Field(geometry, _generate(spec, geometry))
+        m = grid.points[-1]
+        data = 0.5 * (samples - samples[..., (-np.arange(m)) % m])
+    norm, scale = np.linalg.norm(data), np.linalg.norm(samples)
+    if norm <= _ZERO_NORM_RATIO * scale:
+        raise ValueError(f"datum: {spec.kind} vanishes on this {geometry.kind.value} grid "
+                         f"(norm {norm:.3g} against a sample scale of {scale:.3g})")
+    field = Field(grid, data)
+    return restrict_to_half(field) if geometry.is_dirichlet else field
 
 
 def _generate(spec: DatumSpec, geom: GridGeometry) -> np.ndarray:

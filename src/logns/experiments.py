@@ -5,6 +5,10 @@ growth envelope or invariance identity, and returns an ExperimentReport with
 named margins. Verdicts follow fixed thresholds; "within integrator
 tolerance" means ten times the measured self-convergence error at the run's
 step size.
+
+EXPERIMENTS is the one table of the named experiments: the config parser
+reads each entry's parameter keys, data and geometry needs from it, and the
+CLI dispatches through it.
 """
 
 from __future__ import annotations
@@ -14,18 +18,21 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field as dataclass_field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import constants
 from .data import DatumSpec, make_datum
 from .diagnostics import hs_gagliardo_norm, hs_growth_ratio, l2_distance, mass, measure
-from .geometry import Field, GeometryError, LatticeVelocity, galilean_boost, scale_datum
+from .geometry import Field, LatticeVelocity, galilean_boost, scale_datum
 from .integrator import (SimConfig, eps_continuation, evolve_pair, final_state,
                          lockstep_distances, march)
 from .spectral import truncate_modes
 
 __all__ = [
+    "EXPERIMENTS",
+    "Experiment",
     "ExperimentReport",
     "run_lipschitz",
     "run_hs_growth",
@@ -59,7 +66,10 @@ class ExperimentReport:
         return "pass" if self.passed else "fail"
 
 
-def _digest(name: str, config: SimConfig, **extras) -> str:
+def _report(name: str, config: SimConfig, passed: bool, margins: dict[str, float],
+            series: list[tuple[float, float]] | None, n_samples: int,
+            **digest_extras) -> ExperimentReport:
+    """The report of experiment `name`; its digest hashes the config and `digest_extras`."""
     def default(obj):
         if isinstance(obj, complex):
             return [obj.real, obj.imag]
@@ -69,9 +79,10 @@ def _digest(name: str, config: SimConfig, **extras) -> str:
             return asdict(obj)
         raise TypeError(f"cannot digest {type(obj)}")
 
-    payload = {"name": name, "config": asdict(config), **extras}
+    payload = {"name": name, "config": asdict(config), **digest_extras}
     blob = json.dumps(payload, sort_keys=True, default=default)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    return ExperimentReport(name, digest, passed, margins, series, n_samples)
 
 
 def _self_error(datum: Field, config: SimConfig, coarse: Field) -> float:
@@ -114,21 +125,14 @@ def gagliardo_equivalence_bounds(dim: int, s: float) -> tuple[float, float]:
     return lo, hi * math.sqrt(c1 / cd)
 
 
-def run_lipschitz(spec_a: DatumSpec, spec_b: DatumSpec, config: SimConfig) -> ExperimentReport:
+def run_lipschitz(spec: DatumSpec, config: SimConfig, *, datum_b: DatumSpec) -> ExperimentReport:
     """Check |u(t) - v(t)| <= e^{2 |lam| t} |u(0) - v(0)| on the sample schedule."""
-    datum_a = make_datum(spec_a, config.geometry)
-    datum_b = make_datum(spec_b, config.geometry)
-    distances = evolve_pair(datum_a, datum_b, config)
+    distances = evolve_pair(make_datum(spec, config.geometry),
+                            make_datum(datum_b, config.geometry), config)
     worst, passed = _lipschitz_check(distances, config.lam)
     margins = {"worst_ratio": 0.0, "degenerate": 1.0} if worst is None else {"worst_ratio": worst}
-    return ExperimentReport(
-        name="lipschitz",
-        config_digest=_digest("lipschitz", config, spec_a=spec_a, spec_b=spec_b),
-        passed=passed,
-        margins=margins,
-        series=distances,
-        n_samples=len(distances),
-    )
+    return _report("lipschitz", config, passed, margins, distances, len(distances),
+                   spec_a=spec, spec_b=datum_b)
 
 
 def run_hs_growth(spec: DatumSpec, config: SimConfig) -> ExperimentReport:
@@ -161,17 +165,10 @@ def run_hs_growth(spec: DatumSpec, config: SimConfig) -> ExperimentReport:
         lo, hi = gagliardo_equivalence_bounds(config.geometry.dim, s)
         passed &= lo <= ratio <= hi
 
-    return ExperimentReport(
-        name="hs_growth",
-        config_digest=_digest("hs_growth", config, spec=spec),
-        passed=passed,
-        margins=margins,
-        series=series,
-        n_samples=len(records),
-    )
+    return _report("hs_growth", config, passed, margins, series, len(records), spec=spec)
 
 
-def run_scaling_invariance(spec: DatumSpec, z: complex, config: SimConfig) -> ExperimentReport:
+def run_scaling_invariance(spec: DatumSpec, config: SimConfig, *, z: complex) -> ExperimentReport:
     """Compare evolve(z phi) against z evolve(phi) e^{i lam t ln |z|^2}.
 
     Only meaningful at eps = 0 and z != 0: the regularization breaks the
@@ -195,38 +192,30 @@ def run_scaling_invariance(spec: DatumSpec, z: complex, config: SimConfig) -> Ex
         errs.append((t, l2_distance(uz, predicted) / scale))
     worst = max(e for _, e in errs)
     budget = max(10.0 * _self_error(datum, config, u), _EXACT_FLOOR)
-    return ExperimentReport(
-        name="scaling_invariance",
-        config_digest=_digest("scaling_invariance", config, spec=spec, z=z),
-        passed=worst <= budget,
-        margins={"max_rel_err": worst, "budget": budget},
-        series=errs,
-        n_samples=len(errs),
-    )
+    return _report("scaling_invariance", config, worst <= budget,
+                   {"max_rel_err": worst, "budget": budget}, errs, len(errs), spec=spec, z=z)
 
 
-def run_galilean(spec: DatumSpec, velocity: LatticeVelocity, config: SimConfig) -> ExperimentReport:
-    """Compare boost-then-evolve with evolve-then-boost at the final time."""
-    if config.geometry.is_dirichlet:
-        raise GeometryError("Galilean boosts are incompatible with Dirichlet boundaries")
+def run_galilean(spec: DatumSpec, config: SimConfig, *,
+                 boost_modes: tuple[int, ...]) -> ExperimentReport:
+    """Compare boost-then-evolve with evolve-then-boost at the final time.
+
+    The boost velocity is 2 pi boost_modes / lengths (see LatticeVelocity).
+    """
+    velocity = LatticeVelocity(boost_modes)
     datum = make_datum(spec, config.geometry)
     boosted_first = final_state(galilean_boost(datum, velocity, 0.0), config)
     end = final_state(datum, config)
     boosted_last = galilean_boost(end, velocity, config.n_steps * config.dt)
     discrepancy = l2_distance(boosted_first, boosted_last) / math.sqrt(mass(datum))
     budget = max(10.0 * _self_error(datum, config, end), _EXACT_FLOOR)
-    return ExperimentReport(
-        name="galilean",
-        config_digest=_digest("galilean", config, spec=spec, modes=list(velocity.modes)),
-        passed=discrepancy <= budget,
-        margins={"rel_discrepancy": discrepancy, "budget": budget},
-        n_samples=1,
-    )
+    return _report("galilean", config, discrepancy <= budget,
+                   {"rel_discrepancy": discrepancy, "budget": budget}, None, 1,
+                   spec=spec, modes=list(velocity.modes))
 
 
-def run_eps_cauchy(
-    spec: DatumSpec, config: SimConfig, eps_sequence: list[float]
-) -> ExperimentReport:
+def run_eps_cauchy(spec: DatumSpec, config: SimConfig, *,
+                   eps_sequence: list[float]) -> ExperimentReport:
     """Sup-in-time distances between consecutive regularizations must decay."""
     datum = make_datum(spec, config.geometry)
     pairs = eps_continuation(datum, config, list(eps_sequence))
@@ -236,18 +225,12 @@ def run_eps_cauchy(
     final_ok = dists[-1] <= constants.EPS_CAUCHY_FINAL_MAX * math.sqrt(mass(datum))
     margins["monotone"] = 1.0 if decreasing else 0.0
     margins["final"] = dists[-1]
-    return ExperimentReport(
-        name="eps_cauchy",
-        config_digest=_digest("eps_cauchy", config, spec=spec, eps_sequence=list(eps_sequence)),
-        passed=decreasing and final_ok,
-        margins=margins,
-        n_samples=len(pairs),
-    )
+    return _report("eps_cauchy", config, decreasing and final_ok, margins, None, len(pairs),
+                   spec=spec, eps_sequence=list(eps_sequence))
 
 
-def run_h1_approximation(
-    rough_spec: DatumSpec, cutoffs: list[float], config: SimConfig
-) -> ExperimentReport:
+def run_h1_approximation(spec: DatumSpec, config: SimConfig, *,
+                         cutoffs: list[float]) -> ExperimentReport:
     """Evolve sharp Fourier truncations of a rough datum and compare pairs.
 
     Each consecutive-truncation distance must obey the Lipschitz envelope
@@ -258,7 +241,7 @@ def run_h1_approximation(
         raise ValueError("need at least two cutoffs")
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError("cutoffs must be strictly increasing")
-    datum = make_datum(rough_spec, config.geometry)
+    datum = make_datum(spec, config.geometry)
     steps = config.record_steps
     series = lockstep_distances([march(truncate_modes(datum, k), config, steps) for k in cutoffs])
 
@@ -273,18 +256,12 @@ def run_h1_approximation(
         if worst is not None:
             margins[f"worst_ratio_K{k1:g}_K{k2:g}"] = worst
     passed &= all(b < a or (a == b == 0.0) for a, b in zip(sups, sups[1:]))
-    return ExperimentReport(
-        name="h1_approximation",
-        config_digest=_digest("h1_approximation", config, spec=rough_spec, cutoffs=list(cutoffs)),
-        passed=passed,
-        margins=margins,
-        n_samples=len(series[-1]),
-    )
+    return _report("h1_approximation", config, passed, margins, None, len(series[-1]),
+                   spec=spec, cutoffs=list(cutoffs))
 
 
-def run_convergence_order(
-    spec: DatumSpec, config: SimConfig, dt_ladder: list[float]
-) -> ExperimentReport:
+def run_convergence_order(spec: DatumSpec, config: SimConfig, *,
+                          dt_ladder: list[float]) -> ExperimentReport:
     """Measure the splitting order against a refined reference run.
 
     The reference uses dt_min / 8. Strang should land in [1.7, 2.3], Lie in
@@ -314,10 +291,34 @@ def run_convergence_order(
         margins["order"] = float(slope)
         lo, hi = (1.7, 2.3) if config.splitting == "strang" else (0.8, 1.2)
         passed = lo <= slope <= hi
-    return ExperimentReport(
-        name="convergence_order",
-        config_digest=_digest("convergence_order", config, spec=spec, dt_ladder=list(dt_ladder)),
-        passed=passed,
-        margins=margins,
-        n_samples=len(dt_ladder),
-    )
+    return _report("convergence_order", config, passed, margins, None, len(dt_ladder),
+                   spec=spec, dt_ladder=list(dt_ladder))
+
+
+class Experiment(NamedTuple):
+    """One named experiment: its runner and what its config must hold.
+
+    The runner is named, not held: `run` looks it up in this module's globals
+    at call time, so a wrapper bound over `run_*` (a tracer, a test double) is
+    the function called.
+    """
+
+    runner: str                       # name of a run_* function of this module
+    params: tuple[str, ...] = ()      # keys of the config's `experiment` section
+    needs_datum_b: bool = False       # a second datum, passed to the runner as datum_b
+    periodic_only: bool = False       # rejects Dirichlet geometries
+
+    def run(self, spec: DatumSpec, config: SimConfig, **params) -> ExperimentReport:
+        return globals()[self.runner](spec, config, **params)
+
+
+# CLI name -> experiment
+EXPERIMENTS = {
+    "lipschitz": Experiment("run_lipschitz", needs_datum_b=True),
+    "hs-growth": Experiment("run_hs_growth"),
+    "scaling": Experiment("run_scaling_invariance", ("z",)),
+    "galilean": Experiment("run_galilean", ("boost_modes",), periodic_only=True),
+    "eps-cauchy": Experiment("run_eps_cauchy", ("eps_sequence",)),
+    "h1-approx": Experiment("run_h1_approximation", ("cutoffs",), periodic_only=True),
+    "convergence": Experiment("run_convergence_order", ("dt_ladder",)),
+}

@@ -3,7 +3,9 @@
 Config files are strict JSON: unknown keys are errors and the physical
 parameters (lambda, eps, dt, t_final) have no defaults. Each config section is
 a table of keys, and one walker reports every unknown, missing or ill-typed
-key as "section.key: message"; only checks that span sections are code.
+key as "section.key: message"; only checks that span sections are code. The
+keys of an experiment, its data and its geometries come from
+experiments.EXPERIMENTS.
 CSV values use 17 significant digits so doubles round-trip exactly. Snapshots
 are little-endian fixed binary, magic "LOGNSFLD".
 """
@@ -22,10 +24,10 @@ import numpy as np
 
 from .data import DatumSpec
 from .diagnostics import DiagnosticsRecord
+from .experiments import EXPERIMENTS
 from .geometry import DomainKind, Field, GridGeometry
 
 __all__ = [
-    "EXPERIMENT_KEYS",
     "ConfigError",
     "SnapshotFormatError",
     "ConfigDocument",
@@ -67,9 +69,8 @@ class ConfigDocument:
 
     geometry: GridGeometry
     sim: dict
-    datum: DatumSpec | None = None
-    datum_b: DatumSpec | None = None
-    experiment: dict = dataclass_field(default_factory=dict)
+    datum: DatumSpec
+    experiment: dict = dataclass_field(default_factory=dict)  # with datum_b if it needs one
 
 
 def _is_number(v) -> bool:
@@ -174,7 +175,7 @@ _SIM = {
 }
 
 _AMPLITUDE = _Key(False, _complex())
-_SEED = _Key(False, _integer())
+_SEED = _Key(False, _integer(lo=0))
 # datum kind -> its keys other than `kind`
 _DATUM = {
     "plane_wave": {"modes": _Key(True, _list_of(_integer())), "amplitude": _AMPLITUDE},
@@ -188,18 +189,8 @@ _DATUM = {
 }
 _DATUM_KIND = _Key(True, _choice(*_DATUM))
 
-# experiment name -> required keys of the config's `experiment` section
-EXPERIMENT_KEYS = {
-    "lipschitz": set(),
-    "hs-growth": set(),
-    "scaling": {"z"},
-    "galilean": {"boost_modes"},
-    "eps-cauchy": {"eps_sequence"},
-    "h1-approx": {"cutoffs"},
-    "convergence": {"dt_ladder"},
-}
-
 _LADDER = _Key(True, _list_of(_number(), min_len=2, into=list))
+# every parameter key of EXPERIMENTS
 _EXPERIMENT = {
     "z": _Key(True, _complex(nonzero=True)),
     "boost_modes": _Key(True, _list_of(_integer())),
@@ -229,13 +220,15 @@ def _walk(raw: dict, schema: dict[str, _Key], path: str, errors: list[str]) -> d
     return parsed
 
 
-def _datum(raw: dict, path: str, errors: list[str]) -> DatumSpec | None:
+def _datum(raw: dict, path: str, errors: list[str], dirichlet: bool) -> DatumSpec | None:
     n_errors = len(errors)
     kind = raw.get("kind")
     if not isinstance(kind, str) or kind not in _DATUM:
         # the other keys depend on the kind, so only the kind is reported
         _walk({"kind": kind}, {"kind": _DATUM_KIND}, path, errors)
         return None
+    if kind == "plane_wave" and dirichlet:
+        errors.append(f"{path}.kind: plane_wave is incompatible with Dirichlet boundaries")
     fields = _walk(raw, {"kind": _DATUM_KIND, **_DATUM[kind]}, path, errors)
     if len(errors) > n_errors:
         return None
@@ -249,9 +242,9 @@ def _datum(raw: dict, path: str, errors: list[str]) -> DatumSpec | None:
 def parse_config(text: str, experiment: str | None = None) -> ConfigDocument:
     """Validate a JSON config, reporting every error found.
 
-    With an experiment name (a key of EXPERIMENT_KEYS) the `experiment`
-    section and the data that experiment needs are checked too, and
-    ConfigDocument.experiment holds its parsed parameters.
+    With an experiment name (a key of EXPERIMENTS) the `experiment` section,
+    the second datum and the geometry kind are checked against its entry, and
+    ConfigDocument.experiment holds the keyword arguments of its runner.
     """
     try:
         raw = json.loads(text)
@@ -263,12 +256,13 @@ def parse_config(text: str, experiment: str | None = None) -> ConfigDocument:
     errors: list[str] = []
     sections = _walk(raw, _TOP_LEVEL, "top level", errors)
 
-    geometry = None
+    geometry = kind = None
     if "geometry" in sections:
         n_errors = len(errors)
         fields = _walk(sections["geometry"], _GEOMETRY, "geometry", errors)
-        if "lengths" not in sections["geometry"] and "kind" in fields:
-            if fields["kind"] == DomainKind.TORUS:
+        kind = fields.get("kind")
+        if "lengths" not in sections["geometry"] and kind is not None:
+            if kind == DomainKind.TORUS:
                 fields["lengths"] = (1.0,) * len(fields.get("points", ()))
             else:
                 errors.append("geometry.lengths: missing required key")
@@ -278,26 +272,32 @@ def parse_config(text: str, experiment: str | None = None) -> ConfigDocument:
             except ValueError as exc:
                 errors.append(f"geometry: {exc}")
     sim = _walk(sections["sim"], _SIM, "sim", errors) if "sim" in sections else None
-    datum = _datum(sections["datum"], "datum", errors) if "datum" in sections else None
-    datum_b = _datum(sections["datum_b"], "datum_b", errors) if "datum_b" in sections else None
+    dirichlet = kind in (DomainKind.DIRICHLET_INTERVAL, DomainKind.DIRICHLET_SLAB)
+    data = {name: _datum(sections[name], name, errors, dirichlet)
+            for name in ("datum", "datum_b") if name in sections}
+    if "datum" not in raw:
+        errors.append("datum: missing required key")
 
     params = sections.get("experiment", {})
     if experiment is not None:
-        schema = {key: _EXPERIMENT[key] for key in sorted(EXPERIMENT_KEYS[experiment])}
-        params = _walk(params, schema, "experiment", errors)
+        entry = EXPERIMENTS[experiment]
+        params = _walk(params, {key: _EXPERIMENT[key] for key in entry.params}, "experiment",
+                       errors)
         modes = params.get("boost_modes")
         if geometry is not None and modes is not None and len(modes) != geometry.dim:
             errors.append(f"experiment.boost_modes: expected one integer per axis "
                           f"({geometry.dim}), got {len(modes)}")
-        if "datum" not in raw:
-            errors.append("datum: missing required key")
-        if experiment == "lipschitz" and "datum_b" not in raw:
-            errors.append("datum_b: missing required key (lipschitz compares two data)")
+        if entry.periodic_only and dirichlet:
+            errors.append(f"geometry.kind: experiment {experiment} needs a periodic geometry, "
+                          f"got {kind!r}")
+        if entry.needs_datum_b:
+            if "datum_b" not in raw:
+                errors.append(f"datum_b: missing required key ({experiment} compares two data)")
+            params["datum_b"] = data.get("datum_b")
 
     if errors:
         raise ConfigError(errors)
-    return ConfigDocument(geometry=geometry, sim=sim, datum=datum, datum_b=datum_b,
-                          experiment=params)
+    return ConfigDocument(geometry=geometry, sim=sim, datum=data["datum"], experiment=params)
 
 
 def load_config(path: str | Path, experiment: str | None = None) -> ConfigDocument:

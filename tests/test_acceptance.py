@@ -23,7 +23,7 @@ from logns.experiments import (
     run_lipschitz,
     run_scaling_invariance,
 )
-from logns.geometry import DomainKind, Field, GridGeometry, LatticeVelocity
+from logns.geometry import DomainKind, Field, GridGeometry
 from logns.integrator import SimConfig, evolve, final_state
 from logns.io import read_snapshot
 from logns.spectral import hs_multiplier_norm
@@ -97,7 +97,7 @@ def test_03_lipschitz_flow_bound():
             spec_b = DatumSpec(kind="random_band_limited", cutoff=24.0, seed=200 + k)
         cfg = SimConfig(lam=lam, eps=1e-3, dt=1e-3, t_final=1.0, geometry=geom,
                         record_every=10)
-        report = run_lipschitz(spec_a, spec_b, cfg)
+        report = run_lipschitz(spec_a, cfg, datum_b=spec_b)
         ok &= report.passed and report.n_samples >= 100
         worst = max(worst, report.margins["worst_ratio"])
     elapsed = time.monotonic() - start
@@ -139,7 +139,7 @@ def test_05_scaling_invariance():
     for z in (2.0, 1.0 / 3.0, 1.0 + 1.0j):
         cfg = SimConfig(lam=1.0, eps=0.0, dt=1e-3, t_final=1.0, geometry=geom,
                         record_every=50)
-        report = run_scaling_invariance(spec, z, cfg)
+        report = run_scaling_invariance(spec, cfg, z=z)
         ok &= report.passed
         worst = max(worst, report.margins["max_rel_err"])
     _verdict(5, f"scaling invariance (max rel err {worst:.2e})", ok)
@@ -153,7 +153,7 @@ def test_06_galilean_covariance():
     worst = 0.0
     for modes in ((1,), (2,)):
         cfg = SimConfig(lam=1.0, eps=1e-3, dt=1e-3, t_final=1.0, geometry=geom)
-        report = run_galilean(spec, LatticeVelocity(modes), cfg)
+        report = run_galilean(spec, cfg, boost_modes=modes)
         ok &= report.passed
         worst = max(worst, report.margins["rel_discrepancy"])
     _verdict(6, f"Galilean covariance (max discrepancy {worst:.2e})", ok)
@@ -218,7 +218,7 @@ def test_09_eps_cauchy_ladder():
     cfg = SimConfig(lam=1.0, eps=1e-2, dt=1e-3, t_final=1.0, geometry=geom,
                     record_every=10)
     ladder = [2.0**-k for k in range(2, 13)]
-    report = run_eps_cauchy(spec, cfg, ladder)
+    report = run_eps_cauchy(spec, cfg, eps_sequence=ladder)
     final_rel = report.margins["final"] / math.sqrt(mass(make_datum(spec, geom)))
     ok = report.passed and report.margins["monotone"] == 1.0
     ok &= final_rel <= constants.EPS_CAUCHY_FINAL_MAX
@@ -235,7 +235,7 @@ def test_10_splitting_orders():
     for splitting in ("strang", "lie"):
         cfg = SimConfig(lam=1.0, eps=1e-2, dt=1e-3, t_final=1.0, geometry=geom,
                         splitting=splitting)
-        report = run_convergence_order(spec, cfg, ladder)
+        report = run_convergence_order(spec, cfg, dt_ladder=ladder)
         orders[splitting] = report.margins["order"]
         ok &= report.passed
     ok &= 1.7 <= orders["strang"] <= 2.3

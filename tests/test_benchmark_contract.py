@@ -5,7 +5,7 @@
 perfbench's tracer, which wraps the functions named in each traced module's
 `__all__`. A layer that drops out of `__all__` makes the traced run fail, so
 this test installs the tracer in-process and checks that every declared layer
-is wrapped.
+is wrapped, and that a command reaches the wrapped function.
 """
 
 import importlib
@@ -13,6 +13,13 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
+
+import pytest
+from test_cli import MATRIX_GEOMETRIES, matrix_config
+
+from logns.cli import main
+from logns.experiments import EXPERIMENTS
+from logns.geometry import DomainKind
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -25,6 +32,13 @@ def load_tracer_module(monkeypatch):
     return module
 
 
+def installed_tracer(monkeypatch):
+    tracer_module = load_tracer_module(monkeypatch)
+    for short in tracer_module.TRACED_MODULES:
+        importlib.import_module(f"logns.{short}")
+    return tracer_module.Tracer().installed()
+
+
 def test_every_declared_layer_is_traced(monkeypatch):
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     # `<layer>.<quantity>` with a two-part layer name; io byte counters and
@@ -32,10 +46,19 @@ def test_every_declared_layer_is_traced(monkeypatch):
     layers = {m["name"].rsplit(".", 1)[0] for m in declared if m["name"].count(".") == 2}
     assert "spectral.hs_multiplier_norm" in layers and "integrator.step" in layers
 
-    tracer_module = load_tracer_module(monkeypatch)
-    for short in tracer_module.TRACED_MODULES:
-        importlib.import_module(f"logns.{short}")
-    tracer = tracer_module.Tracer()
-    with tracer.installed():
+    with installed_tracer(monkeypatch) as tracer:
         traced = set(tracer.stats)
     assert layers <= traced, f"declared but not traced: {sorted(layers - traced)}"
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_experiment_command_calls_its_traced_runner_once(monkeypatch, tmp_path, capsys, name):
+    """The registry reaches each runner through the module, where the tracer wraps it."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(matrix_config(name, MATRIX_GEOMETRIES[DomainKind.TORUS])))
+    with installed_tracer(monkeypatch) as tracer:
+        code = main(["experiment", name, "--config", str(cfg), "--out", str(tmp_path / "r.json")])
+    assert code in (0, 1), capsys.readouterr().err
+    calls = {entry.runner: tracer.stats[f"experiments.{entry.runner}"].calls
+             for entry in EXPERIMENTS.values()}
+    assert calls == {entry.runner: int(key == name) for key, entry in EXPERIMENTS.items()}

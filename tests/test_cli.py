@@ -1,12 +1,15 @@
 """End-to-end command-line behavior and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from logns import experiments
 from logns.cli import main
 from logns.data import DatumSpec, make_datum
 from logns.diagnostics import energy, hs_gagliardo_norm, hs_norm, mass
+from logns.experiments import EXPERIMENTS
 from logns.geometry import DomainKind, GridGeometry
 from logns.io import read_snapshot, read_timeseries, write_snapshot
 
@@ -149,6 +152,110 @@ class TestExperiment:
         assert report["name"] == "convergence_order"
         assert report["passed"] is True and code == 0
         assert 1.7 <= report["margins"]["order"] <= 2.3
+
+
+# tiny grids, one per domain kind
+MATRIX_GEOMETRIES = {
+    DomainKind.TORUS: {"kind": "torus", "points": [16]},
+    DomainKind.PERIODIC_BOX: {"kind": "periodic_box", "points": [8, 4], "lengths": [1.0, 0.5]},
+    DomainKind.DIRICHLET_INTERVAL: {"kind": "dirichlet_interval", "points": [16],
+                                    "lengths": [1.0]},
+    DomainKind.DIRICHLET_SLAB: {"kind": "dirichlet_slab", "points": [8, 4],
+                                "lengths": [1.0, 1.0]},
+}
+MATRIX_PARAMS = {"z": [2.0, 0.0], "eps_sequence": [0.1, 0.05, 0.025], "cutoffs": [2.0, 4.0],
+                 "dt_ladder": [0.01, 0.005]}
+
+
+def matrix_config(name, geometry):
+    entry = EXPERIMENTS[name]
+    dim = len(geometry["points"])
+    params = {**MATRIX_PARAMS, "boost_modes": [1] * dim}
+    doc = {
+        "geometry": geometry,
+        # scaling needs the unregularized flow, hs-growth tracked exponents
+        "sim": {"lambda": 1.0, "eps": 0.0 if name == "scaling" else 0.01, "dt": 0.005,
+                "t_final": 0.02, "record_every": 2, "hs_values": [0.5]},
+        "datum": {"kind": "gaussian_bump", "width": 0.2},
+        "experiment": {key: params[key] for key in entry.params},
+    }
+    if entry.needs_datum_b:
+        doc["datum_b"] = {"kind": "random_band_limited", "cutoff": 3.0, "seed": 1}
+    return doc
+
+
+@pytest.mark.parametrize("kind", list(MATRIX_GEOMETRIES), ids=lambda k: k.value)
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_experiment_geometry_matrix(tmp_path, capsys, monkeypatch, name, kind):
+    """Each experiment runs on each geometry its entry supports and is a config error on the rest."""
+    made = []
+    make = experiments.make_datum
+    monkeypatch.setattr(experiments, "make_datum", lambda *a: made.append(a) or make(*a))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(matrix_config(name, MATRIX_GEOMETRIES[kind])))
+    report_path = tmp_path / "report.json"
+    code = main(["experiment", name, "--config", str(cfg), "--out", str(report_path)])
+    err = capsys.readouterr().err
+    if EXPERIMENTS[name].periodic_only and kind.value.startswith("dirichlet"):
+        assert code == 2
+        assert (f"config error: geometry.kind: experiment {name} needs a periodic geometry, "
+                f"got '{kind.value}'") in err.splitlines()
+        assert not made and not report_path.exists()
+    else:
+        assert code in (0, 1), err
+        report = json.loads(report_path.read_text())
+        assert len(report["config_digest"]) == 64
+        assert report["verdict"] == ("pass" if code == 0 else "fail")
+        assert made
+
+
+def test_readme_lists_every_experiment_as_the_registry_does():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {line.split("|")[1].strip(" `"): line for line in readme.splitlines()
+            if line.startswith("| `")}
+    for name, entry in EXPERIMENTS.items():
+        row = rows[name]
+        assert f"`{entry.runner}`" in row
+        assert all(f"`{key}`" in row for key in entry.params)
+        assert ("`datum_b`" in row) == entry.needs_datum_b
+        assert row.endswith("| periodic only (`torus`, `periodic_box`) |" if entry.periodic_only
+                            else "| all |")
+
+
+# cutoff < 1 keeps only the constant mode, which a Dirichlet grid's antisymmetrization removes
+ZERO_DIRICHLET = {
+    "geometry": {"kind": "dirichlet_interval", "points": [64], "lengths": [1.0]},
+    "sim": {"lambda": 1.0, "eps": 0.0, "dt": 0.01, "t_final": 0.1},
+    "datum": {"kind": "random_band_limited", "cutoff": 0.5},
+}
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["simulate"], {}),
+    (["experiment", "lipschitz"], {"datum_b": ZERO_DIRICHLET["datum"]}),
+    (["experiment", "scaling"], {"experiment": {"z": 2.0}}),
+    (["experiment", "eps-cauchy"], {"experiment": {"eps_sequence": [0.1, 0.05, 0.025]}}),
+    (["experiment", "convergence"], {"experiment": {"dt_ladder": [0.02, 0.01]}}),
+], ids=lambda v: v[-1] if isinstance(v, list) else None)
+def test_zero_datum_exits_2_without_a_verdict(tmp_path, capsys, argv, extra):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**ZERO_DIRICHLET, **extra}))
+    out = ["--out-dir", str(tmp_path / "out")] if argv == ["simulate"] else [
+        "--out", str(tmp_path / "report.json")]
+    assert main(argv + ["--config", str(cfg)] + out) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: datum: random_band_limited vanishes")
+    assert "Traceback" not in captured.err
+    assert "PASS" not in captured.out and "verdict" not in captured.out
+    assert not (tmp_path / "report.json").exists() and not (tmp_path / "out").exists()
+
+
+def test_plane_wave_on_dirichlet_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**ZERO_DIRICHLET, "datum": {"kind": "plane_wave", "modes": [1]}}))
+    assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "config error: datum.kind: plane_wave is incompatible with Dirichlet boundaries\n")
 
 
 class TestNorms:

@@ -133,3 +133,37 @@ class TestDirichletData:
         f = make_datum(DatumSpec(kind="random_band_limited", cutoff=4.0, seed=7), geom)
         assert np.all(f.data[:, 0] == 0.0)
         assert mass(f) > 0.0
+
+    @pytest.mark.parametrize("lengths, points", [((1.0,), (64,)), ((1.0, 1.0), (32, 16)),
+                                                 ((1.0, 0.5), (32, 16))])
+    def test_default_center_is_the_middle_of_the_domain(self, lengths, points):
+        # the middle of the doubled box is an antisymmetry node: a bump there is zero
+        kind = DomainKind.DIRICHLET_INTERVAL if len(points) == 1 else DomainKind.DIRICHLET_SLAB
+        geom = GridGeometry(kind, lengths, points)
+        centered = tuple(l / 2 for l in lengths)
+        a = make_datum(DatumSpec(kind="gaussian_bump", width=0.1), geom)
+        b = make_datum(DatumSpec(kind="gaussian_bump", width=0.1, center=centered), geom)
+        np.testing.assert_array_equal(a.data, b.data)
+        assert np.unravel_index(np.argmax(np.abs(a.data)), points) == tuple(n // 2 for n in points)
+
+
+class TestZeroDatum:
+    @pytest.mark.parametrize("spec, geom", [
+        # cutoff < 1 keeps only the constant mode, which antisymmetrization removes
+        (DatumSpec(kind="random_band_limited", cutoff=0.5),
+         GridGeometry(DomainKind.DIRICHLET_INTERVAL, (1.0,), (64,))),
+        (DatumSpec(kind="random_band_limited", cutoff=0.5),
+         GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 1.0), (32, 16))),
+        # a bump centered on the antisymmetry node leaves only roundoff
+        (DatumSpec(kind="gaussian_bump", width=0.25, center=(0.5, 1.0)),
+         GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 1.0), (32, 16))),
+        (DatumSpec(kind="gaussian_bump", amplitude=0.0), torus()),
+        (DatumSpec(kind="plane_wave", modes=(2,), amplitude=0.0), torus()),
+    ])
+    def test_is_rejected(self, spec, geom):
+        with pytest.raises(ValueError, match=f"^datum: {spec.kind} vanishes"):
+            make_datum(spec, geom)
+
+    def test_small_nonzero_datum_is_kept(self):
+        f = make_datum(DatumSpec(kind="gaussian_bump", amplitude=1e-100), torus())
+        assert mass(f) > 0.0

@@ -16,7 +16,7 @@ from logns.experiments import (
     run_lipschitz,
     run_scaling_invariance,
 )
-from logns.geometry import DomainKind, GeometryError, GridGeometry, LatticeVelocity
+from logns.geometry import DomainKind, GeometryError, GridGeometry
 from logns.integrator import SimConfig
 
 
@@ -36,13 +36,13 @@ BAND = DatumSpec(kind="random_band_limited", cutoff=6.0, seed=3)
 
 class TestLipschitz:
     def test_bound_holds(self):
-        report = run_lipschitz(GAUSSIAN, BAND, quick_config())
+        report = run_lipschitz(GAUSSIAN, quick_config(), datum_b=BAND)
         assert report.passed
         assert report.margins["worst_ratio"] <= 1.0 + 1e-6
         assert report.n_samples == len(report.series)
 
     def test_identical_data_degenerate_case(self):
-        report = run_lipschitz(BAND, BAND, quick_config())
+        report = run_lipschitz(BAND, quick_config(), datum_b=BAND)
         assert report.passed
         assert report.margins["degenerate"] == 1.0
 
@@ -84,7 +84,7 @@ class TestHsGrowth:
 class TestScalingInvariance:
     def test_rejects_regularized_config(self):
         with pytest.raises(ValueError):
-            run_scaling_invariance(GAUSSIAN, 2.0, quick_config())
+            run_scaling_invariance(GAUSSIAN, quick_config(), z=2.0)
 
     def test_rejects_zero_z_before_marching(self, monkeypatch):
         def no_march(*args):
@@ -92,17 +92,17 @@ class TestScalingInvariance:
 
         monkeypatch.setattr(experiments, "march", no_march)
         with pytest.raises(ValueError, match="nonzero"):
-            run_scaling_invariance(GAUSSIAN, 0.0, quick_config(eps=0.0))
+            run_scaling_invariance(GAUSSIAN, quick_config(eps=0.0), z=0.0)
 
     def test_exact_invariance(self):
-        report = run_scaling_invariance(GAUSSIAN, 1 + 1j, quick_config(eps=0.0))
+        report = run_scaling_invariance(GAUSSIAN, quick_config(eps=0.0), z=1 + 1j)
         assert report.passed
         assert report.margins["max_rel_err"] <= report.margins["budget"]
 
 
 class TestGalilean:
     def test_covariance(self):
-        report = run_galilean(BAND, LatticeVelocity((1,)), quick_config())
+        report = run_galilean(BAND, quick_config(), boost_modes=(1,))
         assert report.passed
         assert report.margins["rel_discrepancy"] <= report.margins["budget"]
 
@@ -110,13 +110,13 @@ class TestGalilean:
         geom = GridGeometry(DomainKind.DIRICHLET_INTERVAL, (1.0,), (32,))
         cfg = quick_config(geometry=geom)
         with pytest.raises(GeometryError):
-            run_galilean(DatumSpec(kind="gaussian_bump", width=0.1), LatticeVelocity((1,)), cfg)
+            run_galilean(DatumSpec(kind="gaussian_bump", width=0.1), cfg, boost_modes=(1,))
 
 
 class TestEpsCauchy:
     def test_consecutive_distances_decrease(self):
         ladder = [2.0**-k for k in range(2, 8)]
-        report = run_eps_cauchy(GAUSSIAN, quick_config(), ladder)
+        report = run_eps_cauchy(GAUSSIAN, quick_config(), eps_sequence=ladder)
         assert report.margins["monotone"] == 1.0
         assert report.n_samples == len(ladder) - 1
 
@@ -124,13 +124,13 @@ class TestEpsCauchy:
 class TestH1Approximation:
     def test_cutoff_validation(self):
         with pytest.raises(ValueError):
-            run_h1_approximation(BAND, [4.0], quick_config())
+            run_h1_approximation(BAND, quick_config(), cutoffs=[4.0])
         with pytest.raises(ValueError):
-            run_h1_approximation(BAND, [8.0, 4.0], quick_config())
+            run_h1_approximation(BAND, quick_config(), cutoffs=[8.0, 4.0])
 
     def test_truncation_ladder(self):
         rough = DatumSpec(kind="random_rough", target_s=0.5, seed=4)
-        report = run_h1_approximation(rough, [2.0, 4.0, 8.0], quick_config())
+        report = run_h1_approximation(rough, quick_config(), cutoffs=[2.0, 4.0, 8.0])
         assert report.passed
         sups = [v for k, v in report.margins.items() if k.startswith("sup_dist")]
         assert sups == sorted(sups, reverse=True)
@@ -145,12 +145,12 @@ class TestH1Approximation:
         march = integrator.march
         monkeypatch.setattr(integrator, "march", counting_march)
         monkeypatch.setattr(experiments, "march", counting_march)
-        run_h1_approximation(BAND, [2.0, 4.0, 8.0], quick_config())
+        run_h1_approximation(BAND, quick_config(), cutoffs=[2.0, 4.0, 8.0])
         assert len(marches) == 3
 
     def test_identical_truncations_degenerate_case(self):
         # on 32 points no mode exceeds |n| = 16, so both truncations keep every mode
-        report = run_h1_approximation(BAND, [16.0, 20.0], quick_config())
+        report = run_h1_approximation(BAND, quick_config(), cutoffs=[16.0, 20.0])
         assert report.passed
         assert report.margins == {"sup_dist_K16_K20": 0.0}
 
@@ -158,31 +158,31 @@ class TestH1Approximation:
 class TestConvergenceOrder:
     def test_ladder_validation(self):
         with pytest.raises(ValueError):
-            run_convergence_order(GAUSSIAN, quick_config(), [1e-2])
+            run_convergence_order(GAUSSIAN, quick_config(), dt_ladder=[1e-2])
         with pytest.raises(ValueError):
-            run_convergence_order(GAUSSIAN, quick_config(), [1e-3, 1e-2])
+            run_convergence_order(GAUSSIAN, quick_config(), dt_ladder=[1e-3, 1e-2])
 
     def test_strang_is_second_order(self):
         cfg = quick_config(geometry=torus(64), t_final=0.4, dt=1e-2)
-        report = run_convergence_order(GAUSSIAN, cfg, [1e-2, 5e-3, 2.5e-3])
+        report = run_convergence_order(GAUSSIAN, cfg, dt_ladder=[1e-2, 5e-3, 2.5e-3])
         assert report.passed
         assert 1.7 <= report.margins["order"] <= 2.3
 
     def test_lie_is_first_order(self):
         cfg = quick_config(geometry=torus(64), t_final=0.4, dt=1e-2, splitting="lie")
-        report = run_convergence_order(GAUSSIAN, cfg, [2e-2, 1e-2, 5e-3])
+        report = run_convergence_order(GAUSSIAN, cfg, dt_ladder=[2e-2, 1e-2, 5e-3])
         assert report.passed
         assert 0.8 <= report.margins["order"] <= 1.2
 
 
 class TestReportPlumbing:
     def test_digest_is_stable_and_sensitive(self):
-        a = run_scaling_invariance(GAUSSIAN, 2.0, quick_config(eps=0.0))
-        b = run_scaling_invariance(GAUSSIAN, 2.0, quick_config(eps=0.0))
-        c = run_scaling_invariance(GAUSSIAN, 3.0, quick_config(eps=0.0))
+        a = run_scaling_invariance(GAUSSIAN, quick_config(eps=0.0), z=2.0)
+        b = run_scaling_invariance(GAUSSIAN, quick_config(eps=0.0), z=2.0)
+        c = run_scaling_invariance(GAUSSIAN, quick_config(eps=0.0), z=3.0)
         assert a.config_digest == b.config_digest
         assert a.config_digest != c.config_digest
 
     def test_verdict_strings(self):
-        report = run_galilean(BAND, LatticeVelocity((0,)), quick_config())
+        report = run_galilean(BAND, quick_config(), boost_modes=(0,))
         assert report.verdict in ("pass", "fail")

@@ -9,9 +9,9 @@ import pytest
 
 from logns import io
 from logns.diagnostics import DiagnosticsRecord
+from logns.experiments import EXPERIMENTS
 from logns.geometry import DomainKind, Field, GridGeometry
 from logns.io import (
-    EXPERIMENT_KEYS,
     ConfigError,
     SnapshotFormatError,
     parse_config,
@@ -31,12 +31,17 @@ MINIMAL = """
 
 class TestParseConfig:
     def test_minimal_document(self):
-        doc = parse_config(MINIMAL)
+        doc = parse_config(MINIMAL.rstrip().rstrip("}") + ',"datum": {"kind": "gaussian_bump"}}')
         assert doc.geometry.kind is DomainKind.TORUS
         assert doc.geometry.lengths == (1.0,)  # torus default
         assert doc.sim == {"lam": 1.0, "eps": 0.01, "dt": 0.001, "t_final": 1.0}
-        assert doc.datum is None
+        assert doc.datum.kind == "gaussian_bump"
         assert doc.experiment == {}
+
+    def test_datum_is_required(self):
+        with pytest.raises(ConfigError) as info:
+            parse_config(MINIMAL)
+        assert info.value.errors == ["datum: missing required key"]
 
     def test_invalid_json(self):
         with pytest.raises(ConfigError, match="invalid JSON"):
@@ -120,6 +125,22 @@ class TestParseConfig:
         galilean = text.replace('"z": [1.0, 2.0]', '"boost_modes": [2]')
         assert parse_config(galilean, "galilean").experiment == {"boost_modes": (2,)}
 
+    def test_geometry_support_collected_with_the_rest(self):
+        text = MINIMAL.replace('"torus"', '"dirichlet_interval", "lengths": [1.0]').replace(
+            '"eps": 0.01', '"eps": -1').rstrip().rstrip("}") + """,
+            "datum": {"kind": "plane_wave", "modes": [1]},
+            "datum_b": {"kind": "plane_wave", "modes": [2]},
+            "experiment": {"boost_modes": [1]}}"""
+        with pytest.raises(ConfigError) as info:
+            parse_config(text, "galilean")
+        assert info.value.errors == [
+            "sim.eps: out of range: -1.0",
+            "datum.kind: plane_wave is incompatible with Dirichlet boundaries",
+            "datum_b.kind: plane_wave is incompatible with Dirichlet boundaries",
+            "geometry.kind: experiment galilean needs a periodic geometry, "
+            "got 'dirichlet_interval'",
+        ]
+
     def test_experiment_errors_collected_with_the_rest(self):
         text = MINIMAL.replace('"eps": 0.01', '"eps": -1').rstrip().rstrip("}") + """,
             "experiment": {"boost_modes": [1, 2], "z": 3}}"""
@@ -165,8 +186,8 @@ def schema_cases():
         doc = {**base, "datum": FULL_DATA[kind]}
         yield from ((f"datum.{key}", None, doc) for key in table)
     for key in io._EXPERIMENT:
-        name = next(name for name, keys in EXPERIMENT_KEYS.items() if key in keys)
-        params = {k: FULL_EXPERIMENT[k] for k in EXPERIMENT_KEYS[name]}
+        name = next(name for name, entry in EXPERIMENTS.items() if key in entry.params)
+        params = {k: FULL_EXPERIMENT[k] for k in EXPERIMENTS[name].params}
         yield f"experiment.{key}", name, {**base, "experiment": params}
 
 
@@ -183,6 +204,11 @@ def wrong_values(valid):
             yield [1.5]
 
 
+# a well-typed value outside the key's range, for every key that has one
+OUT_OF_RANGE = {"sim.eps": -0.5, "sim.record_every": 0, "sim.hs_values": [0.0],
+                "sim.snapshot_every": 0, "datum.width": 0.0, "datum.cutoff": -1.0,
+                "datum.target_s": 0.0, "datum.seed": -1, "experiment.z": 0.0}
+
 CASES = list(schema_cases())
 
 
@@ -192,7 +218,8 @@ CASES = list(schema_cases())
 def test_every_ill_typed_key_is_a_config_error_naming_its_path(path, name, doc):
     parse_config(json.dumps(doc), name)
     section, key = path.rsplit(".", 1)
-    for value in wrong_values(doc[key] if section == "top level" else doc[section][key]):
+    valid = doc[key] if section == "top level" else doc[section][key]
+    for value in [*wrong_values(valid), *([OUT_OF_RANGE[path]] if path in OUT_OF_RANGE else [])]:
         bad = {**doc, key: value} if section == "top level" else {
             **doc, section: {**doc[section], key: value}}
         with pytest.raises(ConfigError) as info:
