@@ -9,13 +9,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import nonlinearity
-from .diagnostics import hs_gagliardo_norm, measure
+from .diagnostics import measure
 from .data import make_datum
 from .experiments import EXPERIMENTS, ExperimentReport
 from .integrator import IntegrationError, SimConfig, evolve
@@ -77,14 +78,15 @@ def _cmd_experiment(args) -> int:
 def _cmd_norms(args) -> int:
     field, t = read_snapshot(args.snapshot)
     s_values = [float(tok) for tok in args.s.split(",") if tok]
-    record = measure(field, t, args.lam, args.eps, tuple(s_values))
+    fractional = tuple(s for s in s_values if 0.0 < s < 1.0)
+    record = measure(field, t, args.lam, args.eps, tuple(s_values), fractional)
     print(f"time   : {t:.17g}")
     print(f"mass   : {record.mass:.17g}")
     print(f"energy : {record.energy:.17g}")
     for s in s_values:
         line = f"H^{s:g}  : multiplier {record.hs_norms[s]:.17g}"
-        if 0.0 < s < 1.0:
-            line += f"  gagliardo {hs_gagliardo_norm(field, s):.17g}"
+        if s in record.gagliardo_norms:
+            line += f"  gagliardo {record.gagliardo_norms[s]:.17g}"
         print(line)
     return 0
 
@@ -95,7 +97,7 @@ def _cmd_check_inequality(args) -> int:
     if n < 1:
         raise ValueError(f"--samples must be at least 1, got {n}")
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
+    worst = -math.inf  # the largest gap - bound - slack over every sample
     for eps_zero in (False, True):
         remaining = n
         while remaining > 0:

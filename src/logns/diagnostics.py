@@ -2,7 +2,8 @@
 
 `_spectrum` is the one place a field becomes Fourier data: a Dirichlet field is
 odd-extended to the doubled periodic box, then one FFT gives the power spectrum
-P = V |c_n|^2; the kinetic energy and both H^s norms are weighted sums of P.
+P = V |c_n|^2; the kinetic energy and both H^s norms are weighted sums of P,
+so a record with any number of either norm costs one extension and one FFT.
 Dirichlet H^s norms cover the doubled box (hs_norm(f, 0)^2 == 2 mass(f)); the
 kinetic energy is halved; mass and the potential are sums over the half grid.
 """
@@ -38,6 +39,7 @@ class DiagnosticsRecord:
     mass: float
     energy: float
     hs_norms: dict[float, float] = dataclass_field(default_factory=dict)
+    gagliardo_norms: dict[float, float] = dataclass_field(default_factory=dict)
 
 
 def mass(field: Field) -> float:
@@ -77,10 +79,12 @@ def energy(field: Field, lam: float, eps: float = 0.0) -> float:
 
 
 def measure(
-    field: Field, t: float, lam: float, eps: float, hs_values: tuple[float, ...]
+    field: Field, t: float, lam: float, eps: float, hs_values: tuple[float, ...],
+    gagliardo_values: tuple[float, ...] = (),
 ) -> DiagnosticsRecord:
-    """The record of mass(field), energy(field, lam, eps) and hs_norm(field, s)
-    for each s in hs_values, from one spectrum: one extension, one FFT."""
+    """The record of mass(field), energy(field, lam, eps), hs_norm(field, s) for
+    each s in hs_values and hs_gagliardo_norm(field, s) for each s in
+    gagliardo_values, from one spectrum: one extension, one FFT."""
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     geometry, power = _spectrum(field)
@@ -90,7 +94,9 @@ def measure(
     density = _log_potential_density(np.abs(field.data), eps)
     potential = field.geometry.cell_volume * float(np.sum(density))
     hs_norms = {s: bessel_norm(geometry, power, s) for s in hs_values}
-    return DiagnosticsRecord(t, mass(field), kinetic - 2.0 * lam * potential, hs_norms)
+    gagliardo = {s: _gagliardo_norm(geometry, power, s) for s in gagliardo_values}
+    return DiagnosticsRecord(t, mass(field), kinetic - 2.0 * lam * potential, hs_norms,
+                             gagliardo)
 
 
 def l2_distance(f: Field, g: Field) -> float:
@@ -140,9 +146,13 @@ def hs_gagliardo_norm(field: Field, s: float) -> float:
     Gaussian at N = 4096, s = 0.75. Dirichlet fields are measured via odd
     extension.
     """
+    return _gagliardo_norm(*_spectrum(field), s)
+
+
+def _gagliardo_norm(geometry: GridGeometry, power: np.ndarray, s: float) -> float:
+    """sqrt(sum_n sigma_s(n) P(n)) for a power spectrum P on `geometry`."""
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    geometry, power = _spectrum(field)
     return math.sqrt(float(np.sum(_gagliardo_symbol(geometry, s) * power)))
 
 

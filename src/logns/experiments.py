@@ -24,7 +24,7 @@ import numpy as np
 
 from . import constants
 from .data import DatumSpec, make_datum
-from .diagnostics import hs_gagliardo_norm, hs_growth_ratio, l2_distance, mass, measure
+from .diagnostics import hs_growth_ratio, l2_distance, mass, measure
 from .geometry import Field, LatticeVelocity, galilean_boost, scale_datum
 from .integrator import (SimConfig, eps_continuation, evolve_pair, final_state,
                          lockstep_distances, march)
@@ -144,9 +144,12 @@ def run_hs_growth(spec: DatumSpec, config: SimConfig) -> ExperimentReport:
     if not config.hs_values:
         raise ValueError("hs growth experiment needs tracked hs_values")
     datum = make_datum(spec, config.geometry)
-    records = []  # the loop leaves the last sample in final_field for the cross-check
-    for t, final_field in march(datum, config, config.record_steps):
-        records.append(measure(final_field, t, config.lam, config.eps, config.hs_values))
+    steps = config.record_steps
+    fractional = tuple(s for s in config.hs_values if s < 1.0)
+    records = []  # the last record also carries the Gagliardo norms of the cross-check
+    for i, (t, [u]) in zip(steps, march([datum], config, steps)):
+        gagliardo = fractional if i == steps[-1] else ()
+        records.append(measure(u, t, config.lam, config.eps, config.hs_values, gagliardo))
     margins: dict[str, float] = {}
     passed = True
     series = []
@@ -156,11 +159,9 @@ def run_hs_growth(spec: DatumSpec, config: SimConfig) -> ExperimentReport:
         passed &= max(ratios) <= 1.0 + BOUND_SLACK
         series = [(rec.time, r) for rec, r in zip(records, ratios)]
 
-    final_norms = records[-1].hs_norms
-    for s in config.hs_values:
-        if not 0.0 < s < 1.0:
-            continue
-        ratio = hs_gagliardo_norm(final_field, s) / final_norms[s]
+    final = records[-1]
+    for s in fractional:
+        ratio = final.gagliardo_norms[s] / final.hs_norms[s]
         margins[f"gagliardo_ratio_s={s:g}"] = ratio
         lo, hi = gagliardo_equivalence_bounds(config.geometry.dim, s)
         passed &= lo <= ratio <= hi
@@ -183,11 +184,8 @@ def run_scaling_invariance(spec: DatumSpec, config: SimConfig, *, z: complex) ->
     scale = abs(z) * math.sqrt(mass(datum))
     log_z2 = math.log(abs(z) ** 2)
 
-    steps = config.record_steps
-    base = march(datum, config, steps)
-    scaled = march(scale_datum(datum, z), config, steps)
     errs = []
-    for (t, u), (_, uz) in zip(base, scaled):
+    for t, [u, uz] in march([datum, scale_datum(datum, z)], config, config.record_steps):
         predicted = scale_datum(u, z * cmath.exp(1j * config.lam * t * log_z2))
         errs.append((t, l2_distance(uz, predicted) / scale))
     worst = max(e for _, e in errs)
@@ -204,8 +202,8 @@ def run_galilean(spec: DatumSpec, config: SimConfig, *,
     """
     velocity = LatticeVelocity(boost_modes)
     datum = make_datum(spec, config.geometry)
-    boosted_first = final_state(galilean_boost(datum, velocity, 0.0), config)
-    end = final_state(datum, config)
+    [(_, [boosted_first, end])] = march([galilean_boost(datum, velocity, 0.0), datum], config,
+                                        [config.n_steps])
     boosted_last = galilean_boost(end, velocity, config.n_steps * config.dt)
     discrepancy = l2_distance(boosted_first, boosted_last) / math.sqrt(mass(datum))
     budget = max(10.0 * _self_error(datum, config, end), _EXACT_FLOOR)
@@ -242,8 +240,7 @@ def run_h1_approximation(spec: DatumSpec, config: SimConfig, *,
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError("cutoffs must be strictly increasing")
     datum = make_datum(spec, config.geometry)
-    steps = config.record_steps
-    series = lockstep_distances([march(truncate_modes(datum, k), config, steps) for k in cutoffs])
+    series = lockstep_distances([truncate_modes(datum, k) for k in cutoffs], config)
 
     margins: dict[str, float] = {}
     passed = True

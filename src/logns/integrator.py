@@ -3,9 +3,13 @@
 Both substeps are exactly solvable: the free flow by Fourier symbol and the
 nonlinearity by a modulus-preserving phase rotation, so every step conserves
 mass to roundoff. `march` is the only loop that advances the splitting; every
-other entry point consumes the (t, field) samples it yields.
+other entry point consumes the (t, fields) samples it yields.
 
 Inside `march`:
+- The state is one complex array of shape (B, *points) holding B runs of one
+  config, each with its own eps. A step rotates it in place through two
+  preallocated buffers and runs the FFT pair in place over the trailing axes;
+  `Field`s are built only at samples.
 - Dirichlet state lives on the doubled periodic grid for the whole run. The
   rotation depends on |u| only, so it keeps the odd symmetry of the
   extension; the state is restricted to the half grid only when sampled.
@@ -19,15 +23,15 @@ Inside `march`:
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
-from . import nonlinearity
 from .diagnostics import DiagnosticsRecord, l2_distance, measure
 from .geometry import Field, GeometryError, GridGeometry, odd_extension, restrict_to_half
-from .spectral import free_propagator
+from .nonlinearity import rotate
+from .spectral import free_symbol, propagate
 
 __all__ = [
     "SimConfig",
@@ -110,49 +114,70 @@ class Trajectory:
     snapshots: list[tuple[float, Field]] = dataclass_field(default_factory=list)
 
 
-def march(datum: Field, config: SimConfig, steps: Iterable[int]) -> Iterator[tuple[float, Field]]:
-    """Advance the splitting, yielding (t, u(t)) at each requested step index.
+def march(
+    data: Sequence[Field], config: SimConfig, steps: Iterable[int],
+    eps: Sequence[float] | None = None,
+) -> Iterator[tuple[float, list[Field]]]:
+    """Advance B runs of `config` in lockstep, yielding (t, [u_1(t), ..., u_B(t)])
+    at each requested step index.
 
-    `steps` must be nondecreasing and within [0, n_steps]; the run stops at the
-    last of them. Yielded fields are fresh arrays the caller may keep.
+    Run k starts from data[k] with regularization eps[k] (config.eps for every
+    run by default). Each run gets bit for bit what it would get alone.
+    `steps` must be nondecreasing and within [0, n_steps]; the run stops at
+    the last of them. Yielded fields are fresh arrays the caller may keep.
     """
-    if datum.geometry != config.geometry:
+    geometry, lam, dt, n = config.geometry, config.lam, config.dt, config.n_steps
+    if any(u.geometry != geometry for u in data):
         raise GeometryError("datum geometry does not match the configuration")
-    if not np.all(np.isfinite(datum.data)):
-        raise IntegrationError("initial datum contains non-finite samples")
-    lam, eps, dt, n = config.lam, config.eps, config.dt, config.n_steps
+    eps = [config.eps] * len(data) if eps is None else list(eps)
+    if len(eps) != len(data):
+        raise ValueError(f"need one eps per run, got {len(eps)} for {len(data)} runs")
+    if not all(e >= 0.0 for e in eps):
+        raise ValueError(f"eps must be >= 0, got {eps}")
+    steps = list(steps)
+    for prev, target in zip([0, *steps], steps):
+        if not prev <= target <= n:
+            raise ValueError(f"sample steps must be nondecreasing within [0, {n}], got {target}")
+
     strang = config.splitting == "strang"
-    dirichlet = datum.geometry.is_dirichlet
-    state = odd_extension(datum) if dirichlet else datum.copy()
+    dirichlet = geometry.is_dirichlet
+    state = np.stack([odd_extension(u).data if dirichlet else u.data for u in data])
+    if not np.isfinite(state).all():
+        raise IntegrationError("initial datum contains non-finite samples")
+    grid = geometry.doubled() if dirichlet else geometry
+    mask_zeros = min(eps) == 0.0
+    eps = np.reshape(eps, (-1,) + (1,) * geometry.dim)
+    symbol = free_symbol(grid, dt)
+    modulus, phase = np.empty(state.shape), np.empty_like(state)
+
+    def rotate_state(u, tau):
+        rotate(u, 2.0 * lam * tau, eps, modulus, phase, mask_zeros)
 
     i = 0
     for target in steps:
-        if not i <= target <= n:
-            raise ValueError(f"sample steps must be nondecreasing within [0, {n}], got {target}")
         while i < target:
             i += 1
-            tau = dt / 2.0 if strang and i == 1 else dt
-            rotated = Field(state.geometry, nonlinearity.phase_flow(state.data, lam, eps, tau))
-            state = free_propagator(rotated, dt)
-            if not np.all(np.isfinite(state.data)):
-                finite_max = float(np.max(np.abs(np.nan_to_num(state.data))))
+            rotate_state(state, dt / 2.0 if strang and i == 1 else dt)
+            propagate(state, symbol)
+            if not np.isfinite(state).all():
+                k = next(k for k, u in enumerate(state) if not np.isfinite(u).all())
+                finite_max = float(np.max(np.abs(np.nan_to_num(state[k]))))
                 raise IntegrationError(
-                    f"non-finite sample at step {i} (t={i * dt:g}); "
-                    f"max finite |u| = {finite_max:g}"
+                    f"non-finite sample at step {i} (t={i * dt:g}) in run {k} of "
+                    f"{len(state)}; max finite |u| = {finite_max:g}"
                 )
-        sample = state
+        sample = state.copy()
         if strang and i > 0:
-            sample = Field(state.geometry, nonlinearity.phase_flow(state.data, lam, eps, dt / 2.0))
+            rotate_state(sample, dt / 2.0)
         if dirichlet:
-            sample = restrict_to_half(sample)
-        elif sample is state:
-            sample = state.copy()
-        yield i * dt, sample
+            yield i * dt, [restrict_to_half(Field(grid, u)) for u in sample]
+        else:
+            yield i * dt, [Field(geometry, u) for u in sample]
 
 
 def final_state(datum: Field, config: SimConfig) -> Field:
     """Endpoint of the run, skipping all diagnostics."""
-    [(_, end)] = march(datum, config, [config.n_steps])
+    [(_, [end])] = march([datum], config, [config.n_steps])
     return end
 
 
@@ -172,7 +197,7 @@ def evolve(datum: Field, config: SimConfig) -> Trajectory:
     snapshots = set(_strided(config.snapshot_every, config.n_steps))
     steps = sorted(records | snapshots)
     traj = Trajectory(config)
-    for i, (t, u) in zip(steps, march(datum, config, steps)):
+    for i, (t, [u]) in zip(steps, march([datum], config, steps)):
         if i in records:
             traj.records.append(measure(u, t, config.lam, config.eps, config.hs_values))
         if i in snapshots:
@@ -181,16 +206,17 @@ def evolve(datum: Field, config: SimConfig) -> Trajectory:
 
 
 def lockstep_distances(
-    runs: list[Iterator[tuple[float, Field]]],
+    data: list[Field], config: SimConfig, eps: Sequence[float] | None = None,
 ) -> list[list[tuple[float, float]]]:
-    """(t, L^2 distance) series between each consecutive pair of runs.
+    """(t, L^2 distance) series on config.record_steps between the runs of each
+    consecutive pair of data (with per-run eps as in `march`).
 
-    The runs (`march` iterators on a shared sample schedule) advance in
-    lockstep, so only one sample per run is held at a time.
+    The runs advance as one batched march, so only one sample per run is held
+    at a time.
     """
-    series: list[list[tuple[float, float]]] = [[] for _ in runs[1:]]
-    for samples in zip(*runs):
-        for out, ((t, u), (_, v)) in zip(series, zip(samples, samples[1:])):
+    series: list[list[tuple[float, float]]] = [[] for _ in data[1:]]
+    for t, fields in march(data, config, config.record_steps, eps):
+        for out, u, v in zip(series, fields, fields[1:]):
             out.append((t, l2_distance(u, v)))
     return series
 
@@ -199,8 +225,7 @@ def evolve_pair(datum_a: Field, datum_b: Field, config: SimConfig) -> list[tuple
     """L^2 distance between the runs of two data on the record schedule."""
     if datum_a.geometry != datum_b.geometry:
         raise GeometryError("paired data must share a geometry")
-    steps = config.record_steps
-    [distances] = lockstep_distances([march(datum_a, config, steps), march(datum_b, config, steps)])
+    [distances] = lockstep_distances([datum_a, datum_b], config)
     return distances
 
 
@@ -217,7 +242,6 @@ def eps_continuation(
     if any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
         raise ValueError("eps_sequence must be strictly decreasing")
 
-    steps = config.record_steps
-    series = lockstep_distances([march(datum, replace(config, eps=e), steps) for e in eps_sequence])
+    series = lockstep_distances([datum] * len(eps_sequence), config, eps_sequence)
     sups = [max(d for _, d in distances) for distances in series]
     return list(zip(zip(eps_sequence, eps_sequence[1:]), sups))

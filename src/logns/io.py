@@ -220,7 +220,12 @@ def _walk(raw: dict, schema: dict[str, _Key], path: str, errors: list[str]) -> d
     return parsed
 
 
-def _datum(raw: dict, path: str, errors: list[str], dirichlet: bool) -> DatumSpec | None:
+# datum keys with one entry per axis -> what an entry is
+_PER_AXIS = {"center": "coordinate", "modes": "integer"}
+
+
+def _datum(raw: dict, path: str, errors: list[str], geometry: GridGeometry | None,
+           dirichlet: bool) -> DatumSpec | None:
     n_errors = len(errors)
     kind = raw.get("kind")
     if not isinstance(kind, str) or kind not in _DATUM:
@@ -230,6 +235,11 @@ def _datum(raw: dict, path: str, errors: list[str], dirichlet: bool) -> DatumSpe
     if kind == "plane_wave" and dirichlet:
         errors.append(f"{path}.kind: plane_wave is incompatible with Dirichlet boundaries")
     fields = _walk(raw, {"kind": _DATUM_KIND, **_DATUM[kind]}, path, errors)
+    for key, entry in _PER_AXIS.items():
+        values = fields.get(key)
+        if geometry is not None and values is not None and len(values) != geometry.dim:
+            errors.append(f"{path}.{key}: expected one {entry} per axis ({geometry.dim}), "
+                          f"got {len(values)}")
     if len(errors) > n_errors:
         return None
     try:
@@ -273,7 +283,7 @@ def parse_config(text: str, experiment: str | None = None) -> ConfigDocument:
                 errors.append(f"geometry: {exc}")
     sim = _walk(sections["sim"], _SIM, "sim", errors) if "sim" in sections else None
     dirichlet = kind in (DomainKind.DIRICHLET_INTERVAL, DomainKind.DIRICHLET_SLAB)
-    data = {name: _datum(sections[name], name, errors, dirichlet)
+    data = {name: _datum(sections[name], name, errors, geometry, dirichlet)
             for name in ("datum", "datum_b") if name in sections}
     if "datum" not in raw:
         errors.append("datum: missing required key")

@@ -45,6 +45,24 @@ def g_eps(z, eps):
     return 2.0 * z * _safe_log(np.abs(z) + eps)
 
 
+def rotate(u, coeff, eps, modulus, phase, mask_zeros=True):
+    """In place u *= exp(i coeff ln(|u| + eps)), the phase flow with coeff = 2 lam dt.
+
+    `modulus` (real) and `phase` (complex) are scratch arrays of u's shape and
+    eps is a scalar or broadcasts against u. No check, no allocation beyond
+    the log's mask: where |u| + eps = 0 the phase is 0, as with _safe_log.
+    With every eps > 0 no |u| + eps vanishes, so mask_zeros=False skips the
+    mask and gives the same result.
+    """
+    np.abs(u, out=modulus)
+    modulus += eps
+    np.log(modulus, out=modulus, where=modulus > 0.0 if mask_zeros else True)  # masked 0 stays
+    modulus *= coeff
+    np.cos(modulus, out=phase.real)
+    np.sin(modulus, out=phase.imag)
+    u *= phase
+
+
 def phase_flow(z, lam, eps, dt):
     """Exact flow of the pointwise ODE i u' + 2 lam u ln(|u| + eps) = 0.
 
@@ -53,8 +71,9 @@ def phase_flow(z, lam, eps, dt):
     """
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
-    z = np.asarray(z, dtype=complex)
-    return z * np.exp(2j * lam * dt * _safe_log(np.abs(z) + eps))
+    u = np.array(z, dtype=complex)
+    rotate(u, 2.0 * lam * dt, eps, np.empty(u.shape), np.empty_like(u), eps == 0)
+    return u
 
 
 def monotonicity_gap(z1, z2, eps1=0.0, eps2=0.0):

@@ -48,11 +48,27 @@ def mode_radius(geometry: GridGeometry) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _free_symbol(geometry: GridGeometry, dt: float) -> np.ndarray:
+def free_symbol(geometry: GridGeometry, dt: float) -> np.ndarray:
+    """e^{-4 pi^2 |n/L|^2 i dt} on the full mode grid. Cached per (geometry, dt), read-only."""
     xi2 = squared_frequency(geometry)
     symbol = np.exp(-4.0 * math.pi**2 * xi2 * 1j * dt)
     symbol.flags.writeable = False
     return symbol
+
+
+def propagate(state: np.ndarray, symbol: np.ndarray) -> None:
+    """In place state <- ifftn(fftn(state) * symbol) over its trailing symbol.ndim axes.
+
+    One 1-d FFT per axis in reversed order, as fftn does, so a stack of fields
+    gets bit for bit the result of each field alone. No check; every transform
+    writes into `state`.
+    """
+    axes = range(state.ndim - symbol.ndim, state.ndim)[::-1]
+    for axis in axes:
+        np.fft.fft(state, axis=axis, out=state)
+    state *= symbol
+    for axis in axes:
+        np.fft.ifft(state, axis=axis, out=state)
 
 
 def free_propagator(field: Field, dt: float) -> Field:
@@ -61,8 +77,9 @@ def free_propagator(field: Field, dt: float) -> Field:
     The symbol is cached per (geometry, dt), so a run builds it once.
     """
     _require_periodic(field.geometry, "free_propagator")
-    symbol = _free_symbol(field.geometry, dt)
-    return Field(field.geometry, np.fft.ifftn(np.fft.fftn(field.data) * symbol))
+    data = field.data.copy()
+    propagate(data, free_symbol(field.geometry, dt))
+    return Field(field.geometry, data)
 
 
 def power_spectrum(field: Field) -> np.ndarray:

@@ -258,6 +258,41 @@ def test_plane_wave_on_dirichlet_is_a_config_error(tmp_path, capsys):
         "config error: datum.kind: plane_wave is incompatible with Dirichlet boundaries\n")
 
 
+BOX_GALILEAN = {
+    "geometry": {"kind": "periodic_box", "points": [8, 4], "lengths": [1.0, 0.5]},
+    "sim": {"lambda": 1.0, "eps": 0.01, "dt": 0.01, "t_final": 0.1},
+    "experiment": {"boost_modes": [1, 1]},
+}
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"datum": {"kind": "gaussian_bump", "center": [0.5]}},
+     "datum.center: expected one coordinate per axis (2), got 1"),
+    ({"datum": {"kind": "plane_wave", "modes": [1, 0, 2]}},
+     "datum.modes: expected one integer per axis (2), got 3"),
+], ids=["center", "modes"])
+def test_datum_needs_one_entry_per_axis(tmp_path, capsys, data, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**BOX_GALILEAN, **data}))
+    argv = ["experiment", "galilean", "--config", str(cfg), "--out", str(tmp_path / "r.json")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_second_datum_needs_one_entry_per_axis(tmp_path, capsys):
+    doc = {**BOX_GALILEAN, "experiment": {},
+           "datum": {"kind": "gaussian_bump", "center": [0.5, 0.25, 0.0]},
+           "datum_b": {"kind": "gaussian_bump", "center": [0.5]}}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["experiment", "lipschitz", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: datum.center: expected one coordinate per axis (2), got 3",
+        "config error: datum_b.center: expected one coordinate per axis (2), got 1",
+    ]
+
+
 class TestNorms:
     def test_prints_norms_of_snapshot(self, tmp_path, capsys):
         cfg = write_config(
@@ -314,6 +349,13 @@ class TestCheckInequality:
     def test_small_suite_passes(self, capsys):
         assert main(["check-inequality", "--samples", "20000", "--seed", "1"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_passing_run_prints_how_close_the_bound_came(self, capsys):
+        assert main(["check-inequality", "--samples", "1000", "--seed", "2"]) == 0
+        out = capsys.readouterr().out
+        worst = float(out.split("worst margin     :")[1].split()[0])
+        assert worst < 0.0
+        assert "verdict          : PASS" in out
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_rejects_fewer_than_one_sample(self, samples, capsys):

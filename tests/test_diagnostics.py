@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from logns import geometry
+from logns.cli import main
 from logns.data import DatumSpec, make_datum
 from logns.diagnostics import (
     DiagnosticsRecord,
@@ -19,6 +20,7 @@ from logns.diagnostics import (
     measure,
 )
 from logns.geometry import DomainKind, Field, GeometryError, GridGeometry, odd_extension
+from logns.io import write_snapshot
 from logns.spectral import hs_multiplier_norm
 
 
@@ -180,6 +182,30 @@ class TestTransformCounts:
     def test_one_extension_and_one_fft_per_record(self, transform_counts):
         measure(slab_field(), 0.0, 1.0, 1e-3, (0.25, 0.5))
         assert transform_counts == {"fftn": 1, "odd_extension": 1}
+
+    def test_gagliardo_norms_ride_on_the_record_spectrum(self, transform_counts):
+        f = slab_field()
+        measure(f, 0.0, 1.0, 1e-3, (), (0.25, 0.5))  # builds and caches the symbols
+        transform_counts.update(fftn=0, odd_extension=0)
+        record = measure(f, 0.0, 1.0, 1e-3, (0.25, 0.5), (0.25, 0.5))
+        assert transform_counts == {"fftn": 1, "odd_extension": 1}
+        assert record.gagliardo_norms == {s: hs_gagliardo_norm(f, s) for s in (0.25, 0.5)}
+
+    def test_norms_command_takes_one_spectrum(self, transform_counts, tmp_path, capsys):
+        path = tmp_path / "slab.bin"
+        write_snapshot(slab_field(), 0.5, path)
+        argv = ["norms", "--snapshot", str(path), "--s", "0.25,0.5", "--lambda", "1",
+                "--eps", "0.01"]
+        assert main(argv) == 0  # builds and caches the symbols
+        transform_counts.update(fftn=0, odd_extension=0)
+        assert main(argv) == 0
+        assert transform_counts == {"fftn": 1, "odd_extension": 1}
+        assert capsys.readouterr().out.count("gagliardo") == 4
+
+    @pytest.mark.parametrize("s", [0.0, 1.0])
+    def test_measure_rejects_gagliardo_s_outside_open_interval(self, s):
+        with pytest.raises(ValueError):
+            measure(slab_field(), 0.0, 1.0, 1e-3, (), (s,))
 
     def test_one_extension_and_one_fft_per_gagliardo_norm(self, transform_counts):
         f = slab_field()

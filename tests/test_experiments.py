@@ -136,17 +136,18 @@ class TestH1Approximation:
         assert sups == sorted(sups, reverse=True)
 
     def test_marches_each_truncation_once(self, monkeypatch):
-        marches = []
+        # one batched march of all k truncations
+        batches = []
 
-        def counting_march(datum, config, steps):
-            marches.append(config)
-            return march(datum, config, steps)
+        def counting_march(data, config, steps, eps=None):
+            batches.append(len(data))
+            return march(data, config, steps, eps)
 
         march = integrator.march
         monkeypatch.setattr(integrator, "march", counting_march)
         monkeypatch.setattr(experiments, "march", counting_march)
         run_h1_approximation(BAND, quick_config(), cutoffs=[2.0, 4.0, 8.0])
-        assert len(marches) == 3
+        assert batches == [3]
 
     def test_identical_truncations_degenerate_case(self):
         # on 32 points no mode exceeds |n| = 16, so both truncations keep every mode

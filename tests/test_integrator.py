@@ -178,26 +178,26 @@ class TestMarch:
     def test_yields_at_requested_steps(self):
         f = random_field(torus(32))
         cfg = config(torus(32))
-        samples = list(march(f, cfg, [0, 3, 4, 10]))
+        samples = list(march([f], cfg, [0, 3, 4, 10]))
         assert [t for t, _ in samples] == [0.0, 3 * cfg.dt, 4 * cfg.dt, 10 * cfg.dt]
-        assert np.array_equal(samples[0][1].data, f.data)
+        assert np.array_equal(samples[0][1][0].data, f.data)
 
     def test_stops_at_last_requested_step(self):
         f = random_field(torus(32))
-        [(t, u)] = march(f, config(torus(32)), [4])
+        [(t, [u])] = march([f], config(torus(32)), [4])
         assert np.array_equal(u.data, final_state(f, config(torus(32), t_final=0.04)).data)
 
     @pytest.mark.parametrize("steps", [[3, 2], [11]])
     def test_rejects_steps_off_the_run(self, steps):
         with pytest.raises(ValueError):
-            list(march(random_field(torus(32)), config(torus(32)), steps))
+            list(march([random_field(torus(32))], config(torus(32)), steps))
 
     def test_samples_are_independent_copies(self):
         f = random_field(torus(32))
-        samples = list(march(f, config(torus(32), splitting="lie"), range(11)))
-        samples[3][1].data[:] = 0.0
-        again = list(march(f, config(torus(32), splitting="lie"), range(11)))
-        assert np.array_equal(samples[-1][1].data, again[-1][1].data)
+        samples = list(march([f], config(torus(32), splitting="lie"), range(11)))
+        samples[3][1][0].data[:] = 0.0
+        again = list(march([f], config(torus(32), splitting="lie"), range(11)))
+        assert np.array_equal(samples[-1][1][0].data, again[-1][1][0].data)
 
 
 class TestFinalState:
@@ -217,8 +217,8 @@ class TestFinalState:
         for record_every in (1, 7):
             cfg = replace(base, record_every=record_every, snapshot_every=5)
             assert np.array_equal(evolve(f, cfg).snapshots[-1][1].data, end)
-            assert np.array_equal(list(march(f, cfg, cfg.record_steps))[-1][1].data, end)
-        assert np.array_equal(list(march(f, base, range(21)))[-1][1].data, end)
+            assert np.array_equal(list(march([f], cfg, cfg.record_steps))[-1][1][0].data, end)
+        assert np.array_equal(list(march([f], base, range(21)))[-1][1][0].data, end)
 
 
 def per_step_dirichlet_reference(datum, cfg):
@@ -250,11 +250,62 @@ class TestDirichletOnDoubledGrid:
         datum = dirichlet_datum(geom)
         cfg = config(geom, splitting=splitting, dt=1e-3, t_final=0.1, lam=-1.0, eps=1e-3)
         scale = math.sqrt(mass(datum))
-        for (t, u), ref in zip(march(datum, cfg, range(cfg.n_steps + 1)),
+        for (t, [u]), ref in zip(march([datum], cfg, range(cfg.n_steps + 1)),
                                per_step_dirichlet_reference(datum, cfg)):
             assert u.geometry == geom
             assert not np.any(u.data[..., 0])
             assert l2_distance(u, ref) <= 1e-12 * scale, t
+
+
+BATCH_GEOMETRIES = {
+    "torus": torus(64),
+    "box": GridGeometry(DomainKind.PERIODIC_BOX, (1.0, 0.5), (32, 16)),
+    "torus3d": GridGeometry(DomainKind.TORUS, (1.0, 1.0, 1.0), (16, 16, 16)),
+    "interval": interval(64),
+    "slab": GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 1.0), (16, 16)),
+}
+
+
+class TestBatchedMarch:
+    @pytest.mark.parametrize("splitting", ["lie", "strang"])
+    @pytest.mark.parametrize("name", list(BATCH_GEOMETRIES))
+    def test_each_member_equals_its_own_march_bitwise(self, name, splitting):
+        geom = BATCH_GEOMETRIES[name]
+        data = [make_datum(DatumSpec(kind="random_band_limited", cutoff=4.0, seed=k), geom)
+                for k in range(3)]
+        eps = [0.1, 0.0, 1e-3]
+        cfg = config(geom, splitting=splitting, dt=1e-3, t_final=0.01)
+        steps = [0, 1, 4, 10]
+        batched = list(march(data, cfg, steps, eps))
+        for k, (datum, e) in enumerate(zip(data, eps)):
+            alone = list(march([datum], replace(cfg, eps=e), steps))
+            for (t, fields), (t_alone, [u]) in zip(batched, alone):
+                assert t == t_alone
+                assert fields[k].geometry == geom
+                assert np.array_equal(fields[k].data, u.data), (k, t)
+
+    def test_zero_samples_stay_finite_at_eps_zero(self):
+        geom = torus(32)
+        data = np.exp(2j * math.pi * geom.axis_coordinates(0))
+        data[::4] = 0.0
+        f = Field(geom, data)
+        [(_, [end])] = march([f], config(geom, eps=0.0), [10])
+        assert np.all(np.isfinite(end.data))
+        assert mass(end) == pytest.approx(mass(f), rel=1e-13)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_member_names_its_index_and_step(self):
+        good = random_field(torus(), seed=1)
+        data = np.ones(64, dtype=complex)
+        data[3] = 1e308
+        with pytest.raises(IntegrationError, match=r"step 1 .*run 1 of 2"):
+            list(march([good, Field(torus(), data)], config(), [10]))
+
+    @pytest.mark.parametrize("eps", [[0.1], [0.1, -1.0], [0.1, float("nan")]])
+    def test_rejects_bad_member_eps(self, eps):
+        data = [random_field(torus(32), seed=k) for k in range(2)]
+        with pytest.raises(ValueError):
+            list(march(data, config(torus(32)), [1], eps))
 
 
 class TestEvolvePair:
