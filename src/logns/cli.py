@@ -98,6 +98,7 @@ def _cmd_check_inequality(args) -> int:
         raise ValueError(f"--samples must be at least 1, got {n}")
     rng = np.random.default_rng(args.seed)
     worst = -math.inf  # the largest gap - bound - slack over every sample
+    ratio = 0.0  # the largest gap / (bound + slack): how close the bound came
     for eps_zero in (False, True):
         remaining = n
         while remaining > 0:
@@ -113,10 +114,11 @@ def _cmd_check_inequality(args) -> int:
             gap = np.abs(nonlinearity.monotonicity_gap(z1, z2, e1, e2))
             bound = nonlinearity.monotonicity_bound(z1, z2, e1, e2)
             slack = 1e-12 * (1.0 + np.abs(z1 - z2) ** 2)
-            margin = float(np.max(gap - bound - slack))
-            worst = max(worst, margin)
+            worst = max(worst, float(np.max(gap - bound - slack)))
+            ratio = max(ratio, float(np.max(gap / (bound + slack))))
     print(f"samples per case : {n}")
     print(f"worst margin     : {worst:.6e} (<= 0 passes)")
+    print(f"worst ratio      : {ratio:.6e} (<= 1 passes)")
     print("verdict          :", "PASS" if worst <= 0.0 else "FAIL")
     return 0 if worst <= 0.0 else 1
 

@@ -44,7 +44,11 @@ class DiagnosticsRecord:
 
 def mass(field: Field) -> float:
     """Cell-volume-weighted sum of |u|^2 (the squared L^2 norm)."""
-    return field.geometry.cell_volume * float(np.sum(np.abs(field.data) ** 2))
+    return _mass(field.geometry, np.abs(field.data))
+
+
+def _mass(geometry: GridGeometry, modulus: np.ndarray) -> float:
+    return geometry.cell_volume * float(np.sum(modulus**2))
 
 
 def _log_potential_density(r: np.ndarray, eps: float) -> np.ndarray:
@@ -91,12 +95,13 @@ def measure(
     kinetic = 4.0 * math.pi**2 * float(np.sum(squared_frequency(geometry) * power))
     if field.geometry.is_dirichlet:
         kinetic /= 2.0  # the extension's integral covers the domain twice
-    density = _log_potential_density(np.abs(field.data), eps)
+    modulus = np.abs(field.data)
+    density = _log_potential_density(modulus, eps)
     potential = field.geometry.cell_volume * float(np.sum(density))
     hs_norms = {s: bessel_norm(geometry, power, s) for s in hs_values}
     gagliardo = {s: _gagliardo_norm(geometry, power, s) for s in gagliardo_values}
-    return DiagnosticsRecord(t, mass(field), kinetic - 2.0 * lam * potential, hs_norms,
-                             gagliardo)
+    return DiagnosticsRecord(t, _mass(field.geometry, modulus), kinetic - 2.0 * lam * potential,
+                             hs_norms, gagliardo)
 
 
 def l2_distance(f: Field, g: Field) -> float:

@@ -149,35 +149,39 @@ def odd_extension(field: Field) -> Field:
             f"boundary samples must vanish: max |u| on the plane is {boundary:.3e}"
         )
     n = geom.points[-1]
-    out = np.zeros(geom.points[:-1] + (2 * n,), dtype=complex)
+    out = np.empty(geom.points[:-1] + (2 * n,), dtype=complex)
     out[..., :n] = field.data
     out[..., n] = 0.0
-    out[..., n + 1 :] = -field.data[..., 1:][..., ::-1]
+    np.negative(field.data[..., :0:-1], out=out[..., n + 1 :])
     return Field(geom.doubled(), out)
 
 
 def restrict_to_half(field: Field) -> Field:
     """Inverse of odd_extension: keep the half grid x_d in [0, L).
 
-    Rejects fields that are not antisymmetric in the last axis.
+    Rejects fields that are not antisymmetric in the last axis: the residual
+    is max_j |u_j + u_{-j}| over the last axis, where plane 0 and plane n pair
+    with themselves and every other plane j in 1..n-1 with plane 2n - j.
     """
     geom = field.geometry
     if not geom.is_periodic:
         raise GeometryError("restrict_to_half requires a periodic geometry")
-    m = geom.points[-1]
-    idx = (-np.arange(m)) % m
-    residual = np.abs(field.data[..., idx] + field.data).max()
-    scale = np.max(np.abs(field.data))
+    data = field.data
+    n = geom.points[-1] // 2
+    residual = np.maximum(
+        2.0 * np.abs(data[..., 0]).max(),
+        np.abs(data[..., 1 : n + 1] + data[..., : n - 1 : -1]).max(),
+    )
+    scale = np.max(np.abs(data))
     if residual > 1e-8 * max(scale, 1e-300):
         raise GeometryError(
             f"field is not antisymmetric in the last axis (residual {residual:.3e})"
         )
-    n = m // 2
     kind = DomainKind.DIRICHLET_INTERVAL if geom.dim == 1 else DomainKind.DIRICHLET_SLAB
     half = GridGeometry(kind, geom.lengths[:-1] + (geom.lengths[-1] / 2.0,), geom.points[:-1] + (n,))
-    data = field.data[..., :n].copy()
-    data[..., 0] = 0.0
-    return Field(half, data)
+    half_data = data[..., :n].copy()
+    half_data[..., 0] = 0.0
+    return Field(half, half_data)
 
 
 @dataclass(frozen=True)

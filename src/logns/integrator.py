@@ -12,12 +12,14 @@ Inside `march`:
   `Field`s are built only at samples.
 - Dirichlet state lives on the doubled periodic grid for the whole run. The
   rotation depends on |u| only, so it keeps the odd symmetry of the
-  extension; the state is restricted to the half grid only when sampled.
+  extension, and its phase is even in the last axis: it is computed on
+  planes 0..n of the 2n and mirrored onto planes n+1..2n-1.
 - The free-flow symbol is cached per (geometry, dt) in `spectral`.
 - Strang's adjacent half-rotations are merged: the running state w satisfies
   u_k = N(dt/2) w_k and advances by w_{k+1} = F(dt) N(dt) w_k. A sample
-  applies the closing half-rotation to a copy, so the state, and hence every
-  result, does not depend on which steps are sampled.
+  applies the closing half-rotation to a copy (on Dirichlet grids, to the
+  restriction of w to the half grid), so the state, and hence every result,
+  does not depend on which steps are sampled.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord, l2_distance, measure
 from .geometry import Field, GeometryError, GridGeometry, odd_extension, restrict_to_half
-from .nonlinearity import rotate
+from .nonlinearity import rotate, rotation_phase
 from .spectral import free_symbol, propagate
 
 __all__ = [
@@ -148,16 +150,30 @@ def march(
     mask_zeros = min(eps) == 0.0
     eps = np.reshape(eps, (-1,) + (1,) * geometry.dim)
     symbol = free_symbol(grid, dt)
-    modulus, phase = np.empty(state.shape), np.empty_like(state)
+    closing = 2.0 * lam * (dt / 2.0)  # coefficient of Strang's closing half-rotation
+    if dirichlet:
+        # |u|, hence the phase, is even in the last axis: it is computed on
+        # planes 0..n, and plane 2n - j takes the phase of plane j
+        n_half = geometry.points[-1]
+        planes, mirrored = state[..., : n_half + 1], state[..., n_half + 1 :]
+        modulus, phase = np.empty(planes.shape), np.empty(planes.shape, dtype=complex)
+        half_modulus, half_phase = np.empty(geometry.points), np.empty(geometry.points, complex)
 
-    def rotate_state(u, tau):
-        rotate(u, 2.0 * lam * tau, eps, modulus, phase, mask_zeros)
+        def rotate_state(tau):
+            rotation_phase(planes, 2.0 * lam * tau, eps, modulus, phase, mask_zeros)
+            np.multiply(planes, phase, out=planes)
+            np.multiply(mirrored, phase[..., n_half - 1 : 0 : -1], out=mirrored)
+    else:
+        modulus, phase = np.empty(state.shape), np.empty_like(state)
+
+        def rotate_state(tau):
+            rotate(state, 2.0 * lam * tau, eps, modulus, phase, mask_zeros)
 
     i = 0
     for target in steps:
         while i < target:
             i += 1
-            rotate_state(state, dt / 2.0 if strang and i == 1 else dt)
+            rotate_state(dt / 2.0 if strang and i == 1 else dt)
             propagate(state, symbol)
             if not np.isfinite(state).all():
                 k = next(k for k, u in enumerate(state) if not np.isfinite(u).all())
@@ -166,12 +182,18 @@ def march(
                     f"non-finite sample at step {i} (t={i * dt:g}) in run {k} of "
                     f"{len(state)}; max finite |u| = {finite_max:g}"
                 )
-        sample = state.copy()
-        if strang and i > 0:
-            rotate_state(sample, dt / 2.0)
         if dirichlet:
-            yield i * dt, [restrict_to_half(Field(grid, u)) for u in sample]
+            # restrict the running state, which checks its antisymmetry, and
+            # rotate only the half grid of each run
+            fields = [restrict_to_half(Field(grid, u)) for u in state]
+            if strang and i > 0:
+                for u, e in zip(fields, eps):
+                    rotate(u.data, closing, e, half_modulus, half_phase, mask_zeros)
+            yield i * dt, fields
         else:
+            sample = state.copy()
+            if strang and i > 0:
+                rotate(sample, closing, eps, modulus, phase, mask_zeros)
             yield i * dt, [Field(geometry, u) for u in sample]
 
 

@@ -45,12 +45,13 @@ def g_eps(z, eps):
     return 2.0 * z * _safe_log(np.abs(z) + eps)
 
 
-def rotate(u, coeff, eps, modulus, phase, mask_zeros=True):
-    """In place u *= exp(i coeff ln(|u| + eps)), the phase flow with coeff = 2 lam dt.
+def rotation_phase(u, coeff, eps, modulus, phase, mask_zeros=True):
+    """phase <- exp(i coeff ln(|u| + eps)), the phase factor of `rotate`.
 
     `modulus` (real) and `phase` (complex) are scratch arrays of u's shape and
     eps is a scalar or broadcasts against u. No check, no allocation beyond
-    the log's mask: where |u| + eps = 0 the phase is 0, as with _safe_log.
+    the log's mask: where |u| + eps = 0 the angle is 0 (the factor 1), as
+    with _safe_log.
     With every eps > 0 no |u| + eps vanishes, so mask_zeros=False skips the
     mask and gives the same result.
     """
@@ -60,6 +61,14 @@ def rotate(u, coeff, eps, modulus, phase, mask_zeros=True):
     modulus *= coeff
     np.cos(modulus, out=phase.real)
     np.sin(modulus, out=phase.imag)
+
+
+def rotate(u, coeff, eps, modulus, phase, mask_zeros=True):
+    """In place u *= exp(i coeff ln(|u| + eps)), the phase flow with coeff = 2 lam dt.
+
+    Arguments as for `rotation_phase`, which fills `phase`.
+    """
+    rotation_phase(u, coeff, eps, modulus, phase, mask_zeros)
     u *= phase
 
 

@@ -85,13 +85,25 @@ def free_propagator(field: Field, dt: float) -> Field:
 def power_spectrum(field: Field) -> np.ndarray:
     """P(n) = V |f^(n)|^2 on the full mode grid; weight w gives sqrt(sum w P)."""
     _require_periodic(field.geometry, "power_spectrum")
-    return field.geometry.volume * np.abs(np.fft.fftn(field.data) / field.data.size) ** 2
+    coeffs = np.fft.fftn(field.data)
+    coeffs /= field.data.size
+    power = np.abs(coeffs)
+    power **= 2
+    power *= field.geometry.volume
+    return power
+
+
+@lru_cache(maxsize=8)
+def bessel_weight(geometry: GridGeometry, s: float) -> np.ndarray:
+    """(1 + 4 pi^2 |n/L|^2)^s on the full mode grid. Cached per (geometry, s), read-only."""
+    weight = (1.0 + 4.0 * math.pi**2 * squared_frequency(geometry)) ** s
+    weight.flags.writeable = False
+    return weight
 
 
 def bessel_norm(geometry: GridGeometry, power: np.ndarray, s: float) -> float:
     """sqrt(sum_n (1 + 4 pi^2 |n/L|^2)^s P(n)) for a power spectrum P on `geometry`."""
-    weight = (1.0 + 4.0 * math.pi**2 * squared_frequency(geometry)) ** s
-    return math.sqrt(float(np.sum(weight * power)))
+    return math.sqrt(float(np.sum(bessel_weight(geometry, s) * power)))
 
 
 def hs_multiplier_norm(field: Field, s: float) -> float:

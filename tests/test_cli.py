@@ -355,6 +355,9 @@ class TestCheckInequality:
         out = capsys.readouterr().out
         worst = float(out.split("worst margin     :")[1].split()[0])
         assert worst < 0.0
+        # the margin of a pass is the slack floor; the ratio shows the bound's use
+        ratio = float(out.split("worst ratio      :")[1].split()[0])
+        assert 0.0 < ratio <= 1.0
         assert "verdict          : PASS" in out
 
     @pytest.mark.parametrize("samples", ["0", "-5"])

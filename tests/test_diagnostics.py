@@ -20,8 +20,9 @@ from logns.diagnostics import (
     measure,
 )
 from logns.geometry import DomainKind, Field, GeometryError, GridGeometry, odd_extension
+from logns.integrator import SimConfig, evolve, march
 from logns.io import write_snapshot
-from logns.spectral import hs_multiplier_norm
+from logns.spectral import bessel_weight, hs_multiplier_norm
 
 
 def torus(n=64):
@@ -107,6 +108,19 @@ class TestL2Distance:
 
 
 class TestHsNorm:
+    @pytest.mark.parametrize("s", [-0.5, 0.25, 1.0])
+    def test_equals_the_literal_sum_2d(self, s):
+        geom = GridGeometry(DomainKind.PERIODIC_BOX, (1.0, 2.0), (8, 4))
+        rng = np.random.default_rng(6)
+        f = Field(geom, rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)))
+        coeffs = np.fft.fftn(f.data) / f.data.size
+        total = 0.0
+        for n0, n1 in np.ndindex(8, 4):
+            k0, k1 = (n0 if n0 < 4 else n0 - 8), (n1 if n1 < 2 else n1 - 4)
+            xi2 = (k0 / 1.0) ** 2 + (k1 / 2.0) ** 2
+            total += (1.0 + 4.0 * math.pi**2 * xi2) ** s * geom.volume * abs(coeffs[n0, n1]) ** 2
+        assert hs_norm(f, s) == pytest.approx(math.sqrt(total), rel=1e-13)
+
     def test_periodic_delegates_to_multiplier_norm(self):
         rng = np.random.default_rng(2)
         f = Field(torus(), rng.standard_normal(64) + 1j * rng.standard_normal(64))
@@ -157,25 +171,30 @@ class TestMeasure:
             measure(slab_field(), 0.0, 1.0, -0.1, ())
 
 
+def count_calls(monkeypatch, *geometry_functions):
+    """Counts forward FFTs and calls of the named `geometry` functions,
+    wherever logns bound the latter."""
+    counts = dict.fromkeys(("fftn", *geometry_functions), 0)
+
+    def counted(key, function):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return function(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.fft, "fftn", counted("fftn", np.fft.fftn))
+    for key in geometry_functions:
+        function = getattr(geometry, key)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("logns") and getattr(module, key, None) is function:
+                monkeypatch.setattr(module, key, counted(key, function))
+    return counts
+
+
 @pytest.fixture
 def transform_counts(monkeypatch):
-    """Counts forward FFTs and odd extensions, wherever logns bound the latter."""
-    counts = {"fftn": 0, "odd_extension": 0}
-    fftn, extend = np.fft.fftn, geometry.odd_extension
-
-    def counted_fftn(*args, **kwargs):
-        counts["fftn"] += 1
-        return fftn(*args, **kwargs)
-
-    def counted_extension(field):
-        counts["odd_extension"] += 1
-        return extend(field)
-
-    monkeypatch.setattr(np.fft, "fftn", counted_fftn)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("logns") and getattr(module, "odd_extension", None) is extend:
-            monkeypatch.setattr(module, "odd_extension", counted_extension)
-    return counts
+    """Counts forward FFTs and odd extensions."""
+    return count_calls(monkeypatch, "odd_extension")
 
 
 class TestTransformCounts:
@@ -201,6 +220,29 @@ class TestTransformCounts:
         assert main(argv) == 0
         assert transform_counts == {"fftn": 1, "odd_extension": 1}
         assert capsys.readouterr().out.count("gagliardo") == 4
+
+    def test_a_record_restricts_extends_and_transforms_once_per_run(self, monkeypatch):
+        f = slab_field()
+        cfg = SimConfig(lam=1.0, eps=1e-3, dt=1e-3, t_final=0.02, geometry=f.geometry,
+                        record_every=2, hs_values=(0.25, 0.5))
+        evolve(f, cfg)  # builds and caches the symbol and the weights
+        counts = count_calls(monkeypatch, "odd_extension", "restrict_to_half")
+        n = len(evolve(f, cfg).records)
+        assert n == 11
+        # the datum is extended once per march; then each record restricts the
+        # running state and extends the half for its one FFT
+        assert counts == {"fftn": n, "odd_extension": n + 1, "restrict_to_half": n}
+        counts.update(fftn=0, odd_extension=0, restrict_to_half=0)
+        assert len(list(march([f, f], cfg, cfg.record_steps))) == n
+        assert counts == {"fftn": 0, "odd_extension": 2, "restrict_to_half": 2 * n}
+
+    def test_bessel_weight_is_cached_read_only(self):
+        geom = slab_field().geometry.doubled()
+        weight = bessel_weight(geom, 0.5)
+        assert bessel_weight(geom, 0.5) is weight
+        assert not weight.flags.writeable
+        with pytest.raises(ValueError):
+            weight[0, 0] = 0.0
 
     @pytest.mark.parametrize("s", [0.0, 1.0])
     def test_measure_rejects_gagliardo_s_outside_open_interval(self, s):

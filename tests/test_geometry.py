@@ -1,6 +1,7 @@
 """Grid geometry, odd extension, and symmetry transforms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,47 @@ class TestOddExtension:
         f = Field(geom, data)
         back = restrict_to_half(odd_extension(f))
         assert np.array_equal(back.data, f.data)
+
+
+RESTRICT_GEOMETRIES = {
+    "interval": GridGeometry(DomainKind.DIRICHLET_INTERVAL, (1.0,), (16,)),
+    "slab": GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 0.5), (4, 8)),
+}
+
+
+class TestRestrictResidual:
+    """restrict_to_half's residual is max_j |u_j + u_{-j}| over the last axis."""
+
+    def odd_field(self, geom, seed=0):
+        rng = np.random.default_rng(seed)
+        half = rng.standard_normal(geom.points) + 1j * rng.standard_normal(geom.points)
+        half[..., 0] = 0.0
+        return odd_extension(Field(geom, half))
+
+    @pytest.mark.parametrize("plane", ["0", "n", "j", "2n-j"])
+    @pytest.mark.parametrize("name", list(RESTRICT_GEOMETRIES))
+    def test_one_defect_is_rejected(self, name, plane):
+        geom = RESTRICT_GEOMETRIES[name]
+        ext = self.odd_field(geom)
+        assert np.array_equal(restrict_to_half(ext).data, ext.data[..., : geom.points[-1]])
+        n = geom.points[-1]
+        index = {"0": 0, "n": n, "j": 3, "2n-j": 2 * n - 3}[plane]
+        data = ext.data.copy()
+        data[(0,) * (geom.dim - 1) + (index,)] += 1e-6  # one sample, one plane
+        # planes 0 and n pair with themselves, so their defect counts twice
+        residual = "2.000e-06" if plane in ("0", "n") else "1.000e-06"
+        with pytest.raises(GeometryError, match=rf"not antisymmetric .*residual {residual}"):
+            restrict_to_half(Field(ext.geometry, data))
+
+    @pytest.mark.parametrize("points", [(8,), (4, 16), (4, 4, 8)])
+    def test_residual_equals_the_gathered_form(self, points):
+        geom = GridGeometry(DomainKind.PERIODIC_BOX, (1.0,) * len(points), points)
+        rng = np.random.default_rng(len(points))
+        data = rng.standard_normal(points) + 1j * rng.standard_normal(points)
+        m = points[-1]
+        expected = np.abs(data[..., (-np.arange(m)) % m] + data).max()
+        with pytest.raises(GeometryError, match=re.escape(f"residual {expected:.3e}")):
+            restrict_to_half(Field(geom, data))
 
 
 class TestGalileanBoost:

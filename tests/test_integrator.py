@@ -239,16 +239,27 @@ def per_step_dirichlet_reference(datum, cfg):
         yield u
 
 
+DIRICHLET_GEOMETRIES = {
+    "interval": interval(128),
+    "slab": GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 2.0), (16, 32)),
+    "slab3d": GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 1.0, 1.0), (16, 8, 16)),
+}
+
+
 class TestDirichletOnDoubledGrid:
-    @pytest.mark.parametrize("splitting", ["lie", "strang"])
+    """The half-grid phase and the restricted closing rotation against the
+    per-step odd-extend, propagate and restrict reference, in every dimension;
+    eps = 0 takes the masked log."""
+
     @pytest.mark.parametrize(
-        "geom",
-        [interval(128), GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 2.0), (16, 32))],
-        ids=["interval", "slab"],
+        "geom, splitting, eps",
+        [pytest.param(geom, splitting, eps, id=f"{name}-{splitting}{'-eps0' if eps == 0 else ''}")
+         for name, geom in DIRICHLET_GEOMETRIES.items()
+         for eps in (1e-3, 0.0) for splitting in ("lie", "strang")],
     )
-    def test_matches_per_step_reference(self, geom, splitting):
+    def test_matches_per_step_reference(self, geom, splitting, eps):
         datum = dirichlet_datum(geom)
-        cfg = config(geom, splitting=splitting, dt=1e-3, t_final=0.1, lam=-1.0, eps=1e-3)
+        cfg = config(geom, splitting=splitting, dt=1e-3, t_final=0.1, lam=-1.0, eps=eps)
         scale = math.sqrt(mass(datum))
         for (t, [u]), ref in zip(march([datum], cfg, range(cfg.n_steps + 1)),
                                per_step_dirichlet_reference(datum, cfg)):
