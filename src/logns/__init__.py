@@ -35,6 +35,7 @@ from .integrator import (
     evolve_pair,
     final_state,
     march,
+    samples,
     step,
 )
 from .spectral import (

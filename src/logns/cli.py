@@ -19,7 +19,7 @@ from . import nonlinearity
 from .diagnostics import measure
 from .data import make_datum
 from .experiments import EXPERIMENTS, ExperimentReport
-from .integrator import IntegrationError, SimConfig, evolve
+from .integrator import IntegrationError, SimConfig, samples
 from .io import (
     ConfigDocument,
     ConfigError,
@@ -53,17 +53,32 @@ def _report_json(report: ExperimentReport) -> dict:
 
 
 def _cmd_simulate(args) -> int:
+    """Write each snapshot as it is sampled and the CSV once, also when the run
+    fails: memory does not grow with the snapshot count, and a failed run
+    keeps what it sampled before the failure."""
     doc = load_config(args.config)
     config = _sim_config(doc)
     datum = make_datum(doc.datum, config.geometry)
-    traj = evolve(datum, config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_timeseries(traj.records, out_dir / "timeseries.csv")
-    for i, (t, field) in enumerate(traj.snapshots):
-        write_snapshot(field, t, out_dir / f"snapshot_{i:06d}.bin")
-    print(f"wrote {out_dir / 'timeseries.csv'} ({len(traj.records)} records, "
-          f"{len(traj.snapshots)} snapshots)")
+    csv = out_dir / "timeseries.csv"
+    records, n_snapshots, t = [], 0, None
+    try:
+        for t, record, snapshot in samples(datum, config):
+            if record is not None:
+                records.append(record)
+            if snapshot is not None:
+                write_snapshot(snapshot, t, out_dir / f"snapshot_{n_snapshots:06d}.bin")
+                n_snapshots += 1
+    except (ValueError, IntegrationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        last = "" if t is None else f", last sample at t={t:g}"
+        print(f"kept {csv} ({len(records)} records, {n_snapshots} snapshots{last})",
+              file=sys.stderr)
+        return 2
+    finally:
+        write_timeseries(records, csv)
+    print(f"wrote {csv} ({len(records)} records, {n_snapshots} snapshots)")
     return 0
 
 

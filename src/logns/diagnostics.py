@@ -57,13 +57,27 @@ def _log_potential_density(r: np.ndarray, eps: float) -> np.ndarray:
     At eps = 0 this is r^2 ln r - r^2 / 2, so -2 lam F(|u|) reduces to the
     unregularized potential -lam |u|^2 (ln |u|^2 - 1).
     """
-    out = np.zeros_like(r)
     if eps == 0.0:
+        out = np.zeros_like(r)
         pos = r > 0.0
         rp = r[pos]
         out[pos] = rp * rp * (np.log(rp) - 0.5)
         return out
-    return (r * r - eps * eps) * np.log(r + eps) - 0.5 * r * r + eps * r + eps * eps * math.log(eps)
+    # (r r - eps eps) ln(r + eps) - 0.5 r r + eps r + eps eps ln(eps) through
+    # two buffers, term by term in the expression's order, so the result is
+    # bitwise that of evaluating it with temporaries
+    out = np.multiply(r, r)
+    out -= eps * eps
+    tmp = np.add(r, eps)
+    np.log(tmp, out=tmp)
+    out *= tmp
+    np.multiply(0.5, r, out=tmp)
+    tmp *= r
+    out -= tmp
+    np.multiply(eps, r, out=tmp)
+    out += tmp
+    out += eps * eps * math.log(eps)
+    return out
 
 
 def _spectrum(field: Field) -> tuple[GridGeometry, np.ndarray]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -97,8 +98,12 @@ class GridGeometry:
         """Broadcastable coordinate arrays, one per axis."""
         return list(np.ix_(*[self.axis_coordinates(i) for i in range(self.dim)]))
 
+    @lru_cache(maxsize=8)
     def doubled(self) -> "GridGeometry":
-        """Periodic box covering the odd extension (last axis doubled)."""
+        """Periodic box covering the odd extension (last axis doubled).
+
+        Cached per geometry, so a run's records build no geometry.
+        """
         if not self.is_dirichlet:
             raise GeometryError("doubled() applies to Dirichlet geometries only")
         lengths = self.lengths[:-1] + (2.0 * self.lengths[-1],)
@@ -177,11 +182,17 @@ def restrict_to_half(field: Field) -> Field:
         raise GeometryError(
             f"field is not antisymmetric in the last axis (residual {residual:.3e})"
         )
-    kind = DomainKind.DIRICHLET_INTERVAL if geom.dim == 1 else DomainKind.DIRICHLET_SLAB
-    half = GridGeometry(kind, geom.lengths[:-1] + (geom.lengths[-1] / 2.0,), geom.points[:-1] + (n,))
     half_data = data[..., :n].copy()
     half_data[..., 0] = 0.0
-    return Field(half, half_data)
+    return Field(_half(geom), half_data)
+
+
+@lru_cache(maxsize=8)
+def _half(geometry: GridGeometry) -> GridGeometry:
+    """The Dirichlet geometry whose doubled() is `geometry`. Cached per geometry."""
+    kind = DomainKind.DIRICHLET_INTERVAL if geometry.dim == 1 else DomainKind.DIRICHLET_SLAB
+    lengths = geometry.lengths[:-1] + (geometry.lengths[-1] / 2.0,)
+    return GridGeometry(kind, lengths, geometry.points[:-1] + (geometry.points[-1] // 2,))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Both substeps are exactly solvable: the free flow by Fourier symbol and the
 nonlinearity by a modulus-preserving phase rotation, so every step conserves
 mass to roundoff. `march` is the only loop that advances the splitting; every
-other entry point consumes the (t, fields) samples it yields.
+other entry point consumes the (t, fields) samples it yields. `samples` turns
+one run's samples into records and snapshots; `evolve` keeps them all, while
+`logns simulate` writes each snapshot as it arrives.
 
 Inside `march`:
 - The state is one complex array of shape (B, *points) holding B runs of one
@@ -41,6 +43,7 @@ __all__ = [
     "IntegrationError",
     "march",
     "step",
+    "samples",
     "evolve",
     "evolve_pair",
     "eps_continuation",
@@ -208,22 +211,35 @@ def step(field: Field, config: SimConfig) -> Field:
     return final_state(field, replace(config, t_final=config.dt, record_every=1))
 
 
-def evolve(datum: Field, config: SimConfig) -> Trajectory:
-    """Iterate the splitting to t_final, recording diagnostics on the schedule.
+def samples(
+    datum: Field, config: SimConfig,
+) -> Iterator[tuple[float, DiagnosticsRecord | None, Field | None]]:
+    """Run `datum` under `config`, yielding (t, record, snapshot) at each step
+    that takes a record or a snapshot.
 
     Records are taken on `config.record_steps`; snapshots, if snapshot_every
-    is set, at every snapshot_every-th step and the final step. Deterministic
-    given (datum, config).
+    is set, at every snapshot_every-th step and the final step. The other
+    entry is None. Nothing is collected, so memory grows with the number of
+    samples only if the consumer keeps them. Deterministic given
+    (datum, config).
     """
     records = set(config.record_steps)
     snapshots = set(_strided(config.snapshot_every, config.n_steps))
     steps = sorted(records | snapshots)
-    traj = Trajectory(config)
     for i, (t, [u]) in zip(steps, march([datum], config, steps)):
-        if i in records:
-            traj.records.append(measure(u, t, config.lam, config.eps, config.hs_values))
-        if i in snapshots:
-            traj.snapshots.append((t, u))
+        record = measure(u, t, config.lam, config.eps, config.hs_values) if i in records else None
+        yield t, record, u if i in snapshots else None
+
+
+def evolve(datum: Field, config: SimConfig) -> Trajectory:
+    """Iterate the splitting to t_final, keeping every record and snapshot of
+    `samples` in a Trajectory."""
+    traj = Trajectory(config)
+    for t, record, snapshot in samples(datum, config):
+        if record is not None:
+            traj.records.append(record)
+        if snapshot is not None:
+            traj.snapshots.append((t, snapshot))
     return traj
 
 

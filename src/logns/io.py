@@ -356,7 +356,10 @@ def read_timeseries(source: str | Path) -> list[DiagnosticsRecord]:
 
 
 def write_snapshot(field: Field, time: float, destination: str | Path) -> None:
-    """Fixed little-endian binary snapshot; layout documented in the README."""
+    """Fixed little-endian binary snapshot; layout documented in the README.
+
+    The header is written first, then the samples straight from the array.
+    """
     geom = field.geometry
     d = geom.dim
     header = SNAPSHOT_MAGIC
@@ -365,8 +368,10 @@ def write_snapshot(field: Field, time: float, destination: str | Path) -> None:
     header += struct.pack(f"<{d}I", *geom.points)
     header += struct.pack(f"<{d}d", *geom.lengths)
     header += struct.pack("<d", time)
-    payload = np.ascontiguousarray(field.data, dtype="<c16").tobytes()
-    Path(destination).write_bytes(header + payload)
+    payload = np.ascontiguousarray(field.data, dtype="<c16")
+    with open(destination, "wb") as f:
+        f.write(header)
+        f.write(memoryview(payload))  # no copy of the samples
 
 
 def read_snapshot(source: str | Path) -> tuple[Field, float]:

@@ -1,8 +1,10 @@
 """End-to-end command-line behavior and exit codes."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from logns import experiments
@@ -62,6 +64,49 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite sample at step 1")
         assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_run_keeps_what_it_sampled(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM, sim_extra=', "snapshot_every": 1')
+        cfg.write_text(cfg.read_text().replace('"lambda": 1.0', '"lambda": 1e308'))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: non-finite sample at step 1")
+        assert err[1:] == [f"kept {out / 'timeseries.csv'} (1 records, 1 snapshots, "
+                           "last sample at t=0)"]
+        [record] = read_timeseries(out / "timeseries.csv")
+        assert record.time == 0.0
+        field, t = read_snapshot(out / "snapshot_000000.bin")
+        assert t == 0.0
+        assert np.array_equal(field.data, make_datum(DatumSpec(kind="gaussian_bump", width=0.25),
+                                                     field.geometry).data)
+        assert sorted(p.name for p in out.iterdir()) == ["snapshot_000000.bin", "timeseries.csv"]
+
+    def test_memory_is_flat_in_the_snapshot_count(self, tmp_path):
+        """Each snapshot is written as it is sampled, so a run with a snapshot
+        every step peaks where the same run with two snapshots does."""
+        field_bytes = 16 * 64 * 64
+
+        def peak(snapshot_every):
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps({
+                "geometry": {"kind": "torus", "points": [64, 64]},
+                "sim": {"lambda": 1.0, "eps": 1e-3, "dt": 1e-3, "t_final": 0.02,
+                        "hs_values": [0.5], "snapshot_every": snapshot_every},
+                "datum": {"kind": "random_band_limited", "cutoff": 8.0},
+            }))
+            argv = ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # builds and caches the symbol and the weight
+        every_step, two = peak(1), peak(20)
+        assert abs(every_step - two) < 3 * field_bytes, (every_step, two)
 
     def test_invalid_config_reports_every_error(self, tmp_path, capsys):
         path = tmp_path / "config.json"

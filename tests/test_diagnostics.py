@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from logns import geometry
+from logns import diagnostics, geometry
 from logns.cli import main
 from logns.data import DatumSpec, make_datum
 from logns.diagnostics import (
@@ -68,6 +68,13 @@ class TestEnergy:
         quad = float(np.sum(2.0 * s * np.log(s + eps))) * (r / 200000)
         e = energy(constant_field(torus(), r), lam, eps)
         assert e == pytest.approx(-2.0 * lam * quad, rel=1e-8)
+
+    @pytest.mark.parametrize("eps", [1e-3, 0.05, 2.0])
+    def test_potential_density_is_bitwise_the_closed_form(self, eps):
+        r = np.abs(np.random.default_rng(4).standard_normal(4096)) * 3.0
+        reference = (r * r - eps * eps) * np.log(r + eps) - 0.5 * r * r + eps * r \
+            + eps * eps * math.log(eps)
+        assert np.array_equal(diagnostics._log_potential_density(r, eps), reference)
 
     def test_plane_wave_kinetic_term(self):
         geom = torus()
@@ -235,6 +242,28 @@ class TestTransformCounts:
         counts.update(fftn=0, odd_extension=0, restrict_to_half=0)
         assert len(list(march([f, f], cfg, cfg.record_steps))) == n
         assert counts == {"fftn": 0, "odd_extension": 2, "restrict_to_half": 2 * n}
+
+    def test_records_build_no_geometry(self, monkeypatch):
+        """The doubled and half geometries are built once per parent geometry,
+        not once per record."""
+        f = slab_field()
+        cfg = SimConfig(lam=1.0, eps=1e-3, dt=1e-3, t_final=0.02, geometry=f.geometry,
+                        hs_values=(0.25, 0.5))
+        GridGeometry.doubled.cache_clear()
+        geometry._half.cache_clear()
+        built = []
+        post_init = GridGeometry.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(GridGeometry, "__post_init__", counted)
+        assert len(evolve(f, cfg).records) == 21
+        assert built == [f.geometry.doubled(), f.geometry]
+        built.clear()
+        evolve(f, cfg)
+        assert built == []
 
     def test_bessel_weight_is_cached_read_only(self):
         geom = slab_field().geometry.doubled()

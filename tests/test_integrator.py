@@ -26,6 +26,7 @@ from logns.integrator import (
     evolve_pair,
     final_state,
     march,
+    samples,
     step,
 )
 from logns.spectral import free_propagator
@@ -127,6 +128,14 @@ class TestEvolve:
     def test_snapshot_schedule(self):
         traj = evolve(random_field(torus(32)), config(torus(32), snapshot_every=5))
         assert [t for t, _ in traj.snapshots] == [0.0, 0.05, 0.1]
+
+    def test_samples_take_records_and_snapshots_on_their_own_schedules(self):
+        f = random_field(torus(32))
+        cfg = config(torus(32), record_every=3, snapshot_every=5)
+        taken = [(round(t, 12), record is not None, snapshot is not None)
+                 for t, record, snapshot in samples(f, cfg)]
+        assert taken == [(0.0, True, True), (0.03, True, False), (0.05, False, True),
+                         (0.06, True, False), (0.09, True, False), (0.1, True, True)]
 
     def test_no_snapshots_by_default(self):
         traj = evolve(random_field(torus(32)), config(torus(32)))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -302,6 +303,13 @@ class TestSnapshots:
         assert t == 0.375
         assert back.geometry == f.geometry
         assert np.array_equal(back.data, f.data)
+
+    def test_bytes_follow_the_documented_layout(self, tmp_path):
+        f = sample_field(DomainKind.PERIODIC_BOX)
+        path = tmp_path / "snap.bin"
+        write_snapshot(f, 0.25, path)
+        header = b"LOGNSFLD" + struct.pack("<IIIIIddd", 1, 1, 2, 8, 16, 2.0, 0.5, 0.25)
+        assert path.read_bytes() == header + f.data.astype("<c16").tobytes()
 
     def test_magic_bytes(self, tmp_path):
         path = tmp_path / "snap.bin"
