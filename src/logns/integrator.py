@@ -54,7 +54,17 @@ _MAX_STEPS = 10**8
 
 
 class IntegrationError(RuntimeError):
-    """Raised when a run produces non-finite samples or an invalid schedule."""
+    """Raised when a run produces non-finite samples.
+
+    `step`, `time` and `run` locate the failure: the step index, its time and
+    the index of the failing run in the batch. All three are None when the
+    datum itself is non-finite.
+    """
+
+    def __init__(self, message: str, step: int | None = None, time: float | None = None,
+                 run: int | None = None):
+        super().__init__(message)
+        self.step, self.time, self.run = step, time, run
 
 
 @dataclass(frozen=True)
@@ -183,7 +193,8 @@ def march(
                 finite_max = float(np.max(np.abs(np.nan_to_num(state[k]))))
                 raise IntegrationError(
                     f"non-finite sample at step {i} (t={i * dt:g}) in run {k} of "
-                    f"{len(state)}; max finite |u| = {finite_max:g}"
+                    f"{len(state)}; max finite |u| = {finite_max:g}",
+                    step=i, time=i * dt, run=k,
                 )
         if dirichlet:
             # restrict the running state, which checks its antisymmetry, and

@@ -13,6 +13,7 @@ are little-endian fixed binary, magic "LOGNSFLD".
 from __future__ import annotations
 
 import json
+import os
 import struct
 import sys
 from collections.abc import Callable
@@ -375,33 +376,44 @@ def write_snapshot(field: Field, time: float, destination: str | Path) -> None:
 
 
 def read_snapshot(source: str | Path) -> tuple[Field, float]:
-    blob = Path(source).read_bytes()
-    if len(blob) < 8 or blob[:8] != SNAPSHOT_MAGIC:
-        raise SnapshotFormatError(f"{source}: bad magic")
-    offset = 8
-    try:
-        version, kind_tag = struct.unpack_from("<II", blob, offset)
-        offset += 8
-        if version != SNAPSHOT_VERSION:
-            raise SnapshotFormatError(f"{source}: unsupported version {version}")
-        if kind_tag not in _TAG_KINDS:
-            raise SnapshotFormatError(f"{source}: unknown geometry tag {kind_tag}")
-        (d,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        points = struct.unpack_from(f"<{d}I", blob, offset)
-        offset += 4 * d
-        lengths = struct.unpack_from(f"<{d}d", blob, offset)
-        offset += 8 * d
-        (time,) = struct.unpack_from("<d", blob, offset)
-        offset += 8
-    except struct.error as exc:
-        raise SnapshotFormatError(f"{source}: truncated header") from exc
-    count = int(np.prod(points))
-    expected = 16 * count
-    if len(blob) - offset != expected:
-        raise SnapshotFormatError(
-            f"{source}: payload is {len(blob) - offset} bytes, expected {expected}"
-        )
-    data = np.frombuffer(blob, dtype="<c16", count=count, offset=offset).reshape(points)
+    """Inverse of write_snapshot.
+
+    The header is parsed from the file's leading bytes and the payload length
+    checked against the file size; the samples are then read straight into
+    the returned array, so the file is never held a second time.
+    """
+    with open(source, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        blob = f.read(20)  # magic, version, geometry tag, dimension
+        if len(blob) < 8 or blob[:8] != SNAPSHOT_MAGIC:
+            raise SnapshotFormatError(f"{source}: bad magic")
+        offset = 8
+        try:
+            version, kind_tag = struct.unpack_from("<II", blob, offset)
+            offset += 8
+            if version != SNAPSHOT_VERSION:
+                raise SnapshotFormatError(f"{source}: unsupported version {version}")
+            if kind_tag not in _TAG_KINDS:
+                raise SnapshotFormatError(f"{source}: unknown geometry tag {kind_tag}")
+            (d,) = struct.unpack_from("<I", blob, offset)
+            offset += 4
+            blob += f.read(min(12 * d + 8, size - offset))  # points, lengths, time
+            points = struct.unpack_from(f"<{d}I", blob, offset)
+            offset += 4 * d
+            lengths = struct.unpack_from(f"<{d}d", blob, offset)
+            offset += 8 * d
+            (time,) = struct.unpack_from("<d", blob, offset)
+            offset += 8
+        except struct.error as exc:
+            raise SnapshotFormatError(f"{source}: truncated header") from exc
+        expected = 16 * int(np.prod(points))
+        if size - offset != expected:
+            raise SnapshotFormatError(
+                f"{source}: payload is {size - offset} bytes, expected {expected}"
+            )
+        data = np.empty(points, dtype="<c16")
+        read = f.readinto(data)
+    if read != expected:  # the file changed after its size was taken
+        raise SnapshotFormatError(f"{source}: payload is {read} bytes, expected {expected}")
     geometry = GridGeometry(_TAG_KINDS[kind_tag], lengths, points)
-    return Field(geometry, data.copy()), time
+    return Field(geometry, data), time

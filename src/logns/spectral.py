@@ -83,11 +83,18 @@ def free_propagator(field: Field, dt: float) -> Field:
 
 
 def power_spectrum(field: Field) -> np.ndarray:
-    """P(n) = V |f^(n)|^2 on the full mode grid; weight w gives sqrt(sum w P)."""
+    """P(n) = V |f^(n)|^2 on the full mode grid; weight w gives sqrt(sum w P).
+
+    One FFT into one complex buffer, normalised in real arithmetic: every axis
+    length is a power of two, so |c| * (1 / size) is exactly |c / size| and P is
+    bitwise V |fftn(u) / size|^2. The buffer is released before squaring, so
+    the peak is one field plus P.
+    """
     _require_periodic(field.geometry, "power_spectrum")
-    coeffs = np.fft.fftn(field.data)
-    coeffs /= field.data.size
+    coeffs = np.fft.fftn(field.data, out=np.empty_like(field.data))
     power = np.abs(coeffs)
+    del coeffs
+    power *= 1.0 / field.data.size
     power **= 2
     power *= field.geometry.volume
     return power

@@ -1,7 +1,6 @@
 """End-to-end command-line behavior and exit codes."""
 
 import json
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +82,7 @@ class TestSimulate:
                                                      field.geometry).data)
         assert sorted(p.name for p in out.iterdir()) == ["snapshot_000000.bin", "timeseries.csv"]
 
-    def test_memory_is_flat_in_the_snapshot_count(self, tmp_path):
+    def test_memory_is_flat_in_the_snapshot_count(self, tmp_path, peak_traced_bytes):
         """Each snapshot is written as it is sampled, so a run with a snapshot
         every step peaks where the same run with two snapshots does."""
         field_bytes = 16 * 64 * 64
@@ -97,16 +96,22 @@ class TestSimulate:
                 "datum": {"kind": "random_band_limited", "cutoff": 8.0},
             }))
             argv = ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
-            tracemalloc.start()
-            try:
-                assert main(argv) == 0
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            code, peak = peak_traced_bytes(main, argv)
+            assert code == 0
+            return peak
 
         peak(1)  # builds and caches the symbol and the weight
         every_step, two = peak(1), peak(20)
         assert abs(every_step - two) < 3 * field_bytes, (every_step, two)
+
+    def test_out_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM)
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert "Traceback" not in err
 
     def test_invalid_config_reports_every_error(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -388,6 +393,39 @@ class TestNorms:
         )
         assert code == 2
         assert "magic" in capsys.readouterr().err
+
+    def test_snapshot_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        argv = ["norms", "--snapshot", str(tmp_path), "--s", "0.5", "--lambda", "1", "--eps", "0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(tmp_path) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind, points, cutoff, s, expected", [
+        (DomainKind.TORUS, (256, 256), 32.0, "1", [
+            "time   : 0.125",
+            "mass   : 0.99999999999999989",
+            "energy : 20197.253233847539",
+            "H^1  : multiplier 142.11853430920669",
+        ]),
+        (DomainKind.DIRICHLET_SLAB, (64, 64), 16.0, "0.25,0.5", [
+            "time   : 0.125",
+            "mass   : 0.24289371899753465",
+            "energy : 743.81504519932923",
+            "H^0.25  : multiplier 1.8417522232699843  gagliardo 8.0476379233978736",
+            "H^0.5  : multiplier 4.9877615212272737  gagliardo 16.097523060004104",
+        ]),
+    ], ids=["torus256", "slab64"])
+    def test_stdout_is_pinned(self, tmp_path, capsys, kind, points, cutoff, s, expected):
+        """Every printed digit, as computed before the spectrum was normalised
+        in real arithmetic and snapshots were read in place."""
+        geom = GridGeometry(kind, (1.0, 1.0), points)
+        field = make_datum(DatumSpec(kind="random_band_limited", cutoff=cutoff, seed=0), geom)
+        write_snapshot(field, 0.125, tmp_path / "snap.bin")
+        argv = ["norms", "--snapshot", str(tmp_path / "snap.bin"), "--s", s,
+                "--lambda", "1.0", "--eps", "0.001"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == expected
 
 
 class TestCheckInequality:

@@ -177,6 +177,14 @@ class TestMeasure:
         with pytest.raises(ValueError):
             measure(slab_field(), 0.0, 1.0, -0.1, ())
 
+    def test_peaks_at_two_field_sizes(self, peak_traced_bytes):
+        # one complex FFT buffer, released before the power spectrum is squared
+        geom = GridGeometry(DomainKind.TORUS, (1.0, 1.0), (256, 256))
+        f = make_datum(DatumSpec(kind="random_band_limited", cutoff=32.0, seed=0), geom)
+        measure(f, 0.0, 1.0, 1e-3, (1.0,))  # builds the cached weights
+        _, peak = peak_traced_bytes(measure, f, 0.0, 1.0, 1e-3, (1.0,))
+        assert peak <= 2 * 16 * 256 * 256 + 64 * 1024, peak
+
 
 def count_calls(monkeypatch, *geometry_functions):
     """Counts forward FFTs and calls of the named `geometry` functions,

@@ -1,7 +1,6 @@
 """Splitting scheme mechanics: substeps, schedules, conservation, errors."""
 
 import math
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -150,15 +149,17 @@ class TestEvolve:
     def test_rejects_non_finite_datum(self):
         data = np.ones(64, dtype=complex)
         data[5] = np.nan
-        with pytest.raises(IntegrationError):
+        with pytest.raises(IntegrationError) as info:
             evolve(Field(torus(), data), config())
+        assert (info.value.step, info.value.time, info.value.run) == (None, None, None)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_abort_names_the_step(self):
         data = np.ones(64, dtype=complex)
         data[3] = 1e308  # overflows inside the first squared-modulus evaluation
-        with pytest.raises(IntegrationError, match="step 1"):
+        with pytest.raises(IntegrationError, match="step 1") as info:
             evolve(Field(torus(), data), config())
+        assert (info.value.step, info.value.time, info.value.run) == (1, config().dt, 0)
 
     def test_tracked_hs_norms_recorded(self):
         traj = evolve(random_field(torus(32)), config(torus(32), hs_values=(0.25, 0.5)))
@@ -318,8 +319,9 @@ class TestBatchedMarch:
         good = random_field(torus(), seed=1)
         data = np.ones(64, dtype=complex)
         data[3] = 1e308
-        with pytest.raises(IntegrationError, match=r"step 1 .*run 1 of 2"):
+        with pytest.raises(IntegrationError, match=r"step 1 .*run 1 of 2") as info:
             list(march([good, Field(torus(), data)], config(), [10]))
+        assert (info.value.step, info.value.time, info.value.run) == (1, config().dt, 1)
 
     @pytest.mark.parametrize("eps", [[0.1], [0.1, -1.0], [0.1, float("nan")]])
     def test_rejects_bad_member_eps(self, eps):
@@ -358,16 +360,11 @@ class TestEpsContinuation:
         assert [pair for pair, _ in out] == [(0.25, 0.125), (0.125, 0.0625)]
         assert all(d >= 0.0 for _, d in out)
 
-    def test_streams_without_holding_samples(self):
+    def test_streams_without_holding_samples(self, peak_traced_bytes):
         # 11 runs x 101 samples of a 64^2 field would hold 72 MB if kept
         geom = GridGeometry(DomainKind.TORUS, (1.0, 1.0), (64, 64))
         f = make_datum(DatumSpec(kind="gaussian_bump", width=0.1), geom)
         cfg = SimConfig(lam=1.0, eps=1e-2, dt=1e-3, t_final=0.1, geometry=geom)
-        tracemalloc.start()
-        try:
-            out = eps_continuation(f, cfg, [2.0**-k for k in range(2, 13)])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, peak = peak_traced_bytes(eps_continuation, f, cfg, [2.0**-k for k in range(2, 13)])
         assert len(out) == 10
         assert peak < 10 * 2**20

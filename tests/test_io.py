@@ -336,6 +336,41 @@ class TestSnapshots:
         with pytest.raises(SnapshotFormatError, match="payload"):
             read_snapshot(path)
 
+    def test_extra_trailing_sample(self, tmp_path):
+        path = tmp_path / "snap.bin"
+        write_snapshot(sample_field(), 0.0, path)
+        path.write_bytes(path.read_bytes() + bytes(16))
+        with pytest.raises(SnapshotFormatError, match="payload is 272 bytes, expected 256"):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("keep", [22, 30, 39])  # in the points, lengths, time
+    def test_header_cut_after_the_dimension(self, tmp_path, keep):
+        path = tmp_path / "snap.bin"
+        write_snapshot(sample_field(), 0.0, path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(SnapshotFormatError, match="truncated header"):
+            read_snapshot(path)
+
+    def test_huge_dimension_is_a_truncated_header(self, tmp_path):
+        path = tmp_path / "snap.bin"
+        path.write_bytes(b"LOGNSFLD" + struct.pack("<III", 1, 0, 2**31) + bytes(32))
+        with pytest.raises(SnapshotFormatError, match="truncated header"):
+            read_snapshot(path)
+
+    def test_reads_into_one_owned_array(self, tmp_path, peak_traced_bytes):
+        geom = GridGeometry(DomainKind.TORUS, (1.0, 1.0), (256, 256))
+        field_bytes = 16 * 256 * 256
+        rng = np.random.default_rng(4)
+        f = Field(geom, rng.standard_normal(geom.points) + 1j * rng.standard_normal(geom.points))
+        path = tmp_path / "snap.bin"
+        write_snapshot(f, 0.5, path)
+        read_snapshot(path)  # warm
+        (back, t), peak = peak_traced_bytes(read_snapshot, path)
+        assert peak <= field_bytes + 64 * 1024, peak
+        assert t == 0.5 and np.array_equal(back.data, f.data)
+        flags = back.data.flags
+        assert flags.owndata and flags.writeable and flags.c_contiguous
+
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "snap.bin"
         write_snapshot(sample_field(), 0.0, path)

@@ -122,6 +122,21 @@ class TestMultiplierNorm:
         m = geom.cell_volume * float(np.sum(np.abs(f.data) ** 2))
         assert float(np.sum(power_spectrum(f))) == pytest.approx(m, rel=1e-13)
 
+    @pytest.mark.parametrize("geom", [
+        GridGeometry(DomainKind.TORUS, (1.0, 1.0), (256, 256)),
+        GridGeometry(DomainKind.PERIODIC_BOX, (1.0, 0.5), (32, 16)),
+        GridGeometry(DomainKind.PERIODIC_BOX, (3.7, 1.3), (64, 32)),
+        GridGeometry(DomainKind.TORUS, (1.0, 1.0, 1.0), (16, 16, 16)),
+        GridGeometry(DomainKind.TORUS, (1.0,), (4096,)),
+        GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 1.0), (64, 64)).doubled(),
+    ], ids=["torus256", "box32x16", "box64x32", "torus16cubed", "torus4096", "slab64doubled"])
+    def test_power_spectrum_is_bitwise_the_complex_normalisation(self, geom):
+        rng = np.random.default_rng(13)
+        data = rng.standard_normal(geom.points) + 1j * rng.standard_normal(geom.points)
+        literal = geom.volume * np.abs(np.fft.fftn(data) / data.size) ** 2
+        power = power_spectrum(Field(geom, data))
+        assert np.array_equal(power.view(np.uint64), literal.view(np.uint64))
+
     def test_rejects_dirichlet(self):
         geom = GridGeometry(DomainKind.DIRICHLET_INTERVAL, (1.0,), (16,))
         f = Field(geom, np.sin(math.pi * geom.axis_coordinates(0)))
