@@ -69,7 +69,7 @@ def _cmd_simulate(args) -> int:
             if snapshot is not None:
                 write_snapshot(snapshot, t, out_dir / f"snapshot_{n_snapshots:06d}.bin")
                 n_snapshots += 1
-    except (ValueError, IntegrationError) as exc:
+    except (OSError, ValueError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         last = "" if t is None else f", last sample at t={t:g}"
         print(f"kept {csv} ({len(records)} records, {n_snapshots} snapshots{last})",

@@ -17,6 +17,10 @@ Inside `march`:
   extension, and its phase is even in the last axis: it is computed on
   planes 0..n of the 2n and mirrored onto planes n+1..2n-1.
 - The free-flow symbol is cached per (geometry, dt) in `spectral`.
+- On periodic grids the state a step leaves is checked for non-finite
+  samples through the max of the next rotation's |u|, and in full before a
+  sample; Dirichlet grids check the whole state after every step, since
+  their |u| covers planes 0..n only.
 - Strang's adjacent half-rotations are merged: the running state w satisfies
   u_k = N(dt/2) w_k and advances by w_{k+1} = F(dt) N(dt) w_k. A sample
   applies the closing half-rotation to a copy (on Dirichlet grids, to the
@@ -163,6 +167,7 @@ def march(
     mask_zeros = min(eps) == 0.0
     eps = np.reshape(eps, (-1,) + (1,) * geometry.dim)
     symbol = free_symbol(grid, dt)
+    run_points = math.prod(geometry.points)
     closing = 2.0 * lam * (dt / 2.0)  # coefficient of Strang's closing half-rotation
     if dirichlet:
         # |u|, hence the phase, is even in the last axis: it is computed on
@@ -171,44 +176,60 @@ def march(
         planes, mirrored = state[..., : n_half + 1], state[..., n_half + 1 :]
         modulus, phase = np.empty(planes.shape), np.empty(planes.shape, dtype=complex)
         half_modulus, half_phase = np.empty(geometry.points), np.empty(geometry.points, complex)
-
-        def rotate_state(tau):
-            rotation_phase(planes, 2.0 * lam * tau, eps, modulus, phase, mask_zeros)
-            np.multiply(planes, phase, out=planes)
-            np.multiply(mirrored, phase[..., n_half - 1 : 0 : -1], out=mirrored)
     else:
         modulus, phase = np.empty(state.shape), np.empty_like(state)
 
-        def rotate_state(tau):
-            rotate(state, 2.0 * lam * tau, eps, modulus, phase, mask_zeros)
-
-    i = 0
+    i = checked = 0  # checked: the last step whose state was checked in full
     for target in steps:
         while i < target:
             i += 1
-            rotate_state(dt / 2.0 if strang and i == 1 else dt)
+            coeff = 2.0 * lam * (dt / 2.0 if strang and i == 1 else dt)
+            if dirichlet:
+                np.abs(planes, out=modulus)
+                rotation_phase(modulus, coeff, eps, phase, run_points, mask_zeros)
+                np.multiply(planes, phase, out=planes)
+                np.multiply(mirrored, phase[..., n_half - 1 : 0 : -1], out=mirrored)
+            else:
+                # |u| is non-finite wherever u is (or where it overflows, which
+                # the full check tells apart), so the rotation's modulus checks
+                # the state the previous step left before touching it
+                np.abs(state, out=modulus)
+                if checked != i - 1 and not math.isfinite(modulus.max()):
+                    _check_finite(state, i - 1, dt)
+                rotation_phase(modulus, coeff, eps, phase, run_points, mask_zeros)
+                state *= phase
             propagate(state, symbol)
-            if not np.isfinite(state).all():
-                k = next(k for k, u in enumerate(state) if not np.isfinite(u).all())
-                finite_max = float(np.max(np.abs(np.nan_to_num(state[k]))))
-                raise IntegrationError(
-                    f"non-finite sample at step {i} (t={i * dt:g}) in run {k} of "
-                    f"{len(state)}; max finite |u| = {finite_max:g}",
-                    step=i, time=i * dt, run=k,
-                )
+            if dirichlet:  # the modulus covers planes 0..n only
+                _check_finite(state, i, dt)
         if dirichlet:
             # restrict the running state, which checks its antisymmetry, and
             # rotate only the half grid of each run
             fields = [restrict_to_half(Field(grid, u)) for u in state]
             if strang and i > 0:
                 for u, e in zip(fields, eps):
-                    rotate(u.data, closing, e, half_modulus, half_phase, mask_zeros)
+                    rotate(u.data, closing, e, half_modulus, half_phase, run_points, mask_zeros)
             yield i * dt, fields
         else:
+            _check_finite(state, i, dt)  # the last step before a sample
+            checked = i
             sample = state.copy()
             if strang and i > 0:
-                rotate(sample, closing, eps, modulus, phase, mask_zeros)
+                rotate(sample, closing, eps, modulus, phase, run_points, mask_zeros)
             yield i * dt, [Field(geometry, u) for u in sample]
+
+
+def _check_finite(state: np.ndarray, i: int, dt: float) -> None:
+    """Raise an IntegrationError naming the first run whose state after step i
+    holds a non-finite sample."""
+    if np.isfinite(state).all():
+        return
+    k = next(k for k, u in enumerate(state) if not np.isfinite(u).all())
+    finite_max = float(np.max(np.abs(np.nan_to_num(state[k]))))
+    raise IntegrationError(
+        f"non-finite sample at step {i} (t={i * dt:g}) in run {k} of "
+        f"{len(state)}; max finite |u| = {finite_max:g}",
+        step=i, time=i * dt, run=k,
+    )
 
 
 def final_state(datum: Field, config: SimConfig) -> Field:

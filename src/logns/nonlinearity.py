@@ -7,6 +7,8 @@ continuous extension 0 * ln 0 = 0.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -45,30 +47,51 @@ def g_eps(z, eps):
     return 2.0 * z * _safe_log(np.abs(z) + eps)
 
 
-def rotation_phase(u, coeff, eps, modulus, phase, mask_zeros=True):
-    """phase <- exp(i coeff ln(|u| + eps)), the phase factor of `rotate`.
+# |ln x| <= _LOG_RANGE for every positive finite double x: ln of the smallest
+# subnormal, about 744.44
+_LOG_RANGE = float(-np.log(np.finfo(float).smallest_subnormal))
+# below this many points per run, the two extra passes of the sin/sqrt phase
+# cost more than the cos they save
+_SIN_SQRT_MIN_POINTS = 1024
 
-    `modulus` (real) and `phase` (complex) are scratch arrays of u's shape and
-    eps is a scalar or broadcasts against u. No check, no allocation beyond
-    the log's mask: where |u| + eps = 0 the angle is 0 (the factor 1), as
-    with _safe_log.
+
+def rotation_phase(modulus, coeff, eps, phase, run_points, mask_zeros=True):
+    """phase <- exp(i coeff ln(|u| + eps)), the phase factor of `rotate`, from
+    `modulus` = |u| (real, overwritten with the angle).
+
+    `phase` is a complex array of the modulus's shape and eps is a scalar or
+    broadcasts against it. No check, no allocation beyond the log's mask:
+    where |u| + eps = 0 the angle is 0 (the factor 1), as with _safe_log.
     With every eps > 0 no |u| + eps vanishes, so mask_zeros=False skips the
     mask and gives the same result.
+
+    When |coeff| * _LOG_RANGE <= pi/2, every angle of a finite |u| lies in
+    [-pi/2, pi/2], where cos = sqrt(1 - sin^2): the phase then costs one sin
+    and a square root, within 2 ulp of cos and sin. This holds for all of u
+    or for none of it, and it is taken only on runs of at least
+    _SIN_SQRT_MIN_POINTS points, `run_points` being the points of one run
+    (not of a batch), so a run's result does not depend on its batch-mates.
     """
-    np.abs(u, out=modulus)
     modulus += eps
     np.log(modulus, out=modulus, where=modulus > 0.0 if mask_zeros else True)  # masked 0 stays
     modulus *= coeff
-    np.cos(modulus, out=phase.real)
     np.sin(modulus, out=phase.imag)
+    if run_points >= _SIN_SQRT_MIN_POINTS and abs(coeff) * _LOG_RANGE <= math.pi / 2:
+        np.multiply(phase.imag, phase.imag, out=modulus)
+        np.subtract(1.0, modulus, out=modulus)
+        np.sqrt(modulus, out=phase.real)
+    else:
+        np.cos(modulus, out=phase.real)
 
 
-def rotate(u, coeff, eps, modulus, phase, mask_zeros=True):
+def rotate(u, coeff, eps, modulus, phase, run_points, mask_zeros=True):
     """In place u *= exp(i coeff ln(|u| + eps)), the phase flow with coeff = 2 lam dt.
 
-    Arguments as for `rotation_phase`, which fills `phase`.
+    `modulus` (real) and `phase` (complex) are scratch arrays of u's shape;
+    the other arguments are as for `rotation_phase`.
     """
-    rotation_phase(u, coeff, eps, modulus, phase, mask_zeros)
+    np.abs(u, out=modulus)
+    rotation_phase(modulus, coeff, eps, phase, run_points, mask_zeros)
     u *= phase
 
 
@@ -76,12 +99,13 @@ def phase_flow(z, lam, eps, dt):
     """Exact flow of the pointwise ODE i u' + 2 lam u ln(|u| + eps) = 0.
 
     The coefficient is real, so the modulus is conserved:
-    z -> z * exp(2i lam dt ln(|z| + eps)).
+    z -> z * exp(2i lam dt ln(|z| + eps)). This is `rotate` with all of z
+    as one run.
     """
     if eps < 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     u = np.array(z, dtype=complex)
-    rotate(u, 2.0 * lam * dt, eps, np.empty(u.shape), np.empty_like(u), eps == 0)
+    rotate(u, 2.0 * lam * dt, eps, np.empty(u.shape), np.empty_like(u), u.size, eps == 0)
     return u
 
 

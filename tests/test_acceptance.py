@@ -25,7 +25,7 @@ from logns.experiments import (
 )
 from logns.geometry import DomainKind, Field, GridGeometry
 from logns.integrator import SimConfig, evolve, final_state
-from logns.io import read_snapshot
+from logns.io import read_snapshot, write_snapshot
 from logns.spectral import hs_multiplier_norm
 
 
@@ -248,30 +248,34 @@ def test_10_splitting_orders():
 
 
 def test_11_determinism_and_round_trips(tmp_path):
-    """Identical runs yield identical bytes; snapshots survive a round trip."""
-    cfg_text = (
-        '{"geometry": {"kind": "torus", "points": [64]},'
+    """Identical runs yield identical bytes; snapshots survive a round trip.
+
+    The 64-point run takes the cos/sin phase; the 32^2 run (1024 points,
+    lambda * dt = 1e-3) takes the sin/sqrt phase."""
+    configs = {
+        "n64": '{"geometry": {"kind": "torus", "points": [64]},'
         '"sim": {"lambda": 1.0, "eps": 0.001, "dt": 0.01, "t_final": 0.2,'
         ' "snapshot_every": 10, "hs_values": [0.5]},'
-        '"datum": {"kind": "random_band_limited", "cutoff": 8.0, "seed": 21}}'
-    )
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(cfg_text)
-    outs = []
-    for name in ("run_a", "run_b"):
-        out_dir = tmp_path / name
-        assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 0
-        outs.append(out_dir)
-    a, b = outs
-    ok = (a / "timeseries.csv").read_bytes() == (b / "timeseries.csv").read_bytes()
-    snaps_a = sorted(a.glob("snapshot_*.bin"))
-    snaps_b = sorted(b.glob("snapshot_*.bin"))
-    ok &= len(snaps_a) == len(snaps_b) > 0
-    ok &= all(x.read_bytes() == y.read_bytes() for x, y in zip(snaps_a, snaps_b))
-    field, t = read_snapshot(snaps_a[-1])
-    rt_path = tmp_path / "rt.bin"
-    from logns.io import write_snapshot
-
-    write_snapshot(field, t, rt_path)
-    ok &= rt_path.read_bytes() == snaps_a[-1].read_bytes()
+        '"datum": {"kind": "random_band_limited", "cutoff": 8.0, "seed": 21}}',
+        "n32x32": '{"geometry": {"kind": "torus", "points": [32, 32]},'
+        '"sim": {"lambda": 1.0, "eps": 0.001, "dt": 0.001, "t_final": 0.05,'
+        ' "snapshot_every": 25, "hs_values": [0.5]},'
+        '"datum": {"kind": "random_band_limited", "cutoff": 8.0, "seed": 21}}',
+    }
+    ok = True
+    for name, cfg_text in configs.items():
+        cfg_path = tmp_path / f"{name}.json"
+        cfg_path.write_text(cfg_text)
+        a, b = tmp_path / f"{name}_a", tmp_path / f"{name}_b"
+        for out_dir in (a, b):
+            assert main(["simulate", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 0
+        ok &= (a / "timeseries.csv").read_bytes() == (b / "timeseries.csv").read_bytes()
+        snaps_a = sorted(a.glob("snapshot_*.bin"))
+        snaps_b = sorted(b.glob("snapshot_*.bin"))
+        ok &= len(snaps_a) == len(snaps_b) > 0
+        ok &= all(x.read_bytes() == y.read_bytes() for x, y in zip(snaps_a, snaps_b))
+        field, t = read_snapshot(snaps_a[-1])
+        rt_path = tmp_path / f"{name}_rt.bin"
+        write_snapshot(field, t, rt_path)
+        ok &= rt_path.read_bytes() == snaps_a[-1].read_bytes()
     _verdict(11, "determinism and format round trips", ok)

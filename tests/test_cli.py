@@ -82,6 +82,19 @@ class TestSimulate:
                                                      field.geometry).data)
         assert sorted(p.name for p in out.iterdir()) == ["snapshot_000000.bin", "timeseries.csv"]
 
+    def test_failed_snapshot_write_keeps_what_it_sampled(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM, sim_extra=', "snapshot_every": 1')
+        out = tmp_path / "out"
+        (out / "snapshot_000001.bin").mkdir(parents=True)
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: ") and "snapshot_000001.bin" in err[0]
+        assert err[1:] == [f"kept {out / 'timeseries.csv'} (2 records, 1 snapshots, "
+                           "last sample at t=0.01)"]
+        assert [r.time for r in read_timeseries(out / "timeseries.csv")] == [0.0, 0.01]
+        _, t = read_snapshot(out / "snapshot_000000.bin")
+        assert t == 0.0
+
     def test_memory_is_flat_in_the_snapshot_count(self, tmp_path, peak_traced_bytes):
         """Each snapshot is written as it is sampled, so a run with a snapshot
         every step peaks where the same run with two snapshots does."""

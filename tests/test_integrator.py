@@ -281,6 +281,7 @@ class TestDirichletOnDoubledGrid:
 BATCH_GEOMETRIES = {
     "torus": torus(64),
     "box": GridGeometry(DomainKind.PERIODIC_BOX, (1.0, 0.5), (32, 16)),
+    "box32": GridGeometry(DomainKind.PERIODIC_BOX, (1.0, 1.0), (32, 32)),  # the size floor
     "torus3d": GridGeometry(DomainKind.TORUS, (1.0, 1.0, 1.0), (16, 16, 16)),
     "interval": interval(64),
     "slab": GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 1.0), (16, 16)),
@@ -328,6 +329,53 @@ class TestBatchedMarch:
         data = [random_field(torus(32), seed=k) for k in range(2)]
         with pytest.raises(ValueError):
             list(march(data, config(torus(32)), [1], eps))
+
+
+class TestSinSqrtPhase:
+    """The sin/sqrt phase (lam = 1, dt = 1e-3, at least 1024 points per run)
+    against the cos/sin phase, forced by raising the size floor."""
+
+    @pytest.mark.parametrize("geom", [
+        GridGeometry(DomainKind.TORUS, (1.0, 1.0), (64, 64)),
+        GridGeometry(DomainKind.TORUS, (1.0, 1.0, 1.0), (16, 16, 16)),
+        GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 1.0), (32, 32)),
+        interval(4096),
+    ], ids=["torus64x64", "torus16x16x16", "slab32x32", "interval4096"])
+    def test_matches_the_cos_sin_path(self, geom, monkeypatch):
+        datum = make_datum(DatumSpec(kind="random_band_limited", cutoff=8.0, seed=2), geom)
+        cfg = config(geom, dt=1e-3, t_final=0.05, eps=1e-3)
+        end = final_state(datum, cfg)
+        monkeypatch.setattr(nonlinearity, "_SIN_SQRT_MIN_POINTS", math.inf)
+        reference = final_state(datum, cfg)
+        assert not np.array_equal(end.data, reference.data)  # the sin/sqrt path ran
+        assert l2_distance(end, reference) <= 1e-13 * math.sqrt(mass(reference))
+        assert mass(end) == pytest.approx(mass(datum), rel=1e-13)
+
+
+class TestFiniteCheck:
+    """Periodic grids check the state the previous step left from the next
+    rotation's modulus, and the state at each sample; Dirichlet grids check
+    the whole state after every step. Either way the error names the step
+    that went non-finite and the run's largest finite |u| after it."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("steps", [[1], [10]])
+    @pytest.mark.parametrize("splitting", ["lie", "strang"])
+    @pytest.mark.parametrize("geometry, big, finite_max", [
+        ("torus", 1e308, {"lie": "2.81277e+306", "strang": "inf"}),
+        ("torus", 1.5e308 + 1.5e308j, {"lie": "0", "strang": "0"}),  # |u| overflows
+        ("interval", 1e308, {"lie": "0", "strang": "0"}),
+    ])
+    def test_names_the_step_that_went_non_finite(self, geometry, big, finite_max, splitting,
+                                                   steps):
+        geom = torus() if geometry == "torus" else interval()
+        data = np.ones(64, dtype=complex)
+        data[3] = big
+        with pytest.raises(IntegrationError) as info:
+            list(march([Field(geom, data)], config(geom, splitting=splitting), steps))
+        assert str(info.value) == ("non-finite sample at step 1 (t=0.01) in run 0 of 1; "
+                                   f"max finite |u| = {finite_max[splitting]}")
+        assert (info.value.step, info.value.time, info.value.run) == (1, 0.01, 0)
 
 
 class TestEvolvePair:

@@ -90,6 +90,77 @@ class TestPhaseFlow:
         np.testing.assert_allclose(ab, once, rtol=1e-13)
 
 
+def largest_sin_sqrt_coeff():
+    """The largest coeff with coeff * _LOG_RANGE <= pi/2 in floating point."""
+    coeff = math.pi / 2 / nl._LOG_RANGE
+    while coeff * nl._LOG_RANGE > math.pi / 2:
+        coeff = np.nextafter(coeff, 0.0)
+    return float(coeff)
+
+
+def phase_of(modulus, coeff, eps=0.0, run_points=None):
+    """rotation_phase on a copy of `modulus`; returns the phase."""
+    modulus = np.array(modulus, dtype=float)
+    phase = np.empty(modulus.shape, dtype=complex)
+    nl.rotation_phase(modulus, coeff, eps, phase,
+                      modulus.size if run_points is None else run_points)
+    return phase
+
+
+def cos_sin_phase(modulus, coeff, eps=0.0):
+    """The reference phase: cos and sin of the same angle."""
+    angle = np.zeros(np.shape(modulus))
+    np.log(np.add(modulus, eps), out=angle, where=np.add(modulus, eps) > 0.0)
+    angle *= coeff
+    return np.cos(angle) + 1j * np.sin(angle)
+
+
+class TestRotationPhase:
+    """The sin/sqrt phase under the a-priori angle bound, and the cos/sin
+    phase past the bound or below the size floor."""
+
+    def test_log_range_is_ln_of_the_smallest_double(self):
+        assert nl._LOG_RANGE == -np.log(np.finfo(float).smallest_subnormal)
+        assert nl._LOG_RANGE == -np.log(np.nextafter(0.0, 1.0))
+        assert np.log(np.finfo(float).max) < nl._LOG_RANGE
+
+    def test_sin_sqrt_matches_cos_sin_within_2_ulp(self):
+        rng = np.random.default_rng(5)
+        coeff, eps = 2e-3, 1e-3
+        modulus = np.exp(rng.uniform(-500.0, 500.0, 4096))  # |angle| <= 1
+        phase, ref = phase_of(modulus, coeff, eps), cos_sin_phase(modulus, coeff, eps)
+        assert np.array_equal(phase.imag, ref.imag)
+        assert np.all(np.abs(phase.real - ref.real) <= 2 * np.spacing(ref.real))
+        assert not np.array_equal(phase.real, ref.real)  # the sin/sqrt path ran
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_extreme_moduli_at_the_bound_give_unit_phases(self, sign):
+        modulus = np.ones(1024)
+        modulus[:2] = 5e-324, 1.7e308
+        phase = phase_of(modulus, sign * largest_sin_sqrt_coeff())
+        assert np.all(np.isfinite(phase))
+        np.testing.assert_allclose(np.abs(phase), 1.0, rtol=0.0, atol=1e-15)
+        assert phase[0] == -sign * 1j  # the angle is -sign*pi/2: cos from sin is exactly 0
+
+    def test_masked_zeros_give_exactly_one(self):
+        modulus = np.exp(np.linspace(-3.0, 3.0, 1024))
+        modulus[::7] = 0.0
+        phase = phase_of(modulus, 2e-3)
+        assert np.all(phase[::7] == 1.0)
+
+    @pytest.mark.parametrize("case", ["one ulp above the bound", "below the size floor"])
+    def test_cos_sin_path(self, case):
+        modulus = np.exp(np.linspace(-700.0, 700.0, 1024))
+        at = largest_sin_sqrt_coeff()
+        if case == "one ulp above the bound":
+            coeff, run_points = np.nextafter(at, 1.0), 1024
+        else:
+            coeff, run_points = at, 1023
+        assert not np.array_equal(phase_of(modulus, at).real, cos_sin_phase(modulus, at).real)
+        assert np.array_equal(phase_of(modulus, coeff, run_points=run_points),
+                              cos_sin_phase(modulus, coeff))
+
+
 class TestMonotonicityGap:
     def test_equal_points(self):
         assert nl.monotonicity_gap(2.0 + 1j, 2.0 + 1j, 0.5, 0.7) == 0.0
