@@ -61,7 +61,7 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv = out_dir / "timeseries.csv"
-    records, n_snapshots, t = [], 0, None
+    records, n_snapshots, t, failed = [], 0, None, False
     try:
         for t, record, snapshot in samples(datum, config):
             if record is not None:
@@ -71,12 +71,14 @@ def _cmd_simulate(args) -> int:
                 n_snapshots += 1
     except (OSError, ValueError, IntegrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        failed = True
+    finally:
+        write_timeseries(records, csv)  # an OSError here reaches main, which exits 2
+    if failed:
         last = "" if t is None else f", last sample at t={t:g}"
         print(f"kept {csv} ({len(records)} records, {n_snapshots} snapshots{last})",
               file=sys.stderr)
         return 2
-    finally:
-        write_timeseries(records, csv)
     print(f"wrote {csv} ({len(records)} records, {n_snapshots} snapshots)")
     return 0
 

@@ -131,7 +131,7 @@ def test_04_hs_growth_bound():
 
 
 def test_05_scaling_invariance():
-    """z phi evolves to z u e^{i lam t ln|z|^2} within the self-error budget."""
+    """z phi evolves to z u e^{i lam t ln|z|^2} within the roundoff budget."""
     geom = torus(64)
     spec = DatumSpec(kind="gaussian_bump", width=0.25)
     ok = True

@@ -95,6 +95,21 @@ class TestSimulate:
         _, t = read_snapshot(out / "snapshot_000000.bin")
         assert t == 0.0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_run_with_unwritable_csv_keeps_nothing(self, tmp_path, capsys):
+        # a failed run whose time series cannot be written says why, and does
+        # not claim to have kept it
+        cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM)
+        cfg.write_text(cfg.read_text().replace('"lambda": 1.0', '"lambda": 1e308'))
+        out = tmp_path / "out"
+        (out / "timeseries.csv").mkdir(parents=True)
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "kept" not in err
+        assert [line.split(":")[0] for line in err.splitlines()] == ["error", "error"]
+        assert err.startswith("error: non-finite sample at step 1")
+        assert f"error: cannot write time series to {out / 'timeseries.csv'}" in err
+
     def test_memory_is_flat_in_the_snapshot_count(self, tmp_path, peak_traced_bytes):
         """Each snapshot is written as it is sampled, so a run with a snapshot
         every step peaks where the same run with two snapshots does."""

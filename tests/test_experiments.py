@@ -1,11 +1,15 @@
 """Desk-scale runs of each named experiment plus report plumbing."""
 
+import cmath
 import math
+import types
+from dataclasses import replace
 
 import pytest
 
-from logns.data import DatumSpec
-from logns import constants, experiments, integrator
+from logns.data import DatumSpec, make_datum
+from logns import constants, experiments, nonlinearity
+from logns.diagnostics import l2_distance
 from logns.experiments import (
     gagliardo_equivalence_bounds,
     run_convergence_order,
@@ -17,7 +21,7 @@ from logns.experiments import (
     run_scaling_invariance,
 )
 from logns.geometry import DomainKind, GeometryError, GridGeometry
-from logns.integrator import SimConfig
+from logns.integrator import SimConfig, final_state
 
 
 def torus(n=32):
@@ -81,6 +85,38 @@ class TestHsGrowth:
         assert report.passed
 
 
+def dt8_budget(spec, config):
+    """The scaling budget before the roundoff budget: ten times the L^2
+    distance between the endpoints of the base run at dt and at dt/8."""
+    datum = make_datum(spec, config.geometry)
+    coarse = final_state(datum, config)
+    fine = final_state(datum, replace(config, dt=config.dt / 8.0))
+    return max(10.0 * l2_distance(coarse, fine), 1e-12)
+
+
+NARROW = DatumSpec(kind="gaussian_bump", width=0.1)
+# (datum, config, z) on every geometry; the 64^2 torus at dt = 1e-3 takes the
+# sin/sqrt phase, the other cases cos/sin
+BUDGET_CASES = {
+    **{f"z={z}": (GAUSSIAN, quick_config(eps=0.0), z)
+       for z in (2.0, 1.0 / 3.0, 1.0 + 1.0j, 1e100, 1e-100)},
+    "lie-lam=-2": (GAUSSIAN, quick_config(eps=0.0, lam=-2.0, splitting="lie"), 1.0 + 1.0j),
+    "torus-4096-t=2": (GAUSSIAN, quick_config(eps=0.0, geometry=torus(4096), t_final=2.0,
+                                              record_every=20), 1.0 / 3.0),
+    "box-32x16": (GAUSSIAN, quick_config(eps=0.0, geometry=GridGeometry(
+        DomainKind.PERIODIC_BOX, (1.0, 0.5), (32, 16))), 1.0 + 1.0j),
+    "torus-16^3": (GAUSSIAN, quick_config(eps=0.0, geometry=GridGeometry(
+        DomainKind.TORUS, (1.0,) * 3, (16,) * 3)), 1.0 + 1.0j),
+    "interval": (NARROW, quick_config(eps=0.0, geometry=GridGeometry(
+        DomainKind.DIRICHLET_INTERVAL, (1.0,), (32,))), 1.0 + 1.0j),
+    "slab-32^2": (NARROW, quick_config(eps=0.0, geometry=GridGeometry(
+        DomainKind.DIRICHLET_SLAB, (1.0, 1.0), (32, 32))), 1.0 / 3.0),
+    "torus-64^2-sin-sqrt": (GAUSSIAN, quick_config(eps=0.0, geometry=GridGeometry(
+        DomainKind.TORUS, (1.0, 1.0), (64, 64)), dt=1e-3, t_final=0.05, record_every=10),
+        1.0 + 1.0j),
+}
+
+
 class TestScalingInvariance:
     def test_rejects_regularized_config(self):
         with pytest.raises(ValueError):
@@ -94,10 +130,43 @@ class TestScalingInvariance:
         with pytest.raises(ValueError, match="nonzero"):
             run_scaling_invariance(GAUSSIAN, quick_config(eps=0.0), z=0.0)
 
-    def test_exact_invariance(self):
-        report = run_scaling_invariance(GAUSSIAN, quick_config(eps=0.0), z=1 + 1j)
+    @pytest.mark.parametrize("case", BUDGET_CASES)
+    def test_roundoff_budget_covers_the_error_tenfold(self, case):
+        spec, config, z = BUDGET_CASES[case]
+        report = run_scaling_invariance(spec, config, z=z)
         assert report.passed
-        assert report.margins["max_rel_err"] <= report.margins["budget"]
+        assert report.margins["max_rel_err"] <= report.margins["budget"] / 10.0
+        assert report.margins["budget"] <= dt8_budget(spec, config)
+
+    @pytest.mark.parametrize("amplitude", [1e100, 1e-100])
+    def test_budget_follows_the_datum_amplitude(self, amplitude):
+        # ln|u| of both runs moves with the amplitude, as it does with z
+        spec = replace(GAUSSIAN, amplitude=amplitude)
+        report = run_scaling_invariance(spec, quick_config(eps=0.0), z=1.0 / 3.0)
+        assert report.passed
+        assert report.margins["max_rel_err"] <= report.margins["budget"] / 10.0
+
+    def test_sin_sqrt_case_takes_that_path(self):
+        config = BUDGET_CASES["torus-64^2-sin-sqrt"][1]
+        assert math.prod(config.geometry.points) >= nonlinearity._SIN_SQRT_MIN_POINTS
+        assert 2.0 * abs(config.lam) * config.dt * nonlinearity._LOG_RANGE <= math.pi / 2
+
+    def test_budget_sees_a_phase_off_by_1e_10(self, monkeypatch):
+        # the config of acceptance check 05, whose dt/8 budget is 4.4e-5
+        config = quick_config(eps=0.0, geometry=torus(64), dt=1e-3, t_final=1.0,
+                              record_every=50)
+        assert run_scaling_invariance(GAUSSIAN, config, z=2.0).passed
+        off = types.SimpleNamespace(exp=lambda w: cmath.exp(w) * (1.0 + 1e-10))
+        monkeypatch.setattr(experiments, "cmath", off)
+        report = run_scaling_invariance(GAUSSIAN, config, z=2.0)
+        assert report.margins["max_rel_err"] == pytest.approx(1e-10, rel=1e-3)
+        assert report.margins["max_rel_err"] <= dt8_budget(GAUSSIAN, config)
+        assert not report.passed
+
+    def test_marches_both_runs_once(self, marched_steps):
+        config = quick_config(eps=0.0)
+        run_scaling_invariance(GAUSSIAN, config, z=2.0)
+        assert marched_steps == [(2, config.n_steps)]
 
 
 class TestGalilean:
@@ -105,6 +174,12 @@ class TestGalilean:
         report = run_galilean(BAND, quick_config(), boost_modes=(1,))
         assert report.passed
         assert report.margins["rel_discrepancy"] <= report.margins["budget"]
+
+    def test_reruns_at_dt_over_8(self, marched_steps):
+        # the boosted and plain runs in one march, then the plain run at dt/8
+        config = quick_config()
+        run_galilean(BAND, config, boost_modes=(1,))
+        assert marched_steps == [(2, config.n_steps), (1, 8 * config.n_steps)]
 
     def test_rejects_dirichlet(self):
         geom = GridGeometry(DomainKind.DIRICHLET_INTERVAL, (1.0,), (32,))
@@ -135,19 +210,10 @@ class TestH1Approximation:
         sups = [v for k, v in report.margins.items() if k.startswith("sup_dist")]
         assert sups == sorted(sups, reverse=True)
 
-    def test_marches_each_truncation_once(self, monkeypatch):
+    def test_marches_each_truncation_once(self, marched_steps):
         # one batched march of all k truncations
-        batches = []
-
-        def counting_march(data, config, steps, eps=None):
-            batches.append(len(data))
-            return march(data, config, steps, eps)
-
-        march = integrator.march
-        monkeypatch.setattr(integrator, "march", counting_march)
-        monkeypatch.setattr(experiments, "march", counting_march)
         run_h1_approximation(BAND, quick_config(), cutoffs=[2.0, 4.0, 8.0])
-        assert batches == [3]
+        assert [batch for batch, _ in marched_steps] == [3]
 
     def test_identical_truncations_degenerate_case(self):
         # on 32 points no mode exceeds |n| = 16, so both truncations keep every mode

@@ -8,9 +8,11 @@ import pytest
 from logns.geometry import DomainKind, Field, GeometryError, GridGeometry
 from logns.spectral import (
     free_propagator,
+    free_symbol,
     hs_multiplier_norm,
     mode_radius,
     power_spectrum,
+    propagate,
     squared_frequency,
     truncate_modes,
 )
@@ -92,6 +94,26 @@ class TestFreePropagator:
         out = free_propagator(f, 0.05)
         expected = f.data * np.exp(-4j * math.pi**2 * (4 / 2.0) ** 2 * 0.05)
         np.testing.assert_allclose(out.data, expected, atol=1e-13)
+
+    @pytest.mark.parametrize("geom, batch", [
+        (GridGeometry(DomainKind.TORUS, (1.0, 1.0), (256, 256)), 1),
+        (GridGeometry(DomainKind.PERIODIC_BOX, (1.0, 0.5), (32, 16)), 1),
+        (GridGeometry(DomainKind.TORUS, (1.0, 1.0, 1.0), (16, 16, 16)), 1),
+        (GridGeometry(DomainKind.TORUS, (1.0,), (4096,)), 1),
+        (GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 1.0), (64, 64)).doubled(), 1),
+        (GridGeometry(DomainKind.TORUS, (1.0,), (64,)), 3),
+    ], ids=["torus256", "box32x16", "torus16cubed", "torus4096", "slab64doubled", "batch3"])
+    def test_propagate_is_bitwise_the_normalised_fft_pair(self, geom, batch):
+        # per-axis transforms over a batch give bitwise the literal pair of
+        # each field
+        rng = np.random.default_rng(14)
+        shape = (batch, *geom.points)
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        axes = tuple(range(1, data.ndim))
+        unit_symbol = np.exp(-4.0 * math.pi**2 * squared_frequency(geom) * 1j * 1e-3)
+        literal = np.fft.ifftn(np.fft.fftn(data, axes=axes) * unit_symbol, axes=axes)
+        propagate(data, free_symbol(geom, 1e-3))
+        assert np.array_equal(data.view(np.uint64), literal.view(np.uint64))
 
 
 class TestMultiplierNorm:
