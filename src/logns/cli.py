@@ -19,9 +19,8 @@ from . import nonlinearity
 from .diagnostics import measure
 from .data import make_datum
 from .experiments import EXPERIMENTS, ExperimentReport
-from .integrator import IntegrationError, SimConfig, samples
+from .integrator import IntegrationError, samples
 from .io import (
-    ConfigDocument,
     ConfigError,
     load_config,
     read_snapshot,
@@ -30,10 +29,6 @@ from .io import (
 )
 
 __all__ = ["main"]
-
-
-def _sim_config(doc: ConfigDocument) -> SimConfig:
-    return SimConfig(geometry=doc.geometry, **doc.sim)
 
 
 def _print_report(report: ExperimentReport) -> None:
@@ -56,14 +51,13 @@ def _cmd_simulate(args) -> int:
     fails: memory does not grow with the snapshot count, and a failed run
     keeps what it sampled before the failure."""
     doc = load_config(args.config)
-    config = _sim_config(doc)
-    datum = make_datum(doc.datum, config.geometry)
+    datum = make_datum(doc.datum, doc.sim.geometry)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv = out_dir / "timeseries.csv"
     records, n_snapshots, t, failed = [], 0, None, False
     try:
-        for t, record, snapshot in samples(datum, config):
+        for t, record, snapshot in samples(datum, doc.sim):
             if record is not None:
                 records.append(record)
             if snapshot is not None:
@@ -85,15 +79,18 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_experiment(args) -> int:
     doc = load_config(args.config, experiment=args.name)
-    report = EXPERIMENTS[args.name].run(doc.datum, _sim_config(doc), **doc.experiment)
+    report = EXPERIMENTS[args.name].run(doc.datum, doc.sim, **doc.experiment)
     _print_report(report)
     Path(args.out).write_text(json.dumps(_report_json(report), indent=2) + "\n")
     return 0 if report.passed else 1
 
 
 def _cmd_norms(args) -> int:
-    field, t = read_snapshot(args.snapshot)
     s_values = [float(tok) for tok in args.s.split(",") if tok]
+    for flag, v in (("--lambda", args.lam), ("--eps", args.eps), *(("--s", s) for s in s_values)):
+        if not math.isfinite(v):
+            raise ValueError(f"{flag} must be finite, got {v}")
+    field, t = read_snapshot(args.snapshot)
     fractional = tuple(s for s in s_values if 0.0 < s < 1.0)
     record = measure(field, t, args.lam, args.eps, tuple(s_values), fractional)
     print(f"time   : {t:.17g}")

@@ -210,10 +210,14 @@ def run_scaling_invariance(spec: DatumSpec, config: SimConfig, *, z: complex) ->
     z = complex(z)
     if z == 0:
         raise ValueError("scaling invariance needs a nonzero z")
+    try:
+        log_z2 = math.log(abs(z) ** 2)
+    except (OverflowError, ValueError):  # |z|^2 beyond the float range, or 0
+        raise ValueError(f"scaling invariance needs |z|^2 within the float range, "
+                         f"got z = {z}") from None
     datum = make_datum(spec, config.geometry)
     datum_mass = mass(datum)
     scale = abs(z) * math.sqrt(datum_mass)
-    log_z2 = math.log(abs(z) ** 2)
 
     errs = []
     for t, [u, uz] in march([datum, scale_datum(datum, z)], config, config.record_steps):

@@ -19,7 +19,6 @@ __all__ = [
     "GridGeometry",
     "Field",
     "GeometryError",
-    "zeros_field",
     "odd_extension",
     "restrict_to_half",
     "galilean_boost",
@@ -127,10 +126,6 @@ class Field:
 
     def copy(self) -> "Field":
         return Field(self.geometry, self.data.copy())
-
-
-def zeros_field(geometry: GridGeometry) -> Field:
-    return Field(geometry, np.zeros(geometry.points, dtype=complex))
 
 
 def require_same_geometry(a: Field, b: Field) -> None:

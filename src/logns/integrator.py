@@ -106,13 +106,12 @@ class SimConfig:
                 raise ValueError(f"tracked h^s exponents must lie in (0, 1], got {s}")
         if abs(self.t_final / self.dt) > _MAX_STEPS:
             raise ValueError(f"t_final/dt exceeds the {_MAX_STEPS} step limit")
+        if not math.isclose(self.n_steps * self.dt, self.t_final, rel_tol=1e-9):
+            raise ValueError("t_final is not an integer multiple of dt")
 
     @property
     def n_steps(self) -> int:
-        n = round(self.t_final / self.dt)
-        if n == 0 or not math.isclose(n * self.dt, self.t_final, rel_tol=1e-9):
-            raise ValueError("t_final is not an integer multiple of dt")
-        return n
+        return round(self.t_final / self.dt)
 
     @property
     def record_steps(self) -> list[int]:

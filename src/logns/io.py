@@ -4,8 +4,9 @@ Config files are strict JSON: unknown keys are errors and the physical
 parameters (lambda, eps, dt, t_final) have no defaults. Each config section is
 a table of keys, and one walker reports every unknown, missing or ill-typed
 key as "section.key: message"; only checks that span sections are code. The
-keys of an experiment, its data and its geometries come from
-experiments.EXPERIMENTS.
+`sim` keys and the geometry build the run's SimConfig, whose checks across
+keys report as "sim: message". The keys of an experiment, its data and its
+geometries come from experiments.EXPERIMENTS.
 CSV values use 17 significant digits so doubles round-trip exactly. Snapshots
 are little-endian fixed binary, magic "LOGNSFLD".
 """
@@ -27,6 +28,7 @@ from .data import DatumSpec
 from .diagnostics import DiagnosticsRecord
 from .experiments import EXPERIMENTS
 from .geometry import DomainKind, Field, GridGeometry
+from .integrator import SimConfig
 
 __all__ = [
     "ConfigError",
@@ -66,10 +68,9 @@ class SnapshotFormatError(IOError):
 
 @dataclass
 class ConfigDocument:
-    """Validated run description: geometry, run parameters, data, extras."""
+    """Validated run description: run parameters with their geometry, data, extras."""
 
-    geometry: GridGeometry
-    sim: dict
+    sim: SimConfig
     datum: DatumSpec
     experiment: dict = dataclass_field(default_factory=dict)  # with datum_b if it needs one
 
@@ -97,7 +98,7 @@ def _integer(lo=None):
     def convert(v):
         if not isinstance(v, int) or isinstance(v, bool):
             raise ValueError(f"expected an integer, got {v!r}")
-        if lo is not None and v < lo:
+        if abs(v) > sys.float_info.max or lo is not None and v < lo:
             raise ValueError(f"out of range: {v}")
         return v
     return convert
@@ -282,7 +283,15 @@ def parse_config(text: str, experiment: str | None = None) -> ConfigDocument:
                 geometry = GridGeometry(**fields)
             except ValueError as exc:
                 errors.append(f"geometry: {exc}")
-    sim = _walk(sections["sim"], _SIM, "sim", errors) if "sim" in sections else None
+    sim = None
+    if "sim" in sections:
+        n_errors = len(errors)
+        fields = _walk(sections["sim"], _SIM, "sim", errors)
+        if geometry is not None and len(errors) == n_errors:
+            try:
+                sim = SimConfig(geometry=geometry, **fields)
+            except ValueError as exc:
+                errors.append(f"sim: {exc}")
     dirichlet = kind in (DomainKind.DIRICHLET_INTERVAL, DomainKind.DIRICHLET_SLAB)
     data = {name: _datum(sections[name], name, errors, geometry, dirichlet)
             for name in ("datum", "datum_b") if name in sections}
@@ -308,7 +317,7 @@ def parse_config(text: str, experiment: str | None = None) -> ConfigDocument:
 
     if errors:
         raise ConfigError(errors)
-    return ConfigDocument(geometry=geometry, sim=sim, datum=data["datum"], experiment=params)
+    return ConfigDocument(sim=sim, datum=data["datum"], experiment=params)
 
 
 def load_config(path: str | Path, experiment: str | None = None) -> ConfigDocument:

@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "g",
-    "g_eps",
     "phase_flow",
     "monotonicity_gap",
     "monotonicity_bound",
@@ -37,14 +36,6 @@ def g(z):
     """z * ln(|z|^2), extended by 0 at the origin."""
     z = np.asarray(z, dtype=complex)
     return z * (2.0 * _safe_log(np.abs(z)))
-
-
-def g_eps(z, eps):
-    """Regularized nonlinearity 2 z ln(|z| + eps); equals g(z) at eps = 0."""
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    z = np.asarray(z, dtype=complex)
-    return 2.0 * z * _safe_log(np.abs(z) + eps)
 
 
 # |ln x| <= _LOG_RANGE for every positive finite double x: ln of the smallest

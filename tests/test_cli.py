@@ -141,6 +141,16 @@ class TestSimulate:
         assert err.startswith("error: ") and str(out) in err
         assert "Traceback" not in err
 
+    def test_step_count_is_checked_before_anything_is_written(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM)
+        cfg.write_text(cfg.read_text().replace('"dt": 0.01, "t_final": 0.1',
+                                               '"dt": 0.003, "t_final": 0.01'))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: sim: t_final is not an integer multiple of dt"]
+        assert not out.exists()
+
     def test_invalid_config_reports_every_error(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text('{"geometry": {"kind": "x", "points": [32]}, "sim": {}}')
@@ -169,6 +179,17 @@ class TestExperiment:
         report = json.loads(report_path.read_text())
         assert report["name"] == "scaling_invariance"
         assert report["verdict"] == "pass"
+
+    @pytest.mark.parametrize("z", ["[1e200, 0]", "[1e-200, 0]"])
+    def test_scaling_with_z_squared_outside_the_float_range_exits_2(self, tmp_path, capsys, z):
+        cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM + f',"experiment": {{"z": {z}}}')
+        cfg.write_text(cfg.read_text().replace('"eps": 0.01', '"eps": 0.0'))
+        report_path = tmp_path / "report.json"
+        assert main(["experiment", "scaling", "--config", str(cfg), "--out", str(report_path)]) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and "z = " in line
+        assert captured.out == "" and not report_path.exists()
 
     def test_missing_experiment_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM)
@@ -412,6 +433,19 @@ class TestNorms:
         argv = ["norms", "--snapshot", str(path), "--s", "0.5", "--lambda", "1", "--eps", "-0.1"]
         assert main(argv) == 2
         assert "eps must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--eps", "nan"), ("--eps", "inf"), ("--lambda", "nan"), ("--lambda", "inf"),
+        ("--s", "nan"), ("--s", "0.5,inf"),
+    ])
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys, flag, value):
+        _, path = self.slab_snapshot(tmp_path)
+        args = {"--s": "0.5", "--lambda": "1", "--eps": "0.01", flag: value}
+        assert main(["norms", "--snapshot", str(path), *(a for kv in args.items() for a in kv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {flag} must be finite, got "
+                                             f"{float(value.split(',')[-1])}"]
+        assert captured.out == ""
 
     def test_bad_snapshot_exits_2(self, tmp_path, capsys):
         path = tmp_path / "junk.bin"

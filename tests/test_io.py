@@ -33,9 +33,9 @@ MINIMAL = """
 class TestParseConfig:
     def test_minimal_document(self):
         doc = parse_config(MINIMAL.rstrip().rstrip("}") + ',"datum": {"kind": "gaussian_bump"}}')
-        assert doc.geometry.kind is DomainKind.TORUS
-        assert doc.geometry.lengths == (1.0,)  # torus default
-        assert doc.sim == {"lam": 1.0, "eps": 0.01, "dt": 0.001, "t_final": 1.0}
+        assert doc.sim.geometry.kind is DomainKind.TORUS
+        assert doc.sim.geometry.lengths == (1.0,)  # torus default
+        assert (doc.sim.lam, doc.sim.eps, doc.sim.dt, doc.sim.t_final) == (1.0, 0.01, 0.001, 1.0)
         assert doc.datum.kind == "gaussian_bump"
         assert doc.experiment == {}
 
@@ -193,16 +193,17 @@ def schema_cases():
 
 
 def wrong_values(valid):
-    """A string, null, a bool, NaN and an object, plus a float where an integer is expected."""
+    """A string, null, a bool, NaN and an object, plus a float and an integer beyond
+    the float range where an integer is expected."""
     yield from ("x", None, True, math.nan)
     if not isinstance(valid, dict):
         yield {"k": 1}
     if isinstance(valid, int) and not isinstance(valid, bool):
-        yield 1.5
+        yield from (1.5, 10**400)
     if isinstance(valid, list):
         yield [{"k": 1}]
         if all(isinstance(v, int) for v in valid):
-            yield [1.5]
+            yield from ([1.5], [10**400])
 
 
 # a well-typed value outside the key's range, for every key that has one

@@ -40,27 +40,6 @@ class TestLogKernel:
         assert nl.g(np.conj(z)) == pytest.approx(np.conj(nl.g(z)), rel=1e-12, abs=1e-300)
 
 
-class TestRegularizedKernel:
-    def test_zero_datum(self):
-        assert nl.g_eps(0.0, 1.0) == 0.0
-
-    def test_log_e(self):
-        assert nl.g_eps(1.0, math.e - 1.0) == pytest.approx(2.0, rel=1e-15)
-
-    def test_eps_zero_matches_g(self):
-        rng = np.random.default_rng(1)
-        z = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
-        np.testing.assert_allclose(nl.g_eps(z, 0.0), nl.g(z), rtol=1e-13)
-
-    def test_rejects_negative_eps(self):
-        with pytest.raises(ValueError):
-            nl.g_eps(1.0, -0.1)
-
-    @given(finite_complex, small_eps)
-    def test_symmetries(self, z, eps):
-        assert nl.g_eps(-z, eps) == pytest.approx(-nl.g_eps(z, eps), rel=1e-12, abs=1e-300)
-
-
 class TestPhaseFlow:
     def test_unit_fixed_point(self):
         assert nl.phase_flow(1.0, 3.7, 0.0, 0.42) == pytest.approx(1.0)
