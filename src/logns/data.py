@@ -45,6 +45,12 @@ class DatumSpec:
             raise ValueError("random_band_limited requires a cutoff radius")
         if self.kind == "random_rough" and self.target_s is None:
             raise ValueError("random_rough requires a target Sobolev exponent")
+        if not 0.0 < self.width < math.inf:
+            raise ValueError(f"width must be positive finite, got {self.width}")
+        if self.cutoff is not None and not 0.0 <= self.cutoff < math.inf:
+            raise ValueError(f"cutoff must be finite and >= 0, got {self.cutoff}")
+        if self.target_s is not None and not 0.0 < self.target_s < math.inf:
+            raise ValueError(f"target_s must be positive finite, got {self.target_s}")
         if self.modes is not None:
             object.__setattr__(self, "modes", tuple(int(m) for m in self.modes))
         if self.center is not None:

@@ -25,9 +25,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import constants
-from .data import DatumSpec, make_datum
+from .data import _ZERO_NORM_RATIO, DatumSpec, make_datum
 from .diagnostics import hs_growth_ratio, l2_distance, mass, measure
-from .geometry import Field, LatticeVelocity, galilean_boost, scale_datum
+from .geometry import Field, galilean_boost, scale_datum
 from .integrator import (SimConfig, eps_continuation, evolve_pair, final_state,
                          lockstep_distances, march)
 from .spectral import truncate_modes
@@ -233,18 +233,18 @@ def run_galilean(spec: DatumSpec, config: SimConfig, *,
                  boost_modes: tuple[int, ...]) -> ExperimentReport:
     """Compare boost-then-evolve with evolve-then-boost at the final time.
 
-    The boost velocity is 2 pi boost_modes / lengths (see LatticeVelocity).
+    The boost velocity is 2 pi boost_modes / lengths (see `galilean_boost`).
     """
-    velocity = LatticeVelocity(boost_modes)
+    modes = [int(m) for m in boost_modes]
     datum = make_datum(spec, config.geometry)
-    [(_, [boosted_first, end])] = march([galilean_boost(datum, velocity, 0.0), datum], config,
+    [(_, [boosted_first, end])] = march([galilean_boost(datum, modes, 0.0), datum], config,
                                         [config.n_steps])
-    boosted_last = galilean_boost(end, velocity, config.n_steps * config.dt)
+    boosted_last = galilean_boost(end, modes, config.n_steps * config.dt)
     discrepancy = l2_distance(boosted_first, boosted_last) / math.sqrt(mass(datum))
     budget = max(10.0 * _self_error(datum, config, end), _EXACT_FLOOR)
     return _report("galilean", config, discrepancy <= budget,
                    {"rel_discrepancy": discrepancy, "budget": budget}, None, 1,
-                   spec=spec, modes=list(velocity.modes))
+                   spec=spec, modes=modes)
 
 
 def run_eps_cauchy(spec: DatumSpec, config: SimConfig, *,
@@ -268,14 +268,22 @@ def run_h1_approximation(spec: DatumSpec, config: SimConfig, *,
 
     Each consecutive-truncation distance must obey the Lipschitz envelope
     applied to the truncation gap at t = 0, and the sup distances must
-    decrease as the cutoff grows.
+    decrease as the cutoff grows. A truncation that vanishes to roundoff, by
+    the rule `make_datum` applies to a datum, is rejected: no bound is tested
+    on u = 0.
     """
     if len(cutoffs) < 2:
         raise ValueError("need at least two cutoffs")
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError("cutoffs must be strictly increasing")
     datum = make_datum(spec, config.geometry)
-    series = lockstep_distances([truncate_modes(datum, k) for k in cutoffs], config)
+    truncations = [truncate_modes(datum, k) for k in cutoffs]
+    # the truncations are nested, so the first is the smallest
+    norm, scale = np.linalg.norm(truncations[0].data), np.linalg.norm(datum.data)
+    if norm <= _ZERO_NORM_RATIO * scale:
+        raise ValueError(f"cutoffs: the truncation at cutoff {cutoffs[0]:g} vanishes "
+                         f"(norm {norm:.3g} against a datum norm of {scale:.3g})")
+    series = lockstep_distances(truncations, config)
 
     margins: dict[str, float] = {}
     passed = True

@@ -8,6 +8,7 @@ handled through odd extension to a doubled periodic grid.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -124,9 +125,6 @@ class Field:
                 f"data shape {self.data.shape} does not match grid {self.geometry.points}"
             )
 
-    def copy(self) -> "Field":
-        return Field(self.geometry, self.data.copy())
-
 
 def require_same_geometry(a: Field, b: Field) -> None:
     if a.geometry != b.geometry:
@@ -190,26 +188,16 @@ def _half(geometry: GridGeometry) -> GridGeometry:
     return GridGeometry(kind, lengths, geometry.points[:-1] + (geometry.points[-1] // 2,))
 
 
-@dataclass(frozen=True)
-class LatticeVelocity:
-    """Integer mode indices; the boost velocity is v = 2 pi modes / lengths."""
-
-    modes: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(int(m) for m in self.modes))
-
-
-def galilean_boost(field: Field, velocity: LatticeVelocity, t: float) -> Field:
+def galilean_boost(field: Field, modes: Sequence[int], t: float) -> Field:
     """Galilean boost u(x) -> e^{i v.x - i |v|^2 t} u(x - 2 v t).
 
-    v = 2 pi modes / lengths, so the modulation is grid-periodic. The off-grid
-    shift is applied as an exact modulation in Fourier space.
+    v = 2 pi modes / lengths for integer mode indices, so the modulation is
+    grid-periodic. The off-grid shift is applied as an exact modulation in
+    Fourier space.
     """
     geom = field.geometry
     if not geom.is_periodic:
         raise GeometryError("galilean_boost requires a periodic geometry")
-    modes = velocity.modes
     if len(modes) != geom.dim:
         raise GeometryError(f"velocity has {len(modes)} components for a {geom.dim}-d grid")
     v = np.array([2.0 * math.pi * m / l for m, l in zip(modes, geom.lengths)])

@@ -15,17 +15,19 @@ Inside `march`:
 - Dirichlet state lives on the doubled periodic grid for the whole run. The
   rotation depends on |u| only, so it keeps the odd symmetry of the
   extension, and its phase is even in the last axis: it is computed on
-  planes 0..n of the 2n and mirrored onto planes n+1..2n-1.
+  planes 0..n of the 2n and mirrored onto planes n+1..2n-1. That mirror is
+  the only step work particular to Dirichlet grids.
 - The free-flow symbol is cached per (geometry, dt) in `spectral`.
-- On periodic grids the state a step leaves is checked for non-finite
-  samples through the max of the next rotation's |u|, and in full before a
-  sample; Dirichlet grids check the whole state after every step, since
-  their |u| covers planes 0..n only.
+- The state a step leaves is checked for non-finite samples before the next
+  rotation touches it or before a sample, whichever comes first: on periodic
+  grids through the max of the rotation's |u|, on Dirichlet grids, whose |u|
+  covers planes 0..n only, in full. A sample always checks in full.
 - Strang's adjacent half-rotations are merged: the running state w satisfies
   u_k = N(dt/2) w_k and advances by w_{k+1} = F(dt) N(dt) w_k. A sample
-  applies the closing half-rotation to a copy (on Dirichlet grids, to the
-  restriction of w to the half grid), so the state, and hence every result,
-  does not depend on which steps are sampled.
+  applies the closing half-rotation, one batched rotation over (B, *points),
+  to a copy of w (on Dirichlet grids, to its restriction to the half grid),
+  so the state, and hence every result, does not depend on which steps are
+  sampled.
 """
 
 from __future__ import annotations
@@ -87,18 +89,22 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hs_values", tuple(float(s) for s in self.hs_values))
-        if self.eps < 0:
-            raise ValueError(f"eps must be >= 0, got {self.eps}")
+        if not math.isfinite(self.lam):
+            raise ValueError(f"lam must be finite, got {self.lam}")
+        if not 0.0 <= self.eps < math.inf:
+            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
         if self.dt == 0 or not math.isfinite(self.dt):
             raise ValueError(f"dt must be nonzero finite, got {self.dt}")
-        if self.t_final == 0 or self.t_final * self.dt < 0:
-            raise ValueError("t_final must be nonzero with the same sign as dt")
+        if self.t_final == 0 or not math.isfinite(self.t_final) or self.t_final * self.dt < 0:
+            raise ValueError("t_final must be nonzero finite with the same sign as dt")
         if abs(self.dt) > abs(self.t_final):
             raise ValueError("dt must not exceed t_final")
         if self.splitting not in ("lie", "strang"):
             raise ValueError(f"splitting must be 'lie' or 'strang', got {self.splitting!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        if self.snapshot_every is not None and self.snapshot_every < 1:
+            raise ValueError("snapshot_every must be >= 1 or None")
         if self.record_every * abs(self.dt) > abs(self.t_final) + abs(self.dt) / 2:
             raise ValueError("record_every * dt must not exceed t_final")
         for s in self.hs_values:
@@ -168,53 +174,43 @@ def march(
     symbol = free_symbol(grid, dt)
     run_points = math.prod(geometry.points)
     closing = 2.0 * lam * (dt / 2.0)  # coefficient of Strang's closing half-rotation
-    if dirichlet:
-        # |u|, hence the phase, is even in the last axis: it is computed on
-        # planes 0..n, and plane 2n - j takes the phase of plane j
-        n_half = geometry.points[-1]
-        planes, mirrored = state[..., : n_half + 1], state[..., n_half + 1 :]
-        modulus, phase = np.empty(planes.shape), np.empty(planes.shape, dtype=complex)
-        half_modulus, half_phase = np.empty(geometry.points), np.empty(geometry.points, complex)
-    else:
-        modulus, phase = np.empty(state.shape), np.empty_like(state)
+    # the rotation acts on `planes`, the whole state on periodic grids. On
+    # Dirichlet grids |u|, hence the phase, is even in the last axis: it is
+    # computed on planes 0..n, and plane 2n - j takes the phase of plane j
+    n_half = geometry.points[-1]
+    planes = state[..., : n_half + 1] if dirichlet else state
+    mirrored = state[..., n_half + 1 :]  # used on Dirichlet grids only
+    modulus, phase = np.empty(planes.shape), np.empty(planes.shape, dtype=complex)
+    sample_shape = (len(data), *geometry.points)
+    closing_buffers = ((np.empty(sample_shape), np.empty(sample_shape, dtype=complex))
+                       if dirichlet else (modulus, phase))
 
     i = checked = 0  # checked: the last step whose state was checked in full
     for target in steps:
         while i < target:
             i += 1
             coeff = 2.0 * lam * (dt / 2.0 if strang and i == 1 else dt)
+            # the state the previous step left is checked before the rotation
+            # touches it: through the max of |u|, which is non-finite wherever
+            # u is (or where it overflows, which the full check tells apart),
+            # and in full on Dirichlet grids, whose |u| covers planes 0..n only
+            np.abs(planes, out=modulus)
+            if checked != i - 1 and (dirichlet or not math.isfinite(modulus.max())):
+                _check_finite(state, i - 1, dt)
+            rotation_phase(modulus, coeff, eps, phase, run_points, mask_zeros)
+            planes *= phase
             if dirichlet:
-                np.abs(planes, out=modulus)
-                rotation_phase(modulus, coeff, eps, phase, run_points, mask_zeros)
-                np.multiply(planes, phase, out=planes)
                 np.multiply(mirrored, phase[..., n_half - 1 : 0 : -1], out=mirrored)
-            else:
-                # |u| is non-finite wherever u is (or where it overflows, which
-                # the full check tells apart), so the rotation's modulus checks
-                # the state the previous step left before touching it
-                np.abs(state, out=modulus)
-                if checked != i - 1 and not math.isfinite(modulus.max()):
-                    _check_finite(state, i - 1, dt)
-                rotation_phase(modulus, coeff, eps, phase, run_points, mask_zeros)
-                state *= phase
             propagate(state, symbol)
-            if dirichlet:  # the modulus covers planes 0..n only
-                _check_finite(state, i, dt)
-        if dirichlet:
-            # restrict the running state, which checks its antisymmetry, and
-            # rotate only the half grid of each run
-            fields = [restrict_to_half(Field(grid, u)) for u in state]
-            if strang and i > 0:
-                for u, e in zip(fields, eps):
-                    rotate(u.data, closing, e, half_modulus, half_phase, run_points, mask_zeros)
-            yield i * dt, fields
-        else:
-            _check_finite(state, i, dt)  # the last step before a sample
-            checked = i
-            sample = state.copy()
-            if strang and i > 0:
-                rotate(sample, closing, eps, modulus, phase, run_points, mask_zeros)
-            yield i * dt, [Field(geometry, u) for u in sample]
+        _check_finite(state, i, dt)  # the last step before a sample
+        checked = i
+        # the sample is a copy of the state, on Dirichlet grids its restriction
+        # to the half grid, which checks its antisymmetry
+        sample = (np.array([restrict_to_half(Field(grid, u)).data for u in state])
+                  if dirichlet else state.copy())
+        if strang and i > 0:
+            rotate(sample, closing, eps, *closing_buffers, run_points, mask_zeros)
+        yield i * dt, [Field(geometry, u) for u in sample]
 
 
 def _check_finite(state: np.ndarray, i: int, dt: float) -> None:
@@ -292,8 +288,6 @@ def lockstep_distances(
 
 def evolve_pair(datum_a: Field, datum_b: Field, config: SimConfig) -> list[tuple[float, float]]:
     """L^2 distance between the runs of two data on the record schedule."""
-    if datum_a.geometry != datum_b.geometry:
-        raise GeometryError("paired data must share a geometry")
     [distances] = lockstep_distances([datum_a, datum_b], config)
     return distances
 

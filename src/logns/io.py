@@ -197,7 +197,7 @@ _EXPERIMENT = {
     "z": _Key(True, _complex(nonzero=True)),
     "boost_modes": _Key(True, _list_of(_integer())),
     "eps_sequence": _LADDER,
-    "cutoffs": _LADDER,
+    "cutoffs": _Key(True, _list_of(_number(lo=0.0), min_len=2, into=list)),
     "dt_ladder": _LADDER,
 }
 

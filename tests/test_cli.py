@@ -221,6 +221,25 @@ class TestExperiment:
         assert f"config error: {key}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("datum, cutoffs, message", [
+        ('{"kind": "random_rough", "target_s": 0.5}', "[-2, -1]",
+         "config error: experiment.cutoffs: out of range: -2.0"),
+        # only mode 1, so the truncations at 0 and 0.5 are roundoff
+        ('{"kind": "plane_wave", "modes": [1]}', "[0, 0.5]",
+         "error: cutoffs: the truncation at cutoff 0 vanishes"),
+    ], ids=["negative", "vanishing"])
+    def test_h1_approx_on_a_zero_truncation_exits_2(self, tmp_path, capsys, datum, cutoffs,
+                                                     message):
+        cfg = write_config(tmp_path, extra=f',"datum": {datum},'
+                                           f'"experiment": {{"cutoffs": {cutoffs}}}')
+        report_path = tmp_path / "report.json"
+        argv = ["experiment", "h1-approx", "--config", str(cfg), "--out", str(report_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith(message)
+        assert captured.out == "" and not report_path.exists()
+
     def test_lipschitz_needs_both_data(self, tmp_path, capsys):
         cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM)
         assert main(["experiment", "lipschitz", "--config", str(cfg)]) == 2

@@ -32,6 +32,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             DatumSpec(kind="random_rough")
 
+    @pytest.mark.parametrize("kind, key, value", [
+        ("gaussian_bump", "width", 0.0), ("gaussian_bump", "width", -1.0),
+        ("gaussian_bump", "width", math.nan), ("random_band_limited", "cutoff", -1.0),
+        ("random_band_limited", "cutoff", math.nan), ("random_rough", "target_s", 0.0),
+        ("random_rough", "target_s", -0.5), ("random_rough", "target_s", math.nan),
+    ])
+    def test_rejects_what_the_config_schema_rejects(self, kind, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            DatumSpec(kind=kind, **{key: value})
+
 
 class TestPlaneWave:
     def test_values(self):

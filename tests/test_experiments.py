@@ -203,6 +203,11 @@ class TestH1Approximation:
         with pytest.raises(ValueError):
             run_h1_approximation(BAND, quick_config(), cutoffs=[8.0, 4.0])
 
+    def test_rejects_a_vanishing_truncation(self):
+        # a negative cutoff keeps no mode
+        with pytest.raises(ValueError, match="truncation at cutoff -2 vanishes"):
+            run_h1_approximation(BAND, quick_config(), cutoffs=[-2.0, -1.0])
+
     def test_truncation_ladder(self):
         rough = DatumSpec(kind="random_rough", target_s=0.5, seed=4)
         report = run_h1_approximation(rough, quick_config(), cutoffs=[2.0, 4.0, 8.0])

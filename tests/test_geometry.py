@@ -11,7 +11,6 @@ from logns.geometry import (
     Field,
     GeometryError,
     GridGeometry,
-    LatticeVelocity,
     galilean_boost,
     odd_extension,
     require_same_geometry,
@@ -97,12 +96,6 @@ class TestField:
     def test_shape_mismatch(self):
         with pytest.raises(GeometryError):
             Field(torus(16), np.zeros(8, dtype=complex))
-
-    def test_copy_is_independent(self):
-        f = Field(torus(16), np.zeros(16))
-        g = f.copy()
-        g.data[0] = 1.0
-        assert f.data[0] == 0.0
 
     def test_require_same_geometry(self):
         require_same_geometry(Field(torus(16), np.zeros(16)), Field(torus(16), np.zeros(16)))
@@ -197,14 +190,14 @@ class TestGalileanBoost:
     def test_zero_time_is_pure_modulation(self):
         geom = torus(32)
         f = Field(geom, np.ones(32, dtype=complex))
-        boosted = galilean_boost(f, LatticeVelocity((2,)), 0.0)
+        boosted = galilean_boost(f, (2,), 0.0)
         x = geom.axis_coordinates(0)
         np.testing.assert_allclose(boosted.data, np.exp(4j * math.pi * x), atol=1e-14)
 
     def test_preserves_mass(self):
         rng = np.random.default_rng(7)
         f = Field(torus(64), rng.standard_normal(64) + 1j * rng.standard_normal(64))
-        boosted = galilean_boost(f, LatticeVelocity((3,)), 0.37)
+        boosted = galilean_boost(f, (3,), 0.37)
         assert np.sum(np.abs(boosted.data) ** 2) == pytest.approx(
             np.sum(np.abs(f.data) ** 2), rel=1e-13
         )
@@ -213,18 +206,18 @@ class TestGalileanBoost:
         geom = torus(32)
         x = geom.axis_coordinates(0)
         f = Field(geom, np.exp(2j * math.pi * 3 * x))
-        boosted = galilean_boost(f, LatticeVelocity((2,)), 0.0)
+        boosted = galilean_boost(f, (2,), 0.0)
         coeffs = np.fft.fft(boosted.data) / 32
         assert abs(coeffs[5]) == pytest.approx(1.0, abs=1e-13)
 
     def test_rejects_dirichlet(self):
         geom = GridGeometry(DomainKind.DIRICHLET_INTERVAL, (1.0,), (16,))
         with pytest.raises(GeometryError):
-            galilean_boost(Field(geom, np.zeros(geom.points)), LatticeVelocity((1,)), 0.0)
+            galilean_boost(Field(geom, np.zeros(geom.points)), (1,), 0.0)
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(GeometryError):
-            galilean_boost(Field(torus(16), np.zeros(16)), LatticeVelocity((1, 1)), 0.0)
+            galilean_boost(Field(torus(16), np.zeros(16)), (1, 1), 0.0)
 
     def test_off_grid_shift_matches_analytic_plane_wave(self):
         # for a plane wave the spectral shift can be checked in closed form
@@ -233,7 +226,7 @@ class TestGalileanBoost:
         f = Field(geom, np.exp(2j * math.pi * 2 * x))
         t = 0.123
         v = 2 * math.pi * 1
-        boosted = galilean_boost(f, LatticeVelocity((1,)), t)
+        boosted = galilean_boost(f, (1,), t)
         expected = np.exp(1j * v * x - 1j * v * v * t) * np.exp(
             2j * math.pi * 2 * (x - 2 * v * t)
         )

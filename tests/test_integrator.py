@@ -83,6 +83,14 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError):
             config(dt=1e-9, t_final=1e3)
 
+    @pytest.mark.parametrize("key, value", [
+        ("snapshot_every", 0), ("snapshot_every", -1), ("lam", math.nan), ("lam", math.inf),
+        ("eps", math.nan), ("eps", math.inf), ("t_final", math.nan),
+    ])
+    def test_rejects_what_the_config_schema_rejects(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            config(**{key: value})
+
     def test_n_steps_requires_integer_multiple(self):
         with pytest.raises(ValueError):
             config(dt=3e-2, t_final=0.1).n_steps
@@ -316,12 +324,15 @@ class TestBatchedMarch:
         assert mass(end) == pytest.approx(mass(f), rel=1e-13)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_member_names_its_index_and_step(self):
-        good = random_field(torus(), seed=1)
+    @pytest.mark.parametrize("geom", [torus(), interval()], ids=["torus", "interval"])
+    def test_non_finite_member_names_its_index_and_step(self, geom):
+        good = random_field(geom, seed=1)
+        if geom.is_dirichlet:
+            good.data[0] = 0.0  # the boundary sample
         data = np.ones(64, dtype=complex)
         data[3] = 1e308
         with pytest.raises(IntegrationError, match=r"step 1 .*run 1 of 2") as info:
-            list(march([good, Field(torus(), data)], config(), [10]))
+            list(march([good, Field(geom, data)], config(geom), [10]))
         assert (info.value.step, info.value.time, info.value.run) == (1, config().dt, 1)
 
     @pytest.mark.parametrize("eps", [[0.1], [0.1, -1.0], [0.1, float("nan")]])
@@ -353,10 +364,11 @@ class TestSinSqrtPhase:
 
 
 class TestFiniteCheck:
-    """Periodic grids check the state the previous step left from the next
-    rotation's modulus, and the state at each sample; Dirichlet grids check
-    the whole state after every step. Either way the error names the step
-    that went non-finite and the run's largest finite |u| after it."""
+    """The state a step leaves is checked before the next rotation or the
+    next sample, whichever comes first: through the rotation's |u| on
+    periodic grids, in full on Dirichlet grids and at every sample. Either
+    way the error names the step that went non-finite and the run's largest
+    finite |u| after it."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("steps", [[1], [10]])
@@ -365,12 +377,14 @@ class TestFiniteCheck:
         ("torus", 1e308, {"lie": "2.81277e+306", "strang": "inf"}),
         ("torus", 1.5e308 + 1.5e308j, {"lie": "0", "strang": "0"}),  # |u| overflows
         ("interval", 1e308, {"lie": "0", "strang": "0"}),
+        ("slab", 2e307, {"lie": "1.79767e+306", "strang": "1.79767e+306"}),  # in part
     ])
     def test_names_the_step_that_went_non_finite(self, geometry, big, finite_max, splitting,
                                                    steps):
-        geom = torus() if geometry == "torus" else interval()
-        data = np.ones(64, dtype=complex)
-        data[3] = big
+        geom = {"torus": torus(), "interval": interval(),
+                "slab": GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 1.0), (16, 16))}[geometry]
+        data = np.ones(geom.points, dtype=complex)
+        data[(3,) * geom.dim] = big
         with pytest.raises(IntegrationError) as info:
             list(march([Field(geom, data)], config(geom, splitting=splitting), steps))
         assert str(info.value) == ("non-finite sample at step 1 (t=0.01) in run 0 of 1; "

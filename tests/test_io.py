@@ -209,7 +209,8 @@ def wrong_values(valid):
 # a well-typed value outside the key's range, for every key that has one
 OUT_OF_RANGE = {"sim.eps": -0.5, "sim.record_every": 0, "sim.hs_values": [0.0],
                 "sim.snapshot_every": 0, "datum.width": 0.0, "datum.cutoff": -1.0,
-                "datum.target_s": 0.0, "datum.seed": -1, "experiment.z": 0.0}
+                "datum.target_s": 0.0, "datum.seed": -1, "experiment.z": 0.0,
+                "experiment.cutoffs": [-1.0, 1.0]}
 
 CASES = list(schema_cases())
 
