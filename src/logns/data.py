@@ -55,7 +55,11 @@ class DatumSpec:
             object.__setattr__(self, "modes", tuple(int(m) for m in self.modes))
         if self.center is not None:
             object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+            if not all(math.isfinite(c) for c in self.center):
+                raise ValueError(f"center must be finite, got {self.center}")
         object.__setattr__(self, "amplitude", complex(self.amplitude))
+        if not (math.isfinite(self.amplitude.real) and math.isfinite(self.amplitude.imag)):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
 
 
 def _plane_wave(spec: DatumSpec, geom: GridGeometry) -> np.ndarray:

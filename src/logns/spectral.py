@@ -1,4 +1,5 @@
-"""Fourier machinery: frequency grids, exact free propagator, multiplier H^s norm.
+"""Fourier machinery: frequency grids, exact free propagator, multiplier H^s norm,
+resampling between grids.
 
 Fourier coefficients are fftn(data) / data.size, so a plane wave of amplitude
 A has a single coefficient A. For a box with side lengths L the frequency of
@@ -119,6 +120,31 @@ def hs_multiplier_norm(field: Field, s: float) -> float:
     s = 0 reproduces the L^2 norm; any real s is accepted.
     """
     return bessel_norm(field.geometry, power_spectrum(field), s)
+
+
+def resample_modes(field: Field, geometry: GridGeometry) -> Field:
+    """The trigonometric interpolant of `field` sampled on `geometry`.
+
+    `geometry` is a periodic grid of the same lengths, with at least or at most
+    as many points as the field's on every axis. The modes both grids share,
+    those of the coarser grid, keep their coefficients and every other mode is
+    zero: refining pads the spectrum with zeros, restricting keeps the coarser
+    grid's modes, and refining then restricting gives the field back.
+    """
+    source = field.geometry
+    _require_periodic(source, "resample_modes")
+    _require_periodic(geometry, "resample_modes")
+    coarse, fine = sorted((source, geometry), key=lambda g: math.prod(g.points))
+    if coarse.lengths != fine.lengths or any(
+            c > f for c, f in zip(coarse.points, fine.points)):
+        raise GeometryError(f"cannot resample {source.points} points over {source.lengths} "
+                            f"onto {geometry.points} over {geometry.lengths}")
+    shared = [n.astype(int) for n in mode_grids(coarse)]
+    coeffs = np.zeros(geometry.points, dtype=complex)
+    coeffs[tuple(n % m for n, m in zip(shared, geometry.points))] = np.fft.fftn(field.data)[
+        tuple(n % m for n, m in zip(shared, source.points))]
+    coeffs *= math.prod(geometry.points) / math.prod(source.points)  # a power of two
+    return Field(geometry, np.fft.ifftn(coeffs))
 
 
 def truncate_modes(field: Field, radius: float) -> Field:

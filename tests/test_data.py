@@ -37,10 +37,14 @@ class TestSpecValidation:
         ("gaussian_bump", "width", math.nan), ("random_band_limited", "cutoff", -1.0),
         ("random_band_limited", "cutoff", math.nan), ("random_rough", "target_s", 0.0),
         ("random_rough", "target_s", -0.5), ("random_rough", "target_s", math.nan),
+        ("gaussian_bump", "amplitude", math.nan), ("gaussian_bump", "amplitude", math.inf),
+        ("plane_wave", "amplitude", complex(1.0, -math.inf)),
+        ("gaussian_bump", "center", (math.nan,)), ("gaussian_bump", "center", (0.5, math.inf)),
     ])
     def test_rejects_what_the_config_schema_rejects(self, kind, key, value):
+        modes = (1,) if kind == "plane_wave" else None
         with pytest.raises(ValueError, match=f"^{key} must be"):
-            DatumSpec(kind=kind, **{key: value})
+            DatumSpec(kind=kind, modes=modes, **{key: value})
 
 
 class TestPlaneWave:

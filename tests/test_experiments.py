@@ -20,7 +20,7 @@ from logns.experiments import (
     run_lipschitz,
     run_scaling_invariance,
 )
-from logns.geometry import DomainKind, GeometryError, GridGeometry
+from logns.geometry import DomainKind, GeometryError, GridGeometry, scale_datum
 from logns.integrator import SimConfig, final_state
 
 
@@ -86,8 +86,9 @@ class TestHsGrowth:
 
 
 def dt8_budget(spec, config):
-    """The scaling budget before the roundoff budget: ten times the L^2
-    distance between the endpoints of the base run at dt and at dt/8."""
+    """The scaling and Galilean budget before the roundoff and spatial
+    self-error budgets: ten times the L^2 distance between the endpoints of
+    the base run at dt and at dt/8."""
     datum = make_datum(spec, config.geometry)
     coarse = final_state(datum, config)
     fine = final_state(datum, replace(config, dt=config.dt / 8.0))
@@ -169,17 +170,83 @@ class TestScalingInvariance:
         assert marched_steps == [(2, config.n_steps)]
 
 
+GALILEAN_CONFIG = dict(lam=1.0, eps=1e-2, dt=1e-3, t_final=0.2)
+# (datum, config, boost modes) on which the spatial self-error budget holds
+# with a fivefold margin; under the dt/8 budget the 16^3 torus was a false FAIL
+GALILEAN_CASES = {
+    **{f"torus-64-width={w}": (DatumSpec(kind="gaussian_bump", width=w),
+                               SimConfig(**GALILEAN_CONFIG, geometry=torus(64)), (1,))
+       for w in (0.25, 0.12, 0.08)},
+    "box-32x16": (DatumSpec(kind="gaussian_bump", width=0.12), SimConfig(
+        **GALILEAN_CONFIG, geometry=GridGeometry(DomainKind.PERIODIC_BOX, (1.0, 0.5), (32, 16))),
+        (1, 1)),
+    "torus-16^3": (DatumSpec(kind="gaussian_bump", width=0.15), SimConfig(
+        **GALILEAN_CONFIG, geometry=GridGeometry(DomainKind.TORUS, (1.0,) * 3, (16,) * 3)),
+        (1, 1, 1)),
+}
+
+
 class TestGalilean:
     def test_covariance(self):
         report = run_galilean(BAND, quick_config(), boost_modes=(1,))
         assert report.passed
         assert report.margins["rel_discrepancy"] <= report.margins["budget"]
 
-    def test_reruns_at_dt_over_8(self, marched_steps):
-        # the boosted and plain runs in one march, then the plain run at dt/8
+    def test_marches_the_n_and_2n_grids_once_each(self, marched_steps, monkeypatch):
+        # the boosted and plain runs in one march, then both again on the 2N grid
+        grids = []
+        counting_march = experiments.march
+
+        def recording_march(data, config, steps, eps=None):
+            grids.append(config.geometry.points)
+            return counting_march(data, config, steps, eps)
+
+        monkeypatch.setattr(experiments, "march", recording_march)
         config = quick_config()
         run_galilean(BAND, config, boost_modes=(1,))
-        assert marched_steps == [(2, config.n_steps), (1, 8 * config.n_steps)]
+        assert marched_steps == [(2, config.n_steps), (2, config.n_steps)]
+        assert grids == [(32,), (64,)]
+
+    @pytest.mark.parametrize("case", GALILEAN_CASES)
+    def test_self_error_budget_covers_the_discrepancy_fivefold(self, case):
+        spec, config, modes = GALILEAN_CASES[case]
+        report = run_galilean(spec, config, boost_modes=modes)
+        assert report.passed
+        assert report.margins["rel_discrepancy"] <= report.margins["budget"] / 5.0
+
+    @pytest.mark.parametrize("amplitude", [1e100, 1.0, 1e-100])
+    def test_budget_is_relative(self, amplitude):
+        # the dt/8 budget was absolute: 3.6e97, 3.6e-3 and 1e-12 here
+        spec = replace(GAUSSIAN, amplitude=amplitude)
+        report = run_galilean(spec, quick_config(), boost_modes=(1,))
+        assert report.passed
+        assert report.margins["budget"] <= 1e-9
+
+    def test_budget_sees_a_phase_off_by_1e_8(self, monkeypatch):
+        # the config of acceptance check 06, whose dt/8 budget is 4.4e-5
+        config = SimConfig(lam=1.0, eps=1e-3, dt=1e-3, t_final=1.0, geometry=torus(64))
+        assert run_galilean(GAUSSIAN, config, boost_modes=(2,)).passed
+        boost = experiments.galilean_boost
+
+        def boost_off(field, modes, t):
+            out = boost(field, modes, t)
+            return scale_datum(out, cmath.exp(1e-8j)) if t else out
+
+        monkeypatch.setattr(experiments, "galilean_boost", boost_off)
+        report = run_galilean(GAUSSIAN, config, boost_modes=(2,))
+        assert report.margins["rel_discrepancy"] == pytest.approx(1e-8, rel=1e-3)
+        assert report.margins["rel_discrepancy"] <= dt8_budget(GAUSSIAN, config)
+        assert not report.passed
+
+    @pytest.mark.parametrize("modes", [(1.5,), (math.nan,), (math.inf,)])
+    def test_rejects_a_non_integral_boost_mode(self, modes):
+        with pytest.raises(ValueError, match="boost_modes"):
+            run_galilean(BAND, quick_config(), boost_modes=modes)
+
+    def test_integral_float_modes_are_the_integer_modes(self):
+        a = run_galilean(BAND, quick_config(), boost_modes=(2,))
+        b = run_galilean(BAND, quick_config(), boost_modes=(2.0,))
+        assert a == b
 
     def test_rejects_dirichlet(self):
         geom = GridGeometry(DomainKind.DIRICHLET_INTERVAL, (1.0,), (32,))

@@ -13,6 +13,7 @@ from logns.spectral import (
     mode_radius,
     power_spectrum,
     propagate,
+    resample_modes,
     squared_frequency,
     truncate_modes,
 )
@@ -186,3 +187,36 @@ class TestTruncateModes:
         f = plane_wave(geom, (5,))
         out = truncate_modes(f, 5.0)
         np.testing.assert_allclose(out.data, f.data, atol=1e-13)
+
+
+class TestResampleModes:
+    BOX = GridGeometry(DomainKind.PERIODIC_BOX, (1.0, 0.5), (32, 16))
+    FINE_BOX = GridGeometry(DomainKind.PERIODIC_BOX, (1.0, 0.5), (64, 32))
+
+    def random_field(self, geom, seed=5):
+        rng = np.random.default_rng(seed)
+        return Field(geom, rng.standard_normal(geom.points) + 1j * rng.standard_normal(geom.points))
+
+    @pytest.mark.parametrize("coarse, fine", [(torus(32), torus(64)), (BOX, FINE_BOX)])
+    def test_refining_interpolates_and_restricting_undoes_it(self, coarse, fine):
+        f = self.random_field(coarse)
+        refined = resample_modes(f, fine)
+        assert refined.geometry == fine
+        np.testing.assert_allclose(refined.data[(slice(None, None, 2),) * coarse.dim], f.data,
+                                   atol=1e-14)
+        np.testing.assert_allclose(resample_modes(refined, coarse).data, f.data, atol=1e-14)
+
+    def test_restricting_keeps_the_shared_modes(self):
+        fine = torus(64)
+        f = Field(fine, plane_wave(fine, (5,), 2.0).data + plane_wave(fine, (-20,)).data)
+        out = resample_modes(f, torus(32))
+        np.testing.assert_allclose(out.data, plane_wave(torus(32), (5,), 2.0).data, atol=1e-14)
+
+    @pytest.mark.parametrize("source, target", [
+        (torus(32), GridGeometry(DomainKind.PERIODIC_BOX, (2.0,), (64,))),
+        (BOX, GridGeometry(DomainKind.PERIODIC_BOX, (1.0, 0.5), (64, 8))),
+        (torus(32), GridGeometry(DomainKind.DIRICHLET_INTERVAL, (1.0,), (64,))),
+    ])
+    def test_rejects_grids_that_share_no_mode_set(self, source, target):
+        with pytest.raises(GeometryError):
+            resample_modes(self.random_field(source), target)
