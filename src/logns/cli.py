@@ -35,8 +35,9 @@ def _print_report(report: ExperimentReport) -> None:
     print(f"experiment : {report.name}")
     print(f"digest     : {report.config_digest[:16]}")
     print(f"samples    : {report.n_samples}")
+    width = max([32, *map(len, report.margins)])  # convergence labels can be longer
     for label in sorted(report.margins):
-        print(f"  {label:<32} {report.margins[label]:.6e}")
+        print(f"  {label:<{width}} {report.margins[label]:.6e}")
     print(f"verdict    : {report.verdict.upper()}")
 
 

@@ -2,8 +2,10 @@
 
 Each run_* function evolves concrete data, compares against the relevant
 growth envelope or invariance identity, and returns an ExperimentReport with
-named margins. Verdicts follow fixed thresholds. The convergence check
-measures against a dt/8 reference. Scaling covariance is exact for the scheme
+named margins. Verdicts follow fixed thresholds. The convergence check judges
+the observed orders of consecutive rungs of its step ladder against one
+another, with no reference run, and halves below the ladder until the last
+two orders agree with the splitting. Scaling covariance is exact for the scheme
 itself, so it is judged against a roundoff budget derived from the run
 (`_scaling_budget`). Galilean covariance is exact for the time-discrete scheme
 in continuous space, so its discrepancy is a spatial error, judged against
@@ -30,7 +32,7 @@ from . import constants
 from .data import _ZERO_NORM_RATIO, DatumSpec, make_datum
 from .diagnostics import hs_growth_ratio, l2_distance, mass, measure
 from .geometry import galilean_boost, scale_datum
-from .integrator import (SimConfig, eps_continuation, evolve_pair, final_state,
+from .integrator import (_MAX_STEPS, SimConfig, eps_continuation, evolve_pair, final_state,
                          lockstep_distances, march)
 from .spectral import resample_modes, truncate_modes
 
@@ -50,6 +52,7 @@ __all__ = [
 BOUND_SLACK = 1e-6
 _EXACT_FLOOR = 1e-12  # relative; keeps the Galilean budget nonzero where the N and 2N runs agree
 _UNIT_ROUNDOFF = 2.0**-53
+_MAX_ADDED_RUNGS = 4  # halvings `run_convergence_order` may add below the ladder
 
 
 @dataclass
@@ -312,38 +315,115 @@ def run_h1_approximation(spec: DatumSpec, config: SimConfig, *,
                    spec=spec, cutoffs=list(cutoffs))
 
 
+def _rung(config: SimConfig, dt: float) -> SimConfig:
+    """`config` at step dt. A rung takes no records, so record_every is set to
+    1, which no step size rejects."""
+    return replace(config, dt=dt, record_every=1)
+
+
+def dt_ladder_errors(config: SimConfig, dt_ladder: list[float]) -> list[str]:
+    """Why `dt_ladder` cannot run under `config`, one message per fault: fewer
+    than two rungs, rungs not strictly decreasing, or a rung that is not
+    positive or that `SimConfig` rejects (larger than t_final, not dividing
+    it, past the step limit). Empty if the ladder can run."""
+    errors = []
+    if len(dt_ladder) < 2:
+        errors.append(f"need at least two step sizes, got {len(dt_ladder)}")
+    if any(b >= a for a, b in zip(dt_ladder, dt_ladder[1:])):
+        errors.append(f"must be strictly decreasing, got {list(dt_ladder)}")
+    for dt in dt_ladder:
+        if not dt > 0.0:
+            errors.append(f"rung {dt:g}: must be positive")
+            continue
+        try:
+            _rung(config, dt)
+        except ValueError as exc:
+            errors.append(f"rung {dt:g}: {exc}")
+    return errors
+
+
+def _self_order(rungs: list[float], ratio: float) -> float:
+    """The order p of three rungs a > b > c whose consecutive differences have
+    the ratio e(a, b) / e(b, c), or nan if none is found.
+
+    If u_dt = u + C dt^p, then e(a, b) = |C| (a^p - b^p), so p solves
+    (a^p - b^p) / (b^p - c^p) = ratio. On a geometric ladder, a / b = b / c = q,
+    the root is ln(ratio) / ln(q). The left side increases with p from 0 to
+    infinity, so bisection finds the one root of any positive finite ratio
+    within |p| <= 64, or as far as its powers stay in the float range.
+    """
+    a, b, c = rungs
+    la, lc = math.log(a / b), math.log(b / c)
+
+    def log_lhs(p):  # ln of the left side, which is expm1(p la) / (1 - e^{-p lc})
+        if p == 0.0:
+            return math.log(la / lc)
+        return math.log(math.expm1(p * la) / -math.expm1(-p * lc))
+
+    if not 0.0 < ratio < math.inf:
+        return math.nan
+    target = math.log(ratio)
+    bound = min(64.0, 700.0 / max(la, lc))
+    lo, hi = -bound, bound
+    if not log_lhs(lo) <= target <= log_lhs(hi):
+        return math.nan
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if log_lhs(mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
 def run_convergence_order(spec: DatumSpec, config: SimConfig, *,
                           dt_ladder: list[float]) -> ExperimentReport:
-    """Measure the splitting order against a refined reference run.
+    """Judge the splitting order by self-convergence, with no reference run.
 
-    The reference uses dt_min / 8. Strang should land in [1.7, 2.3], Lie in
-    [0.8, 1.2]; an all-roundoff error ladder is flagged as the exact regime.
+    Each rung marches to t_final. Consecutive rungs differ by
+    e_k = |u_{dt_k} - u_{dt_{k+1}}|, and each triple of rungs gives an observed
+    order p_k (`_self_order`). While the last two orders are not both in the
+    band, [1.7, 2.3] for Strang and [0.8, 1.2] for Lie, a rung of half the
+    finest step is added, at most `_MAX_ADDED_RUNGS` of them and within the
+    step limit; if they run out first, the verdict is FAIL. A ladder whose
+    differences are all at roundoff (at most 1e-11 |phi|) passes as the exact
+    regime, with no added rung. The margins hold every difference and order,
+    the number of added rungs, and `order`, the last order judged.
     """
-    if len(dt_ladder) < 2:
-        raise ValueError("need at least two step sizes")
-    if any(b >= a for a, b in zip(dt_ladder, dt_ladder[1:])):
-        raise ValueError("dt_ladder must be strictly decreasing")
+    errors = dt_ladder_errors(config, dt_ladder)
+    if errors:
+        raise ValueError(f"dt_ladder: {'; '.join(errors)}")
     datum = make_datum(spec, config.geometry)
-    reference = final_state(datum, replace(config, dt=min(dt_ladder) / 8.0))
+    dts = list(dt_ladder)
+    ends = [final_state(datum, _rung(config, dt)) for dt in dts]
+    diffs = [l2_distance(u, v) for u, v in zip(ends, ends[1:])]
+    end = ends[-1]
+    lo, hi = (1.7, 2.3) if config.splitting == "strang" else (0.8, 1.2)
 
-    errors = []
-    for dt in dt_ladder:
-        errors.append(l2_distance(final_state(datum, replace(config, dt=dt)), reference))
+    exact = max(diffs) <= 1e-11 * math.sqrt(mass(datum))
+    orders = [] if exact else [_self_order(dts[k : k + 3], diffs[k] / diffs[k + 1])
+                               for k in range(len(diffs) - 1)]
 
-    scale = math.sqrt(mass(datum))
-    margins: dict[str, float] = {
-        f"error_dt={dt:g}": e for dt, e in zip(dt_ladder, errors)
-    }
-    if max(errors) <= 1e-11 * scale:
+    def judged() -> bool:
+        return len(orders) >= 2 and all(lo <= p <= hi for p in orders[-2:])
+
+    while not exact and not judged() and len(dts) - len(dt_ladder) < _MAX_ADDED_RUNGS:
+        rung = _rung(config, dts[-1] / 2.0)
+        if rung.n_steps > _MAX_STEPS:
+            break
+        finer = final_state(datum, rung)
+        dts.append(rung.dt)
+        diffs.append(l2_distance(end, finer))
+        end = finer
+        orders.append(_self_order(dts[-3:], diffs[-2] / diffs[-1]))
+
+    margins = {f"diff_dt={a:g}_{b:g}": e for a, b, e in zip(dts, dts[1:], diffs)}
+    margins |= {f"order_dt={a:g}_{b:g}_{c:g}": p
+                for a, b, c, p in zip(dts, dts[1:], dts[2:], orders)}
+    margins["added_rungs"] = float(len(dts) - len(dt_ladder))
+    if exact:
         margins["exact_regime"] = 1.0
-        margins["order"] = float("nan")
-        passed = True
-    else:
-        slope, _ = np.polyfit(np.log(dt_ladder), np.log(errors), 1)
-        margins["order"] = float(slope)
-        lo, hi = (1.7, 2.3) if config.splitting == "strang" else (0.8, 1.2)
-        passed = lo <= slope <= hi
-    return _report("convergence_order", config, passed, margins, None, len(dt_ladder),
+    margins["order"] = orders[-1] if orders else math.nan
+    return _report("convergence_order", config, exact or judged(), margins, None, len(dts),
                    spec=spec, dt_ladder=list(dt_ladder))
 
 

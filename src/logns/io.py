@@ -26,7 +26,7 @@ import numpy as np
 
 from .data import DatumSpec
 from .diagnostics import DiagnosticsRecord
-from .experiments import EXPERIMENTS
+from .experiments import EXPERIMENTS, dt_ladder_errors
 from .geometry import DomainKind, Field, GridGeometry
 from .integrator import SimConfig
 
@@ -307,6 +307,9 @@ def parse_config(text: str, experiment: str | None = None) -> ConfigDocument:
         if geometry is not None and modes is not None and len(modes) != geometry.dim:
             errors.append(f"experiment.boost_modes: expected one integer per axis "
                           f"({geometry.dim}), got {len(modes)}")
+        ladder = params.get("dt_ladder")
+        if sim is not None and ladder is not None:
+            errors.extend(f"experiment.dt_ladder: {e}" for e in dt_ladder_errors(sim, ladder))
         if entry.periodic_only and dirichlet:
             errors.append(f"geometry.kind: experiment {experiment} needs a periodic geometry, "
                           f"got {kind!r}")

@@ -270,6 +270,32 @@ class TestExperiment:
         assert report["name"] == "convergence_order"
         assert report["passed"] is True and code == 0
         assert 1.7 <= report["margins"]["order"] <= 2.3
+        assert report["margins"]["added_rungs"] == 1
+
+    @pytest.mark.parametrize("ladder, messages", [
+        ("[0.03, 0.02]", ["rung 0.03: t_final is not an integer multiple of dt"]),
+        ("[0.02, -0.01]", ["rung -0.01: must be positive"]),
+        ("[0.3, 0.2]", ["rung 0.3: dt must not exceed t_final",
+                        "rung 0.2: dt must not exceed t_final"]),
+        ("[0.02, 0.02]", ["must be strictly decreasing, got [0.02, 0.02]"]),
+        ("[0.02, 1e-10]", ["rung 1e-10: t_final/dt exceeds the 100000000 step limit"]),
+    ], ids=["not-dividing", "negative", "above-t_final", "repeated", "step-limit"])
+    def test_a_ladder_that_cannot_run_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                         ladder, messages):
+        def no_datum(*args):
+            raise AssertionError("built the datum before rejecting the ladder")
+
+        monkeypatch.setattr(experiments, "make_datum", no_datum)
+        cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM +
+                           f',"experiment": {{"dt_ladder": {ladder}}}')
+        report_path = tmp_path / "report.json"
+        argv = ["experiment", "convergence", "--config", str(cfg), "--out", str(report_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"config error: experiment.dt_ladder: {m}"
+                                             for m in messages]
+        assert "Traceback" not in captured.err
+        assert captured.out == "" and not report_path.exists()
 
 
 # tiny grids, one per domain kind

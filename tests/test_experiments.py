@@ -294,24 +294,114 @@ class TestH1Approximation:
         assert report.margins == {"sup_dist_K16_K20": 0.0}
 
 
+def orders(report):
+    """The self-convergence orders of a convergence report, finest last."""
+    return [v for k, v in report.margins.items() if k.startswith("order_dt=")]
+
+
+# acceptance check 10's configs, the ladder the verify-1d workload runs too
+CHECK_10 = dict(lam=1.0, eps=1e-2, dt=1e-3, t_final=1.0, geometry=torus(64))
+CHECK_10_LADDER = [4e-3, 2e-3, 1e-3]
+# a narrow datum over a short time: the first self orders are far from the
+# asymptotic ones (Strang 6.593, 2.004, 2.638, 2.006, 2.034; Lie 3.898,
+# 0.996, 0.996), and a slope fitted against a dt_min/8 reference FAILs both
+NARROW_ORDERS = dict(lam=1.0, eps=1e-2, dt=1e-3, t_final=0.2, geometry=torus(64))
+
+
 class TestConvergenceOrder:
     def test_ladder_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least two"):
             run_convergence_order(GAUSSIAN, quick_config(), dt_ladder=[1e-2])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="strictly decreasing"):
             run_convergence_order(GAUSSIAN, quick_config(), dt_ladder=[1e-3, 1e-2])
+        with pytest.raises(ValueError, match="rung -0.01: must be positive"):
+            run_convergence_order(GAUSSIAN, quick_config(), dt_ladder=[1e-2, -1e-2])
+        with pytest.raises(ValueError, match="rung 0.03: t_final is not an integer multiple"):
+            run_convergence_order(GAUSSIAN, quick_config(), dt_ladder=[3e-2, 1e-2])
 
     def test_strang_is_second_order(self):
         cfg = quick_config(geometry=torus(64), t_final=0.4, dt=1e-2)
         report = run_convergence_order(GAUSSIAN, cfg, dt_ladder=[1e-2, 5e-3, 2.5e-3])
         assert report.passed
-        assert 1.7 <= report.margins["order"] <= 2.3
+        assert report.margins["added_rungs"] == 3
+        assert orders(report) == pytest.approx([1.901, 2.598, 2.010, 2.002], abs=1e-3)
+        assert report.margins["order"] == orders(report)[-1]
 
     def test_lie_is_first_order(self):
         cfg = quick_config(geometry=torus(64), t_final=0.4, dt=1e-2, splitting="lie")
         report = run_convergence_order(GAUSSIAN, cfg, dt_ladder=[2e-2, 1e-2, 5e-3])
         assert report.passed
+        assert report.margins["added_rungs"] == 1
         assert 0.8 <= report.margins["order"] <= 1.2
+
+    def test_lie_judged_in_the_strang_band_fails(self, monkeypatch):
+        # a config that claims Strang while every rung marches Lie
+        monkeypatch.setattr(experiments, "final_state", lambda datum, config: final_state(
+            datum, replace(config, splitting="lie")))
+        report = run_convergence_order(GAUSSIAN, SimConfig(**CHECK_10),
+                                       dt_ladder=CHECK_10_LADDER)
+        assert not report.passed
+        assert report.margins["added_rungs"] == experiments._MAX_ADDED_RUNGS == 4
+        assert len(orders(report)) == 5
+        assert all(0.98 <= p <= 1.01 for p in orders(report))
+
+    @pytest.mark.parametrize("splitting, added", [("strang", 4), ("lie", 2)])
+    def test_orders_far_from_asymptotic_pass_after_added_rungs(self, splitting, added):
+        spec = DatumSpec(kind="gaussian_bump", width=0.12)
+        cfg = SimConfig(**NARROW_ORDERS, splitting=splitting)
+        report = run_convergence_order(spec, cfg, dt_ladder=CHECK_10_LADDER)
+        assert report.passed
+        assert report.margins["added_rungs"] == added
+        assert orders(report)[0] > 3.5
+
+    def test_a_two_rung_ladder_gets_two_orders(self):
+        report = run_convergence_order(GAUSSIAN, quick_config(t_final=0.1),
+                                       dt_ladder=[2e-2, 1e-2])
+        assert report.passed
+        assert report.margins["added_rungs"] >= 2
+        assert len(orders(report)) >= 2
+        assert len([k for k in report.margins if k.startswith("diff_dt=")]) == 3
+
+    def test_plane_wave_is_the_exact_regime(self, marched_steps):
+        spec = DatumSpec(kind="plane_wave", modes=(2,))
+        report = run_convergence_order(spec, quick_config(t_final=0.4),
+                                       dt_ladder=[1e-2, 5e-3, 2.5e-3])
+        assert report.passed
+        assert report.margins["exact_regime"] == 1.0
+        assert report.margins["added_rungs"] == 0
+        assert math.isnan(report.margins["order"])
+        assert orders(report) == []
+        assert len(marched_steps) == 3
+
+    def test_halvings_stop_at_the_step_limit(self, monkeypatch, marched_steps):
+        # the rung of 20 steps fits under a limit of 20, the next one does not
+        monkeypatch.setattr(experiments, "_MAX_STEPS", 20)
+        report = run_convergence_order(GAUSSIAN, quick_config(t_final=0.1),
+                                       dt_ladder=[2e-2, 1e-2])
+        assert not report.passed
+        assert report.margins["added_rungs"] == 1
+        assert [steps for _, steps in marched_steps] == [5, 10, 20]
+
+    def test_check_10_strang_marches_four_rungs_and_no_reference(self, marched_steps):
+        # one rung of dt_min / 2 is added; t_final = 1, so a run's steps are 1 / dt
+        run_convergence_order(GAUSSIAN, SimConfig(**CHECK_10), dt_ladder=CHECK_10_LADDER)
+        assert marched_steps == [(1, 250), (1, 500), (1, 1000), (1, 2000)]
+
+
+class TestSelfOrder:
+    @pytest.mark.parametrize("rungs", [[4e-3, 2e-3, 1e-3], [1e-2, 5e-3, 2.5e-3],
+                                       [0.1, 0.03, 0.02], [3e-2, 2e-2, 1.5e-3]])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 2.3, 4.0, -1.0])
+    def test_recovers_the_order_of_synthetic_differences(self, rungs, p):
+        # u_dt = u + C dt^p: the differences are C (a^p - b^p) and C (b^p - c^p),
+        # which on the two halving ladders are proportional to a^p and b^p
+        a, b, c = rungs
+        ratio = (a**p - b**p) / (b**p - c**p)
+        assert experiments._self_order(rungs, ratio) == pytest.approx(p, rel=1e-12)
+
+    @pytest.mark.parametrize("ratio", [0.0, -1.0, math.inf, math.nan, 2.0**100, 2.0**-100])
+    def test_a_ratio_without_a_root_gives_nan(self, ratio):
+        assert math.isnan(experiments._self_order([4e-3, 2e-3, 1e-3], ratio))
 
 
 class TestReportPlumbing:
