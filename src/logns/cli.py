@@ -105,43 +105,54 @@ def _cmd_norms(args) -> int:
     return 0
 
 
+# the moduli and eps of `check-inequality` are log-uniform on [1e-15, 1e15]
+_LOG_SPAN = 15.0 * math.log(10.0)
+
+
 def _cmd_check_inequality(args) -> int:
-    """Randomized suite for the monotonicity-gap inequality (and its eps = 0 case)."""
-    n = args.samples
+    """Randomized suite for the monotonicity-gap inequality (and its eps = 0 case).
+
+    The gap, its bound and the slack do not change when z1 and z2 are rotated
+    together, so only their relative phase matters. Each pair is drawn as
+    z1 = r1 (real) and z2 = r2 w / |w|, with w a standard complex normal: w / |w|
+    is uniform on the circle, so the relative phase is uniform, as it is for
+    two independent uniform phases, and needs no cos or sin.
+    """
+    n, seed = args.samples, args.seed
     if n < 1:
         raise ValueError(f"--samples must be at least 1, got {n}")
-    rng = np.random.default_rng(args.seed)
-    worst = -math.inf  # the largest gap - bound - slack over every sample
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
+    rng = np.random.default_rng(seed)
+    non_finite = 0  # samples whose gap or bound is inf or nan: any one fails
+    worst = -math.inf  # the largest gap - bound - slack over the finite samples
     ratio = 0.0  # the largest gap / (bound + slack): how close the bound came
     for eps_zero in (False, True):
         remaining = n
         while remaining > 0:
             chunk = min(remaining, 2**16)  # bounds the peak memory
             remaining -= chunk
-            moduli = 10.0 ** rng.uniform(-15, 15, size=(2, chunk))
-            # moduli * exp(2 pi i r) as cos and sin into one buffer, bitwise
-            # the complex exponential without its complex temporaries
-            angle = 2.0 * np.pi * rng.random((2, chunk))
-            z = np.empty((2, chunk), dtype=complex)
-            np.cos(angle, out=z.real)
-            np.sin(angle, out=z.imag)
-            z.real *= moduli
-            z.imag *= moduli
-            z1, z2 = z
-            if eps_zero:
-                e1 = e2 = np.zeros(chunk)
-            else:
-                e1, e2 = 10.0 ** rng.uniform(-15, 15, size=(2, chunk))
-            gap = np.abs(nonlinearity.monotonicity_gap(z1, z2, e1, e2))
-            bound = nonlinearity.monotonicity_bound(z1, z2, e1, e2)
-            slack = 1e-12 * (1.0 + np.abs(z1 - z2) ** 2)
-            worst = max(worst, float(np.max(gap - bound - slack)))
-            ratio = max(ratio, float(np.max(gap / (bound + slack))))
+            # r1, r2 and, unless eps_zero, eps1, eps2
+            moduli = rng.uniform(-_LOG_SPAN, _LOG_SPAN, size=(2 if eps_zero else 4, chunk))
+            np.exp(moduli, out=moduli)
+            r1, r2 = moduli[:2]
+            e1, e2 = (0.0, 0.0) if eps_zero else moduli[2:]
+            z2 = rng.standard_normal(2 * chunk).view(complex)
+            z2 *= r2 / np.abs(z2)
+            gap = np.abs(nonlinearity.monotonicity_gap(r1, z2, e1, e2))
+            bound = nonlinearity.monotonicity_bound(r1, z2, e1, e2)
+            slack = 1e-12 * (1.0 + np.abs(r1 - z2) ** 2)
+            finite = np.isfinite(gap) & np.isfinite(bound)
+            non_finite += chunk - int(np.count_nonzero(finite))
+            worst = max(worst, float(np.max(gap - bound - slack, where=finite, initial=-math.inf)))
+            ratio = max(ratio, float(np.max(gap / (bound + slack), where=finite, initial=0.0)))
+    passed = non_finite == 0 and worst <= 0.0
     print(f"samples per case : {n}")
+    print(f"non-finite       : {non_finite} (gap or bound; 0 passes)")
     print(f"worst margin     : {worst:.6e} (<= 0 passes)")
     print(f"worst ratio      : {ratio:.6e} (<= 1 passes)")
-    print("verdict          :", "PASS" if worst <= 0.0 else "FAIL")
-    return 0 if worst <= 0.0 else 1
+    print("verdict          :", "PASS" if passed else "FAIL")
+    return 0 if passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

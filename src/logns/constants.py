@@ -5,16 +5,6 @@ were measured once with the brute-force oracles in the test suite and are
 frozen here. Tests assert against these, not against re-derived values.
 """
 
-# sup of |g(z)| / (|z|^(1-d) + |z|^(1+d)) at delta = 1/2 over the log-grid of
-# moduli 2^-40 .. 2^40 (2e6 points); the analytic envelope is 4/e ~ 1.4715.
-GROWTH_RATIO_SUP_DELTA_HALF = 1.32549
-
-# empirical suprema of the two difference quotients of the g split at
-# alpha = 1/2 over 10^6 seeded random pairs plus adversarial near-equal
-# probes (observed 2.081 / 2.581), frozen with headroom
-HOLDER_RATIO_SUP_ALPHA_HALF = 2.25
-LOG_LIPSCHITZ_RATIO_SUP = 2.80
-
 # Gagliardo / multiplier norm ratio on 1-d unit-torus band-limited fields,
 # N = 256, cutoffs cycling {8, 16, 32, 64, 96}: observed over 10^3 seeded
 # fields (0.25: 2.685..2.980, 0.5: 2.141..2.434, 0.75: 1.688..2.369), widened

@@ -11,31 +11,7 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "g",
-    "phase_flow",
-    "monotonicity_gap",
-    "monotonicity_bound",
-    "pointwise_growth_ratio",
-    "radial_cutoff",
-    "g_small",
-    "g_large",
-    "difference_ratios",
-]
-
-
-def _safe_log(r):
-    """log(r) with log(0) replaced by 0 (callers multiply by a vanishing factor)."""
-    r = np.asarray(r, dtype=float)
-    out = np.zeros_like(r)
-    np.log(r, out=out, where=r > 0.0)
-    return out
-
-
-def g(z):
-    """z * ln(|z|^2), extended by 0 at the origin."""
-    z = np.asarray(z, dtype=complex)
-    return z * (2.0 * _safe_log(np.abs(z)))
+__all__ = ["phase_flow", "monotonicity_gap", "monotonicity_bound"]
 
 
 # |ln x| <= _LOG_RANGE for every positive finite double x: ln of the smallest
@@ -52,7 +28,8 @@ def rotation_phase(modulus, coeff, eps, phase, run_points, mask_zeros=True):
 
     `phase` is a complex array of the modulus's shape and eps is a scalar or
     broadcasts against it. No check, no allocation beyond the log's mask:
-    where |u| + eps = 0 the angle is 0 (the factor 1), as with _safe_log.
+    where |u| + eps = 0 the angle is 0 (the factor 1): the continuous
+    extension 0 * ln 0 = 0 of the module docstring.
     With every eps > 0 no |u| + eps vanishes, so mask_zeros=False skips the
     mask and gives the same result.
 
@@ -109,91 +86,46 @@ def monotonicity_gap(z1, z2, eps1=0.0, eps2=0.0):
     Evaluated through the identity with L_i = ln(|z_i| + eps_i)
         gap = (L1 - L2) * Im[conj(z1 - z2) * z2],
     which avoids the catastrophic cancellation of the literal expression for
-    near-equal pairs; L1 - L2 itself goes through log1p of the radius gap.
+    near-equal pairs. It is computed on real arrays, with no masked copies:
+    - L1 - L2 is the difference of the two dense logs, except where
+      x = (|z1| - |z2| + eps1 - eps2) / (|z2| + eps2) has |x| < 0.5: there
+      it is log1p(x), evaluated on that subset only;
+    - Im[conj(z1 - z2) * z2] is (x1 - x2) y2 - (y1 - y2) x2 from the real
+      and imaginary parts, with no complex temporary;
+    - where that factor is exactly 0, the gap is 0. This covers the origin
+      (z_i = 0 with eps_i = 0), whose log is -inf: 0 * ln 0 = 0.
+    Scalar inputs give a scalar.
     """
-    if np.any(np.asarray(eps1) < 0) or np.any(np.asarray(eps2) < 0):
+    e1 = np.asarray(eps1, dtype=float)
+    e2 = np.asarray(eps2, dtype=float)
+    if np.any(e1 < 0.0) or np.any(e2 < 0.0):
         raise ValueError("eps values must be >= 0")
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
-    e1 = np.asarray(eps1, dtype=float)
-    e2 = np.asarray(eps2, dtype=float)
-    r1 = np.abs(z1)
-    r2 = np.abs(z2)
-    a1 = r1 + e1
-    a2 = r2 + e2
-    # both log arguments positive; otherwise one point is 0 and the gap vanishes
-    valid = (a1 > 0.0) & (a2 > 0.0)
-    with np.errstate(over="ignore"):  # extreme magnitude ratios take the far branch
-        x = ((r1 - r2) + (e1 - e2)) / np.where(valid, a2, 1.0)
-    near = valid & (np.abs(x) < 0.5)
-    ldiff = np.zeros(np.shape(x))
-    np.log1p(x, out=ldiff, where=near)
-    # far-apart arguments: the plain log difference has no cancellation issue
-    far = valid & ~near
-    np.subtract(
-        np.log(np.where(far, a1, 1.0)), np.log(np.where(far, a2, 1.0)),
-        out=ldiff, where=far,
-    )
-    return ldiff * np.imag(np.conj(z1 - z2) * z2)
+    shape = np.broadcast_shapes(z1.shape, z2.shape, e1.shape, e2.shape)
+    # 1-d so that the in-place and masked steps below also take scalars
+    z1, z2, e1, e2 = np.atleast_1d(z1, z2, e1, e2)
+    r1, r2 = np.abs(z1), np.abs(z2)
+    # ln 0, 0/0 and a huge ratio leave inf or nan only where the factor is 0
+    # or the far branch is taken
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a2 = r2 + e2
+        ldiff = np.log(r1 + e1) - np.log(a2)
+        x = (r1 - r2) + (e1 - e2)
+        x /= a2
+        near = np.abs(x) < 0.5
+        ldiff[near] = np.log1p(x[near])
+        im = z1.real - z2.real
+        im *= z2.imag
+        t = z1.imag - z2.imag
+        t *= z2.real
+        im -= t
+        ldiff *= im
+    np.copyto(ldiff, 0.0, where=im == 0.0)
+    return ldiff.reshape(shape)[()]
 
 
 def monotonicity_bound(z1, z2, eps1=0.0, eps2=0.0):
     """Right-hand side |z1-z2|^2 + |eps1-eps2| |z1-z2| of the gap inequality."""
     d = np.abs(np.asarray(z1, dtype=complex) - np.asarray(z2, dtype=complex))
     return d * d + np.abs(np.asarray(eps1) - np.asarray(eps2)) * d
-
-
-def pointwise_growth_ratio(z, delta):
-    """|g(z)| / (|z|^(1-delta) + |z|^(1+delta)), 0 at the origin.
-
-    The ratio is bounded by 2/(e*delta); the observed supremum is pinned as a
-    regression constant in `constants`.
-    """
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    r = np.abs(np.asarray(z, dtype=complex))
-    num = 2.0 * r * np.abs(_safe_log(r))
-    den = r ** (1.0 - delta) + r ** (1.0 + delta)
-    out = np.zeros_like(num)
-    np.divide(num, den, out=out, where=r > 0.0)
-    return out
-
-
-def radial_cutoff(z):
-    """Piecewise-linear radial ramp: 1 for |z| <= 1, 0 for |z| >= 2."""
-    return np.clip(2.0 - np.abs(np.asarray(z, dtype=complex)), 0.0, 1.0)
-
-
-def g_small(z):
-    """Small-modulus part of g: supported on |z| < 2, Hoelder continuous."""
-    return radial_cutoff(z) * g(z)
-
-
-def g_large(z):
-    """Large-modulus part of g: supported on |z| > 1, log-Lipschitz."""
-    return (1.0 - radial_cutoff(z)) * g(z)
-
-
-def difference_ratios(z, w, alpha):
-    """Hoelder and log-Lipschitz difference quotients of the g split.
-
-    Returns the pair
-        |g_small(z) - g_small(w)| / |z - w|^alpha,
-        |g_large(z) - g_large(w)| / ((ln+|z| + ln+|w| + 1) |z - w|),
-    with both ratios 0 where z == w. Their suprema over random samples are
-    pinned in `constants`.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    z = np.asarray(z, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    d = np.abs(z - w)
-    nonzero = d > 0.0
-
-    r1 = np.zeros_like(d)
-    np.divide(np.abs(g_small(z) - g_small(w)), d**alpha, out=r1, where=nonzero)
-
-    logplus = np.maximum(_safe_log(np.abs(z)), 0.0) + np.maximum(_safe_log(np.abs(w)), 0.0)
-    r2 = np.zeros_like(d)
-    np.divide(np.abs(g_large(z) - g_large(w)), (logplus + 1.0) * d, out=r2, where=nonzero)
-    return r1, r2

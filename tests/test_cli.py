@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from logns import experiments
+from logns import experiments, nonlinearity
 from logns.cli import main
 from logns.data import DatumSpec, make_datum
 from logns.diagnostics import energy, hs_gagliardo_norm, hs_norm, mass
@@ -556,3 +556,84 @@ class TestCheckInequality:
         captured = capsys.readouterr()
         assert "--samples must be at least 1" in captured.err
         assert "PASS" not in captured.out
+
+    def test_rejects_a_negative_seed(self, capsys):
+        assert main(["check-inequality", "--samples", "10", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --seed must be non-negative, got -1\n"
+        assert captured.out == ""
+
+    def test_stdout_is_pinned(self, capsys):
+        """Every printed digit of the default suite at seed 0, with one relative
+        phase per pair (two independent phases per pair printed worst ratio
+        5.757966e-01)."""
+        assert main(["check-inequality", "--samples", "1000000", "--seed", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "samples per case : 1000000",
+            "non-finite       : 0 (gap or bound; 0 passes)",
+            "worst margin     : -1.000000e-12 (<= 0 passes)",
+            "worst ratio      : 6.094800e-01 (<= 1 passes)",
+            "verdict          : PASS",
+        ]
+
+    def test_a_count_off_the_chunk_size_draws_every_sample(self, capsys, monkeypatch):
+        """70001 is not a multiple of the 2^16 chunk: each case runs one full
+        chunk and one of 4465 pairs."""
+        sizes = []
+        gap = nonlinearity.monotonicity_gap
+
+        def sized_gap(z1, z2, eps1, eps2):
+            sizes.append(np.size(z1))
+            return gap(z1, z2, eps1, eps2)
+
+        monkeypatch.setattr(nonlinearity, "monotonicity_gap", sized_gap)
+        assert main(["check-inequality", "--samples", "70001", "--seed", "3"]) == 0
+        assert sizes == [65536, 4465, 65536, 4465]
+        out = capsys.readouterr().out
+        assert "samples per case : 70001" in out
+        assert "verdict          : PASS" in out
+
+    @pytest.mark.parametrize("kernel, value, every, count", [
+        ("monotonicity_gap", np.nan, 1, 2000),
+        ("monotonicity_gap", np.nan, 7, 286),  # 2 cases x 143
+        ("monotonicity_gap", np.inf, 7, 286),
+        ("monotonicity_bound", np.nan, 7, 286),
+        ("monotonicity_bound", np.inf, 7, 286),
+    ])
+    def test_a_non_finite_gap_or_bound_fails(self, kernel, value, every, count, capsys,
+                                             monkeypatch):
+        """max() drops a NaN and an infinite bound makes a margin -inf, so
+        neither may reach the margin unseen: each one fails and is counted."""
+        original = getattr(nonlinearity, kernel)
+
+        def broken(z1, z2, eps1, eps2):
+            out = np.array(original(z1, z2, eps1, eps2), dtype=float)
+            out[::every] = value
+            return out
+
+        monkeypatch.setattr(nonlinearity, kernel, broken)
+        assert main(["check-inequality", "--samples", "1000", "--seed", "0"]) == 1
+        out = capsys.readouterr().out
+        assert f"non-finite       : {count} (gap or bound; 0 passes)" in out
+        assert "verdict          : FAIL" in out
+
+    @pytest.mark.parametrize("kernel, mutant", [
+        ("monotonicity_gap", lambda gap: lambda *args: 2.0 * gap(*args)),
+        # |z1 - z2|^2 alone bounds only the eps1 = eps2 case
+        ("monotonicity_bound", lambda bound: lambda z1, z2, eps1, eps2: bound(z1, z2)),
+    ], ids=["doubled gap", "bound without its eps term"])
+    def test_a_wrong_kernel_fails(self, kernel, mutant, capsys, monkeypatch):
+        monkeypatch.setattr(nonlinearity, kernel, mutant(getattr(nonlinearity, kernel)))
+        assert main(["check-inequality", "--samples", "1000000", "--seed", "0"]) == 1
+        out = capsys.readouterr().out
+        assert float(out.split("worst ratio      :")[1].split()[0]) > 1.0
+        assert "verdict          : FAIL" in out
+
+    def test_peak_memory_is_at_most_the_two_phase_suites(self, peak_traced_bytes, capsys):
+        """The suite with two phases per pair peaked at 12,289,298 traced bytes
+        (13,146,168 on a process's first call) at 10^6 samples; one relative
+        phase and the one-pass gap kernel may not use more."""
+        argv = ["check-inequality", "--samples", "1000000", "--seed", "0"]
+        code, peak = peak_traced_bytes(main, argv)
+        assert code == 0
+        assert peak <= 12_289_298

@@ -1,5 +1,5 @@
 """Scalar kernel tests: examples with known values, symmetry properties,
-randomized inequality suites, and pinned regression constants."""
+randomized inequality suites, and agreement with reference formulas."""
 
 import math
 
@@ -8,36 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logns import constants, nonlinearity as nl
+from logns import nonlinearity as nl
 
 finite_complex = st.complex_numbers(
     allow_nan=False, allow_infinity=False, max_magnitude=1e12
 )
 small_eps = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
-
-
-class TestLogKernel:
-    def test_zero_convention(self):
-        assert nl.g(0.0) == 0.0
-
-    def test_unit_modulus(self):
-        assert nl.g(1.0) == 0.0
-
-    def test_real_e(self):
-        # ln(e^2) = 2
-        assert nl.g(math.e) == pytest.approx(2.0 * math.e, rel=1e-15)
-
-    def test_magnitude_identity(self):
-        rng = np.random.default_rng(0)
-        z = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
-        np.testing.assert_allclose(
-            np.abs(nl.g(z)), np.abs(z) * np.abs(np.log(np.abs(z) ** 2)), rtol=1e-13
-        )
-
-    @given(finite_complex)
-    def test_odd_and_conjugate_symmetry(self, z):
-        assert nl.g(-z) == pytest.approx(-nl.g(z), rel=1e-12, abs=1e-300)
-        assert nl.g(np.conj(z)) == pytest.approx(np.conj(nl.g(z)), rel=1e-12, abs=1e-300)
 
 
 class TestPhaseFlow:
@@ -140,6 +116,52 @@ class TestRotationPhase:
                               cos_sin_phase(modulus, coeff))
 
 
+def two_pass_gap(z1, z2, eps1=0.0, eps2=0.0):
+    """The gap as evaluated before the one-pass kernel: masked logs of where
+    copies, and the factor from a complex product."""
+    z1 = np.asarray(z1, dtype=complex)
+    z2 = np.asarray(z2, dtype=complex)
+    e1 = np.asarray(eps1, dtype=float)
+    e2 = np.asarray(eps2, dtype=float)
+    r1 = np.abs(z1)
+    r2 = np.abs(z2)
+    a1 = r1 + e1
+    a2 = r2 + e2
+    valid = (a1 > 0.0) & (a2 > 0.0)
+    with np.errstate(over="ignore"):
+        x = ((r1 - r2) + (e1 - e2)) / np.where(valid, a2, 1.0)
+    near = valid & (np.abs(x) < 0.5)
+    ldiff = np.zeros(np.shape(x))
+    np.log1p(x, out=ldiff, where=near)
+    far = valid & ~near
+    np.subtract(
+        np.log(np.where(far, a1, 1.0)), np.log(np.where(far, a2, 1.0)),
+        out=ldiff, where=far,
+    )
+    return ldiff * np.imag(np.conj(z1 - z2) * z2)
+
+
+def hard_pairs(n, seed):
+    """n pairs (z1, z2, eps1, eps2): log-uniform moduli on [1e-15, 1e15] with
+    independent phases, where the fifth block has z1 = 0, z2 = 0 or both, the
+    next two are near-equal (relative offsets 1e-12 and 1e-3), and eps is 0 in
+    a third of eps1 and a fifth of eps2."""
+    rng = np.random.default_rng(seed)
+    m = np.exp(rng.uniform(-15.0, 15.0, (4, n)) * math.log(10.0))
+    z1, z2 = m[:2] * np.exp(2j * np.pi * rng.random((2, n)))
+    e1, e2 = m[2:]
+    k = n // 5
+    z1[:k // 3] = 0.0
+    z2[k // 3:2 * k // 3] = 0.0
+    z1[2 * k // 3:k] = z2[2 * k // 3:k] = 0.0
+    for lo, offset in ((k, 1e-12), (2 * k, 1e-3)):
+        kick = rng.standard_normal((2, k)) * offset
+        z2[lo:lo + k] = z1[lo:lo + k] * (1.0 + kick[0] + 1j * kick[1])
+    e1[::3] = 0.0
+    e2[::5] = 0.0
+    return z1, z2, e1, e2
+
+
 class TestMonotonicityGap:
     def test_equal_points(self):
         assert nl.monotonicity_gap(2.0 + 1j, 2.0 + 1j, 0.5, 0.7) == 0.0
@@ -182,50 +204,45 @@ class TestMonotonicityGap:
         gap = np.abs(nl.monotonicity_gap(z, w, 0.0, 0.0))
         assert np.all(gap <= np.abs(z - w) ** 2 + 1e-12 * (1.0 + np.abs(z - w) ** 2))
 
+    @pytest.mark.parametrize("eps", ["random", "zero", "equal"])
+    def test_agrees_with_the_two_pass_formula(self, eps):
+        """10^6 pairs: the one-pass kernel is the two-pass formula to 1e-14 of
+        what the suite compares it with."""
+        z1, z2, e1, e2 = hard_pairs(1_000_000, seed=17)
+        if eps == "zero":
+            e1 = e2 = 0.0
+        elif eps == "equal":
+            e2 = e1
+        gap = nl.monotonicity_gap(z1, z2, e1, e2)
+        ref = two_pass_gap(z1, z2, e1, e2)
+        scale = nl.monotonicity_bound(z1, z2, e1, e2) + 1e-12 * (1.0 + np.abs(z1 - z2) ** 2)
+        assert np.all(np.isfinite(gap))
+        assert np.all(np.abs(gap - ref) <= 1e-14 * scale)
+        assert np.all(gap[np.abs(ref) == 0.0] == 0.0)
 
-class TestGrowthBound:
-    def test_origin(self):
-        assert nl.pointwise_growth_ratio(0.0, 0.5) == 0.0
+    def test_scalars_agree_and_stay_scalars(self):
+        z1, z2, e1, e2 = hard_pairs(500, seed=18)
+        for args in zip(z1.tolist(), z2.tolist(), e1.tolist(), e2.tolist()):
+            for inputs in (args, tuple(map(np.asarray, args))):
+                gap = nl.monotonicity_gap(*inputs)
+                assert not isinstance(gap, np.ndarray) and np.ndim(gap) == 0
+                scale = nl.monotonicity_bound(*args) + 1e-12 * (1.0 + abs(args[0] - args[1]) ** 2)
+                assert abs(gap - two_pass_gap(*args)) <= 1e-14 * scale
 
-    def test_unit(self):
-        assert nl.pointwise_growth_ratio(1.0, 0.5) == 0.0
+    def test_origin_gives_zero_without_warnings(self):
+        with np.errstate(all="raise"):
+            assert nl.monotonicity_gap(0.0, 2.0 + 1j) == 0.0
+            assert nl.monotonicity_gap(1j, 0.0) == 0.0
+            assert nl.monotonicity_gap(0.0, 0.0) == 0.0
+            assert nl.monotonicity_gap(0.0, 1e300, 0.0, 1e-300) == 0.0
+            gap = nl.monotonicity_gap(np.array([0.0, 1j, 3.0]), np.array([1.0, 0.0, 0.0]))
+        assert np.array_equal(gap, [0.0, 0.0, 0.0])
 
-    def test_rejects_bad_delta(self):
-        for delta in (0.0, 1.0, -0.2, 2.0):
-            with pytest.raises(ValueError):
-                nl.pointwise_growth_ratio(1.0, delta)
-
-    def test_sup_on_log_grid(self):
-        t = 2.0 ** np.linspace(-40, 40, 400_001)
-        sup = nl.pointwise_growth_ratio(t.astype(complex), 0.5).max()
-        assert sup <= 4.0 / math.e
-        assert sup <= constants.GROWTH_RATIO_SUP_DELTA_HALF * (1.0 + 1e-9)
-
-
-class TestDifferenceBounds:
-    def test_equal_points(self):
-        assert nl.difference_ratios(1.0 + 1j, 1.0 + 1j, 0.5) == (0.0, 0.0)
-
-    def test_large_moduli_kill_holder_part(self):
-        r1, _ = nl.difference_ratios(3.0, 5.0 + 2j, 0.5)
-        assert r1 == 0.0
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            nl.difference_ratios(1.0, 2.0, 1.5)
-
-    def test_pinned_suprema(self):
-        rng = np.random.default_rng(2024)
-        n = 1_000_000
-        moduli = 10.0 ** rng.uniform(-8, 3, (2, n))
-        z, w = moduli * np.exp(2j * np.pi * rng.random((2, n)))
-        r1, r2 = nl.difference_ratios(z, w, 0.5)
-        assert r1.max() <= constants.HOLDER_RATIO_SUP_ALPHA_HALF
-        assert r2.max() <= constants.LOG_LIPSCHITZ_RATIO_SUP
-        # adversarial near-equal pairs across the cutoff shoulder
-        r = rng.uniform(0.5, 4.0, 200_000)
-        z = r * np.exp(2j * np.pi * rng.random(200_000))
-        w = z * (1.0 + 1e-7 * np.exp(2j * np.pi * rng.random(200_000)))
-        r1, r2 = nl.difference_ratios(z, w, 0.5)
-        assert r1.max() <= constants.HOLDER_RATIO_SUP_ALPHA_HALF
-        assert r2.max() <= constants.LOG_LIPSCHITZ_RATIO_SUP
+    def test_broadcasts_as_the_formula_does(self):
+        rng = np.random.default_rng(19)
+        z1 = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
+        z2 = 0.5 - 2j
+        e1, e2 = rng.random(4), rng.random((2, 1, 1))
+        gap = nl.monotonicity_gap(z1, z2, e1, e2)
+        assert gap.shape == (2, 3, 4)
+        np.testing.assert_allclose(gap, two_pass_gap(z1, z2, e1, e2), rtol=1e-14, atol=0.0)
