@@ -103,7 +103,7 @@ def measure(
     """The record of mass(field), energy(field, lam, eps), hs_norm(field, s) for
     each s in hs_values and hs_gagliardo_norm(field, s) for each s in
     gagliardo_values, from one spectrum: one extension, one FFT."""
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     geometry, power = _spectrum(field)
     kinetic = 4.0 * math.pi**2 * float(np.sum(squared_frequency(geometry) * power))

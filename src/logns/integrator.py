@@ -10,7 +10,8 @@ one run's samples into records and snapshots; `evolve` keeps them all, while
 Inside `march`:
 - The state is one complex array of shape (B, *points) holding B runs of one
   config, each with its own eps. A step rotates it in place through two
-  preallocated buffers and runs the FFT pair in place over the trailing axes;
+  preallocated buffers and runs the FFT pair in place over the trailing axes,
+  through numpy's pocketfft gufuncs called directly (`spectral.propagate`);
   `Field`s are built only at samples.
 - Dirichlet state lives on the doubled periodic grid for the whole run. The
   rotation depends on |u| only, so it keeps the odd symmetry of the

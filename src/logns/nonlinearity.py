@@ -70,11 +70,20 @@ def phase_flow(z, lam, eps, dt):
     z -> z * exp(2i lam dt ln(|z| + eps)). This is `rotate` with all of z
     as one run.
     """
-    if eps < 0:
+    if not eps >= 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     u = np.array(z, dtype=complex)
     rotate(u, 2.0 * lam * dt, eps, np.empty(u.shape), np.empty_like(u), u.size, eps == 0)
     return u
+
+
+def _eps_pair(eps1, eps2):
+    """eps1, eps2 as float arrays; ValueError unless every value is >= 0 (nan is not)."""
+    e1 = np.asarray(eps1, dtype=float)
+    e2 = np.asarray(eps2, dtype=float)
+    if not (np.all(e1 >= 0.0) and np.all(e2 >= 0.0)):
+        raise ValueError("eps values must be >= 0")
+    return e1, e2
 
 
 def monotonicity_gap(z1, z2, eps1=0.0, eps2=0.0):
@@ -96,10 +105,7 @@ def monotonicity_gap(z1, z2, eps1=0.0, eps2=0.0):
       (z_i = 0 with eps_i = 0), whose log is -inf: 0 * ln 0 = 0.
     Scalar inputs give a scalar.
     """
-    e1 = np.asarray(eps1, dtype=float)
-    e2 = np.asarray(eps2, dtype=float)
-    if np.any(e1 < 0.0) or np.any(e2 < 0.0):
-        raise ValueError("eps values must be >= 0")
+    e1, e2 = _eps_pair(eps1, eps2)
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
     shape = np.broadcast_shapes(z1.shape, z2.shape, e1.shape, e2.shape)
@@ -127,5 +133,6 @@ def monotonicity_gap(z1, z2, eps1=0.0, eps2=0.0):
 
 def monotonicity_bound(z1, z2, eps1=0.0, eps2=0.0):
     """Right-hand side |z1-z2|^2 + |eps1-eps2| |z1-z2| of the gap inequality."""
+    e1, e2 = _eps_pair(eps1, eps2)
     d = np.abs(np.asarray(z1, dtype=complex) - np.asarray(z2, dtype=complex))
-    return d * d + np.abs(np.asarray(eps1) - np.asarray(eps2)) * d
+    return d * d + np.abs(e1 - e2) * d

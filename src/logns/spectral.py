@@ -1,6 +1,9 @@
 """Fourier machinery: frequency grids, exact free propagator, multiplier H^s norm,
 resampling between grids.
 
+The transforms of a step (`propagate`) and of a record (`power_spectrum`) call
+numpy's pocketfft gufuncs directly; one-time transforms use the public np.fft.
+
 Fourier coefficients are fftn(data) / data.size, so a plane wave of amplitude
 A has a single coefficient A. For a box with side lengths L the frequency of
 mode n is n / L, and norms carry the volume factor: the s = 0 multiplier norm
@@ -10,9 +13,14 @@ squared is the mass of a periodic field (see `diagnostics` for Dirichlet ones).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
+# the kernels behind np.fft.fft and ifft (numpy >= 2.0). On small grids the
+# public wrapper (argument checks, the 1/n, the dispatch) costs more than the
+# transform, so the per-step and per-record transforms call them directly
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .geometry import Field, GeometryError, GridGeometry
 
@@ -57,19 +65,26 @@ def free_symbol(geometry: GridGeometry, dt: float) -> np.ndarray:
     return symbol
 
 
+def _transform(a: np.ndarray, axes: Sequence[int], inverse: bool, out: np.ndarray) -> None:
+    """out <- fftn(a, axes=axes), or ifftn, bitwise: numpy's kernel, axis order
+    (reversed) and 1/n scale, one gufunc call per axis. `out` may be `a`."""
+    kernel = _pocketfft.ifft if inverse else _pocketfft.fft
+    for axis in reversed(axes):
+        kernel(a, 1.0 / a.shape[axis] if inverse else 1.0, axes=[(axis,), (), (axis,)], out=out)
+        a = out
+
+
 def propagate(state: np.ndarray, symbol: np.ndarray) -> None:
     """In place state <- ifftn(fftn(state) * symbol) over its trailing symbol.ndim axes.
 
-    One 1-d FFT per axis in reversed order, as fftn does, so a stack of fields
-    gets bit for bit the result of each field alone. No check; every transform
-    writes into `state`.
+    One 1-d transform per axis in reversed order, as fftn does, each a direct
+    pocketfft gufunc call, so a stack of fields gets bit for bit the result of
+    each field alone. No check; every transform writes into `state`.
     """
-    axes = range(state.ndim - symbol.ndim, state.ndim)[::-1]
-    for axis in axes:
-        np.fft.fft(state, axis=axis, out=state)
+    axes = range(state.ndim - symbol.ndim, state.ndim)
+    _transform(state, axes, False, state)
     state *= symbol
-    for axis in axes:
-        np.fft.ifft(state, axis=axis, out=state)
+    _transform(state, axes, True, state)
 
 
 def free_propagator(field: Field, dt: float) -> Field:
@@ -92,7 +107,8 @@ def power_spectrum(field: Field) -> np.ndarray:
     the peak is one field plus P.
     """
     _require_periodic(field.geometry, "power_spectrum")
-    coeffs = np.fft.fftn(field.data, out=np.empty_like(field.data))
+    coeffs = np.empty_like(field.data)
+    _transform(field.data, range(field.data.ndim), False, coeffs)
     power = np.abs(coeffs)
     del coeffs
     power *= 1.0 / field.data.size

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from logns import diagnostics, geometry
+from logns import diagnostics, geometry, spectral
 from logns.cli import main
 from logns.data import DatumSpec, make_datum
 from logns.diagnostics import (
@@ -91,6 +91,10 @@ class TestEnergy:
     def test_rejects_negative_eps(self):
         with pytest.raises(ValueError):
             energy(constant_field(torus(), 1.0), 1.0, eps=-0.1)
+
+    def test_rejects_nan_eps(self):
+        with pytest.raises(ValueError, match="eps must be >= 0"):
+            energy(constant_field(torus(), 1.0), 1.0, eps=math.nan)
 
     def test_dirichlet_kinetic_is_half_of_extension(self):
         geom = GridGeometry(DomainKind.DIRICHLET_INTERVAL, (1.0,), (64,))
@@ -177,6 +181,10 @@ class TestMeasure:
         with pytest.raises(ValueError):
             measure(slab_field(), 0.0, 1.0, -0.1, ())
 
+    def test_rejects_nan_eps(self):
+        with pytest.raises(ValueError, match="eps must be >= 0"):
+            measure(slab_field(), 0.0, 1.0, math.nan, ())
+
     def test_peaks_at_two_field_sizes(self, peak_traced_bytes):
         # one complex FFT buffer, released before the power spectrum is squared
         geom = GridGeometry(DomainKind.TORUS, (1.0, 1.0), (256, 256))
@@ -187,8 +195,9 @@ class TestMeasure:
 
 
 def count_calls(monkeypatch, *geometry_functions):
-    """Counts forward FFTs and calls of the named `geometry` functions,
-    wherever logns bound the latter."""
+    """Counts forward FFTs of whole fields, np.fft.fftn calls and power
+    spectra (one forward transform each), and calls of the named `geometry`
+    functions, wherever logns bound them."""
     counts = dict.fromkeys(("fftn", *geometry_functions), 0)
 
     def counted(key, function):
@@ -197,12 +206,15 @@ def count_calls(monkeypatch, *geometry_functions):
             return function(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(np.fft, "fftn", counted("fftn", np.fft.fftn))
-    for key in geometry_functions:
-        function = getattr(geometry, key)
+    def patch(key, function):
         for name, module in list(sys.modules.items()):
-            if name.startswith("logns") and getattr(module, key, None) is function:
-                monkeypatch.setattr(module, key, counted(key, function))
+            if name.startswith("logns") and getattr(module, function.__name__, None) is function:
+                monkeypatch.setattr(module, function.__name__, counted(key, function))
+
+    monkeypatch.setattr(np.fft, "fftn", counted("fftn", np.fft.fftn))
+    patch("fftn", spectral.power_spectrum)
+    for key in geometry_functions:
+        patch(key, getattr(geometry, key))
     return counts
 
 

@@ -44,6 +44,11 @@ class TestPhaseFlow:
         once = nl.phase_flow(z, lam, eps, 0.8)
         np.testing.assert_allclose(ab, once, rtol=1e-13)
 
+    @pytest.mark.parametrize("eps", [-0.1, math.nan])
+    def test_rejects_negative_or_nan_eps(self, eps):
+        with pytest.raises(ValueError, match="eps must be >= 0"):
+            nl.phase_flow(np.array([1.0 + 1j, 0.5]), 1.0, eps, 1e-3)
+
 
 def largest_sin_sqrt_coeff():
     """The largest coeff with coeff * _LOG_RANGE <= pi/2 in floating point."""
@@ -246,3 +251,11 @@ class TestMonotonicityGap:
         gap = nl.monotonicity_gap(z1, z2, e1, e2)
         assert gap.shape == (2, 3, 4)
         np.testing.assert_allclose(gap, two_pass_gap(z1, z2, e1, e2), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("kernel", [nl.monotonicity_gap, nl.monotonicity_bound])
+    @pytest.mark.parametrize("eps1, eps2", [
+        (math.nan, 0.0), (0.0, math.nan), (-5.0, 0.0), (np.array([0.1, math.nan]), 0.2),
+    ], ids=["nan-first", "nan-second", "negative", "nan-in-array"])
+    def test_rejects_negative_or_nan_eps(self, kernel, eps1, eps2):
+        with pytest.raises(ValueError, match="eps values must be >= 0"):
+            kernel(1.0, 2j, eps1, eps2)

@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from logns import spectral
+from logns.diagnostics import measure
 from logns.geometry import DomainKind, Field, GeometryError, GridGeometry
+from logns.integrator import SimConfig, march
 from logns.spectral import (
     free_propagator,
     free_symbol,
@@ -115,6 +118,57 @@ class TestFreePropagator:
         literal = np.fft.ifftn(np.fft.fftn(data, axes=axes) * unit_symbol, axes=axes)
         propagate(data, free_symbol(geom, 1e-3))
         assert np.array_equal(data.view(np.uint64), literal.view(np.uint64))
+
+
+class TestDirectTransforms:
+    """The step and record transforms call numpy's pocketfft gufuncs, not the
+    np.fft wrappers, and get bitwise what the wrappers give."""
+
+    @pytest.mark.parametrize("shape", [(3, 64), (32, 16), (16, 16, 16), (64, 128)],
+                             ids=["batch3x64", "box32x16", "torus16cubed", "slab64doubled"])
+    @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+    def test_transform_is_bitwise_numpys(self, shape, inverse):
+        rng = np.random.default_rng(18)
+        data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for axis in range(data.ndim):
+            literal = (np.fft.ifft if inverse else np.fft.fft)(data, axis=axis)
+            out = np.empty_like(data)
+            spectral._transform(data, (axis,), inverse, out)
+            assert np.array_equal(out.view(np.uint64), literal.view(np.uint64))
+            in_place = data.copy()
+            spectral._transform(in_place, (axis,), inverse, in_place)
+            assert np.array_equal(in_place.view(np.uint64), literal.view(np.uint64))
+
+    @pytest.mark.parametrize("geom", [
+        GridGeometry(DomainKind.TORUS, (1.0,), (128,)),
+        GridGeometry(DomainKind.TORUS, (1.0, 1.0), (32, 32)),
+        GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 1.0), (16, 16)),
+    ], ids=["torus128", "torus32sq", "slab16"])
+    def test_steps_and_records_bypass_the_numpy_wrappers(self, geom, monkeypatch):
+        rng = np.random.default_rng(19)
+        data = rng.standard_normal(geom.points) + 1j * rng.standard_normal(geom.points)
+        if geom.is_dirichlet:
+            data[..., 0] = 0.0  # the boundary plane
+        datum = Field(geom, data)
+        cfg = SimConfig(lam=1.0, eps=1e-3, dt=1e-3, t_final=4e-3, geometry=geom)
+
+        def run():
+            samples = [(t, u.data) for t, [u] in march([datum], cfg, [0, 1, 4])]
+            records = [measure(Field(geom, u), t, 1.0, 1e-3, (0.5, 1.0)) for t, u in samples]
+            return samples, records
+
+        expected = run()
+
+        def wrapper_called(*args, **kwargs):
+            raise AssertionError("a numpy.fft wrapper was called")
+
+        for name in ("fft", "ifft", "fftn", "ifftn"):
+            monkeypatch.setattr(np.fft, name, wrapper_called)
+        samples, records = run()
+        assert records == expected[1]
+        for (t, u), (t_expected, u_expected) in zip(samples, expected[0], strict=True):
+            assert t == t_expected
+            assert np.array_equal(u.view(np.uint64), u_expected.view(np.uint64))
 
 
 class TestMultiplierNorm:
