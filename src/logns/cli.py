@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: simulate, experiment, norms, check-inequality. Exit codes:
-0 all verdicts pass, 1 any fail, 2 usage, configuration, file or integration error.
+0 all verdicts pass, 1 any fail, 2 usage, configuration, file, integration or
+allocation error.
 """
 
 from __future__ import annotations
@@ -107,6 +108,8 @@ def _cmd_norms(args) -> int:
 
 # the moduli and eps of `check-inequality` are log-uniform on [1e-15, 1e15]
 _LOG_SPAN = 15.0 * math.log(10.0)
+_DRAW = 2**16  # pairs drawn per generator call: fixes the sample stream
+_BLOCK = 2**13  # pairs per kernel call: 64 KiB per float array, bounds the memory
 
 
 def _cmd_check_inequality(args) -> int:
@@ -117,6 +120,12 @@ def _cmd_check_inequality(args) -> int:
     z1 = r1 (real) and z2 = r2 w / |w|, with w a standard complex normal: w / |w|
     is uniform on the circle, so the relative phase is uniform, as it is for
     two independent uniform phases, and needs no cos or sin.
+
+    Pairs are drawn _DRAW at a time into two buffers allocated once, which
+    fixes the sample stream, and evaluated in blocks of _BLOCK pairs, which
+    bounds the memory of the kernels' temporaries. Every kernel is elementwise
+    and the reductions are a count and maxima, so the output does not depend
+    on the block size.
     """
     n, seed = args.samples, args.seed
     if n < 1:
@@ -124,28 +133,38 @@ def _cmd_check_inequality(args) -> int:
     if seed < 0:
         raise ValueError(f"--seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
+    moduli_buf = np.empty(4 * min(n, _DRAW))  # r1, r2 and, unless eps_zero, eps1, eps2
+    normal_buf = np.empty(2 * min(n, _DRAW))  # w, as complex pairs
     non_finite = 0  # samples whose gap or bound is inf or nan: any one fails
     worst = -math.inf  # the largest gap - bound - slack over the finite samples
     ratio = 0.0  # the largest gap / (bound + slack): how close the bound came
     for eps_zero in (False, True):
+        rows = 2 if eps_zero else 4
         remaining = n
         while remaining > 0:
-            chunk = min(remaining, 2**16)  # bounds the peak memory
+            chunk = min(remaining, _DRAW)
             remaining -= chunk
-            # r1, r2 and, unless eps_zero, eps1, eps2
-            moduli = rng.uniform(-_LOG_SPAN, _LOG_SPAN, size=(2 if eps_zero else 4, chunk))
+            # bitwise rng.uniform(-_LOG_SPAN, _LOG_SPAN, size=(rows, chunk))
+            moduli = rng.random(out=moduli_buf[: rows * chunk].reshape(rows, chunk))
+            moduli *= 2.0 * _LOG_SPAN
+            moduli -= _LOG_SPAN
             np.exp(moduli, out=moduli)
-            r1, r2 = moduli[:2]
-            e1, e2 = (0.0, 0.0) if eps_zero else moduli[2:]
-            z2 = rng.standard_normal(2 * chunk).view(complex)
-            z2 *= r2 / np.abs(z2)
-            gap = np.abs(nonlinearity.monotonicity_gap(r1, z2, e1, e2))
-            bound = nonlinearity.monotonicity_bound(r1, z2, e1, e2)
-            slack = 1e-12 * (1.0 + np.abs(r1 - z2) ** 2)
-            finite = np.isfinite(gap) & np.isfinite(bound)
-            non_finite += chunk - int(np.count_nonzero(finite))
-            worst = max(worst, float(np.max(gap - bound - slack, where=finite, initial=-math.inf)))
-            ratio = max(ratio, float(np.max(gap / (bound + slack), where=finite, initial=0.0)))
+            w = rng.standard_normal(out=normal_buf[: 2 * chunk]).view(complex)
+            for lo in range(0, chunk, _BLOCK):
+                block = slice(lo, lo + _BLOCK)
+                r1, r2 = moduli[0, block], moduli[1, block]
+                e1, e2 = (0.0, 0.0) if eps_zero else (moduli[2, block], moduli[3, block])
+                z2 = w[block]
+                z2 *= r2 / np.abs(z2)
+                gap = np.abs(nonlinearity.monotonicity_gap(r1, z2, e1, e2))
+                bound = nonlinearity.monotonicity_bound(r1, z2, e1, e2)
+                slack = 1e-12 * (1.0 + np.abs(r1 - z2) ** 2)
+                finite = np.isfinite(gap) & np.isfinite(bound)
+                non_finite += r1.size - int(np.count_nonzero(finite))
+                worst = max(worst, float(np.max(gap - bound - slack, where=finite,
+                                                initial=-math.inf)))
+                ratio = max(ratio, float(np.max(gap / (bound + slack), where=finite,
+                                                initial=0.0)))
     passed = non_finite == 0 and worst <= 0.0
     print(f"samples per case : {n}")
     print(f"non-finite       : {non_finite} (gap or bound; 0 passes)")
@@ -198,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (OSError, ValueError, IntegrationError) as exc:
+    except (OSError, ValueError, IntegrationError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from logns import experiments, nonlinearity
+from logns import cli, experiments, nonlinearity
 from logns.cli import main
 from logns.data import DatumSpec, make_datum
 from logns.diagnostics import energy, hs_gagliardo_norm, hs_norm, mass
@@ -394,6 +394,31 @@ def test_zero_datum_exits_2_without_a_verdict(tmp_path, capsys, argv, extra):
     assert not (tmp_path / "report.json").exists() and not (tmp_path / "out").exists()
 
 
+# 2^48 samples of float64 exceed a 47-bit address space: the allocation fails
+# at once in any overcommit mode and touches no memory
+HUGE_TORUS = {
+    "geometry": {"kind": "torus", "points": [2**48]},
+    "sim": {"lambda": 1.0, "eps": 0.01, "dt": 0.01, "t_final": 0.1},
+    "datum": {"kind": "gaussian_bump", "width": 0.25},
+    "datum_b": {"kind": "gaussian_bump", "width": 0.2},
+}
+
+
+@pytest.mark.parametrize("argv", [["simulate"], ["experiment", "lipschitz"]],
+                         ids=lambda argv: argv[-1])
+def test_a_grid_that_cannot_be_allocated_exits_2(tmp_path, capsys, argv):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(HUGE_TORUS))
+    out = ["--out-dir", str(tmp_path / "out")] if argv == ["simulate"] else [
+        "--out", str(tmp_path / "out")]
+    assert main(argv + ["--config", str(cfg)] + out) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: Unable to allocate ")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_plane_wave_on_dirichlet_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({**ZERO_DIRICHLET, "datum": {"kind": "plane_wave", "modes": [1]}}))
@@ -577,8 +602,9 @@ class TestCheckInequality:
         ]
 
     def test_a_count_off_the_chunk_size_draws_every_sample(self, capsys, monkeypatch):
-        """70001 is not a multiple of the 2^16 chunk: each case runs one full
-        chunk and one of 4465 pairs."""
+        """70001 is not a multiple of the 2^16 draw: each case draws 65536 pairs,
+        evaluated as eight blocks of 2^13, then 4465 pairs in one block, so
+        every pair is evaluated once per case."""
         sizes = []
         gap = nonlinearity.monotonicity_gap
 
@@ -588,10 +614,23 @@ class TestCheckInequality:
 
         monkeypatch.setattr(nonlinearity, "monotonicity_gap", sized_gap)
         assert main(["check-inequality", "--samples", "70001", "--seed", "3"]) == 0
-        assert sizes == [65536, 4465, 65536, 4465]
+        assert sizes == ([8192] * 8 + [4465]) * 2
         out = capsys.readouterr().out
         assert "samples per case : 70001" in out
         assert "verdict          : PASS" in out
+
+    @pytest.mark.parametrize("seed", ["0", "3"])
+    @pytest.mark.parametrize("block", [2**16, 1000], ids=["one block per draw", "1000"])
+    def test_stdout_does_not_depend_on_the_block(self, seed, block, capsys, monkeypatch):
+        """A block of 2^16 evaluates each draw at once; 1000 does not divide
+        the draw. The kernels are elementwise and the reductions a count and
+        maxima, so every printed digit is that of the default block."""
+        argv = ["check-inequality", "--samples", "70001", "--seed", seed]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("kernel, value, every, count", [
         ("monotonicity_gap", np.nan, 1, 2000),
@@ -637,3 +676,15 @@ class TestCheckInequality:
         code, peak = peak_traced_bytes(main, argv)
         assert code == 0
         assert peak <= 12_289_298
+
+    def test_peak_memory_is_the_draw_buffers_and_a_few_blocks(self, peak_traced_bytes,
+                                                              capsys):
+        """The two draw buffers hold 6 floats per pair (r1, r2, eps1, eps2 and
+        w), 48 B x 2^16 = 3 MiB; the kernels' temporaries are block-sized, and
+        16 float arrays of 2^13 pairs are 1 MiB. A first call of one sample
+        keeps the one-time imports of the generator out of the peak."""
+        assert main(["check-inequality", "--samples", "1", "--seed", "0"]) == 0
+        argv = ["check-inequality", "--samples", "1000000", "--seed", "0"]
+        code, peak = peak_traced_bytes(main, argv)
+        assert code == 0
+        assert peak <= 48 * 2**16 + 16 * 8 * 2**13
