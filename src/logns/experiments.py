@@ -32,7 +32,7 @@ from . import constants
 from .data import _ZERO_NORM_RATIO, DatumSpec, make_datum
 from .diagnostics import hs_growth_ratio, l2_distance, mass, measure
 from .geometry import galilean_boost, scale_datum
-from .integrator import (_MAX_STEPS, SimConfig, eps_continuation, evolve_pair, final_state,
+from .integrator import (SimConfig, eps_continuation, evolve_pair, final_state,
                          lockstep_distances, march)
 from .spectral import resample_modes, truncate_modes
 
@@ -407,8 +407,9 @@ def run_convergence_order(spec: DatumSpec, config: SimConfig, *,
         return len(orders) >= 2 and all(lo <= p <= hi for p in orders[-2:])
 
     while not exact and not judged() and len(dts) - len(dt_ladder) < _MAX_ADDED_RUNGS:
-        rung = _rung(config, dts[-1] / 2.0)
-        if rung.n_steps > _MAX_STEPS:
+        try:  # halving a valid rung can fail only the step limit
+            rung = _rung(config, dts[-1] / 2.0)
+        except ValueError:
             break
         finer = final_state(datum, rung)
         dts.append(rung.dt)

@@ -28,7 +28,8 @@ Inside `march`:
   applies the closing half-rotation, one batched rotation over (B, *points),
   to a copy of w (on Dirichlet grids, to its restriction to the half grid),
   so the state, and hence every result, does not depend on which steps are
-  sampled.
+  sampled. It runs the step's kernels in the step's own buffers, on every
+  grid: their leading (B, *points) elements.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord, l2_distance, measure
 from .geometry import Field, GeometryError, GridGeometry, odd_extension, restrict_to_half
-from .nonlinearity import rotate, rotation_phase
+from .nonlinearity import rotation_phase
 from .spectral import free_symbol, propagate
 
 __all__ = [
@@ -182,9 +183,6 @@ def march(
     planes = state[..., : n_half + 1] if dirichlet else state
     mirrored = state[..., n_half + 1 :]  # used on Dirichlet grids only
     modulus, phase = np.empty(planes.shape), np.empty(planes.shape, dtype=complex)
-    sample_shape = (len(data), *geometry.points)
-    closing_buffers = ((np.empty(sample_shape), np.empty(sample_shape, dtype=complex))
-                       if dirichlet else (modulus, phase))
 
     i = checked = 0  # checked: the last step whose state was checked in full
     for target in steps:
@@ -209,8 +207,11 @@ def march(
         # to the half grid, which checks its antisymmetry
         sample = (np.array([restrict_to_half(Field(grid, u)).data for u in state])
                   if dirichlet else state.copy())
-        if strang and i > 0:
-            rotate(sample, closing, eps, *closing_buffers, run_points, mask_zeros)
+        if strang and i > 0:  # in the leading elements of the step's buffers
+            m, p = (b.ravel()[: sample.size].reshape(sample.shape) for b in (modulus, phase))
+            np.abs(sample, out=m)
+            rotation_phase(m, closing, eps, p, run_points, mask_zeros)
+            sample *= p
         yield i * dt, [Field(geometry, u) for u in sample]
 
 
@@ -298,9 +299,11 @@ def eps_continuation(
 ) -> list[tuple[tuple[float, float], float]]:
     """Sup-in-time L^2 distance between runs at consecutive regularizations.
 
-    eps_sequence must be strictly decreasing and positive; "sup in time" means
-    the maximum over the diagnostic sample times.
+    eps_sequence must hold at least two entries, strictly decreasing and
+    positive; "sup in time" means the maximum over the diagnostic sample times.
     """
+    if len(eps_sequence) < 2:
+        raise ValueError(f"eps_sequence needs at least two entries, got {len(eps_sequence)}")
     if any(e <= 0 for e in eps_sequence):
         raise ValueError("eps_sequence entries must be positive")
     if any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):

@@ -52,6 +52,13 @@ _KIND_TAGS = {
     DomainKind.DIRICHLET_SLAB: 3,
 }
 _TAG_KINDS = {v: k for k, v in _KIND_TAGS.items()}
+# a snapshot header: magic, version, geometry tag and dimension d, then the
+# layout of d: points, lengths and time
+_FIXED = struct.Struct("<8sIII")
+
+
+def _layout(d: int) -> struct.Struct:
+    return struct.Struct(f"<{d}I{d}dd")
 
 
 class ConfigError(ValueError):
@@ -374,13 +381,8 @@ def write_snapshot(field: Field, time: float, destination: str | Path) -> None:
     The header is written first, then the samples straight from the array.
     """
     geom = field.geometry
-    d = geom.dim
-    header = SNAPSHOT_MAGIC
-    header += struct.pack("<II", SNAPSHOT_VERSION, _KIND_TAGS[geom.kind])
-    header += struct.pack("<I", d)
-    header += struct.pack(f"<{d}I", *geom.points)
-    header += struct.pack(f"<{d}d", *geom.lengths)
-    header += struct.pack("<d", time)
+    header = _FIXED.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, _KIND_TAGS[geom.kind], geom.dim)
+    header += _layout(geom.dim).pack(*geom.points, *geom.lengths, time)
     payload = np.ascontiguousarray(field.data, dtype="<c16")
     with open(destination, "wb") as f:
         f.write(header)
@@ -396,28 +398,22 @@ def read_snapshot(source: str | Path) -> tuple[Field, float]:
     """
     with open(source, "rb") as f:
         size = os.fstat(f.fileno()).st_size
-        blob = f.read(20)  # magic, version, geometry tag, dimension
-        if len(blob) < 8 or blob[:8] != SNAPSHOT_MAGIC:
+        blob = f.read(_FIXED.size)
+        if blob[:8] != SNAPSHOT_MAGIC:
             raise SnapshotFormatError(f"{source}: bad magic")
-        offset = 8
         try:
-            version, kind_tag = struct.unpack_from("<II", blob, offset)
-            offset += 8
+            _, version, kind_tag, d = _FIXED.unpack(blob)
             if version != SNAPSHOT_VERSION:
                 raise SnapshotFormatError(f"{source}: unsupported version {version}")
             if kind_tag not in _TAG_KINDS:
                 raise SnapshotFormatError(f"{source}: unknown geometry tag {kind_tag}")
-            (d,) = struct.unpack_from("<I", blob, offset)
-            offset += 4
-            blob += f.read(min(12 * d + 8, size - offset))  # points, lengths, time
-            points = struct.unpack_from(f"<{d}I", blob, offset)
-            offset += 4 * d
-            lengths = struct.unpack_from(f"<{d}d", blob, offset)
-            offset += 8 * d
-            (time,) = struct.unpack_from("<d", blob, offset)
-            offset += 8
+            layout = _layout(d)
+            # at most the file's bytes, so a huge d allocates nothing
+            *values, time = layout.unpack(f.read(min(layout.size, size - _FIXED.size)))
         except struct.error as exc:
             raise SnapshotFormatError(f"{source}: truncated header") from exc
+        points, lengths = values[:d], values[d:]
+        offset = _FIXED.size + layout.size
         expected = 16 * int(np.prod(points))
         if size - offset != expected:
             raise SnapshotFormatError(

@@ -23,8 +23,9 @@ _SIN_SQRT_MIN_POINTS = 1024
 
 
 def rotation_phase(modulus, coeff, eps, phase, run_points, mask_zeros=True):
-    """phase <- exp(i coeff ln(|u| + eps)), the phase factor of `rotate`, from
-    `modulus` = |u| (real, overwritten with the angle).
+    """phase <- exp(i coeff ln(|u| + eps)), the factor by which the phase flow
+    with coeff = 2 lam dt multiplies u, from `modulus` = |u| (real,
+    overwritten with the angle).
 
     `phase` is a complex array of the modulus's shape and eps is a scalar or
     broadcasts against it. No check, no allocation beyond the log's mask:
@@ -52,28 +53,19 @@ def rotation_phase(modulus, coeff, eps, phase, run_points, mask_zeros=True):
         np.cos(modulus, out=phase.real)
 
 
-def rotate(u, coeff, eps, modulus, phase, run_points, mask_zeros=True):
-    """In place u *= exp(i coeff ln(|u| + eps)), the phase flow with coeff = 2 lam dt.
-
-    `modulus` (real) and `phase` (complex) are scratch arrays of u's shape;
-    the other arguments are as for `rotation_phase`.
-    """
-    np.abs(u, out=modulus)
-    rotation_phase(modulus, coeff, eps, phase, run_points, mask_zeros)
-    u *= phase
-
-
 def phase_flow(z, lam, eps, dt):
     """Exact flow of the pointwise ODE i u' + 2 lam u ln(|u| + eps) = 0.
 
     The coefficient is real, so the modulus is conserved:
-    z -> z * exp(2i lam dt ln(|z| + eps)). This is `rotate` with all of z
-    as one run.
+    z -> z * exp(2i lam dt ln(|z| + eps)). This is the step's rotation, the
+    kernel `rotation_phase`, with all of z as one run.
     """
     if not eps >= 0:
         raise ValueError(f"eps must be >= 0, got {eps}")
     u = np.array(z, dtype=complex)
-    rotate(u, 2.0 * lam * dt, eps, np.empty(u.shape), np.empty_like(u), u.size, eps == 0)
+    phase = np.empty_like(u)
+    rotation_phase(np.abs(u, out=np.empty(u.shape)), 2.0 * lam * dt, eps, phase, u.size, eps == 0)
+    u *= phase
     return u
 
 

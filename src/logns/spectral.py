@@ -44,16 +44,19 @@ def mode_grids(geometry: GridGeometry) -> list[np.ndarray]:
 
 @lru_cache(maxsize=32)
 def squared_frequency(geometry: GridGeometry) -> np.ndarray:
-    """|n / L|^2 on the full mode grid, fft ordering. Cached per geometry."""
+    """|n / L|^2 on the full mode grid, fft ordering. Cached per geometry, read-only."""
     out = sum((n / l) ** 2 for n, l in zip(mode_grids(geometry), geometry.lengths))
-    return np.broadcast_to(out, geometry.points).copy()
+    out = np.broadcast_to(out, geometry.points).copy()
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=32)
 def mode_radius(geometry: GridGeometry) -> np.ndarray:
-    """|n| (integer mode index magnitude) on the full mode grid."""
-    out = sum(n**2 for n in mode_grids(geometry))
-    return np.sqrt(np.broadcast_to(out, geometry.points))
+    """|n| (integer mode index magnitude) on the full mode grid. Cached, read-only."""
+    out = np.sqrt(np.broadcast_to(sum(n**2 for n in mode_grids(geometry)), geometry.points))
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=8)

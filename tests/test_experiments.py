@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from logns.data import DatumSpec, make_datum
-from logns import constants, experiments, nonlinearity
+from logns import constants, experiments, integrator, nonlinearity
 from logns.diagnostics import l2_distance
 from logns.experiments import (
     gagliardo_equivalence_bounds,
@@ -262,6 +262,10 @@ class TestEpsCauchy:
         assert report.margins["monotone"] == 1.0
         assert report.n_samples == len(ladder) - 1
 
+    def test_a_single_eps_is_rejected(self):
+        with pytest.raises(ValueError, match="at least two entries, got 1"):
+            run_eps_cauchy(GAUSSIAN, quick_config(), eps_sequence=[0.1])
+
 
 class TestH1Approximation:
     def test_cutoff_validation(self):
@@ -375,7 +379,7 @@ class TestConvergenceOrder:
 
     def test_halvings_stop_at_the_step_limit(self, monkeypatch, marched_steps):
         # the rung of 20 steps fits under a limit of 20, the next one does not
-        monkeypatch.setattr(experiments, "_MAX_STEPS", 20)
+        monkeypatch.setattr(integrator, "_MAX_STEPS", 20)  # the limit SimConfig enforces
         report = run_convergence_order(GAUSSIAN, quick_config(t_final=0.1),
                                        dt_ladder=[2e-2, 1e-2])
         assert not report.passed

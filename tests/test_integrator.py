@@ -406,6 +406,12 @@ class TestEvolvePair:
 
 
 class TestEpsContinuation:
+    @pytest.mark.parametrize("ladder", [[], [0.25]])
+    def test_rejects_fewer_than_two(self, ladder):
+        f = random_field(torus(32))
+        with pytest.raises(ValueError, match=f"at least two entries, got {len(ladder)}"):
+            eps_continuation(f, config(torus(32)), ladder)
+
     def test_rejects_non_decreasing(self):
         f = random_field(torus(32))
         with pytest.raises(ValueError):

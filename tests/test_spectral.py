@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from logns import spectral
+from logns import diagnostics, spectral
 from logns.diagnostics import measure
 from logns.geometry import DomainKind, Field, GeometryError, GridGeometry
 from logns.integrator import SimConfig, march
@@ -66,6 +66,31 @@ class TestFrequencyGrids:
         b = mode_radius(GridGeometry(DomainKind.PERIODIC_BOX, (5.0,), (8,)))
         np.testing.assert_array_equal(a, b)
         np.testing.assert_allclose(a, [0, 1, 2, 3, 4, 3, 2, 1])
+
+    # the arguments of every lru_cache'd function of spectral and diagnostics
+    CACHED = {
+        "squared_frequency": (), "mode_radius": (), "free_symbol": (1e-3,),
+        "bessel_weight": (0.5,), "_gagliardo_symbol": (0.5,),
+    }
+
+    def test_every_cached_array_is_read_only(self):
+        # a caller writing into a cached grid would corrupt every later user
+        geom = torus(16)
+        cached = {name: f for module in (spectral, diagnostics)
+                  for name, f in vars(module).items() if hasattr(f, "cache_info")}
+        assert set(cached) == set(self.CACHED)
+        for name, args in self.CACHED.items():
+            out = cached[name](geom, *args)
+            assert not out.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                out *= 0
+
+    def test_truncation_is_safe_from_writes_to_the_cached_radius(self):
+        geom = torus(16)
+        radius = mode_radius(geom)
+        with pytest.raises(ValueError, match="read-only"):
+            radius *= 0
+        assert np.max(np.abs(truncate_modes(plane_wave(geom, (3,)), 2.0).data)) < 1e-15
 
 
 class TestFreePropagator:
