@@ -13,58 +13,66 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .geometry import Field, GridGeometry, restrict_to_half
+from .schema import Key, check, choice, complex_number, integer, list_of, number
 from .spectral import mode_radius
 
 __all__ = ["DatumSpec", "make_datum"]
 
-_KINDS = ("plane_wave", "gaussian_bump", "random_band_limited", "random_rough")
 # a datum whose L^2 norm is at most this fraction of its samples' norm before
 # antisymmetrization is zero up to roundoff (about 450 ulps)
 _ZERO_NORM_RATIO = 1e-13
 
+_AMPLITUDE = Key(False, complex_number())
+_SEED = Key(False, integer(lo=0))
+# the keys of a config's datum section, which build a DatumSpec: datum kind ->
+# its keys other than `kind`
+DATUM_KEYS = {
+    "plane_wave": {"modes": Key(True, list_of(integer())), "amplitude": _AMPLITUDE},
+    "gaussian_bump": {
+        "amplitude": _AMPLITUDE,
+        "center": Key(False, list_of(number())),
+        "width": Key(False, number(lo=0.0, open_lo=True)),
+    },
+    "random_band_limited": {"cutoff": Key(True, number(lo=0.0)), "seed": _SEED},
+    "random_rough": {"target_s": Key(True, number(lo=0.0, open_lo=True)), "seed": _SEED},
+}
+DATUM_KIND = Key(True, choice(*DATUM_KEYS))
+
 
 @dataclass(frozen=True)
 class DatumSpec:
-    """Named family of initial data; `seed` fixes the randomized kinds."""
+    """Named family of initial data, as DATUM_KEYS[kind] accepts it; `seed`
+    fixes the randomized kinds."""
 
     kind: str
     seed: int = 0
     modes: tuple[int, ...] | None = None       # plane_wave
-    amplitude: complex = 1.0                   # plane_wave, gaussian_bump
+    amplitude: complex = 1.0 + 0.0j            # plane_wave, gaussian_bump
     center: tuple[float, ...] | None = None    # gaussian_bump
     width: float = 0.08                        # gaussian_bump
     cutoff: float | None = None                # random_band_limited
     target_s: float | None = None              # random_rough
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown datum kind {self.kind!r}; expected one of {_KINDS}")
-        if self.kind == "plane_wave" and self.modes is None:
-            raise ValueError("plane_wave requires mode indices")
-        if self.kind == "random_band_limited" and self.cutoff is None:
-            raise ValueError("random_band_limited requires a cutoff radius")
-        if self.kind == "random_rough" and self.target_s is None:
-            raise ValueError("random_rough requires a target Sobolev exponent")
-        if not 0.0 < self.width < math.inf:
-            raise ValueError(f"width must be positive finite, got {self.width}")
-        if self.cutoff is not None and not 0.0 <= self.cutoff < math.inf:
-            raise ValueError(f"cutoff must be finite and >= 0, got {self.cutoff}")
-        if self.target_s is not None and not 0.0 < self.target_s < math.inf:
-            raise ValueError(f"target_s must be positive finite, got {self.target_s}")
-        if self.modes is not None:
-            object.__setattr__(self, "modes", tuple(int(m) for m in self.modes))
-        if self.center is not None:
-            object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-            if not all(math.isfinite(c) for c in self.center):
-                raise ValueError(f"center must be finite, got {self.center}")
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
-        if not (math.isfinite(self.amplitude.real) and math.isfinite(self.amplitude.imag)):
-            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
+        keys = DATUM_KEYS.get(self.kind, {}) if isinstance(self.kind, str) else {}
+        check(self, {"kind": DATUM_KIND, **keys})
+
+
+def grid_errors(kind: str, fields: dict, dirichlet: bool, dim: int | None) -> list[str]:
+    """Why a datum of `kind` with the keys `fields` cannot be built on a grid of
+    dimension `dim` (None: not known), one "key: message" per fault: a plane
+    wave on a Dirichlet grid, or `modes` or `center` without one entry per axis."""
+    errors = []
+    if kind == "plane_wave" and dirichlet:
+        errors.append("kind: plane_wave is incompatible with Dirichlet boundaries")
+    for key, entry in (("center", "coordinate"), ("modes", "integer")):
+        values = fields.get(key)
+        if dim is not None and values is not None and len(values) != dim:
+            errors.append(f"{key}: expected one {entry} per axis ({dim}), got {len(values)}")
+    return errors
 
 
 def _plane_wave(spec: DatumSpec, geom: GridGeometry) -> np.ndarray:
-    if len(spec.modes) != geom.dim:
-        raise ValueError(f"plane wave needs {geom.dim} mode indices, got {len(spec.modes)}")
     grids = geom.coordinate_grids()
     phase = sum(
         2.0 * math.pi * m * x / l for m, x, l in zip(spec.modes, grids, geom.lengths)
@@ -74,8 +82,6 @@ def _plane_wave(spec: DatumSpec, geom: GridGeometry) -> np.ndarray:
 
 def _gaussian_bump(spec: DatumSpec, geom: GridGeometry) -> np.ndarray:
     center = spec.center
-    if len(center) != geom.dim:
-        raise ValueError(f"gaussian center needs {geom.dim} coordinates")
     grids = geom.coordinate_grids()
     # periodized sum of images keeps the bump smooth across the wrap
     total = np.zeros(geom.points, dtype=float)
@@ -113,13 +119,15 @@ def _unit_mass(data: np.ndarray, geom: GridGeometry) -> np.ndarray:
 def make_datum(spec: DatumSpec, geometry: GridGeometry) -> Field:
     """Concrete initial datum for a geometry.
 
-    Plane waves are periodic-only; the other kinds support Dirichlet grids via
-    odd antisymmetrization on the doubled box. A Gaussian's default center is
-    the middle of `geometry`, not of the doubled box, whose middle is a node of
-    every odd extension. Raises ValueError on a datum that is zero to roundoff.
+    Plane waves are periodic-only (`grid_errors`); the other kinds support
+    Dirichlet grids via odd antisymmetrization on the doubled box. A Gaussian's
+    default center is the middle of `geometry`, not of the doubled box, whose
+    middle is a node of every odd extension. Raises ValueError on a datum that
+    is zero to roundoff.
     """
-    if geometry.is_dirichlet and spec.kind == "plane_wave":
-        raise ValueError("plane waves are incompatible with Dirichlet boundaries")
+    errors = grid_errors(spec.kind, vars(spec), geometry.is_dirichlet, geometry.dim)
+    if errors:
+        raise ValueError("; ".join(errors))
     if spec.kind == "gaussian_bump" and spec.center is None:
         spec = replace(spec, center=tuple(l / 2 for l in geometry.lengths))
     grid = geometry.doubled() if geometry.is_dirichlet else geometry

@@ -17,6 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .geometry import Field, GridGeometry, odd_extension, require_same_geometry
+from .nonlinearity import check_eps
 from .spectral import bessel_norm, mode_grids, power_spectrum, squared_frequency
 
 __all__ = [
@@ -103,8 +104,7 @@ def measure(
     """The record of mass(field), energy(field, lam, eps), hs_norm(field, s) for
     each s in hs_values and hs_gagliardo_norm(field, s) for each s in
     gagliardo_values, from one spectrum: one extension, one FFT."""
-    if not eps >= 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
+    check_eps(eps)
     geometry, power = _spectrum(field)
     kinetic = 4.0 * math.pi**2 * float(np.sum(squared_frequency(geometry) * power))
     if field.geometry.is_dirichlet:

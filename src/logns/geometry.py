@@ -15,6 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .schema import Key, check, choice, integer, list_of, number
+
 __all__ = [
     "DomainKind",
     "GridGeometry",
@@ -41,26 +43,32 @@ class DomainKind(str, Enum):
 _PERIODIC = frozenset({DomainKind.TORUS, DomainKind.PERIODIC_BOX})
 _DIRICHLET = frozenset({DomainKind.DIRICHLET_INTERVAL, DomainKind.DIRICHLET_SLAB})
 
+# the keys of a config's `geometry` section, which build a GridGeometry
+GEOMETRY_KEYS = {
+    "kind": Key(True, choice(*(k.value for k in DomainKind))),
+    "points": Key(True, list_of(integer())),
+    "lengths": Key(False, list_of(number())),  # required unless the kind is torus
+}
+
 
 @dataclass(frozen=True)
 class GridGeometry:
-    """Discretization descriptor: domain kind, side lengths, samples per axis."""
+    """Domain kind, side lengths and samples per axis, as GEOMETRY_KEYS accepts them."""
 
     kind: DomainKind
     lengths: tuple[float, ...]
     points: tuple[int, ...]
 
     def __post_init__(self):
+        check(self, GEOMETRY_KEYS, GeometryError)
         object.__setattr__(self, "kind", DomainKind(self.kind))
-        object.__setattr__(self, "lengths", tuple(float(l) for l in self.lengths))
-        object.__setattr__(self, "points", tuple(int(n) for n in self.points))
         if len(self.lengths) != len(self.points) or not self.points:
             raise GeometryError("lengths and points must be nonempty and of equal dimension")
         for n in self.points:
             if n < 4 or n & (n - 1):
                 raise GeometryError(f"points per axis must be powers of two >= 4, got {n}")
         for l in self.lengths:
-            if not (l > 0 and math.isfinite(l)):
+            if not l > 0:
                 raise GeometryError(f"lengths must be positive finite, got {l}")
         if self.kind is DomainKind.TORUS and any(l != 1.0 for l in self.lengths):
             raise GeometryError("torus geometry requires unit side lengths")

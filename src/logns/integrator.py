@@ -42,7 +42,8 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord, l2_distance, measure
 from .geometry import Field, GeometryError, GridGeometry, odd_extension, restrict_to_half
-from .nonlinearity import rotation_phase
+from .nonlinearity import check_eps, rotation_phase
+from .schema import Key, check, choice, integer, list_of, number
 from .spectral import free_symbol, propagate
 
 __all__ = [
@@ -59,6 +60,18 @@ __all__ = [
 ]
 
 _MAX_STEPS = 10**8
+
+# the keys of a config's `sim` section, which build a SimConfig with its geometry
+SIM_KEYS = {
+    "lambda": Key(True, number(), "lam"),
+    "eps": Key(True, number(lo=0.0)),
+    "dt": Key(True, number()),
+    "t_final": Key(True, number()),
+    "splitting": Key(False, choice("lie", "strang")),
+    "record_every": Key(False, integer(lo=1)),
+    "hs_values": Key(False, list_of(number(lo=0.0, hi=1.0, open_lo=True))),
+    "snapshot_every": Key(False, integer(lo=1)),
+}
 
 
 class IntegrationError(RuntimeError):
@@ -77,7 +90,7 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Physical and numerical parameters of one run."""
+    """Physical and numerical parameters of one run, as SIM_KEYS accepts them."""
 
     lam: float
     eps: float
@@ -90,28 +103,15 @@ class SimConfig:
     snapshot_every: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "hs_values", tuple(float(s) for s in self.hs_values))
-        if not math.isfinite(self.lam):
-            raise ValueError(f"lam must be finite, got {self.lam}")
-        if not 0.0 <= self.eps < math.inf:
-            raise ValueError(f"eps must be finite and >= 0, got {self.eps}")
-        if self.dt == 0 or not math.isfinite(self.dt):
+        check(self, SIM_KEYS)
+        if self.dt == 0:
             raise ValueError(f"dt must be nonzero finite, got {self.dt}")
-        if self.t_final == 0 or not math.isfinite(self.t_final) or self.t_final * self.dt < 0:
+        if self.t_final == 0 or self.t_final * self.dt < 0:
             raise ValueError("t_final must be nonzero finite with the same sign as dt")
         if abs(self.dt) > abs(self.t_final):
             raise ValueError("dt must not exceed t_final")
-        if self.splitting not in ("lie", "strang"):
-            raise ValueError(f"splitting must be 'lie' or 'strang', got {self.splitting!r}")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
-        if self.snapshot_every is not None and self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1 or None")
         if self.record_every * abs(self.dt) > abs(self.t_final) + abs(self.dt) / 2:
             raise ValueError("record_every * dt must not exceed t_final")
-        for s in self.hs_values:
-            if not 0.0 < s <= 1.0:
-                raise ValueError(f"tracked h^s exponents must lie in (0, 1], got {s}")
         if abs(self.t_final / self.dt) > _MAX_STEPS:
             raise ValueError(f"t_final/dt exceeds the {_MAX_STEPS} step limit")
         if not math.isclose(self.n_steps * self.dt, self.t_final, rel_tol=1e-9):
@@ -158,8 +158,7 @@ def march(
     eps = [config.eps] * len(data) if eps is None else list(eps)
     if len(eps) != len(data):
         raise ValueError(f"need one eps per run, got {len(eps)} for {len(data)} runs")
-    if not all(e >= 0.0 for e in eps):
-        raise ValueError(f"eps must be >= 0, got {eps}")
+    check_eps(eps)
     steps = list(steps)
     for prev, target in zip([0, *steps], steps):
         if not prev <= target <= n:
@@ -294,20 +293,29 @@ def evolve_pair(datum_a: Field, datum_b: Field, config: SimConfig) -> list[tuple
     return distances
 
 
+def eps_ladder_errors(eps_sequence: list[float]) -> list[str]:
+    """Why `eps_sequence` cannot run as a ladder of regularizations, one message
+    per fault: fewer than two entries, not strictly decreasing, not positive."""
+    errors = []
+    if len(eps_sequence) < 2:
+        errors.append(f"need at least two entries, got {len(eps_sequence)}")
+    if any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
+        errors.append(f"must be strictly decreasing, got {list(eps_sequence)}")
+    errors.extend(f"entry {e:g}: must be positive" for e in eps_sequence if not e > 0.0)
+    return errors
+
+
 def eps_continuation(
     datum: Field, config: SimConfig, eps_sequence: list[float]
 ) -> list[tuple[tuple[float, float], float]]:
     """Sup-in-time L^2 distance between runs at consecutive regularizations.
 
-    eps_sequence must hold at least two entries, strictly decreasing and
-    positive; "sup in time" means the maximum over the diagnostic sample times.
+    eps_sequence must be a ladder `eps_ladder_errors` accepts; "sup in time"
+    means the maximum over the diagnostic sample times.
     """
-    if len(eps_sequence) < 2:
-        raise ValueError(f"eps_sequence needs at least two entries, got {len(eps_sequence)}")
-    if any(e <= 0 for e in eps_sequence):
-        raise ValueError("eps_sequence entries must be positive")
-    if any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
-        raise ValueError("eps_sequence must be strictly decreasing")
+    errors = eps_ladder_errors(eps_sequence)
+    if errors:
+        raise ValueError(f"eps_sequence: {'; '.join(errors)}")
 
     series = lockstep_distances([datum] * len(eps_sequence), config, eps_sequence)
     sups = [max(d for _, d in distances) for distances in series]

@@ -2,8 +2,9 @@
 
 Config files are strict JSON: unknown keys are errors and the physical
 parameters (lambda, eps, dt, t_final) have no defaults. Each config section is
-a table of keys, and one walker reports every unknown, missing or ill-typed
-key as "section.key: message"; only checks that span sections are code. The
+a table of keys, and one walker (`schema.walk`) reports every unknown, missing
+or ill-typed key as "section.key: message"; only checks that span sections
+are code. A section that builds a type has its table next to that type. The
 `sim` keys and the geometry build the run's SimConfig, whose checks across
 keys report as "sim: message". The keys of an experiment, its data and its
 geometries come from experiments.EXPERIMENTS.
@@ -16,19 +17,17 @@ from __future__ import annotations
 import json
 import os
 import struct
-import sys
-from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
-from .data import DatumSpec
+from .data import DATUM_KEYS, DATUM_KIND, DatumSpec, grid_errors
 from .diagnostics import DiagnosticsRecord
 from .experiments import EXPERIMENTS, dt_ladder_errors
-from .geometry import DomainKind, Field, GridGeometry
-from .integrator import SimConfig
+from .geometry import GEOMETRY_KEYS, DomainKind, Field, GridGeometry
+from .integrator import SIM_KEYS, SimConfig, eps_ladder_errors
+from .schema import Key, complex_number, integer, list_of, number, section, walk
 
 __all__ = [
     "ConfigError",
@@ -37,7 +36,6 @@ __all__ = [
     "parse_config",
     "load_config",
     "write_timeseries",
-    "read_timeseries",
     "write_snapshot",
     "read_snapshot",
 ]
@@ -82,180 +80,37 @@ class ConfigDocument:
     experiment: dict = dataclass_field(default_factory=dict)  # with datum_b if it needs one
 
 
-def _is_number(v) -> bool:
-    # json.loads also yields NaN, Infinity and integers beyond the float range
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
-# Converters: each maps one JSON value to its parsed value or raises ValueError
-# with the reason.
-
-def _number(lo=None, hi=None, open_lo=False):
-    def convert(v):
-        if not _is_number(v):
-            raise ValueError(f"expected a number, got {v!r}")
-        v = float(v)
-        if lo is not None and (v < lo or (v == lo and open_lo)) or hi is not None and v > hi:
-            raise ValueError(f"out of range: {v}")
-        return v
-    return convert
-
-
-def _integer(lo=None):
-    def convert(v):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise ValueError(f"expected an integer, got {v!r}")
-        if abs(v) > sys.float_info.max or lo is not None and v < lo:
-            raise ValueError(f"out of range: {v}")
-        return v
-    return convert
-
-
-def _complex(nonzero=False):
-    """A number or an [re, im] pair, as a complex."""
-    def convert(v):
-        if _is_number(v):
-            z = complex(v)
-        elif isinstance(v, list) and len(v) == 2 and all(_is_number(x) for x in v):
-            z = complex(v[0], v[1])
-        else:
-            raise ValueError(f"expected a number or [re, im], got {v!r}")
-        if nonzero and z == 0:
-            raise ValueError("must be nonzero")
-        return z
-    return convert
-
-
-def _choice(*options):
-    def convert(v):
-        if v not in options:
-            raise ValueError(f"expected one of {', '.join(map(repr, options))}, got {v!r}")
-        return v
-    return convert
-
-
-def _list_of(item, min_len=0, into=tuple):
-    def convert(v):
-        if not isinstance(v, list):
-            raise ValueError(f"expected a list, got {v!r}")
-        if len(v) < min_len:
-            raise ValueError(f"expected at least {min_len} entries, got {len(v)}")
-        return into(item(x) for x in v)
-    return convert
-
-
-def _section(v):
-    if not isinstance(v, dict):
-        raise ValueError("expected an object")
-    return v
-
-
-class _Key(NamedTuple):
-    """One config key: whether it must be present, its converter, its parsed name."""
-
-    required: bool
-    convert: Callable
-    name: str | None = None  # None: the key itself
-
-
 _TOP_LEVEL = {
-    "geometry": _Key(True, _section),
-    "sim": _Key(True, _section),
-    "datum": _Key(False, _section),
-    "datum_b": _Key(False, _section),
-    "experiment": _Key(False, _section),
+    "geometry": Key(True, section),
+    "sim": Key(True, section),
+    "datum": Key(False, section),
+    "datum_b": Key(False, section),
+    "experiment": Key(False, section),
 }
 
-_GEOMETRY = {
-    "kind": _Key(True, _choice(*(k.value for k in DomainKind))),
-    "points": _Key(True, _list_of(_integer())),
-    "lengths": _Key(False, _list_of(_number())),  # required unless the kind is torus
-}
-
-_SIM = {
-    "lambda": _Key(True, _number(), "lam"),
-    "eps": _Key(True, _number(lo=0.0)),
-    "dt": _Key(True, _number()),
-    "t_final": _Key(True, _number()),
-    "splitting": _Key(False, _choice("lie", "strang")),
-    "record_every": _Key(False, _integer(lo=1)),
-    "hs_values": _Key(False, _list_of(_number(lo=0.0, hi=1.0, open_lo=True))),
-    "snapshot_every": _Key(False, _integer(lo=1)),
-}
-
-_AMPLITUDE = _Key(False, _complex())
-_SEED = _Key(False, _integer(lo=0))
-# datum kind -> its keys other than `kind`
-_DATUM = {
-    "plane_wave": {"modes": _Key(True, _list_of(_integer())), "amplitude": _AMPLITUDE},
-    "gaussian_bump": {
-        "amplitude": _AMPLITUDE,
-        "center": _Key(False, _list_of(_number())),
-        "width": _Key(False, _number(lo=0.0, open_lo=True)),
-    },
-    "random_band_limited": {"cutoff": _Key(True, _number(lo=0.0)), "seed": _SEED},
-    "random_rough": {"target_s": _Key(True, _number(lo=0.0, open_lo=True)), "seed": _SEED},
-}
-_DATUM_KIND = _Key(True, _choice(*_DATUM))
-
-_LADDER = _Key(True, _list_of(_number(), min_len=2, into=list))
+_LADDER = Key(True, list_of(number(), min_len=2, into=list))
 # every parameter key of EXPERIMENTS
 _EXPERIMENT = {
-    "z": _Key(True, _complex(nonzero=True)),
-    "boost_modes": _Key(True, _list_of(_integer())),
+    "z": Key(True, complex_number(nonzero=True)),
+    "boost_modes": Key(True, list_of(integer())),
     "eps_sequence": _LADDER,
-    "cutoffs": _Key(True, _list_of(_number(lo=0.0), min_len=2, into=list)),
+    "cutoffs": Key(True, list_of(number(lo=0.0), min_len=2, into=list)),
     "dt_ladder": _LADDER,
 }
-
-
-def _walk(raw: dict, schema: dict[str, _Key], path: str, errors: list[str]) -> dict:
-    """Parsed values of one section's keys, by parsed name.
-
-    Appends to `errors` every unknown, missing or ill-typed key as
-    "path.key: message"; keys with an error are left out of the result.
-    """
-    errors.extend(f"{path}.{key}: unknown key" for key in sorted(set(raw) - set(schema)))
-    parsed = {}
-    for key, entry in schema.items():
-        if key not in raw:
-            if entry.required:
-                errors.append(f"{path}.{key}: missing required key")
-            continue
-        try:
-            parsed[entry.name or key] = entry.convert(raw[key])
-        except ValueError as exc:
-            errors.append(f"{path}.{key}: {exc}")
-    return parsed
-
-
-# datum keys with one entry per axis -> what an entry is
-_PER_AXIS = {"center": "coordinate", "modes": "integer"}
 
 
 def _datum(raw: dict, path: str, errors: list[str], geometry: GridGeometry | None,
            dirichlet: bool) -> DatumSpec | None:
     n_errors = len(errors)
     kind = raw.get("kind")
-    if not isinstance(kind, str) or kind not in _DATUM:
+    if not isinstance(kind, str) or kind not in DATUM_KEYS:
         # the other keys depend on the kind, so only the kind is reported
-        _walk({"kind": kind}, {"kind": _DATUM_KIND}, path, errors)
+        walk({"kind": kind}, {"kind": DATUM_KIND}, f"{path}.", errors)
         return None
-    if kind == "plane_wave" and dirichlet:
-        errors.append(f"{path}.kind: plane_wave is incompatible with Dirichlet boundaries")
-    fields = _walk(raw, {"kind": _DATUM_KIND, **_DATUM[kind]}, path, errors)
-    for key, entry in _PER_AXIS.items():
-        values = fields.get(key)
-        if geometry is not None and values is not None and len(values) != geometry.dim:
-            errors.append(f"{path}.{key}: expected one {entry} per axis ({geometry.dim}), "
-                          f"got {len(values)}")
-    if len(errors) > n_errors:
-        return None
-    try:
-        return DatumSpec(**fields)
-    except ValueError as exc:
-        errors.append(f"{path}: {exc}")
-        return None
+    fields = walk(raw, {"kind": DATUM_KIND, **DATUM_KEYS[kind]}, f"{path}.", errors)
+    dim = None if geometry is None else geometry.dim
+    errors.extend(f"{path}.{e}" for e in grid_errors(kind, fields, dirichlet, dim))
+    return DatumSpec(**fields) if len(errors) == n_errors else None
 
 
 def parse_config(text: str, experiment: str | None = None) -> ConfigDocument:
@@ -273,12 +128,12 @@ def parse_config(text: str, experiment: str | None = None) -> ConfigDocument:
         raise ConfigError(["top level: expected an object"])
 
     errors: list[str] = []
-    sections = _walk(raw, _TOP_LEVEL, "top level", errors)
+    sections = walk(raw, _TOP_LEVEL, "top level.", errors)
 
     geometry = kind = None
     if "geometry" in sections:
         n_errors = len(errors)
-        fields = _walk(sections["geometry"], _GEOMETRY, "geometry", errors)
+        fields = walk(sections["geometry"], GEOMETRY_KEYS, "geometry.", errors)
         kind = fields.get("kind")
         if "lengths" not in sections["geometry"] and kind is not None:
             if kind == DomainKind.TORUS:
@@ -293,7 +148,7 @@ def parse_config(text: str, experiment: str | None = None) -> ConfigDocument:
     sim = None
     if "sim" in sections:
         n_errors = len(errors)
-        fields = _walk(sections["sim"], _SIM, "sim", errors)
+        fields = walk(sections["sim"], SIM_KEYS, "sim.", errors)
         if geometry is not None and len(errors) == n_errors:
             try:
                 sim = SimConfig(geometry=geometry, **fields)
@@ -308,8 +163,7 @@ def parse_config(text: str, experiment: str | None = None) -> ConfigDocument:
     params = sections.get("experiment", {})
     if experiment is not None:
         entry = EXPERIMENTS[experiment]
-        params = _walk(params, {key: _EXPERIMENT[key] for key in entry.params}, "experiment",
-                       errors)
+        params = walk(params, {k: _EXPERIMENT[k] for k in entry.params}, "experiment.", errors)
         modes = params.get("boost_modes")
         if geometry is not None and modes is not None and len(modes) != geometry.dim:
             errors.append(f"experiment.boost_modes: expected one integer per axis "
@@ -317,6 +171,9 @@ def parse_config(text: str, experiment: str | None = None) -> ConfigDocument:
         ladder = params.get("dt_ladder")
         if sim is not None and ladder is not None:
             errors.extend(f"experiment.dt_ladder: {e}" for e in dt_ladder_errors(sim, ladder))
+        if "eps_sequence" in params:
+            errors.extend(f"experiment.eps_sequence: {e}"
+                          for e in eps_ladder_errors(params["eps_sequence"]))
         if entry.periodic_only and dirichlet:
             errors.append(f"geometry.kind: experiment {experiment} needs a periodic geometry, "
                           f"got {kind!r}")
@@ -356,23 +213,6 @@ def write_timeseries(records: list[DiagnosticsRecord], destination: str | Path) 
         path.write_bytes(("\n".join(lines) + "\n").encode())
     except OSError as exc:
         raise IOError(f"cannot write time series to {path}: {exc}") from exc
-
-
-def read_timeseries(source: str | Path) -> list[DiagnosticsRecord]:
-    """Inverse of write_timeseries."""
-    lines = Path(source).read_text().splitlines()
-    header = lines[0].split(",")
-    records = []
-    for line in lines[1:]:
-        values = [float(tok) for tok in line.split(",")]
-        row = dict(zip(header, values))
-        hs = {float(k[3:]): v for k, v in row.items() if k.startswith("hs_")}
-        records.append(
-            DiagnosticsRecord(
-                time=row["time"], mass=row["mass"], energy=row["energy"], hs_norms=hs
-            )
-        )
-    return records
 
 
 def write_snapshot(field: Field, time: float, destination: str | Path) -> None:

@@ -22,6 +22,12 @@ _LOG_RANGE = float(-np.log(np.finfo(float).smallest_subnormal))
 _SIN_SQRT_MIN_POINTS = 1024
 
 
+def check_eps(eps) -> None:
+    """Raise ValueError unless eps, a number or a list, is finite and >= 0."""
+    if not all(0.0 <= e < math.inf for e in (eps if isinstance(eps, list) else [eps])):
+        raise ValueError(f"eps must be >= 0 and finite, got {eps}")
+
+
 def rotation_phase(modulus, coeff, eps, phase, run_points, mask_zeros=True):
     """phase <- exp(i coeff ln(|u| + eps)), the factor by which the phase flow
     with coeff = 2 lam dt multiplies u, from `modulus` = |u| (real,
@@ -60,8 +66,7 @@ def phase_flow(z, lam, eps, dt):
     z -> z * exp(2i lam dt ln(|z| + eps)). This is the step's rotation, the
     kernel `rotation_phase`, with all of z as one run.
     """
-    if not eps >= 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
+    check_eps(eps)
     u = np.array(z, dtype=complex)
     phase = np.empty_like(u)
     rotation_phase(np.abs(u, out=np.empty(u.shape)), 2.0 * lam * dt, eps, phase, u.size, eps == 0)

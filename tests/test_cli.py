@@ -12,7 +12,7 @@ from logns.data import DatumSpec, make_datum
 from logns.diagnostics import energy, hs_gagliardo_norm, hs_norm, mass
 from logns.experiments import EXPERIMENTS
 from logns.geometry import DomainKind, GridGeometry
-from logns.io import read_snapshot, read_timeseries, write_snapshot
+from logns.io import read_snapshot, write_snapshot
 
 
 def write_config(tmp_path, extra="", sim_extra=""):
@@ -32,6 +32,11 @@ def write_config(tmp_path, extra="", sim_extra=""):
 GAUSSIAN_DATUM = ',"datum": {"kind": "gaussian_bump", "width": 0.25}'
 
 
+def csv_rows(path):
+    """The rows of a time-series CSV below its header, one array row each."""
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
 class TestSimulate:
     def test_writes_csv_and_snapshots(self, tmp_path):
         cfg = write_config(
@@ -39,8 +44,7 @@ class TestSimulate:
         )
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
-        records = read_timeseries(out / "timeseries.csv")
-        assert len(records) == 11
+        assert len(csv_rows(out / "timeseries.csv")) == 11
         snaps = sorted(out.glob("snapshot_*.bin"))
         assert len(snaps) == 3
         _, t = read_snapshot(snaps[-1])
@@ -74,8 +78,8 @@ class TestSimulate:
         assert err[0].startswith("error: non-finite sample at step 1")
         assert err[1:] == [f"kept {out / 'timeseries.csv'} (1 records, 1 snapshots, "
                            "last sample at t=0)"]
-        [record] = read_timeseries(out / "timeseries.csv")
-        assert record.time == 0.0
+        [[time, *_]] = csv_rows(out / "timeseries.csv")
+        assert time == 0.0
         field, t = read_snapshot(out / "snapshot_000000.bin")
         assert t == 0.0
         assert np.array_equal(field.data, make_datum(DatumSpec(kind="gaussian_bump", width=0.25),
@@ -91,7 +95,7 @@ class TestSimulate:
         assert err[0].startswith("error: ") and "snapshot_000001.bin" in err[0]
         assert err[1:] == [f"kept {out / 'timeseries.csv'} (2 records, 1 snapshots, "
                            "last sample at t=0.01)"]
-        assert [r.time for r in read_timeseries(out / "timeseries.csv")] == [0.0, 0.01]
+        assert csv_rows(out / "timeseries.csv")[:, 0].tolist() == [0.0, 0.01]
         _, t = read_snapshot(out / "snapshot_000000.bin")
         assert t == 0.0
 
@@ -295,6 +299,28 @@ class TestExperiment:
         assert captured.err.splitlines() == [f"config error: experiment.dt_ladder: {m}"
                                              for m in messages]
         assert "Traceback" not in captured.err
+        assert captured.out == "" and not report_path.exists()
+
+    @pytest.mark.parametrize("ladder, messages", [
+        ("[0.25, 0.5]", ["must be strictly decreasing, got [0.25, 0.5]"]),
+        ("[0.5, 0.0]", ["entry 0: must be positive"]),
+        ("[0.5, 0.5, -0.5]", ["must be strictly decreasing, got [0.5, 0.5, -0.5]",
+                              "entry -0.5: must be positive"]),
+    ], ids=["increasing", "zero", "repeated-and-negative"])
+    def test_an_eps_ladder_that_cannot_run_is_a_config_error(self, tmp_path, capsys,
+                                                              monkeypatch, ladder, messages):
+        def no_datum(*args):
+            raise AssertionError("built the datum before rejecting the ladder")
+
+        monkeypatch.setattr(experiments, "make_datum", no_datum)
+        cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM +
+                           f',"experiment": {{"eps_sequence": {ladder}}}')
+        report_path = tmp_path / "report.json"
+        argv = ["experiment", "eps-cauchy", "--config", str(cfg), "--out", str(report_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"config error: experiment.eps_sequence: {m}"
+                                             for m in messages]
         assert captured.out == "" and not report_path.exists()
 
 

@@ -92,9 +92,10 @@ class TestEnergy:
         with pytest.raises(ValueError):
             energy(constant_field(torus(), 1.0), 1.0, eps=-0.1)
 
-    def test_rejects_nan_eps(self):
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_rejects_non_finite_eps(self, eps):
         with pytest.raises(ValueError, match="eps must be >= 0"):
-            energy(constant_field(torus(), 1.0), 1.0, eps=math.nan)
+            energy(constant_field(torus(), 1.0), 1.0, eps=eps)
 
     def test_dirichlet_kinetic_is_half_of_extension(self):
         geom = GridGeometry(DomainKind.DIRICHLET_INTERVAL, (1.0,), (64,))
@@ -181,9 +182,10 @@ class TestMeasure:
         with pytest.raises(ValueError):
             measure(slab_field(), 0.0, 1.0, -0.1, ())
 
-    def test_rejects_nan_eps(self):
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_rejects_non_finite_eps(self, eps):
         with pytest.raises(ValueError, match="eps must be >= 0"):
-            measure(slab_field(), 0.0, 1.0, math.nan, ())
+            measure(slab_field(), 0.0, 1.0, eps, ())
 
     def test_peaks_at_two_field_sizes(self, peak_traced_bytes):
         # one complex FFT buffer, released before the power spectrum is squared

@@ -83,14 +83,6 @@ class TestSimConfigValidation:
         with pytest.raises(ValueError):
             config(dt=1e-9, t_final=1e3)
 
-    @pytest.mark.parametrize("key, value", [
-        ("snapshot_every", 0), ("snapshot_every", -1), ("lam", math.nan), ("lam", math.inf),
-        ("eps", math.nan), ("eps", math.inf), ("t_final", math.nan),
-    ])
-    def test_rejects_what_the_config_schema_rejects(self, key, value):
-        with pytest.raises(ValueError, match=f"^{key} must be"):
-            config(**{key: value})
-
     def test_n_steps_requires_integer_multiple(self):
         with pytest.raises(ValueError):
             config(dt=3e-2, t_final=0.1).n_steps
@@ -335,10 +327,11 @@ class TestBatchedMarch:
             list(march([good, Field(geom, data)], config(geom), [10]))
         assert (info.value.step, info.value.time, info.value.run) == (1, config().dt, 1)
 
-    @pytest.mark.parametrize("eps", [[0.1], [0.1, -1.0], [0.1, float("nan")]])
+    @pytest.mark.parametrize("eps", [[0.1], [0.1, -1.0], [0.1, math.nan], [0.1, math.inf]])
     def test_rejects_bad_member_eps(self, eps):
         data = [random_field(torus(32), seed=k) for k in range(2)]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="one eps per run" if len(eps) == 1 else
+                           "eps must be >= 0"):
             list(march(data, config(torus(32)), [1], eps))
 
 

@@ -1,5 +1,6 @@
 """Config validation, CSV time series, and the binary snapshot format."""
 
+import dataclasses
 import json
 import math
 import struct
@@ -9,15 +10,16 @@ import numpy as np
 import pytest
 
 from logns import io
+from logns.data import DATUM_KEYS, DATUM_KIND, DatumSpec
 from logns.diagnostics import DiagnosticsRecord
 from logns.experiments import EXPERIMENTS
-from logns.geometry import DomainKind, Field, GridGeometry
+from logns.geometry import GEOMETRY_KEYS, DomainKind, Field, GridGeometry
+from logns.integrator import SIM_KEYS, SimConfig
 from logns.io import (
     ConfigError,
     SnapshotFormatError,
     parse_config,
     read_snapshot,
-    read_timeseries,
     write_snapshot,
     write_timeseries,
 )
@@ -180,10 +182,10 @@ def schema_cases():
     datum = FULL_DATA["gaussian_bump"]
     base = {**FULL_SECTIONS, "datum": datum, "datum_b": datum, "experiment": {}}
     yield from ((f"top level.{key}", None, base) for key in io._TOP_LEVEL)
-    for section, table in (("geometry", io._GEOMETRY), ("sim", io._SIM)):
+    for section, table in (("geometry", GEOMETRY_KEYS), ("sim", SIM_KEYS)):
         yield from ((f"{section}.{key}", None, base) for key in table)
     yield "datum.kind", None, base
-    for kind, table in io._DATUM.items():
+    for kind, table in DATUM_KEYS.items():
         doc = {**base, "datum": FULL_DATA[kind]}
         yield from ((f"datum.{key}", None, doc) for key in table)
     for key in io._EXPERIMENT:
@@ -193,15 +195,15 @@ def schema_cases():
 
 
 def wrong_values(valid):
-    """A string, null, a bool, NaN and an object, plus a float and an integer beyond
-    the float range where an integer is expected."""
-    yield from ("x", None, True, math.nan)
+    """A string, null, a bool, NaN, infinity and an object, plus a float and an
+    integer beyond the float range where an integer is expected."""
+    yield from ("x", None, True, math.nan, math.inf)
     if not isinstance(valid, dict):
         yield {"k": 1}
     if isinstance(valid, int) and not isinstance(valid, bool):
         yield from (1.5, 10**400)
     if isinstance(valid, list):
-        yield [{"k": 1}]
+        yield from ([{"k": 1}], [math.inf])
         if all(isinstance(v, int) for v in valid):
             yield from ([1.5], [10**400])
 
@@ -228,6 +230,69 @@ def test_every_ill_typed_key_is_a_config_error_naming_its_path(path, name, doc):
         with pytest.raises(ConfigError) as info:
             parse_config(json.dumps(bad), name)
         assert any(e.startswith(f"{path}: ") for e in info.value.errors), (value, info.value)
+
+
+# section -> (its key table, the object a valid document builds from it)
+CONSTRUCTED = {
+    "geometry": (GEOMETRY_KEYS, lambda doc: doc.sim.geometry),
+    "sim": (SIM_KEYS, lambda doc: doc.sim),
+    "datum": ({"kind": DATUM_KIND, **{k: v for t in DATUM_KEYS.values() for k, v in t.items()}},
+              lambda doc: doc.datum),
+}
+CONSTRUCTED_CASES = [case for case in CASES if case[0].split(".")[0] in CONSTRUCTED]
+
+
+@pytest.mark.parametrize("path, name, doc", CONSTRUCTED_CASES, ids=[
+    f"{path}-{doc['datum']['kind']}" if path.startswith("datum.") else path
+    for path, _, doc in CONSTRUCTED_CASES])
+def test_a_constructor_rejects_what_the_config_rejects_for_the_same_reason(path, name, doc):
+    """For every wrong value the parser rejects for a key, the constructor of the
+    type the key builds, given the same value (or its tuple for a list), raises
+    a ValueError naming the field with the parser's reason. None is the
+    constructor's spelling of an absent key where the field defaults to None,
+    so it is not passed there."""
+    section, key = path.split(".")
+    table, built = CONSTRUCTED[section]
+    valid_object = built(parse_config(json.dumps(doc), name))
+    field = table[key].name or key
+    default = next(f.default for f in dataclasses.fields(valid_object) if f.name == field)
+    for value in [*wrong_values(doc[section][key]),
+                  *([OUT_OF_RANGE[path]] if path in OUT_OF_RANGE else [])]:
+        with pytest.raises(ConfigError) as info:
+            parse_config(json.dumps({**doc, section: {**doc[section], key: value}}), name)
+        [reason] = [e.removeprefix(f"{path}: ") for e in info.value.errors
+                    if e.startswith(f"{path}: ")]
+        spellings = [(value, reason)] if value is not None or default is not None else []
+        if isinstance(value, list):
+            spellings.append((tuple(value), reason.replace(repr(value), repr(tuple(value)))))
+        for spelling, expected in spellings:
+            with pytest.raises(ValueError) as info:
+                dataclasses.replace(valid_object, **{field: spelling})
+            assert f"{field}: {expected}" in str(info.value).split("; "), (spelling, info.value)
+
+
+TORUS16 = GridGeometry(DomainKind.TORUS, (1.0,), (16,))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SimConfig(1.0, 0.1, 0.01, 0.1, TORUS16, record_every=2.0),
+     "record_every: expected an integer, got 2.0"),
+    (lambda: SimConfig(1.0, 0.1, 0.01, 0.1, TORUS16, snapshot_every=2.5),
+     "snapshot_every: expected an integer, got 2.5"),
+    (lambda: DatumSpec(kind="plane_wave", modes=(1.5,)), "modes: expected an integer, got 1.5"),
+    (lambda: GridGeometry(DomainKind.TORUS, (1.0,), (16.9,)),
+     "points: expected an integer, got 16.9"),
+    (lambda: DatumSpec(kind="random_rough", target_s=0.5, seed=-1), "seed: out of range: -1"),
+    (lambda: DatumSpec(kind="random_rough", target_s=0.5, seed=1.5),
+     "seed: expected an integer, got 1.5"),
+    (lambda: DatumSpec(kind="gaussian_bump", width=True), "width: expected a number, got True"),
+], ids=["record_every", "snapshot_every", "modes", "points", "seed-negative", "seed-float",
+        "width-bool"])
+def test_constructors_cast_nothing_a_config_rejects(build, message):
+    """Values that constructors once cast (points, modes), stored for a later
+    TypeError (record_every, snapshot_every) or took as they were (seed, width)."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_readme_config_section_names_every_key():
@@ -266,13 +331,11 @@ class TestTimeseries:
         path = tmp_path / "ts.csv"
         records = sample_records()
         write_timeseries(records, path)
-        back = read_timeseries(path)
-        assert len(back) == 2
-        for orig, rec in zip(records, back):
-            assert rec.time == orig.time
-            assert rec.mass == orig.mass
-            assert rec.energy == orig.energy
-            assert rec.hs_norms == orig.hs_norms
+        back = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert back.shape == (2, 5)
+        for orig, row in zip(records, back.tolist()):
+            assert row == [orig.time, orig.mass, orig.energy, orig.hs_norms[0.25],
+                           orig.hs_norms[0.5]]
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -44,8 +44,8 @@ class TestPhaseFlow:
         once = nl.phase_flow(z, lam, eps, 0.8)
         np.testing.assert_allclose(ab, once, rtol=1e-13)
 
-    @pytest.mark.parametrize("eps", [-0.1, math.nan])
-    def test_rejects_negative_or_nan_eps(self, eps):
+    @pytest.mark.parametrize("eps", [-0.1, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_eps(self, eps):
         with pytest.raises(ValueError, match="eps must be >= 0"):
             nl.phase_flow(np.array([1.0 + 1j, 0.5]), 1.0, eps, 1e-3)
 
