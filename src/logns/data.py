@@ -18,8 +18,8 @@ from .spectral import mode_radius
 
 __all__ = ["DatumSpec", "make_datum"]
 
-# a datum whose L^2 norm is at most this fraction of its samples' norm before
-# antisymmetrization is zero up to roundoff (about 450 ulps)
+# an array whose L^2 norm is at most this fraction of that of the samples it was
+# made from is zero up to roundoff (about 450 ulps): `check_nonzero`
 _ZERO_NORM_RATIO = 1e-13
 
 _AMPLITUDE = Key(False, complex_number())
@@ -70,6 +70,13 @@ def grid_errors(kind: str, fields: dict, dirichlet: bool, dim: int | None) -> li
         if dim is not None and values is not None and len(values) != dim:
             errors.append(f"{key}: expected one {entry} per axis ({dim}), got {len(values)}")
     return errors
+
+
+def check_nonzero(data: np.ndarray, samples: np.ndarray, what: str, scale_name: str) -> None:
+    """Raise ValueError "<what> (norm ...)" if `data` is zero to roundoff against `samples`."""
+    norm, scale = np.linalg.norm(data), np.linalg.norm(samples)
+    if norm <= _ZERO_NORM_RATIO * scale:
+        raise ValueError(f"{what} (norm {norm:.3g} against {scale_name} of {scale:.3g})")
 
 
 def _plane_wave(spec: DatumSpec, geom: GridGeometry) -> np.ndarray:
@@ -135,10 +142,8 @@ def make_datum(spec: DatumSpec, geometry: GridGeometry) -> Field:
     if geometry.is_dirichlet:
         m = grid.points[-1]
         data = 0.5 * (samples - samples[..., (-np.arange(m)) % m])
-    norm, scale = np.linalg.norm(data), np.linalg.norm(samples)
-    if norm <= _ZERO_NORM_RATIO * scale:
-        raise ValueError(f"datum: {spec.kind} vanishes on this {geometry.kind.value} grid "
-                         f"(norm {norm:.3g} against a sample scale of {scale:.3g})")
+    check_nonzero(data, samples, f"datum: {spec.kind} vanishes on this {geometry.kind.value} "
+                  "grid", "a sample scale")
     field = Field(grid, data)
     return restrict_to_half(field) if geometry.is_dirichlet else field
 

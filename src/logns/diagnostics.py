@@ -18,7 +18,7 @@ import numpy as np
 
 from .geometry import Field, GridGeometry, odd_extension, require_same_geometry
 from .nonlinearity import check_eps
-from .spectral import bessel_norm, mode_grids, power_spectrum, squared_frequency
+from .spectral import bessel_norm, power_spectrum, squared_frequency
 
 __all__ = [
     "DiagnosticsRecord",
@@ -143,7 +143,7 @@ def _gagliardo_symbol(geometry: GridGeometry, s: float) -> np.ndarray:
     """
     origin = (0,) * geometry.dim
     spacings = (l / p for l, p in zip(geometry.lengths, geometry.points))
-    y2 = sum((n * h) ** 2 for n, h in zip(mode_grids(geometry), spacings))
+    y2 = sum((n * h) ** 2 for n, h in zip(geometry.mode_grids(), spacings))
     y2 = np.broadcast_to(y2, geometry.points).copy()
     y2[origin] = np.inf  # drops the k = 0 term
     w = np.fft.fftn(y2 ** (-(geometry.dim + 2.0 * s) / 2.0)).real

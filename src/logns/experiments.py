@@ -14,7 +14,8 @@ on the grid with twice the points per axis.
 
 EXPERIMENTS is the one table of the named experiments: the config parser
 reads each entry's parameter keys, data and geometry needs from it, and the
-CLI dispatches through it.
+CLI dispatches through it. The config parser and every runner check an
+experiment's parameters by one function, `parse_params`, for the same reasons.
 """
 
 from __future__ import annotations
@@ -26,14 +27,13 @@ import math
 from dataclasses import asdict, dataclass, field as dataclass_field, replace
 from typing import NamedTuple
 
-import numpy as np
-
 from . import constants
-from .data import _ZERO_NORM_RATIO, DatumSpec, make_datum
+from .data import DatumSpec, check_nonzero, make_datum
 from .diagnostics import hs_growth_ratio, l2_distance, mass, measure
-from .geometry import galilean_boost, scale_datum
-from .integrator import (SimConfig, eps_continuation, evolve_pair, final_state,
+from .geometry import GridGeometry, galilean_boost, scale_datum
+from .integrator import (EPS_LADDER, SimConfig, eps_continuation, evolve_pair, final_state,
                          lockstep_distances, march)
+from .schema import Key, complex_number, integer, ladder, list_of, walk
 from .spectral import resample_modes, truncate_modes
 
 __all__ = [
@@ -170,8 +170,7 @@ def run_hs_growth(spec: DatumSpec, config: SimConfig) -> ExperimentReport:
     Uses the multiplier norm along the run plus one Gagliardo cross-check at
     the final time against the pinned equivalence interval.
     """
-    if not config.hs_values:
-        raise ValueError("hs growth experiment needs tracked hs_values")
+    _params("hs-growth", config)
     datum = make_datum(spec, config.geometry)
     steps = config.record_steps
     fractional = tuple(s for s in config.hs_values if s < 1.0)
@@ -205,16 +204,8 @@ def run_scaling_invariance(spec: DatumSpec, config: SimConfig, *, z: complex) ->
     invariance, and a zero z leaves nothing to compare. Both runs advance as
     one batched march, and the error is judged against `_scaling_budget`.
     """
-    if config.eps != 0.0:
-        raise ValueError("scaling invariance holds only for the unregularized flow")
-    z = complex(z)
-    if z == 0:
-        raise ValueError("scaling invariance needs a nonzero z")
-    try:
-        log_z2 = math.log(abs(z) ** 2)
-    except (OverflowError, ValueError):  # |z|^2 beyond the float range, or 0
-        raise ValueError(f"scaling invariance needs |z|^2 within the float range, "
-                         f"got z = {z}") from None
+    z = _params("scaling", config, z=z)["z"]
+    log_z2 = math.log(abs(z) ** 2)
     datum = make_datum(spec, config.geometry)
     datum_mass = mass(datum)
     scale = abs(z) * math.sqrt(datum_mass)
@@ -240,9 +231,7 @@ def run_galilean(spec: DatumSpec, config: SimConfig, *,
     the points per axis, march once more, and each end is compared with its
     N-grid run on the N grid's modes.
     """
-    if not all(float(m).is_integer() for m in boost_modes):
-        raise ValueError(f"boost_modes must be integers, got {list(boost_modes)}")
-    modes = [int(m) for m in boost_modes]
+    modes = list(_params("galilean", config, boost_modes=boost_modes)["boost_modes"])
     geometry = config.geometry
     datum = make_datum(spec, geometry)
     data = [galilean_boost(datum, modes, 0.0), datum]
@@ -265,8 +254,9 @@ def run_galilean(spec: DatumSpec, config: SimConfig, *,
 def run_eps_cauchy(spec: DatumSpec, config: SimConfig, *,
                    eps_sequence: list[float]) -> ExperimentReport:
     """Sup-in-time distances between consecutive regularizations must decay."""
+    eps_sequence = _params("eps-cauchy", config, eps_sequence=eps_sequence)["eps_sequence"]
     datum = make_datum(spec, config.geometry)
-    pairs = eps_continuation(datum, config, list(eps_sequence))
+    pairs = eps_continuation(datum, config, eps_sequence)
     dists = [d for _, d in pairs]
     margins = {f"sup_dist_{e1:g}_{e2:g}": d for ((e1, e2), d) in pairs}
     decreasing = all(b < a for a, b in zip(dists, dists[1:]))
@@ -274,7 +264,7 @@ def run_eps_cauchy(spec: DatumSpec, config: SimConfig, *,
     margins["monotone"] = 1.0 if decreasing else 0.0
     margins["final"] = dists[-1]
     return _report("eps_cauchy", config, decreasing and final_ok, margins, None, len(pairs),
-                   spec=spec, eps_sequence=list(eps_sequence))
+                   spec=spec, eps_sequence=eps_sequence)
 
 
 def run_h1_approximation(spec: DatumSpec, config: SimConfig, *,
@@ -287,17 +277,12 @@ def run_h1_approximation(spec: DatumSpec, config: SimConfig, *,
     the rule `make_datum` applies to a datum, is rejected: no bound is tested
     on u = 0.
     """
-    if len(cutoffs) < 2:
-        raise ValueError("need at least two cutoffs")
-    if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
-        raise ValueError("cutoffs must be strictly increasing")
+    cutoffs = _params("h1-approx", config, cutoffs=cutoffs)["cutoffs"]
     datum = make_datum(spec, config.geometry)
     truncations = [truncate_modes(datum, k) for k in cutoffs]
     # the truncations are nested, so the first is the smallest
-    norm, scale = np.linalg.norm(truncations[0].data), np.linalg.norm(datum.data)
-    if norm <= _ZERO_NORM_RATIO * scale:
-        raise ValueError(f"cutoffs: the truncation at cutoff {cutoffs[0]:g} vanishes "
-                         f"(norm {norm:.3g} against a datum norm of {scale:.3g})")
+    check_nonzero(truncations[0].data, datum.data,
+                  f"cutoffs: the truncation at cutoff {cutoffs[0]:g} vanishes", "a datum norm")
     series = lockstep_distances(truncations, config)
 
     margins: dict[str, float] = {}
@@ -312,34 +297,13 @@ def run_h1_approximation(spec: DatumSpec, config: SimConfig, *,
             margins[f"worst_ratio_K{k1:g}_K{k2:g}"] = worst
     passed &= all(b < a or (a == b == 0.0) for a, b in zip(sups, sups[1:]))
     return _report("h1_approximation", config, passed, margins, None, len(series[-1]),
-                   spec=spec, cutoffs=list(cutoffs))
+                   spec=spec, cutoffs=cutoffs)
 
 
 def _rung(config: SimConfig, dt: float) -> SimConfig:
     """`config` at step dt. A rung takes no records, so record_every is set to
     1, which no step size rejects."""
     return replace(config, dt=dt, record_every=1)
-
-
-def dt_ladder_errors(config: SimConfig, dt_ladder: list[float]) -> list[str]:
-    """Why `dt_ladder` cannot run under `config`, one message per fault: fewer
-    than two rungs, rungs not strictly decreasing, or a rung that is not
-    positive or that `SimConfig` rejects (larger than t_final, not dividing
-    it, past the step limit). Empty if the ladder can run."""
-    errors = []
-    if len(dt_ladder) < 2:
-        errors.append(f"need at least two step sizes, got {len(dt_ladder)}")
-    if any(b >= a for a, b in zip(dt_ladder, dt_ladder[1:])):
-        errors.append(f"must be strictly decreasing, got {list(dt_ladder)}")
-    for dt in dt_ladder:
-        if not dt > 0.0:
-            errors.append(f"rung {dt:g}: must be positive")
-            continue
-        try:
-            _rung(config, dt)
-        except ValueError as exc:
-            errors.append(f"rung {dt:g}: {exc}")
-    return errors
 
 
 def _self_order(rungs: list[float], ratio: float) -> float:
@@ -389,9 +353,7 @@ def run_convergence_order(spec: DatumSpec, config: SimConfig, *,
     regime, with no added rung. The margins hold every difference and order,
     the number of added rungs, and `order`, the last order judged.
     """
-    errors = dt_ladder_errors(config, dt_ladder)
-    if errors:
-        raise ValueError(f"dt_ladder: {'; '.join(errors)}")
+    dt_ladder = _params("convergence", config, dt_ladder=dt_ladder)["dt_ladder"]
     datum = make_datum(spec, config.geometry)
     dts = list(dt_ladder)
     ends = [final_state(datum, _rung(config, dt)) for dt in dts]
@@ -425,7 +387,7 @@ def run_convergence_order(spec: DatumSpec, config: SimConfig, *,
         margins["exact_regime"] = 1.0
     margins["order"] = orders[-1] if orders else math.nan
     return _report("convergence_order", config, exact or judged(), margins, None, len(dts),
-                   spec=spec, dt_ladder=list(dt_ladder))
+                   spec=spec, dt_ladder=dt_ladder)
 
 
 class Experiment(NamedTuple):
@@ -443,6 +405,59 @@ class Experiment(NamedTuple):
 
     def run(self, spec: DatumSpec, config: SimConfig, **params) -> ExperimentReport:
         return globals()[self.runner](spec, config, **params)
+
+
+# the keys of a config's `experiment` section, every parameter key of EXPERIMENTS
+EXPERIMENT_KEYS = {
+    "z": Key(True, complex_number(nonzero=True)),
+    "boost_modes": Key(True, list_of(integer())),
+    "eps_sequence": Key(True, EPS_LADDER),
+    "cutoffs": Key(True, ladder(decreasing=False, positive=False, entry="cutoff")),
+    "dt_ladder": Key(True, ladder(decreasing=True, entry="rung")),
+}
+
+
+def parse_params(name: str, raw: dict, errors: list[str], geometry: GridGeometry | None = None,
+                 config: SimConfig | None = None) -> dict:
+    """The runner's keyword arguments for experiment `name`, parsed from `raw`.
+    Appends to `errors` each fault as "section.key: reason": of a key (EXPERIMENT_KEYS
+    and z's range) and, given the run's geometry and config, of a rule across
+    sections (periodic-only, boost_modes per axis, dt rungs, eps, hs_values)."""
+    entry = EXPERIMENTS[name]
+    params = walk(raw, {key: EXPERIMENT_KEYS[key] for key in entry.params}, "experiment.", errors)
+    if "z" in params:
+        try:
+            math.log(abs(params["z"]) ** 2)
+        except (OverflowError, ValueError):  # |z|^2 beyond the float range, or 0
+            errors.append(f"experiment.z: |z|^2 is outside the float range, got {params.pop('z')}")
+    if geometry is not None:
+        modes = params.get("boost_modes")
+        if modes is not None and len(modes) != geometry.dim:
+            errors.append(f"experiment.boost_modes: expected one integer per axis "
+                          f"({geometry.dim}), got {len(modes)}")
+        if entry.periodic_only and geometry.is_dirichlet:
+            errors.append(f"geometry.kind: experiment {name} needs a periodic geometry, "
+                          f"got {geometry.kind.value!r}")
+    if config is not None:
+        for dt in params.get("dt_ladder", ()):
+            try:
+                _rung(config, dt)
+            except ValueError as exc:
+                errors.append(f"experiment.dt_ladder: rung {dt:g}: {exc}")
+        if name == "scaling" and config.eps != 0.0:
+            errors.append(f"sim.eps: experiment scaling needs eps = 0, got {config.eps:g}")
+        if name == "hs-growth" and not config.hs_values:
+            errors.append("sim.hs_values: experiment hs-growth needs at least one exponent")
+    return params
+
+
+def _params(name: str, config: SimConfig, **raw) -> dict:
+    """`parse_params` for a runner: raises ValueError with every fault."""
+    errors: list[str] = []
+    params = parse_params(name, raw, errors, config.geometry, config)
+    if errors:
+        raise ValueError("; ".join(errors))
+    return params
 
 
 # CLI name -> experiment

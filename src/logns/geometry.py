@@ -106,6 +106,11 @@ class GridGeometry:
         """Broadcastable coordinate arrays, one per axis."""
         return list(np.ix_(*[self.axis_coordinates(i) for i in range(self.dim)]))
 
+    def mode_grids(self) -> list[np.ndarray]:
+        """Signed integer mode indices n per axis in fft order, broadcastable like
+        coordinate_grids(): 0, 1, ..., N/2 - 1, -N/2, ..., -1."""
+        return list(np.ix_(*[np.fft.fftfreq(n, d=1.0 / n) for n in self.points]))
+
     @lru_cache(maxsize=8)
     def doubled(self) -> "GridGeometry":
         """Periodic box covering the odd extension (last axis doubled).
@@ -212,11 +217,9 @@ def galilean_boost(field: Field, modes: Sequence[int], t: float) -> Field:
 
     data = field.data
     if t != 0.0 and any(modes):
-        from .spectral import mode_grids  # spectral imports this module
-
         # shift by a = 2 v t: multiply mode n by exp(-2 pi i n . a / L)
         coeffs = np.fft.fftn(data)
-        for axis, (n_idx, l) in enumerate(zip(mode_grids(geom), geom.lengths)):
+        for axis, (n_idx, l) in enumerate(zip(geom.mode_grids(), geom.lengths)):
             a = 2.0 * v[axis] * t
             coeffs = coeffs * np.exp(-2j * math.pi * n_idx * a / l)
         data = np.fft.ifftn(coeffs)

@@ -43,7 +43,7 @@ import numpy as np
 from .diagnostics import DiagnosticsRecord, l2_distance, measure
 from .geometry import Field, GeometryError, GridGeometry, odd_extension, restrict_to_half
 from .nonlinearity import check_eps, rotation_phase
-from .schema import Key, check, choice, integer, list_of, number
+from .schema import Key, check, choice, integer, ladder, list_of, number
 from .spectral import free_symbol, propagate
 
 __all__ = [
@@ -72,6 +72,8 @@ SIM_KEYS = {
     "hs_values": Key(False, list_of(number(lo=0.0, hi=1.0, open_lo=True))),
     "snapshot_every": Key(False, integer(lo=1)),
 }
+# the regularizations of `eps_continuation`, as a config's `eps_sequence` gives them
+EPS_LADDER = ladder(decreasing=True)
 
 
 class IntegrationError(RuntimeError):
@@ -293,30 +295,18 @@ def evolve_pair(datum_a: Field, datum_b: Field, config: SimConfig) -> list[tuple
     return distances
 
 
-def eps_ladder_errors(eps_sequence: list[float]) -> list[str]:
-    """Why `eps_sequence` cannot run as a ladder of regularizations, one message
-    per fault: fewer than two entries, not strictly decreasing, not positive."""
-    errors = []
-    if len(eps_sequence) < 2:
-        errors.append(f"need at least two entries, got {len(eps_sequence)}")
-    if any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
-        errors.append(f"must be strictly decreasing, got {list(eps_sequence)}")
-    errors.extend(f"entry {e:g}: must be positive" for e in eps_sequence if not e > 0.0)
-    return errors
-
-
 def eps_continuation(
     datum: Field, config: SimConfig, eps_sequence: list[float]
 ) -> list[tuple[tuple[float, float], float]]:
     """Sup-in-time L^2 distance between runs at consecutive regularizations.
 
-    eps_sequence must be a ladder `eps_ladder_errors` accepts; "sup in time"
-    means the maximum over the diagnostic sample times.
+    eps_sequence must be a ladder `EPS_LADDER` accepts; "sup in time" means
+    the maximum over the diagnostic sample times.
     """
-    errors = eps_ladder_errors(eps_sequence)
-    if errors:
-        raise ValueError(f"eps_sequence: {'; '.join(errors)}")
-
+    try:
+        eps_sequence = EPS_LADDER(eps_sequence)
+    except ValueError as exc:
+        raise ValueError("; ".join(f"eps_sequence: {r}" for r in exc.args)) from None
     series = lockstep_distances([datum] * len(eps_sequence), config, eps_sequence)
     sups = [max(d for _, d in distances) for distances in series]
     return list(zip(zip(eps_sequence, eps_sequence[1:]), sups))

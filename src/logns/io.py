@@ -7,7 +7,7 @@ or ill-typed key as "section.key: message"; only checks that span sections
 are code. A section that builds a type has its table next to that type. The
 `sim` keys and the geometry build the run's SimConfig, whose checks across
 keys report as "sim: message". The keys of an experiment, its data and its
-geometries come from experiments.EXPERIMENTS.
+geometries come from experiments.EXPERIMENTS; `experiments.parse_params` checks them.
 CSV values use 17 significant digits so doubles round-trip exactly. Snapshots
 are little-endian fixed binary, magic "LOGNSFLD".
 """
@@ -24,10 +24,10 @@ import numpy as np
 
 from .data import DATUM_KEYS, DATUM_KIND, DatumSpec, grid_errors
 from .diagnostics import DiagnosticsRecord
-from .experiments import EXPERIMENTS, dt_ladder_errors
+from .experiments import EXPERIMENTS, parse_params
 from .geometry import GEOMETRY_KEYS, DomainKind, Field, GridGeometry
-from .integrator import SIM_KEYS, SimConfig, eps_ladder_errors
-from .schema import Key, complex_number, integer, list_of, number, section, walk
+from .integrator import SIM_KEYS, SimConfig
+from .schema import Key, section, walk
 
 __all__ = [
     "ConfigError",
@@ -88,16 +88,6 @@ _TOP_LEVEL = {
     "experiment": Key(False, section),
 }
 
-_LADDER = Key(True, list_of(number(), min_len=2, into=list))
-# every parameter key of EXPERIMENTS
-_EXPERIMENT = {
-    "z": Key(True, complex_number(nonzero=True)),
-    "boost_modes": Key(True, list_of(integer())),
-    "eps_sequence": _LADDER,
-    "cutoffs": Key(True, list_of(number(lo=0.0), min_len=2, into=list)),
-    "dt_ladder": _LADDER,
-}
-
 
 def _datum(raw: dict, path: str, errors: list[str], geometry: GridGeometry | None,
            dirichlet: bool) -> DatumSpec | None:
@@ -116,8 +106,8 @@ def _datum(raw: dict, path: str, errors: list[str], geometry: GridGeometry | Non
 def parse_config(text: str, experiment: str | None = None) -> ConfigDocument:
     """Validate a JSON config, reporting every error found.
 
-    With an experiment name (a key of EXPERIMENTS) the `experiment` section,
-    the second datum and the geometry kind are checked against its entry, and
+    With an experiment name (a key of EXPERIMENTS), `parse_params` checks the
+    run's parameters and `datum_b` is required where the entry needs one;
     ConfigDocument.experiment holds the keyword arguments of its runner.
     """
     try:
@@ -162,22 +152,8 @@ def parse_config(text: str, experiment: str | None = None) -> ConfigDocument:
 
     params = sections.get("experiment", {})
     if experiment is not None:
-        entry = EXPERIMENTS[experiment]
-        params = walk(params, {k: _EXPERIMENT[k] for k in entry.params}, "experiment.", errors)
-        modes = params.get("boost_modes")
-        if geometry is not None and modes is not None and len(modes) != geometry.dim:
-            errors.append(f"experiment.boost_modes: expected one integer per axis "
-                          f"({geometry.dim}), got {len(modes)}")
-        ladder = params.get("dt_ladder")
-        if sim is not None and ladder is not None:
-            errors.extend(f"experiment.dt_ladder: {e}" for e in dt_ladder_errors(sim, ladder))
-        if "eps_sequence" in params:
-            errors.extend(f"experiment.eps_sequence: {e}"
-                          for e in eps_ladder_errors(params["eps_sequence"]))
-        if entry.periodic_only and dirichlet:
-            errors.append(f"geometry.kind: experiment {experiment} needs a periodic geometry, "
-                          f"got {kind!r}")
-        if entry.needs_datum_b:
+        params = parse_params(experiment, params, errors, geometry, sim)
+        if EXPERIMENTS[experiment].needs_datum_b:
             if "datum_b" not in raw:
                 errors.append(f"datum_b: missing required key ({experiment} compares two data)")
             params["datum_b"] = data.get("datum_b")

@@ -20,7 +20,7 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-# Converters: each maps one value to its parsed value or raises ValueError with the reason.
+# Converters: each maps a value to its parsed value or raises ValueError, one argument per reason.
 
 def number(lo=None, hi=None, open_lo=False):
     def convert(v):
@@ -76,6 +76,22 @@ def list_of(item, min_len=0, into=tuple):
     return convert
 
 
+def ladder(decreasing: bool, positive: bool = True, entry: str = "entry"):
+    """At least two numbers, strictly decreasing (or increasing), each positive
+    (or at least 0), as a list. Every fault of order and sign is one reason."""
+    def convert(v):
+        values = list_of(number(), min_len=2, into=list)(v)
+        faults = []
+        if any(b >= a if decreasing else b <= a for a, b in zip(values, values[1:])):
+            faults.append(f"must be strictly {'de' if decreasing else 'in'}creasing, got {values}")
+        faults += [f"{entry} {x:g}: must be {'positive' if positive else 'at least 0'}"
+                   for x in values if not (x > 0.0 if positive else x >= 0.0)]
+        if faults:
+            raise ValueError(*faults)
+        return values
+    return convert
+
+
 def section(v):
     if not isinstance(v, dict):
         raise ValueError("expected an object")
@@ -92,8 +108,8 @@ class Key(NamedTuple):
 
 def walk(raw: dict, schema: dict[str, Key], prefix: str, errors: list[str]) -> dict:
     """Parsed values of one section's keys, by parsed name. Appends to `errors`
-    every unknown, missing or ill-typed key as "<prefix>key: message" and
-    leaves it out of the result."""
+    each reason a key is unknown, missing or ill-typed as "<prefix>key: reason"
+    and leaves the key out of the result."""
     errors.extend(f"{prefix}{key}: unknown key" for key in sorted(set(raw) - set(schema)))
     parsed = {}
     for key, entry in schema.items():
@@ -104,7 +120,7 @@ def walk(raw: dict, schema: dict[str, Key], prefix: str, errors: list[str]) -> d
         try:
             parsed[entry.name or key] = entry.convert(raw[key])
         except ValueError as exc:
-            errors.append(f"{prefix}{key}: {exc}")
+            errors.extend(f"{prefix}{key}: {reason}" for reason in exc.args)
     return parsed
 
 

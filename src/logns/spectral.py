@@ -36,16 +36,10 @@ def _require_periodic(geometry: GridGeometry, what: str) -> None:
         raise GeometryError(f"{what} requires a periodic geometry, got {geometry.kind.value}")
 
 
-def mode_grids(geometry: GridGeometry) -> list[np.ndarray]:
-    """Signed integer mode indices n per axis in fft order, broadcastable like
-    GridGeometry.coordinate_grids(): 0, 1, ..., N/2 - 1, -N/2, ..., -1."""
-    return list(np.ix_(*[np.fft.fftfreq(n, d=1.0 / n) for n in geometry.points]))
-
-
 @lru_cache(maxsize=32)
 def squared_frequency(geometry: GridGeometry) -> np.ndarray:
     """|n / L|^2 on the full mode grid, fft ordering. Cached per geometry, read-only."""
-    out = sum((n / l) ** 2 for n, l in zip(mode_grids(geometry), geometry.lengths))
+    out = sum((n / l) ** 2 for n, l in zip(geometry.mode_grids(), geometry.lengths))
     out = np.broadcast_to(out, geometry.points).copy()
     out.flags.writeable = False
     return out
@@ -54,7 +48,7 @@ def squared_frequency(geometry: GridGeometry) -> np.ndarray:
 @lru_cache(maxsize=32)
 def mode_radius(geometry: GridGeometry) -> np.ndarray:
     """|n| (integer mode index magnitude) on the full mode grid. Cached, read-only."""
-    out = np.sqrt(np.broadcast_to(sum(n**2 for n in mode_grids(geometry)), geometry.points))
+    out = np.sqrt(np.broadcast_to(sum(n**2 for n in geometry.mode_grids()), geometry.points))
     out.flags.writeable = False
     return out
 
@@ -158,7 +152,7 @@ def resample_modes(field: Field, geometry: GridGeometry) -> Field:
             c > f for c, f in zip(coarse.points, fine.points)):
         raise GeometryError(f"cannot resample {source.points} points over {source.lengths} "
                             f"onto {geometry.points} over {geometry.lengths}")
-    shared = [n.astype(int) for n in mode_grids(coarse)]
+    shared = [n.astype(int) for n in coarse.mode_grids()]
     coeffs = np.zeros(geometry.points, dtype=complex)
     coeffs[tuple(n % m for n, m in zip(shared, geometry.points))] = np.fft.fftn(field.data)[
         tuple(n % m for n, m in zip(shared, source.points))]

@@ -184,15 +184,32 @@ class TestExperiment:
         assert report["name"] == "scaling_invariance"
         assert report["verdict"] == "pass"
 
-    @pytest.mark.parametrize("z", ["[1e200, 0]", "[1e-200, 0]"])
-    def test_scaling_with_z_squared_outside_the_float_range_exits_2(self, tmp_path, capsys, z):
-        cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM + f',"experiment": {{"z": {z}}}')
-        cfg.write_text(cfg.read_text().replace('"eps": 0.01', '"eps": 0.0'))
+    @pytest.mark.parametrize("name, eps, params, message", [
+        ("h1-approx", 0.01, '{"cutoffs": [8.0, 4.0]}',
+         "experiment.cutoffs: must be strictly increasing, got [8.0, 4.0]"),
+        ("scaling", 0.001, '{"z": 2.0}',
+         "sim.eps: experiment scaling needs eps = 0, got 0.001"),
+        ("scaling", 0.0, '{"z": [1e200, 0]}',
+         "experiment.z: |z|^2 is outside the float range, got (1e+200+0j)"),
+        ("scaling", 0.0, '{"z": [1e-200, 0]}',
+         "experiment.z: |z|^2 is outside the float range, got (1e-200+0j)"),
+        ("hs-growth", 0.01, "{}",
+         "sim.hs_values: experiment hs-growth needs at least one exponent"),
+    ], ids=["decreasing-cutoffs", "regularized-scaling", "z-overflow", "z-underflow",
+            "no-hs_values"])
+    def test_an_experiment_that_cannot_run_is_a_config_error(self, tmp_path, capsys,
+                                                              monkeypatch, name, eps, params,
+                                                              message):
+        def no_datum(*args):
+            raise AssertionError("built the datum before rejecting the config")
+
+        monkeypatch.setattr(experiments, "make_datum", no_datum)
+        cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM + f',"experiment": {params}')
+        cfg.write_text(cfg.read_text().replace('"eps": 0.01', f'"eps": {eps}'))
         report_path = tmp_path / "report.json"
-        assert main(["experiment", "scaling", "--config", str(cfg), "--out", str(report_path)]) == 2
+        assert main(["experiment", name, "--config", str(cfg), "--out", str(report_path)]) == 2
         captured = capsys.readouterr()
-        [line] = captured.err.splitlines()
-        assert line.startswith("error: ") and "z = " in line
+        assert captured.err.splitlines() == [f"config error: {message}"]
         assert captured.out == "" and not report_path.exists()
 
     def test_missing_experiment_key(self, tmp_path, capsys):
@@ -225,23 +242,25 @@ class TestExperiment:
         assert f"config error: {key}" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("datum, cutoffs, message", [
+    @pytest.mark.parametrize("datum, cutoffs, messages", [
         ('{"kind": "random_rough", "target_s": 0.5}', "[-2, -1]",
-         "config error: experiment.cutoffs: out of range: -2.0"),
+         ["config error: experiment.cutoffs: cutoff -2: must be at least 0",
+          "config error: experiment.cutoffs: cutoff -1: must be at least 0"]),
         # only mode 1, so the truncations at 0 and 0.5 are roundoff
         ('{"kind": "plane_wave", "modes": [1]}', "[0, 0.5]",
-         "error: cutoffs: the truncation at cutoff 0 vanishes"),
+         ["error: cutoffs: the truncation at cutoff 0 vanishes"]),
     ], ids=["negative", "vanishing"])
     def test_h1_approx_on_a_zero_truncation_exits_2(self, tmp_path, capsys, datum, cutoffs,
-                                                     message):
+                                                     messages):
         cfg = write_config(tmp_path, extra=f',"datum": {datum},'
                                            f'"experiment": {{"cutoffs": {cutoffs}}}')
         report_path = tmp_path / "report.json"
         argv = ["experiment", "h1-approx", "--config", str(cfg), "--out", str(report_path)]
         assert main(argv) == 2
         captured = capsys.readouterr()
-        [line] = captured.err.splitlines()
-        assert line.startswith(message)
+        lines = captured.err.splitlines()
+        assert len(lines) == len(messages)
+        assert all(line.startswith(m) for line, m in zip(lines, messages))
         assert captured.out == "" and not report_path.exists()
 
     def test_lipschitz_needs_both_data(self, tmp_path, capsys):

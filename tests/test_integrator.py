@@ -402,7 +402,7 @@ class TestEpsContinuation:
     @pytest.mark.parametrize("ladder", [[], [0.25]])
     def test_rejects_fewer_than_two(self, ladder):
         f = random_field(torus(32))
-        with pytest.raises(ValueError, match=f"at least two entries, got {len(ladder)}"):
+        with pytest.raises(ValueError, match=f"at least 2 entries, got {len(ladder)}"):
             eps_continuation(f, config(torus(32)), ladder)
 
     def test_rejects_non_decreasing(self):

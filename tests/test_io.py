@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from logns import io
+from logns import experiments, io
 from logns.data import DATUM_KEYS, DATUM_KIND, DatumSpec
 from logns.diagnostics import DiagnosticsRecord
-from logns.experiments import EXPERIMENTS
+from logns.experiments import EXPERIMENT_KEYS, EXPERIMENTS
 from logns.geometry import GEOMETRY_KEYS, DomainKind, Field, GridGeometry
 from logns.integrator import SIM_KEYS, SimConfig
 from logns.io import (
@@ -124,7 +124,8 @@ class TestParseConfig:
     def test_experiment_parameters_parsed(self):
         text = MINIMAL.rstrip().rstrip("}") + ""","datum": {"kind": "gaussian_bump"},
             "experiment": {"z": [1.0, 2.0]}}"""
-        assert parse_config(text, "scaling").experiment == {"z": 1.0 + 2.0j}
+        unregularized = text.replace('"eps": 0.01', '"eps": 0.0')
+        assert parse_config(unregularized, "scaling").experiment == {"z": 1.0 + 2.0j}
         galilean = text.replace('"z": [1.0, 2.0]', '"boost_modes": [2]')
         assert parse_config(galilean, "galilean").experiment == {"boost_modes": (2,)}
 
@@ -161,10 +162,11 @@ class TestParseConfig:
             parse_config(bad)
 
 
-# A valid config holding every key of every schema section, one datum per kind.
+# A valid config holding every key of every schema section, one datum per kind;
+# eps is 0, as experiment scaling needs.
 FULL_SECTIONS = {
     "geometry": {"kind": "periodic_box", "points": [8], "lengths": [1.0]},
-    "sim": {"lambda": 1.0, "eps": 0.01, "dt": 0.001, "t_final": 1.0, "splitting": "strang",
+    "sim": {"lambda": 1.0, "eps": 0.0, "dt": 0.001, "t_final": 1.0, "splitting": "strang",
             "record_every": 10, "hs_values": [0.5], "snapshot_every": 100},
 }
 FULL_DATA = {
@@ -188,7 +190,7 @@ def schema_cases():
     for kind, table in DATUM_KEYS.items():
         doc = {**base, "datum": FULL_DATA[kind]}
         yield from ((f"datum.{key}", None, doc) for key in table)
-    for key in io._EXPERIMENT:
+    for key in EXPERIMENT_KEYS:
         name = next(name for name, entry in EXPERIMENTS.items() if key in entry.params)
         params = {k: FULL_EXPERIMENT[k] for k in EXPERIMENTS[name].params}
         yield f"experiment.{key}", name, {**base, "experiment": params}
@@ -214,7 +216,22 @@ OUT_OF_RANGE = {"sim.eps": -0.5, "sim.record_every": 0, "sim.hs_values": [0.0],
                 "datum.target_s": 0.0, "datum.seed": -1, "experiment.z": 0.0,
                 "experiment.cutoffs": [-1.0, 1.0]}
 
+# well-typed values that break an experiment key's own rule: a |z|^2 beyond the
+# float range, and ladders too short, out of order or of the wrong sign
+EXPERIMENT_FAULTS = {
+    "experiment.z": [[1e200, 0], [1e-200, 0]],
+    "experiment.eps_sequence": [[0.5], [0.25, 0.5], [0.5, 0.0], [0.5, 0.5, -0.5]],
+    "experiment.cutoffs": [[4.0], [8.0, 4.0], [-2.0, -1.0]],
+    "experiment.dt_ladder": [[1e-3], [1e-3, 2e-3], [2e-3, -1e-3]],
+}
+
 CASES = list(schema_cases())
+
+
+def rejected_values(path, valid):
+    """Every value the parser rejects for the key at `path` whose valid value is `valid`."""
+    return [*wrong_values(valid), *([OUT_OF_RANGE[path]] if path in OUT_OF_RANGE else []),
+            *EXPERIMENT_FAULTS.get(path, [])]
 
 
 @pytest.mark.parametrize("path, name, doc", CASES, ids=[
@@ -224,7 +241,7 @@ def test_every_ill_typed_key_is_a_config_error_naming_its_path(path, name, doc):
     parse_config(json.dumps(doc), name)
     section, key = path.rsplit(".", 1)
     valid = doc[key] if section == "top level" else doc[section][key]
-    for value in [*wrong_values(valid), *([OUT_OF_RANGE[path]] if path in OUT_OF_RANGE else [])]:
+    for value in rejected_values(path, valid):
         bad = {**doc, key: value} if section == "top level" else {
             **doc, section: {**doc[section], key: value}}
         with pytest.raises(ConfigError) as info:
@@ -256,8 +273,7 @@ def test_a_constructor_rejects_what_the_config_rejects_for_the_same_reason(path,
     valid_object = built(parse_config(json.dumps(doc), name))
     field = table[key].name or key
     default = next(f.default for f in dataclasses.fields(valid_object) if f.name == field)
-    for value in [*wrong_values(doc[section][key]),
-                  *([OUT_OF_RANGE[path]] if path in OUT_OF_RANGE else [])]:
+    for value in rejected_values(path, doc[section][key]):
         with pytest.raises(ConfigError) as info:
             parse_config(json.dumps({**doc, section: {**doc[section], key: value}}), name)
         [reason] = [e.removeprefix(f"{path}: ") for e in info.value.errors
@@ -269,6 +285,61 @@ def test_a_constructor_rejects_what_the_config_rejects_for_the_same_reason(path,
             with pytest.raises(ValueError) as info:
                 dataclasses.replace(valid_object, **{field: spelling})
             assert f"{field}: {expected}" in str(info.value).split("; "), (spelling, info.value)
+
+
+def runner_config(doc):
+    """The SimConfig of `doc`'s geometry and sim sections, as the constructors build it."""
+    sim = {SIM_KEYS[key].name or key: value for key, value in doc["sim"].items()}
+    return SimConfig(geometry=GridGeometry(**doc["geometry"]), **sim)
+
+
+DIRICHLET8 = {"kind": "dirichlet_interval", "points": [8], "lengths": [1.0]}
+# a rule across sections broken: (experiment, sections replaced in its valid document)
+CROSS_FAULTS = {
+    "periodic-only-galilean": ("galilean", {"geometry": DIRICHLET8}),
+    "periodic-only-h1-approx": ("h1-approx", {"geometry": DIRICHLET8}),
+    "boost_modes-per-axis": ("galilean", {"experiment": {"boost_modes": [1, 2]}}),
+    "dt_ladder-not-dividing": ("convergence", {"experiment": {"dt_ladder": [3e-3, 1e-3]}}),
+    "dt_ladder-above-t_final": ("convergence", {"experiment": {"dt_ladder": [2.0, 1e-3]}}),
+    "scaling-regularized": ("scaling", {"sim": {**FULL_SECTIONS["sim"], "eps": 0.01}}),
+    "hs-growth-untracked": ("hs-growth", {"sim": {
+        key: value for key, value in FULL_SECTIONS["sim"].items() if key != "hs_values"}}),
+}
+
+
+def experiment_faults():
+    """(experiment name, document) for every experiment key and every rule across
+    sections, one document per value the parser rejects: a valid document of
+    the experiment with one fault."""
+    for path, name, doc in CASES:
+        if path.startswith("experiment."):
+            key = path.split(".")[1]
+            for value in rejected_values(path, doc["experiment"][key]):
+                yield name, {**doc, "experiment": {**doc["experiment"], key: value}}
+    base = next(doc for path, _, doc in CASES if path == "top level.geometry")
+    for name, sections in CROSS_FAULTS.values():
+        params = {key: FULL_EXPERIMENT[key] for key in EXPERIMENTS[name].params}
+        yield name, {**base, "experiment": params, **sections}
+
+
+FAULT_CASES = list(experiment_faults())
+
+
+@pytest.mark.parametrize("name, doc", FAULT_CASES, ids=[
+    f"{name}-{json.dumps(doc['experiment'])}" for name, doc in FAULT_CASES])
+def test_a_runner_rejects_what_the_config_rejects_for_the_same_reason(monkeypatch, name, doc):
+    """The runner, given the document's values as they are (its config built by
+    the constructors), raises a ValueError holding the parser's errors, before
+    any datum is built."""
+    def no_datum(*args):
+        raise AssertionError("built the datum before rejecting the parameters")
+
+    monkeypatch.setattr(experiments, "make_datum", no_datum)
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(doc), name)
+    with pytest.raises(ValueError) as raised:
+        EXPERIMENTS[name].run(DatumSpec(**doc["datum"]), runner_config(doc), **doc["experiment"])
+    assert str(raised.value).split("; ") == info.value.errors
 
 
 TORUS16 = GridGeometry(DomainKind.TORUS, (1.0,), (16,))
