@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .diagnostics import squared_l2
 from .geometry import Field, GridGeometry, restrict_to_half
 from .schema import Key, check, choice, complex_number, integer, list_of, number
 from .spectral import mode_radius
@@ -119,8 +120,7 @@ def _random_rough(spec: DatumSpec, geom: GridGeometry) -> np.ndarray:
 
 
 def _unit_mass(data: np.ndarray, geom: GridGeometry) -> np.ndarray:
-    norm = math.sqrt(geom.cell_volume * float(np.sum(np.abs(data) ** 2)))
-    return data / norm
+    return data / math.sqrt(squared_l2(geom, np.abs(data)))
 
 
 def make_datum(spec: DatumSpec, geometry: GridGeometry) -> Field:
@@ -137,7 +137,7 @@ def make_datum(spec: DatumSpec, geometry: GridGeometry) -> Field:
         raise ValueError("; ".join(errors))
     if spec.kind == "gaussian_bump" and spec.center is None:
         spec = replace(spec, center=tuple(l / 2 for l in geometry.lengths))
-    grid = geometry.doubled() if geometry.is_dirichlet else geometry
+    grid = geometry.transform_grid()
     samples = data = _generate(spec, grid)
     if geometry.is_dirichlet:
         m = grid.points[-1]

@@ -45,10 +45,11 @@ class DiagnosticsRecord:
 
 def mass(field: Field) -> float:
     """Cell-volume-weighted sum of |u|^2 (the squared L^2 norm)."""
-    return _mass(field.geometry, np.abs(field.data))
+    return squared_l2(field.geometry, np.abs(field.data))
 
 
-def _mass(geometry: GridGeometry, modulus: np.ndarray) -> float:
+def squared_l2(geometry: GridGeometry, modulus: np.ndarray) -> float:
+    """Cell-volume-weighted sum of modulus^2: every squared L^2 norm of the package."""
     return geometry.cell_volume * float(np.sum(modulus**2))
 
 
@@ -114,14 +115,14 @@ def measure(
     potential = field.geometry.cell_volume * float(np.sum(density))
     hs_norms = {s: bessel_norm(geometry, power, s) for s in hs_values}
     gagliardo = {s: _gagliardo_norm(geometry, power, s) for s in gagliardo_values}
-    return DiagnosticsRecord(t, _mass(field.geometry, modulus), kinetic - 2.0 * lam * potential,
-                             hs_norms, gagliardo)
+    return DiagnosticsRecord(t, squared_l2(field.geometry, modulus),
+                             kinetic - 2.0 * lam * potential, hs_norms, gagliardo)
 
 
 def l2_distance(f: Field, g: Field) -> float:
     """Cell-volume-weighted L^2 distance between two fields on the same grid."""
     require_same_geometry(f, g)
-    return math.sqrt(f.geometry.cell_volume * float(np.sum(np.abs(f.data - g.data) ** 2)))
+    return math.sqrt(squared_l2(f.geometry, np.abs(f.data - g.data)))
 
 
 def hs_norm(field: Field, s: float) -> float:

@@ -81,8 +81,6 @@ def _report(name: str, config: SimConfig, passed: bool, margins: dict[str, float
     def default(obj):
         if isinstance(obj, complex):
             return [obj.real, obj.imag]
-        if hasattr(obj, "value"):
-            return obj.value
         if hasattr(obj, "__dataclass_fields__"):
             return asdict(obj)
         raise TypeError(f"cannot digest {type(obj)}")
@@ -109,11 +107,10 @@ def _scaling_budget(config: SimConfig, log_z2: float, datum_mass: float) -> floa
     e^{2 lam^2 |t dt|}. The budget is ten times this estimate, the factor the
     Galilean budget puts on its self-error. CHANGES.md derives each term.
     """
-    geometry = config.geometry
-    grid = geometry.doubled() if geometry.is_dirichlet else geometry
     lam_t = abs(config.lam * config.t_final)
-    log_scale = 1.0 + 0.5 * abs(math.log(datum_mass / geometry.volume))
-    terms = (config.n_steps * (math.log2(math.prod(grid.points)) + 4.0)
+    log_scale = 1.0 + 0.5 * abs(math.log(datum_mass / config.geometry.volume))
+    transformed = math.prod(config.geometry.transform_grid().points)
+    terms = (config.n_steps * (math.log2(transformed) + 4.0)
              + 6.0 * abs(log_z2) * lam_t + lam_t * (8.0 * log_scale + 7.0) + 5.0)
     stretch = math.exp(2.0 * config.lam**2 * abs(config.t_final * config.dt))
     return 10.0 * stretch * _UNIT_ROUNDOFF * terms
@@ -422,7 +419,8 @@ def parse_params(name: str, raw: dict, errors: list[str], geometry: GridGeometry
     """The runner's keyword arguments for experiment `name`, parsed from `raw`.
     Appends to `errors` each fault as "section.key: reason": of a key (EXPERIMENT_KEYS
     and z's range) and, given the run's geometry and config, of a rule across
-    sections (periodic-only, boost_modes per axis, dt rungs, eps, hs_values)."""
+    sections (periodic-only, boost_modes per axis and the rounding of their
+    phase against _EXACT_FLOOR, dt rungs, eps, hs_values)."""
     entry = EXPERIMENTS[name]
     params = walk(raw, {key: EXPERIMENT_KEYS[key] for key in entry.params}, "experiment.", errors)
     if "z" in params:
@@ -439,6 +437,13 @@ def parse_params(name: str, raw: dict, errors: list[str], geometry: GridGeometry
             errors.append(f"geometry.kind: experiment {name} needs a periodic geometry, "
                           f"got {geometry.kind.value!r}")
     if config is not None:
+        modes = params.get("boost_modes")
+        if modes is not None and len(modes) == config.geometry.dim:
+            v = [2.0 * math.pi * m / l for m, l in zip(modes, config.geometry.lengths)]
+            rounding = _UNIT_ROUNDOFF * sum(x * x for x in v) * abs(config.t_final)
+            if not rounding <= _EXACT_FLOOR:  # its rounding alone could exceed the budget
+                errors.append(f"experiment.boost_modes: the boost phase |v|^2 t_final rounds "
+                              f"by {rounding:.3g}, above the budget floor {_EXACT_FLOOR:g}")
         for dt in params.get("dt_ladder", ()):
             try:
                 _rung(config, dt)

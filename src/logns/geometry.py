@@ -2,7 +2,8 @@
 
 Periodic kinds (torus, periodic box) carry samples at x_j = j L / N per axis.
 Dirichlet kinds impose u = 0 on the plane x_d = 0 of the last axis and are
-handled through odd extension to a doubled periodic grid.
+handled through odd extension to a doubled periodic grid. Only this module
+tells the kinds apart; the others ask it.
 """
 
 from __future__ import annotations
@@ -39,9 +40,10 @@ class DomainKind(str, Enum):
     DIRICHLET_INTERVAL = "dirichlet_interval"
     DIRICHLET_SLAB = "dirichlet_slab"
 
+    @property
+    def is_dirichlet(self) -> bool:  # every other kind is periodic
+        return self in (DomainKind.DIRICHLET_INTERVAL, DomainKind.DIRICHLET_SLAB)
 
-_PERIODIC = frozenset({DomainKind.TORUS, DomainKind.PERIODIC_BOX})
-_DIRICHLET = frozenset({DomainKind.DIRICHLET_INTERVAL, DomainKind.DIRICHLET_SLAB})
 
 # the keys of a config's `geometry` section, which build a GridGeometry
 GEOMETRY_KEYS = {
@@ -83,11 +85,11 @@ class GridGeometry:
 
     @property
     def is_periodic(self) -> bool:
-        return self.kind in _PERIODIC
+        return not self.kind.is_dirichlet
 
     @property
     def is_dirichlet(self) -> bool:
-        return self.kind in _DIRICHLET
+        return self.kind.is_dirichlet
 
     @property
     def cell_volume(self) -> float:
@@ -111,17 +113,10 @@ class GridGeometry:
         coordinate_grids(): 0, 1, ..., N/2 - 1, -N/2, ..., -1."""
         return list(np.ix_(*[np.fft.fftfreq(n, d=1.0 / n) for n in self.points]))
 
-    @lru_cache(maxsize=8)
-    def doubled(self) -> "GridGeometry":
-        """Periodic box covering the odd extension (last axis doubled).
-
-        Cached per geometry, so a run's records build no geometry.
-        """
-        if not self.is_dirichlet:
-            raise GeometryError("doubled() applies to Dirichlet geometries only")
-        lengths = self.lengths[:-1] + (2.0 * self.lengths[-1],)
-        points = self.points[:-1] + (2 * self.points[-1],)
-        return GridGeometry(DomainKind.PERIODIC_BOX, lengths, points)
+    def transform_grid(self) -> "GridGeometry":
+        """The periodic grid a field's transforms run on: the grid itself if it
+        is periodic, else the box covering the odd extension (`_doubled`)."""
+        return _doubled(self) if self.is_dirichlet else self
 
 
 @dataclass
@@ -144,6 +139,11 @@ def require_same_geometry(a: Field, b: Field) -> None:
         raise GeometryError(f"geometry mismatch: {a.geometry} vs {b.geometry}")
 
 
+def require_periodic(geometry: GridGeometry, what: str) -> None:
+    if not geometry.is_periodic:
+        raise GeometryError(f"{what} requires a periodic geometry, got {geometry.kind.value}")
+
+
 def odd_extension(field: Field) -> Field:
     """Antisymmetric reflection of a Dirichlet field across x_d = 0.
 
@@ -164,7 +164,7 @@ def odd_extension(field: Field) -> Field:
     out[..., :n] = field.data
     out[..., n] = 0.0
     np.negative(field.data[..., :0:-1], out=out[..., n + 1 :])
-    return Field(geom.doubled(), out)
+    return Field(geom.transform_grid(), out)
 
 
 def restrict_to_half(field: Field) -> Field:
@@ -175,8 +175,7 @@ def restrict_to_half(field: Field) -> Field:
     with themselves and every other plane j in 1..n-1 with plane 2n - j.
     """
     geom = field.geometry
-    if not geom.is_periodic:
-        raise GeometryError("restrict_to_half requires a periodic geometry")
+    require_periodic(geom, "restrict_to_half")
     data = field.data
     n = geom.points[-1] // 2
     residual = np.maximum(
@@ -194,8 +193,16 @@ def restrict_to_half(field: Field) -> Field:
 
 
 @lru_cache(maxsize=8)
+def _doubled(geometry: GridGeometry) -> GridGeometry:
+    """The periodic box of the odd extension (last axis doubled). Cached per geometry."""
+    lengths = geometry.lengths[:-1] + (2.0 * geometry.lengths[-1],)
+    points = geometry.points[:-1] + (2 * geometry.points[-1],)
+    return GridGeometry(DomainKind.PERIODIC_BOX, lengths, points)
+
+
+@lru_cache(maxsize=8)
 def _half(geometry: GridGeometry) -> GridGeometry:
-    """The Dirichlet geometry whose doubled() is `geometry`. Cached per geometry."""
+    """The Dirichlet geometry whose `_doubled` is `geometry`. Cached per geometry."""
     kind = DomainKind.DIRICHLET_INTERVAL if geometry.dim == 1 else DomainKind.DIRICHLET_SLAB
     lengths = geometry.lengths[:-1] + (geometry.lengths[-1] / 2.0,)
     return GridGeometry(kind, lengths, geometry.points[:-1] + (geometry.points[-1] // 2,))
@@ -209,8 +216,7 @@ def galilean_boost(field: Field, modes: Sequence[int], t: float) -> Field:
     Fourier space.
     """
     geom = field.geometry
-    if not geom.is_periodic:
-        raise GeometryError("galilean_boost requires a periodic geometry")
+    require_periodic(geom, "galilean_boost")
     if len(modes) != geom.dim:
         raise GeometryError(f"velocity has {len(modes)} components for a {geom.dim}-d grid")
     v = np.array([2.0 * math.pi * m / l for m, l in zip(modes, geom.lengths)])

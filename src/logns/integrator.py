@@ -171,7 +171,7 @@ def march(
     state = np.stack([odd_extension(u).data if dirichlet else u.data for u in data])
     if not np.isfinite(state).all():
         raise IntegrationError("initial datum contains non-finite samples")
-    grid = geometry.doubled() if dirichlet else geometry
+    grid = geometry.transform_grid()
     mask_zeros = min(eps) == 0.0
     eps = np.reshape(eps, (-1,) + (1,) * geometry.dim)
     symbol = free_symbol(grid, dt)

@@ -8,6 +8,7 @@ are code. A section that builds a type has its table next to that type. The
 `sim` keys and the geometry build the run's SimConfig, whose checks across
 keys report as "sim: message". The keys of an experiment, its data and its
 geometries come from experiments.EXPERIMENTS; `experiments.parse_params` checks them.
+With no experiment named, the `experiment` section may hold any of its keys.
 CSV values use 17 significant digits so doubles round-trip exactly. Snapshots
 are little-endian fixed binary, magic "LOGNSFLD".
 """
@@ -24,7 +25,7 @@ import numpy as np
 
 from .data import DATUM_KEYS, DATUM_KIND, DatumSpec, grid_errors
 from .diagnostics import DiagnosticsRecord
-from .experiments import EXPERIMENTS, parse_params
+from .experiments import EXPERIMENT_KEYS, EXPERIMENTS, parse_params
 from .geometry import GEOMETRY_KEYS, DomainKind, Field, GridGeometry
 from .integrator import SIM_KEYS, SimConfig
 from .schema import Key, section, walk
@@ -144,14 +145,17 @@ def parse_config(text: str, experiment: str | None = None) -> ConfigDocument:
                 sim = SimConfig(geometry=geometry, **fields)
             except ValueError as exc:
                 errors.append(f"sim: {exc}")
-    dirichlet = kind in (DomainKind.DIRICHLET_INTERVAL, DomainKind.DIRICHLET_SLAB)
+    dirichlet = kind is not None and DomainKind(kind).is_dirichlet
     data = {name: _datum(sections[name], name, errors, geometry, dirichlet)
             for name in ("datum", "datum_b") if name in sections}
     if "datum" not in raw:
         errors.append("datum: missing required key")
 
     params = sections.get("experiment", {})
-    if experiment is not None:
+    if experiment is None:  # any experiment's keys, each optional
+        params = walk(params, {k: key._replace(required=False)
+                               for k, key in EXPERIMENT_KEYS.items()}, "experiment.", errors)
+    else:
         params = parse_params(experiment, params, errors, geometry, sim)
         if EXPERIMENTS[experiment].needs_datum_b:
             if "datum_b" not in raw:

@@ -22,18 +22,13 @@ import numpy as np
 # transform, so the per-step and per-record transforms call them directly
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .geometry import Field, GeometryError, GridGeometry
+from .geometry import Field, GeometryError, GridGeometry, require_periodic
 
 __all__ = [
     "free_propagator",
     "hs_multiplier_norm",
     "truncate_modes",
 ]
-
-
-def _require_periodic(geometry: GridGeometry, what: str) -> None:
-    if not geometry.is_periodic:
-        raise GeometryError(f"{what} requires a periodic geometry, got {geometry.kind.value}")
 
 
 @lru_cache(maxsize=32)
@@ -89,7 +84,7 @@ def free_propagator(field: Field, dt: float) -> Field:
 
     The symbol is cached per (geometry, dt), so a run builds it once.
     """
-    _require_periodic(field.geometry, "free_propagator")
+    require_periodic(field.geometry, "free_propagator")
     data = field.data.copy()
     propagate(data, free_symbol(field.geometry, dt))
     return Field(field.geometry, data)
@@ -103,7 +98,7 @@ def power_spectrum(field: Field) -> np.ndarray:
     bitwise V |fftn(u) / size|^2. The buffer is released before squaring, so
     the peak is one field plus P.
     """
-    _require_periodic(field.geometry, "power_spectrum")
+    require_periodic(field.geometry, "power_spectrum")
     coeffs = np.empty_like(field.data)
     _transform(field.data, range(field.data.ndim), False, coeffs)
     power = np.abs(coeffs)
@@ -145,8 +140,8 @@ def resample_modes(field: Field, geometry: GridGeometry) -> Field:
     grid's modes, and refining then restricting gives the field back.
     """
     source = field.geometry
-    _require_periodic(source, "resample_modes")
-    _require_periodic(geometry, "resample_modes")
+    require_periodic(source, "resample_modes")
+    require_periodic(geometry, "resample_modes")
     coarse, fine = sorted((source, geometry), key=lambda g: math.prod(g.points))
     if coarse.lengths != fine.lengths or any(
             c > f for c, f in zip(coarse.points, fine.points)):
@@ -162,7 +157,7 @@ def resample_modes(field: Field, geometry: GridGeometry) -> Field:
 
 def truncate_modes(field: Field, radius: float) -> Field:
     """Sharp Fourier cutoff: zero all coefficients with |n| > radius."""
-    _require_periodic(field.geometry, "truncate_modes")
+    require_periodic(field.geometry, "truncate_modes")
     coeffs = np.fft.fftn(field.data)
     coeffs[mode_radius(field.geometry) > radius] = 0.0
     return Field(field.geometry, np.fft.ifftn(coeffs))

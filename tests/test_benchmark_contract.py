@@ -5,9 +5,12 @@
 perfbench's tracer, which wraps the functions named in each traced module's
 `__all__`. A layer that drops out of `__all__` makes the traced run fail, so
 this test installs the tracer in-process and checks that every declared layer
-is wrapped, and that a command reaches the wrapped function.
+is wrapped, and that a command reaches the wrapped function. Conversely, a
+function in a traced `__all__` is public API: code of the package other than
+its own definition must use it, or BENCHMARK.json must declare it as a layer.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -39,11 +42,57 @@ def installed_tracer(monkeypatch):
     return tracer_module.Tracer().installed()
 
 
-def test_every_declared_layer_is_traced(monkeypatch):
+def declared_layers() -> set[str]:
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     # `<layer>.<quantity>` with a two-part layer name; io byte counters and
     # trace.overhead_frac are run totals, not layers
-    layers = {m["name"].rsplit(".", 1)[0] for m in declared if m["name"].count(".") == 2}
+    return {m["name"].rsplit(".", 1)[0] for m in declared if m["name"].count(".") == 2}
+
+
+def used_names(tree: ast.Module, module: str, own: bool) -> set[str]:
+    """The names of `logns.<module>` that the module parsed as `tree` uses: a
+    name imported by `from .<module> import name`, or `<module>.name` after
+    `from . import <module>`; in `<module>` itself (`own`), any name used
+    outside its own top-level definition."""
+    if own:
+        return {sub.id for node in tree.body for sub in ast.walk(node)
+                if isinstance(sub, ast.Name) and getattr(node, "name", None) != sub.id}
+    imported, aliases = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == module:
+                imported |= {a.asname or a.name: a.name for a in node.names}
+            elif node.module is None:
+                aliases |= {a.asname or a.name for a in node.names if a.name == module}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in imported:
+            used.add(imported[node.id])
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in aliases):
+            used.add(node.attr)
+    return used
+
+
+def test_no_dead_public_api(monkeypatch):
+    """Every function in a traced module's `__all__` is used elsewhere in the
+    package or is a layer that BENCHMARK.json declares."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in (ROOT / "src" / "logns").glob("*.py")}
+    layers = declared_layers()
+    dead = []
+    for short in load_tracer_module(monkeypatch).TRACED_MODULES:
+        module = importlib.import_module(f"logns.{short}")
+        used = set().union(*(used_names(tree, short, stem == short)
+                             for stem, tree in trees.items()))
+        dead += [f"{short}.{name}" for name in module.__all__
+                 if callable(fn := getattr(module, name)) and not isinstance(fn, type)
+                 and name not in used and f"{short}.{name}" not in layers]
+    assert dead == []
+
+
+def test_every_declared_layer_is_traced(monkeypatch):
+    layers = declared_layers()
     assert "spectral.hs_multiplier_norm" in layers and "integrator.step" in layers
 
     with installed_tracer(monkeypatch) as tracer:

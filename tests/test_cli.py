@@ -50,6 +50,18 @@ class TestSimulate:
         _, t = read_snapshot(snaps[-1])
         assert t == pytest.approx(0.1)
 
+    def test_experiment_section_is_checked_against_every_experiments_keys(self, tmp_path,
+                                                                          capsys):
+        cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM
+                           + ',"experiment": {"bogus": 1, "z": "x", "boost_modes": [1]}')
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: experiment.bogus: unknown key",
+            "config error: experiment.z: expected a number or [re, im], got 'x'",
+        ]
+        assert not out.exists()
+
     def test_missing_datum_is_a_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
@@ -195,8 +207,14 @@ class TestExperiment:
          "experiment.z: |z|^2 is outside the float range, got (1e-200+0j)"),
         ("hs-growth", 0.01, "{}",
          "sim.hs_values: experiment hs-growth needs at least one exponent"),
+        ("galilean", 0.01, '{"boost_modes": [%d]}' % 10**300,
+         "experiment.boost_modes: the boost phase |v|^2 t_final rounds by inf, "
+         "above the budget floor 1e-12"),
+        ("galilean", 0.01, '{"boost_modes": [%d]}' % 10**11,
+         "experiment.boost_modes: the boost phase |v|^2 t_final rounds by 4.38e+06, "
+         "above the budget floor 1e-12"),
     ], ids=["decreasing-cutoffs", "regularized-scaling", "z-overflow", "z-underflow",
-            "no-hs_values"])
+            "no-hs_values", "boost-overflow", "boost-beyond-phase-precision"])
     def test_an_experiment_that_cannot_run_is_a_config_error(self, tmp_path, capsys,
                                                               monkeypatch, name, eps, params,
                                                               message):

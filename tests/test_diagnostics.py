@@ -271,7 +271,7 @@ class TestTransformCounts:
         f = slab_field()
         cfg = SimConfig(lam=1.0, eps=1e-3, dt=1e-3, t_final=0.02, geometry=f.geometry,
                         hs_values=(0.25, 0.5))
-        GridGeometry.doubled.cache_clear()
+        geometry._doubled.cache_clear()
         geometry._half.cache_clear()
         built = []
         post_init = GridGeometry.__post_init__
@@ -282,13 +282,13 @@ class TestTransformCounts:
 
         monkeypatch.setattr(GridGeometry, "__post_init__", counted)
         assert len(evolve(f, cfg).records) == 21
-        assert built == [f.geometry.doubled(), f.geometry]
+        assert built == [f.geometry.transform_grid(), f.geometry]
         built.clear()
         evolve(f, cfg)
         assert built == []
 
     def test_bessel_weight_is_cached_read_only(self):
-        geom = slab_field().geometry.doubled()
+        geom = slab_field().geometry.transform_grid()
         weight = bessel_weight(geom, 0.5)
         assert bessel_weight(geom, 0.5) is weight
         assert not weight.flags.writeable

@@ -248,6 +248,21 @@ class TestGalilean:
                            match=r"^experiment\.boost_modes: expected an integer, got 2\.0$"):
             run_galilean(BAND, quick_config(), boost_modes=(2.0,))
 
+    @pytest.mark.parametrize("modes, lengths, accepted", [
+        ((15,), (1.0,), True), ((16,), (1.0,), False), ((-16,), (1.0,), False),
+        ((16,), (2.0,), True), ((10, 11), (1.0, 1.0), True), ((11, 11), (1.0, 1.0), False),
+    ], ids=["15", "16", "-16", "16-over-length-2", "10x11", "11x11"])
+    def test_boost_phase_rounding_is_bounded_by_the_budget_floor(self, modes, lengths,
+                                                                 accepted):
+        """2^-53 |v|^2 t_final <= 1e-12, i.e. |v|^2 t_final <= 9007.2: at t_final = 1,
+        (2 pi 15)^2 = 8883 passes and (2 pi 16)^2 = 10106 does not."""
+        geom = GridGeometry(DomainKind.PERIODIC_BOX, lengths, (8,) * len(modes))
+        errors = []
+        experiments.parse_params("galilean", {"boost_modes": list(modes)}, errors, geom,
+                                 quick_config(geometry=geom, t_final=1.0))
+        assert [e.split(" rounds by ")[0] for e in errors] == (
+            [] if accepted else ["experiment.boost_modes: the boost phase |v|^2 t_final"])
+
     def test_rejects_dirichlet(self):
         geom = GridGeometry(DomainKind.DIRICHLET_INTERVAL, (1.0,), (32,))
         cfg = quick_config(geometry=geom)

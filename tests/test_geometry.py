@@ -82,14 +82,26 @@ class TestGridGeometryProperties:
 
     def test_doubled(self):
         geom = GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 0.5), (8, 16))
-        dbl = geom.doubled()
+        dbl = geom.transform_grid()
         assert dbl.kind is DomainKind.PERIODIC_BOX
         assert dbl.lengths == (1.0, 1.0)
         assert dbl.points == (8, 32)
 
-    def test_doubled_rejects_periodic(self):
-        with pytest.raises(GeometryError):
-            torus().doubled()
+    @pytest.mark.parametrize("geom", [
+        torus(), GridGeometry(DomainKind.PERIODIC_BOX, (1.0, 0.5), (8, 16)),
+    ], ids=["torus", "box"])
+    def test_transform_grid_of_a_periodic_grid_is_the_grid(self, geom):
+        assert geom.transform_grid() is geom
+
+    @pytest.mark.parametrize("kind, dirichlet", [
+        ("torus", False), ("periodic_box", False),
+        ("dirichlet_interval", True), ("dirichlet_slab", True),
+    ])
+    def test_every_kind_is_either_dirichlet_or_periodic(self, kind, dirichlet):
+        assert DomainKind(kind).is_dirichlet is dirichlet
+        dim = 2 if kind == "dirichlet_slab" else 1
+        geom = GridGeometry(kind, (1.0,) * dim, (8,) * dim)
+        assert (geom.is_dirichlet, geom.is_periodic) == (dirichlet, not dirichlet)
 
 
 class TestField:
@@ -129,6 +141,15 @@ class TestOddExtension:
     def test_rejects_periodic_input(self):
         with pytest.raises(GeometryError):
             odd_extension(Field(torus(16), np.zeros(16)))
+
+    @pytest.mark.parametrize("kind, lengths, points", [
+        ("dirichlet_interval", (1.0,), (16,)), ("dirichlet_slab", (1.0, 1.0), (4, 16)),
+    ], ids=["interval", "slab"])
+    def test_restrict_rejects_dirichlet_input_naming_its_kind(self, kind, lengths, points):
+        geom = GridGeometry(kind, lengths, points)
+        with pytest.raises(GeometryError,
+                           match=f"^restrict_to_half requires a periodic geometry, got {kind}$"):
+            restrict_to_half(Field(geom, np.zeros(points)))
 
     def test_restrict_rejects_non_antisymmetric(self):
         rng = np.random.default_rng(0)
@@ -212,7 +233,8 @@ class TestGalileanBoost:
 
     def test_rejects_dirichlet(self):
         geom = GridGeometry(DomainKind.DIRICHLET_INTERVAL, (1.0,), (16,))
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match="^galilean_boost requires a periodic "
+                                                "geometry, got dirichlet_interval$"):
             galilean_boost(Field(geom, np.zeros(geom.points)), (1,), 0.0)
 
     def test_rejects_dimension_mismatch(self):

@@ -255,7 +255,14 @@ class TestMonotonicityGap:
     @pytest.mark.parametrize("kernel", [nl.monotonicity_gap, nl.monotonicity_bound])
     @pytest.mark.parametrize("eps1, eps2", [
         (math.nan, 0.0), (0.0, math.nan), (-5.0, 0.0), (np.array([0.1, math.nan]), 0.2),
-    ], ids=["nan-first", "nan-second", "negative", "nan-in-array"])
+        (math.inf, 0.0), (0.0, math.inf), (np.array([0.1, math.inf]), 0.2),
+    ], ids=["nan-first", "nan-second", "negative", "nan-in-array",
+            "inf-first", "inf-second", "inf-in-array"])
     def test_rejects_negative_or_nan_eps(self, kernel, eps1, eps2):
-        with pytest.raises(ValueError, match="eps values must be >= 0"):
+        with pytest.raises(ValueError, match=r"^eps must be >= 0 and finite, got \["):
             kernel(1.0, 2j, eps1, eps2)
+
+    @pytest.mark.parametrize("kernel", [nl.monotonicity_gap, nl.monotonicity_bound])
+    def test_empty_eps_arrays_have_nothing_to_reject(self, kernel):
+        empty = np.zeros(0)
+        assert kernel(empty, empty, empty, 0.0).shape == (0,)

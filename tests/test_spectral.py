@@ -129,7 +129,7 @@ class TestFreePropagator:
         (GridGeometry(DomainKind.PERIODIC_BOX, (1.0, 0.5), (32, 16)), 1),
         (GridGeometry(DomainKind.TORUS, (1.0, 1.0, 1.0), (16, 16, 16)), 1),
         (GridGeometry(DomainKind.TORUS, (1.0,), (4096,)), 1),
-        (GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 1.0), (64, 64)).doubled(), 1),
+        (GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 1.0), (64, 64)).transform_grid(), 1),
         (GridGeometry(DomainKind.TORUS, (1.0,), (64,)), 3),
     ], ids=["torus256", "box32x16", "torus16cubed", "torus4096", "slab64doubled", "batch3"])
     def test_propagate_is_bitwise_the_normalised_fft_pair(self, geom, batch):
@@ -230,7 +230,7 @@ class TestMultiplierNorm:
         GridGeometry(DomainKind.PERIODIC_BOX, (3.7, 1.3), (64, 32)),
         GridGeometry(DomainKind.TORUS, (1.0, 1.0, 1.0), (16, 16, 16)),
         GridGeometry(DomainKind.TORUS, (1.0,), (4096,)),
-        GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 1.0), (64, 64)).doubled(),
+        GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 1.0), (64, 64)).transform_grid(),
     ], ids=["torus256", "box32x16", "box64x32", "torus16cubed", "torus4096", "slab64doubled"])
     def test_power_spectrum_is_bitwise_the_complex_normalisation(self, geom):
         rng = np.random.default_rng(13)
@@ -242,7 +242,8 @@ class TestMultiplierNorm:
     def test_rejects_dirichlet(self):
         geom = GridGeometry(DomainKind.DIRICHLET_INTERVAL, (1.0,), (16,))
         f = Field(geom, np.sin(math.pi * geom.axis_coordinates(0)))
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match="^power_spectrum requires a periodic "
+                                                "geometry, got dirichlet_interval$"):
             hs_multiplier_norm(f, 0.5)
 
 
