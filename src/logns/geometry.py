@@ -212,14 +212,17 @@ def galilean_boost(field: Field, modes: Sequence[int], t: float) -> Field:
     """Galilean boost u(x) -> e^{i v.x - i |v|^2 t} u(x - 2 v t).
 
     v = 2 pi modes / lengths for integer mode indices, so the modulation is
-    grid-periodic. The off-grid shift is applied as an exact modulation in
-    Fourier space.
+    grid-periodic; a v whose |v|^2 is not finite is a GeometryError. The
+    off-grid shift is applied as an exact modulation in Fourier space.
     """
     geom = field.geometry
     require_periodic(geom, "galilean_boost")
     if len(modes) != geom.dim:
         raise GeometryError(f"velocity has {len(modes)} components for a {geom.dim}-d grid")
-    v = np.array([2.0 * math.pi * m / l for m, l in zip(modes, geom.lengths)])
+    v = [2.0 * math.pi * float(m) / l for m, l in zip(modes, geom.lengths)]
+    if not math.isfinite(sum(x * x for x in v)):  # Python floats overflow quietly
+        raise GeometryError(f"|v|^2 is not finite for v = {v}")
+    v = np.array(v)
 
     data = field.data
     if t != 0.0 and any(modes):

@@ -9,10 +9,12 @@ one run's samples into records and snapshots; `evolve` keeps them all, while
 
 Inside `march`:
 - The state is one complex array of shape (B, *points) holding B runs of one
-  config, each with its own eps. A step rotates it in place through two
-  preallocated buffers and runs the FFT pair in place over the trailing axes,
-  through numpy's pocketfft gufuncs called directly (`spectral.propagate`);
-  `Field`s are built only at samples.
+  config, each with its own eps, filled run by run. A step rotates it in
+  place through two preallocated buffers, |u| and the phase, and runs the FFT
+  pair in place over the trailing axes, through numpy's pocketfft gufuncs
+  called directly (`spectral.propagate`); `Field`s are built only at samples.
+  The state and both buffers share one allocation, and they and the cached
+  symbol start on 64-byte boundaries (`spectral.aligned_empty`).
 - Dirichlet state lives on the doubled periodic grid for the whole run. The
   rotation depends on |u| only, so it keeps the odd symmetry of the
   extension, and its phase is even in the last axis: it is computed on
@@ -20,9 +22,12 @@ Inside `march`:
   the only step work particular to Dirichlet grids.
 - The free-flow symbol is cached per (geometry, dt) in `spectral`.
 - The state a step leaves is checked for non-finite samples before the next
-  rotation touches it or before a sample, whichever comes first: on periodic
-  grids through the max of the rotation's |u|, on Dirichlet grids, whose |u|
-  covers planes 0..n only, in full. A sample always checks in full.
+  rotation touches it or before a sample, whichever comes first, through one
+  reduction: on periodic grids the max of the rotation's |u|, on Dirichlet
+  grids, whose |u| covers planes 0..n only, the sum of the whole state. The
+  full scan runs only where that reduction is not finite; it names the bad
+  sample, or passes where the reduction overflowed on finite data. A sample
+  always checks in full.
 - Strang's adjacent half-rotations are merged: the running state w satisfies
   u_k = N(dt/2) w_k and advances by w_{k+1} = F(dt) N(dt) w_k. A sample
   applies the closing half-rotation, one batched rotation over (B, *points),
@@ -44,7 +49,7 @@ from .diagnostics import DiagnosticsRecord, l2_distance, measure
 from .geometry import Field, GeometryError, GridGeometry, odd_extension, restrict_to_half
 from .nonlinearity import check_eps, rotation_phase
 from .schema import Key, check, choice, integer, ladder, list_of, number
-from .spectral import free_symbol, propagate
+from .spectral import aligned_empty, free_symbol, propagate
 
 __all__ = [
     "SimConfig",
@@ -168,22 +173,25 @@ def march(
 
     strang = config.splitting == "strang"
     dirichlet = geometry.is_dirichlet
-    state = np.stack([odd_extension(u).data if dirichlet else u.data for u in data])
+    grid = geometry.transform_grid()
+    # the rotation acts on `planes`, the whole state on periodic grids. On
+    # Dirichlet grids |u|, hence the phase, is even in the last axis: it is
+    # computed on planes 0..n, and plane 2n - j takes the phase of plane j
+    n_half = geometry.points[-1]
+    shape = (len(data), *grid.points)
+    half = shape[:-1] + (n_half + 1,) if dirichlet else shape
+    state, modulus, phase = aligned_empty((shape, complex), (half, float), (half, complex))
+    planes = state[..., : n_half + 1] if dirichlet else state
+    mirrored = state[..., n_half + 1 :]  # used on Dirichlet grids only
+    for run, u in zip(state, data):
+        run[...] = odd_extension(u).data if dirichlet else u.data
     if not np.isfinite(state).all():
         raise IntegrationError("initial datum contains non-finite samples")
-    grid = geometry.transform_grid()
     mask_zeros = min(eps) == 0.0
     eps = np.reshape(eps, (-1,) + (1,) * geometry.dim)
     symbol = free_symbol(grid, dt)
     run_points = math.prod(geometry.points)
     closing = 2.0 * lam * (dt / 2.0)  # coefficient of Strang's closing half-rotation
-    # the rotation acts on `planes`, the whole state on periodic grids. On
-    # Dirichlet grids |u|, hence the phase, is even in the last axis: it is
-    # computed on planes 0..n, and plane 2n - j takes the phase of plane j
-    n_half = geometry.points[-1]
-    planes = state[..., : n_half + 1] if dirichlet else state
-    mirrored = state[..., n_half + 1 :]  # used on Dirichlet grids only
-    modulus, phase = np.empty(planes.shape), np.empty(planes.shape, dtype=complex)
 
     i = checked = 0  # checked: the last step whose state was checked in full
     for target in steps:
@@ -191,11 +199,12 @@ def march(
             i += 1
             coeff = 2.0 * lam * (dt / 2.0 if strang and i == 1 else dt)
             # the state the previous step left is checked before the rotation
-            # touches it: through the max of |u|, which is non-finite wherever
-            # u is (or where it overflows, which the full check tells apart),
-            # and in full on Dirichlet grids, whose |u| covers planes 0..n only
+            # touches it, in full only where one reduction is not finite: the
+            # max of |u| on periodic grids, the sum of the state on Dirichlet
+            # grids, whose |u| covers planes 0..n only
             np.abs(planes, out=modulus)
-            if checked != i - 1 and (dirichlet or not math.isfinite(modulus.max())):
+            if checked != i - 1 and not math.isfinite(
+                    _state_sum(state) if dirichlet else modulus.max()):
                 _check_finite(state, i - 1, dt)
             rotation_phase(modulus, coeff, eps, phase, run_points, mask_zeros)
             planes *= phase
@@ -216,13 +225,21 @@ def march(
         yield i * dt, [Field(geometry, u) for u in sample]
 
 
+def _state_sum(state: np.ndarray) -> float:
+    """The sum of every real and imaginary part of the state, inf or nan where
+    a sample is or where the sum overflows, which it does quietly."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(state.view(float).sum())
+
+
 def _check_finite(state: np.ndarray, i: int, dt: float) -> None:
     """Raise an IntegrationError naming the first run whose state after step i
     holds a non-finite sample."""
     if np.isfinite(state).all():
         return
     k = next(k for k, u in enumerate(state) if not np.isfinite(u).all())
-    finite_max = float(np.max(np.abs(np.nan_to_num(state[k]))))
+    modulus = np.abs(state[k])
+    finite_max = float(np.max(modulus, initial=0.0, where=np.isfinite(modulus)))
     raise IntegrationError(
         f"non-finite sample at step {i} (t={i * dt:g}) in run {k} of "
         f"{len(state)}; max finite |u| = {finite_max:g}",

@@ -17,9 +17,9 @@ __all__ = ["phase_flow", "monotonicity_gap", "monotonicity_bound"]
 # |ln x| <= _LOG_RANGE for every positive finite double x: ln of the smallest
 # subnormal, about 744.44
 _LOG_RANGE = float(-np.log(np.finfo(float).smallest_subnormal))
-# below this many points per run, the two extra passes of the sin/sqrt phase
-# cost more than the cos they save
-_SIN_SQRT_MIN_POINTS = 1024
+# below this many points per run the rotation keeps cos and sin: the half-angle
+# phase breaks even near 512 points, and a run below 1024 keeps its bits
+_HALF_ANGLE_MIN_POINTS = 1024
 
 
 def check_eps(eps) -> None:
@@ -32,7 +32,7 @@ def check_eps(eps) -> None:
 def rotation_phase(modulus, coeff, eps, phase, run_points, mask_zeros=True):
     """phase <- exp(i coeff ln(|u| + eps)), the factor by which the phase flow
     with coeff = 2 lam dt multiplies u, from `modulus` = |u| (real,
-    overwritten with the angle).
+    overwritten).
 
     `phase` is a complex array of the modulus's shape and eps is a scalar or
     broadcasts against it. No check, no allocation beyond the log's mask:
@@ -41,22 +41,29 @@ def rotation_phase(modulus, coeff, eps, phase, run_points, mask_zeros=True):
     With every eps > 0 no |u| + eps vanishes, so mask_zeros=False skips the
     mask and gives the same result.
 
-    When |coeff| * _LOG_RANGE <= pi/2, every angle of a finite |u| lies in
-    [-pi/2, pi/2], where cos = sqrt(1 - sin^2): the phase then costs one sin
-    and a square root, within 2 ulp of cos and sin. This holds for all of u
-    or for none of it, and it is taken only on runs of at least
-    _SIN_SQRT_MIN_POINTS points, `run_points` being the points of one run
-    (not of a batch), so a run's result does not depend on its batch-mates.
+    When |coeff| * _LOG_RANGE <= pi/2, every angle theta of a finite |u| lies
+    in [-pi/2, pi/2], so t = tan(theta/2) lies in [-1, 1] and q = 2/(1 + t^2)
+    in [1, 2]: the phase is then cos = q - 1 (exact) and sin = t q, one SIMD
+    tan and five arithmetic passes, within 4 * 2^-52 of cos and sin. This
+    holds for all of u or for none of it, and it is taken only on runs of at
+    least _HALF_ANGLE_MIN_POINTS points, `run_points` being the points of one
+    run (not of a batch), so a run's result does not depend on its
+    batch-mates. Otherwise the phase is cos and sin of the angle.
     """
     modulus += eps
     np.log(modulus, out=modulus, where=modulus > 0.0 if mask_zeros else True)  # masked 0 stays
-    modulus *= coeff
-    np.sin(modulus, out=phase.imag)
-    if run_points >= _SIN_SQRT_MIN_POINTS and abs(coeff) * _LOG_RANGE <= math.pi / 2:
-        np.multiply(phase.imag, phase.imag, out=modulus)
-        np.subtract(1.0, modulus, out=modulus)
-        np.sqrt(modulus, out=phase.real)
+    if run_points >= _HALF_ANGLE_MIN_POINTS and abs(coeff) * _LOG_RANGE <= math.pi / 2:
+        modulus *= coeff / 2.0
+        t = phase.imag
+        np.tan(modulus, out=t)
+        np.multiply(t, t, out=modulus)
+        modulus += 1.0
+        np.divide(2.0, modulus, out=modulus)
+        np.subtract(modulus, 1.0, out=phase.real)
+        t *= modulus
     else:
+        modulus *= coeff
+        np.sin(modulus, out=phase.imag)
         np.cos(modulus, out=phase.real)
 
 

@@ -12,6 +12,7 @@ squared is the mass of a periodic field (see `diagnostics` for Dirichlet ones).
 
 from __future__ import annotations
 
+import ctypes
 import math
 from collections.abc import Sequence
 from functools import lru_cache
@@ -23,6 +24,10 @@ import numpy as np
 from numpy.fft import _pocketfft_umath as _pocketfft
 
 from .geometry import Field, GeometryError, GridGeometry, require_periodic
+
+# the byte boundary `aligned_empty` starts its arrays on: a cache line, and
+# the width of an AVX-512 register
+_ALIGNMENT = 64
 
 __all__ = [
     "free_propagator",
@@ -48,11 +53,33 @@ def mode_radius(geometry: GridGeometry) -> np.ndarray:
     return out
 
 
+def aligned_empty(*layouts: tuple[tuple[int, ...], type]) -> list[np.ndarray]:
+    """Uninitialised C-contiguous arrays, one per (shape, dtype) layout, each
+    starting on a 64-byte boundary: views into one uint8 buffer, offset to its
+    first aligned address. One buffer for all of a march's arrays leaves the
+    heap as an unaligned allocation of that size would; buffers padded one by
+    one fit its free blocks worse (peak RSS +2 % on the 256^2 bench workload)."""
+    starts, end = [], 0
+    for shape, dtype in layouts:
+        starts.append(end)
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        end += (size + _ALIGNMENT - 1) // _ALIGNMENT * _ALIGNMENT
+    buffer = np.empty(end + _ALIGNMENT, dtype=np.uint8)
+    # the address through a ctypes view, several times cheaper than .ctypes
+    # or __array_interface__, which build objects a march does not need
+    offset = -ctypes.addressof(ctypes.c_char.from_buffer(buffer)) % _ALIGNMENT
+    return [np.ndarray(shape, dtype, buffer, offset + start)
+            for (shape, dtype), start in zip(layouts, starts)]
+
+
 @lru_cache(maxsize=8)
 def free_symbol(geometry: GridGeometry, dt: float) -> np.ndarray:
-    """e^{-4 pi^2 |n/L|^2 i dt} on the full mode grid. Cached per (geometry, dt), read-only."""
-    xi2 = squared_frequency(geometry)
-    symbol = np.exp(-4.0 * math.pi**2 * xi2 * 1j * dt)
+    """e^{-4 pi^2 |n/L|^2 i dt} on the full mode grid. Cached per (geometry, dt),
+    read-only, 64-byte aligned; the exponent is formed in the symbol's array."""
+    [symbol] = aligned_empty((geometry.points, complex))
+    np.multiply(-4.0 * math.pi**2 * squared_frequency(geometry), 1j, out=symbol)
+    symbol *= dt
+    np.exp(symbol, out=symbol)
     symbol.flags.writeable = False
     return symbol
 

@@ -251,7 +251,7 @@ def test_11_determinism_and_round_trips(tmp_path):
     """Identical runs yield identical bytes; snapshots survive a round trip.
 
     The 64-point run takes the cos/sin phase; the 32^2 run (1024 points,
-    lambda * dt = 1e-3) takes the sin/sqrt phase."""
+    lambda * dt = 1e-3) takes the half-angle phase."""
     configs = {
         "n64": '{"geometry": {"kind": "torus", "points": [64]},'
         '"sim": {"lambda": 1.0, "eps": 0.001, "dt": 0.01, "t_final": 0.2,'

@@ -97,7 +97,8 @@ def dt8_budget(spec, config):
 
 NARROW = DatumSpec(kind="gaussian_bump", width=0.1)
 # (datum, config, z) on every geometry; the 64^2 torus at dt = 1e-3 takes the
-# sin/sqrt phase, the other cases cos/sin
+# half-angle phase (its id names the branch's earlier sin/sqrt form), the other
+# cases cos/sin
 BUDGET_CASES = {
     **{f"z={z}": (GAUSSIAN, quick_config(eps=0.0), z)
        for z in (2.0, 1.0 / 3.0, 1.0 + 1.0j, 1e100, 1e-100)},
@@ -149,7 +150,7 @@ class TestScalingInvariance:
 
     def test_sin_sqrt_case_takes_that_path(self):
         config = BUDGET_CASES["torus-64^2-sin-sqrt"][1]
-        assert math.prod(config.geometry.points) >= nonlinearity._SIN_SQRT_MIN_POINTS
+        assert math.prod(config.geometry.points) >= nonlinearity._HALF_ANGLE_MIN_POINTS
         assert 2.0 * abs(config.lam) * config.dt * nonlinearity._LOG_RANGE <= math.pi / 2
 
     def test_budget_sees_a_phase_off_by_1e_10(self, monkeypatch):

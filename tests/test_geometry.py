@@ -241,6 +241,16 @@ class TestGalileanBoost:
         with pytest.raises(GeometryError):
             galilean_boost(Field(torus(16), np.zeros(16)), (1, 1), 0.0)
 
+    @pytest.mark.filterwarnings("error")  # no overflow warning on the way
+    @pytest.mark.parametrize("points, modes", [
+        ((32,), (10**300,)),
+        ((16, 16), (10**153 + 6 * 10**152,) * 2),  # each |v_i|^2 is finite, the sum is not
+    ], ids=["1-d", "2-d-sum"])
+    def test_rejects_a_boost_whose_squared_speed_overflows(self, points, modes):
+        geom = GridGeometry(DomainKind.TORUS, (1.0,) * len(points), points)
+        with pytest.raises(GeometryError, match=r"^\|v\|\^2 is not finite for v = \["):
+            galilean_boost(Field(geom, np.ones(points, dtype=complex)), modes, 0.1)
+
     def test_off_grid_shift_matches_analytic_plane_wave(self):
         # for a plane wave the spectral shift can be checked in closed form
         geom = torus(64)

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from logns import nonlinearity
+from logns import integrator, nonlinearity
 from logns.data import DatumSpec, make_datum
 from logns.diagnostics import l2_distance, mass
 from logns.geometry import (
@@ -335,8 +335,8 @@ class TestBatchedMarch:
             list(march(data, config(torus(32)), [1], eps))
 
 
-class TestSinSqrtPhase:
-    """The sin/sqrt phase (lam = 1, dt = 1e-3, at least 1024 points per run)
+class TestHalfAnglePhase:
+    """The half-angle phase (lam = 1, dt = 1e-3, at least 1024 points per run)
     against the cos/sin phase, forced by raising the size floor."""
 
     @pytest.mark.parametrize("geom", [
@@ -349,9 +349,9 @@ class TestSinSqrtPhase:
         datum = make_datum(DatumSpec(kind="random_band_limited", cutoff=8.0, seed=2), geom)
         cfg = config(geom, dt=1e-3, t_final=0.05, eps=1e-3)
         end = final_state(datum, cfg)
-        monkeypatch.setattr(nonlinearity, "_SIN_SQRT_MIN_POINTS", math.inf)
+        monkeypatch.setattr(nonlinearity, "_HALF_ANGLE_MIN_POINTS", math.inf)
         reference = final_state(datum, cfg)
-        assert not np.array_equal(end.data, reference.data)  # the sin/sqrt path ran
+        assert not np.array_equal(end.data, reference.data)  # the half-angle path ran
         assert l2_distance(end, reference) <= 1e-13 * math.sqrt(mass(reference))
         assert mass(end) == pytest.approx(mass(datum), rel=1e-13)
 
@@ -367,7 +367,7 @@ class TestFiniteCheck:
     @pytest.mark.parametrize("steps", [[1], [10]])
     @pytest.mark.parametrize("splitting", ["lie", "strang"])
     @pytest.mark.parametrize("geometry, big, finite_max", [
-        ("torus", 1e308, {"lie": "2.81277e+306", "strang": "inf"}),
+        ("torus", 1e308, {"lie": "2.81277e+306", "strang": "2.81277e+306"}),
         ("torus", 1.5e308 + 1.5e308j, {"lie": "0", "strang": "0"}),  # |u| overflows
         ("interval", 1e308, {"lie": "0", "strang": "0"}),
         ("slab", 2e307, {"lie": "1.79767e+306", "strang": "1.79767e+306"}),  # in part
@@ -383,6 +383,86 @@ class TestFiniteCheck:
         assert str(info.value) == ("non-finite sample at step 1 (t=0.01) in run 0 of 1; "
                                    f"max finite |u| = {finite_max[splitting]}")
         assert (info.value.step, info.value.time, info.value.run) == (1, 0.01, 0)
+
+    @pytest.mark.parametrize("plane", ["n+1", "2n-1"])
+    @pytest.mark.parametrize("geometry", ["interval", "slab"])
+    def test_a_non_finite_mirrored_sample_names_its_step(self, geometry, plane, monkeypatch):
+        # on Dirichlet grids |u| covers planes 0..n only, so planes n+1..2n-1
+        # are seen by the sum of the whole state
+        geom = {"interval": interval(),
+                "slab": GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 1.0), (16, 16))}[geometry]
+        n = geom.points[-1]
+        j = n + 1 if plane == "n+1" else 2 * n - 1
+        calls = []
+
+        def propagate(state, symbol):
+            integrator_propagate(state, symbol)
+            calls.append(len(calls) + 1)
+            if len(calls) == 2:  # the state step 2 leaves
+                state[(0,) * (state.ndim - 1) + (j,)] = math.nan
+
+        integrator_propagate = integrator.propagate
+        monkeypatch.setattr(integrator, "propagate", propagate)
+        datum = make_datum(DatumSpec(kind="gaussian_bump", width=0.1), geom)
+        with pytest.raises(IntegrationError, match=r"^non-finite sample at step 2 \(t=0.02\) "
+                                                   r"in run 0 of 1; ") as info:
+            list(march([datum], config(geom), [10]))
+        assert (info.value.step, info.value.run) == (2, 0)
+        assert calls == [1, 2]
+
+    def test_a_finite_state_whose_sum_overflows_does_not_raise(self, monkeypatch):
+        # the transform of such a state overflows too, so the free flow is the
+        # identity here: each interior sample keeps |u| = 1.4e307 and a phase
+        # near 0, and the sum of the first half of the state overflows
+        checked = []
+
+        def check_finite(state, i, dt):
+            check(state, i, dt)
+            checked.append(i)
+
+        check = integrator._check_finite
+        monkeypatch.setattr(integrator, "_check_finite", check_finite)
+        monkeypatch.setattr(integrator, "propagate", lambda state, symbol: None)
+        geom = interval()
+        data = np.full(geom.points, 1e307 + 1e307j)
+        data[0] = 0.0
+        [(_, [end])] = march([Field(geom, data)], config(geom, lam=1e-4), [10])
+        assert checked == list(range(1, 11))  # the full scan ran after every step, and passed
+        assert np.all(np.isfinite(end.data))
+
+
+class TestAlignedBuffers:
+    """The state, |u| and phase buffers of a step and the cached free symbol
+    start on 64-byte boundaries, in 1, 2 and 3 dimensions and on the doubled
+    grid of a Dirichlet slab."""
+
+    @pytest.mark.parametrize("geom", [
+        torus(64),
+        GridGeometry(DomainKind.TORUS, (1.0, 1.0), (256, 256)),
+        GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 1.0), (32, 32)),
+        GridGeometry(DomainKind.TORUS, (1.0, 1.0, 1.0), (16, 16, 16)),
+    ], ids=["torus64", "torus256x256", "slab32x32", "torus16x16x16"])
+    def test_step_arrays_start_on_64_byte_boundaries(self, geom, monkeypatch):
+        seen = {}
+
+        def rotation_phase(modulus, coeff, eps, phase, *rest):
+            seen.setdefault("modulus", []).append(modulus)
+            seen.setdefault("phase", []).append(phase)
+            rotation(modulus, coeff, eps, phase, *rest)
+
+        def propagate(state, symbol):
+            seen.setdefault("state", []).append(state)
+            seen.setdefault("symbol", []).append(symbol)
+            transform(state, symbol)
+
+        rotation, transform = integrator.rotation_phase, integrator.propagate
+        monkeypatch.setattr(integrator, "rotation_phase", rotation_phase)
+        monkeypatch.setattr(integrator, "propagate", propagate)
+        datum = make_datum(DatumSpec(kind="gaussian_bump", width=0.1), geom)
+        list(march([datum, datum], config(geom, dt=1e-3, t_final=2e-3), [1, 2]))
+        assert set(seen) == {"modulus", "phase", "state", "symbol"}
+        for name, arrays in seen.items():
+            assert all(a.__array_interface__["data"][0] % 64 == 0 for a in arrays), name
 
 
 class TestEvolvePair:

@@ -50,7 +50,7 @@ class TestPhaseFlow:
             nl.phase_flow(np.array([1.0 + 1j, 0.5]), 1.0, eps, 1e-3)
 
 
-def largest_sin_sqrt_coeff():
+def largest_half_angle_coeff():
     """The largest coeff with coeff * _LOG_RANGE <= pi/2 in floating point."""
     coeff = math.pi / 2 / nl._LOG_RANGE
     while coeff * nl._LOG_RANGE > math.pi / 2:
@@ -75,8 +75,19 @@ def cos_sin_phase(modulus, coeff, eps=0.0):
     return np.cos(angle) + 1j * np.sin(angle)
 
 
+# the half-angle phase lies within 4 * 2^-52 of cos and sin, and within
+# 2 * 2^-52 of the unit circle
+ULP = 2.0**-52
+
+
+def assert_near_cos_sin(phase, ref):
+    assert np.all(np.abs(phase.real - ref.real) <= 4 * ULP)
+    assert np.all(np.abs(phase.imag - ref.imag) <= 4 * ULP)
+    assert np.all(np.abs(np.abs(phase) - 1.0) <= 2 * ULP)
+
+
 class TestRotationPhase:
-    """The sin/sqrt phase under the a-priori angle bound, and the cos/sin
+    """The half-angle phase under the a-priori angle bound, and the cos/sin
     phase past the bound or below the size floor."""
 
     def test_log_range_is_ln_of_the_smallest_double(self):
@@ -84,23 +95,24 @@ class TestRotationPhase:
         assert nl._LOG_RANGE == -np.log(np.nextafter(0.0, 1.0))
         assert np.log(np.finfo(float).max) < nl._LOG_RANGE
 
-    def test_sin_sqrt_matches_cos_sin_within_2_ulp(self):
+    def test_half_angle_matches_cos_sin_within_4_ulp(self):
         rng = np.random.default_rng(5)
         coeff, eps = 2e-3, 1e-3
         modulus = np.exp(rng.uniform(-500.0, 500.0, 4096))  # |angle| <= 1
         phase, ref = phase_of(modulus, coeff, eps), cos_sin_phase(modulus, coeff, eps)
-        assert np.array_equal(phase.imag, ref.imag)
-        assert np.all(np.abs(phase.real - ref.real) <= 2 * np.spacing(ref.real))
-        assert not np.array_equal(phase.real, ref.real)  # the sin/sqrt path ran
+        assert_near_cos_sin(phase, ref)
+        assert not np.array_equal(phase, ref)  # the half-angle path ran
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_extreme_moduli_at_the_bound_give_unit_phases(self, sign):
         modulus = np.ones(1024)
         modulus[:2] = 5e-324, 1.7e308
-        phase = phase_of(modulus, sign * largest_sin_sqrt_coeff())
+        coeff = sign * largest_half_angle_coeff()
+        phase = phase_of(modulus, coeff)
         assert np.all(np.isfinite(phase))
-        np.testing.assert_allclose(np.abs(phase), 1.0, rtol=0.0, atol=1e-15)
-        assert phase[0] == -sign * 1j  # the angle is -sign*pi/2: cos from sin is exactly 0
+        assert_near_cos_sin(phase, cos_sin_phase(modulus, coeff))
+        # the angle is -sign*pi/2, the half angle -sign*pi/4: tan = -sign*1 to an ulp
+        assert abs(phase[0] - -sign * 1j) <= 4 * ULP
 
     def test_masked_zeros_give_exactly_one(self):
         modulus = np.exp(np.linspace(-3.0, 3.0, 1024))
@@ -111,7 +123,7 @@ class TestRotationPhase:
     @pytest.mark.parametrize("case", ["one ulp above the bound", "below the size floor"])
     def test_cos_sin_path(self, case):
         modulus = np.exp(np.linspace(-700.0, 700.0, 1024))
-        at = largest_sin_sqrt_coeff()
+        at = largest_half_angle_coeff()
         if case == "one ulp above the bound":
             coeff, run_points = np.nextafter(at, 1.0), 1024
         else:

@@ -10,6 +10,7 @@ from logns.diagnostics import measure
 from logns.geometry import DomainKind, Field, GeometryError, GridGeometry
 from logns.integrator import SimConfig, march
 from logns.spectral import (
+    aligned_empty,
     free_propagator,
     free_symbol,
     hs_multiplier_norm,
@@ -85,12 +86,46 @@ class TestFrequencyGrids:
             with pytest.raises(ValueError, match="read-only"):
                 out *= 0
 
+    @pytest.mark.parametrize("geom", [
+        torus(64),
+        GridGeometry(DomainKind.PERIODIC_BOX, (2.0, 0.5), (16, 32)),
+        GridGeometry(DomainKind.TORUS, (1.0,) * 3, (8,) * 3),
+    ], ids=["torus64", "box16x32", "torus8^3"])
+    def test_free_symbol_is_the_exponential_of_its_exponent_bitwise(self, geom):
+        # formed in its aligned array, the symbol keeps the bits of the expression
+        symbol = free_symbol(geom, 1e-3)
+        expected = np.exp(-4.0 * math.pi**2 * squared_frequency(geom) * 1j * 1e-3)
+        assert symbol.tobytes() == expected.tobytes()
+        assert symbol.__array_interface__["data"][0] % 64 == 0
+
     def test_truncation_is_safe_from_writes_to_the_cached_radius(self):
         geom = torus(16)
         radius = mode_radius(geom)
         with pytest.raises(ValueError, match="read-only"):
             radius *= 0
         assert np.max(np.abs(truncate_modes(plane_wave(geom, (3,)), 2.0).data)) < 1e-15
+
+
+class TestAlignedEmpty:
+    LAYOUTS = [((), complex), ((3,), float), ((5, 7), complex), ((2, 3, 4), float),
+               ((2, 64, 128), complex)]
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=["scalar", "3", "5x7", "2x3x4", "2x64x128"])
+    def test_starts_on_a_64_byte_boundary(self, layout):
+        for _ in range(8):  # numpy's own allocations start at varying offsets
+            [a] = aligned_empty(layout)
+            assert a.__array_interface__["data"][0] % 64 == 0
+            assert (a.shape, a.dtype) == (layout[0], np.dtype(layout[1]))
+            assert a.flags.c_contiguous and a.flags.writeable
+
+    def test_arrays_of_one_buffer_are_aligned_and_disjoint(self):
+        arrays = aligned_empty(*self.LAYOUTS)
+        for a, (shape, dtype) in zip(arrays, self.LAYOUTS):
+            assert a.__array_interface__["data"][0] % 64 == 0
+            assert (a.shape, a.dtype) == (shape, np.dtype(dtype))
+        for k, a in enumerate(arrays):
+            a[...] = k
+        assert [np.all(a == k) for k, a in enumerate(arrays)] == [True] * len(arrays)
 
 
 class TestFreePropagator:
