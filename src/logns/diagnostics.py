@@ -28,7 +28,6 @@ __all__ = [
     "l2_distance",
     "hs_norm",
     "hs_gagliardo_norm",
-    "hs_growth_ratio",
 ]
 
 
@@ -59,26 +58,23 @@ def _log_potential_density(r: np.ndarray, eps: float) -> np.ndarray:
     At eps = 0 this is r^2 ln r - r^2 / 2, so -2 lam F(|u|) reduces to the
     unregularized potential -lam |u|^2 (ln |u|^2 - 1).
     """
-    if eps == 0.0:
-        out = np.zeros_like(r)
-        pos = r > 0.0
-        rp = r[pos]
-        out[pos] = rp * rp * (np.log(rp) - 0.5)
-        return out
     # (r r - eps eps) ln(r + eps) - 0.5 r r + eps r + eps eps ln(eps) through
     # two buffers, term by term in the expression's order, so the result is
-    # bitwise that of evaluating it with temporaries
+    # bitwise that of evaluating it with temporaries. At eps = 0 the log is
+    # masked where r = 0, so 0 ln 0 = 0, and the vanishing eps terms, whose
+    # ln(eps) would raise, are skipped
     out = np.multiply(r, r)
     out -= eps * eps
     tmp = np.add(r, eps)
-    np.log(tmp, out=tmp)
+    np.log(tmp, out=tmp, where=True if eps else tmp > 0.0)
     out *= tmp
     np.multiply(0.5, r, out=tmp)
     tmp *= r
     out -= tmp
-    np.multiply(eps, r, out=tmp)
-    out += tmp
-    out += eps * eps * math.log(eps)
+    if eps:
+        np.multiply(eps, r, out=tmp)
+        out += tmp
+        out += eps * eps * math.log(eps)
     return out
 
 
@@ -175,13 +171,3 @@ def _gagliardo_norm(geometry: GridGeometry, power: np.ndarray, s: float) -> floa
         raise ValueError(f"s must lie in (0, 1), got {s}")
     return math.sqrt(float(np.sum(_gagliardo_symbol(geometry, s) * power)))
 
-
-def hs_growth_ratio(
-    record_t: DiagnosticsRecord, record_0: DiagnosticsRecord, s: float, lam: float
-) -> float:
-    """|u(t)|_{H^s}^2 / (e^{4 |lam| t} |u(0)|_{H^s}^2); the growth bound says <= 1."""
-    for rec in (record_t, record_0):
-        if s not in rec.hs_norms:
-            raise KeyError(f"record at t={rec.time} does not track s={s}")
-    envelope = math.exp(4.0 * abs(lam) * abs(record_t.time))
-    return record_t.hs_norms[s] ** 2 / (envelope * record_0.hs_norms[s] ** 2)

@@ -29,8 +29,8 @@ from typing import NamedTuple
 
 from . import constants
 from .data import DatumSpec, check_nonzero, make_datum
-from .diagnostics import hs_growth_ratio, l2_distance, mass, measure
-from .geometry import GridGeometry, galilean_boost, scale_datum
+from .diagnostics import l2_distance, mass, measure
+from .geometry import Field, GridGeometry, galilean_boost
 from .integrator import (EPS_LADDER, SimConfig, eps_continuation, evolve_pair, final_state,
                          lockstep_distances, march)
 from .schema import Key, complex_number, integer, ladder, list_of, walk
@@ -116,13 +116,28 @@ def _scaling_budget(config: SimConfig, log_z2: float, datum_mass: float) -> floa
     return 10.0 * stretch * _UNIT_ROUNDOFF * terms
 
 
+def _envelope(series: list[tuple[float, float]], rate: float) -> list[float] | None:
+    """v(t) / (e^{rate |t|} v(0)) for each (t, v) of a series, or None when
+    v(0) = 0: the one form of the growth bounds v(t) <= e^{rate |t|} v(0)."""
+    v0 = series[0][1]
+    if v0 == 0.0:
+        return None
+    return [v / (math.exp(rate * abs(t)) * v0) for t, v in series]
+
+
+def _decreasing(sups: list[float]) -> bool:
+    """Whether each sup is below the one before it, or both are 0: runs that
+    agree exactly cannot get closer."""
+    return all(b < a or a == b == 0.0 for a, b in zip(sups, sups[1:]))
+
+
 def _lipschitz_check(distances: list[tuple[float, float]], lam: float) -> tuple[float | None, bool]:
     """Worst d(t) / (e^{2 |lam| |t|} d(0)) over a distance series and whether it
     is within the envelope; when d(0) = 0, (None, whether every d is 0)."""
-    d0 = distances[0][1]
-    if d0 == 0.0:
+    ratios = _envelope(distances, 2.0 * abs(lam))
+    if ratios is None:
         return None, max(d for _, d in distances) == 0.0
-    worst = max(d / (math.exp(2.0 * abs(lam) * abs(t)) * d0) for t, d in distances)
+    worst = max(ratios)
     return worst, worst <= 1.0 + BOUND_SLACK
 
 
@@ -179,7 +194,9 @@ def run_hs_growth(spec: DatumSpec, config: SimConfig) -> ExperimentReport:
     passed = True
     series = []
     for s in config.hs_values:
-        ratios = [hs_growth_ratio(rec, records[0], s, config.lam) for rec in records]
+        # make_datum rejects a zero datum, so no H^s norm of it is 0
+        ratios = _envelope([(rec.time, rec.hs_norms[s] ** 2) for rec in records],
+                           4.0 * abs(config.lam))
         margins[f"max_ratio_s={s:g}"] = max(ratios)
         passed &= max(ratios) <= 1.0 + BOUND_SLACK
         series = [(rec.time, r) for rec, r in zip(records, ratios)]
@@ -208,8 +225,9 @@ def run_scaling_invariance(spec: DatumSpec, config: SimConfig, *, z: complex) ->
     scale = abs(z) * math.sqrt(datum_mass)
 
     errs = []
-    for t, [u, uz] in march([datum, scale_datum(datum, z)], config, config.record_steps):
-        predicted = scale_datum(u, z * cmath.exp(1j * config.lam * t * log_z2))
+    for t, [u, uz] in march([datum, Field(datum.geometry, z * datum.data)], config,
+                            config.record_steps):
+        predicted = Field(u.geometry, z * cmath.exp(1j * config.lam * t * log_z2) * u.data)
         errs.append((t, l2_distance(uz, predicted) / scale))
     worst = max(e for _, e in errs)
     budget = _scaling_budget(config, log_z2, datum_mass)
@@ -256,7 +274,7 @@ def run_eps_cauchy(spec: DatumSpec, config: SimConfig, *,
     pairs = eps_continuation(datum, config, eps_sequence)
     dists = [d for _, d in pairs]
     margins = {f"sup_dist_{e1:g}_{e2:g}": d for ((e1, e2), d) in pairs}
-    decreasing = all(b < a for a, b in zip(dists, dists[1:]))
+    decreasing = _decreasing(dists)
     final_ok = dists[-1] <= constants.EPS_CAUCHY_FINAL_MAX * math.sqrt(mass(datum))
     margins["monotone"] = 1.0 if decreasing else 0.0
     margins["final"] = dists[-1]
@@ -292,7 +310,7 @@ def run_h1_approximation(spec: DatumSpec, config: SimConfig, *,
         passed &= within
         if worst is not None:
             margins[f"worst_ratio_K{k1:g}_K{k2:g}"] = worst
-    passed &= all(b < a or (a == b == 0.0) for a, b in zip(sups, sups[1:]))
+    passed &= _decreasing(sups)
     return _report("h1_approximation", config, passed, margins, None, len(series[-1]),
                    spec=spec, cutoffs=cutoffs)
 

@@ -26,7 +26,6 @@ __all__ = [
     "odd_extension",
     "restrict_to_half",
     "galilean_boost",
-    "scale_datum",
 ]
 
 
@@ -84,10 +83,6 @@ class GridGeometry:
         return len(self.points)
 
     @property
-    def is_periodic(self) -> bool:
-        return not self.kind.is_dirichlet
-
-    @property
     def is_dirichlet(self) -> bool:
         return self.kind.is_dirichlet
 
@@ -140,7 +135,7 @@ def require_same_geometry(a: Field, b: Field) -> None:
 
 
 def require_periodic(geometry: GridGeometry, what: str) -> None:
-    if not geometry.is_periodic:
+    if geometry.is_dirichlet:
         raise GeometryError(f"{what} requires a periodic geometry, got {geometry.kind.value}")
 
 
@@ -237,8 +232,3 @@ def galilean_boost(field: Field, modes: Sequence[int], t: float) -> Field:
     vx = sum(v[i] * grids[i] for i in range(geom.dim))
     vv = float(np.dot(v, v))
     return Field(geom, np.exp(1j * vx - 1j * vv * t) * data)
-
-
-def scale_datum(field: Field, z: complex) -> Field:
-    """Pointwise multiplication by a complex constant."""
-    return Field(field.geometry, complex(z) * field.data)

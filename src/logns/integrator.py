@@ -27,7 +27,8 @@ Inside `march`:
   grids, whose |u| covers planes 0..n only, the sum of the whole state. The
   full scan runs only where that reduction is not finite; it names the bad
   sample, or passes where the reduction overflowed on finite data. A sample
-  always checks in full.
+  always checks in full. The steps, not Strang's closing half-rotation, hold
+  numpy's overflow and invalid warnings: their faults raise IntegrationError.
 - Strang's adjacent half-rotations are merged: the running state w satisfies
   u_k = N(dt/2) w_k and advances by w_{k+1} = F(dt) N(dt) w_k. A sample
   applies the closing half-rotation, one batched rotation over (B, *points),
@@ -195,22 +196,25 @@ def march(
 
     i = checked = 0  # checked: the last step whose state was checked in full
     for target in steps:
-        while i < target:
-            i += 1
-            coeff = 2.0 * lam * (dt / 2.0 if strang and i == 1 else dt)
-            # the state the previous step left is checked before the rotation
-            # touches it, in full only where one reduction is not finite: the
-            # max of |u| on periodic grids, the sum of the state on Dirichlet
-            # grids, whose |u| covers planes 0..n only
-            np.abs(planes, out=modulus)
-            if checked != i - 1 and not math.isfinite(
-                    _state_sum(state) if dirichlet else modulus.max()):
-                _check_finite(state, i - 1, dt)
-            rotation_phase(modulus, coeff, eps, phase, run_points, mask_zeros)
-            planes *= phase
-            if dirichlet:
-                np.multiply(mirrored, phase[..., n_half - 1 : 0 : -1], out=mirrored)
-            propagate(state, symbol)
+        # an overflow or nan of the steps surfaces as the finiteness checks'
+        # IntegrationError, not as numpy's warning; the guard closes before a yield
+        with np.errstate(over="ignore", invalid="ignore"):
+            while i < target:
+                i += 1
+                coeff = 2.0 * lam * (dt / 2.0 if strang and i == 1 else dt)
+                # the state the previous step left is checked before the rotation
+                # touches it, in full only where one reduction is not finite: the
+                # max of |u| on periodic grids, the sum of the state on Dirichlet
+                # grids, whose |u| covers planes 0..n only
+                np.abs(planes, out=modulus)
+                if checked != i - 1 and not math.isfinite(
+                        float(state.view(float).sum()) if dirichlet else modulus.max()):
+                    _check_finite(state, i - 1, dt)
+                rotation_phase(modulus, coeff, eps, phase, run_points, mask_zeros)
+                planes *= phase
+                if dirichlet:
+                    np.multiply(mirrored, phase[..., n_half - 1 : 0 : -1], out=mirrored)
+                propagate(state, symbol)
         _check_finite(state, i, dt)  # the last step before a sample
         checked = i
         # the sample is a copy of the state, on Dirichlet grids its restriction
@@ -223,13 +227,6 @@ def march(
             rotation_phase(m, closing, eps, p, run_points, mask_zeros)
             sample *= p
         yield i * dt, [Field(geometry, u) for u in sample]
-
-
-def _state_sum(state: np.ndarray) -> float:
-    """The sum of every real and imaginary part of the state, inf or nan where
-    a sample is or where the sum overflows, which it does quietly."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(state.view(float).sum())
 
 
 def _check_finite(state: np.ndarray, i: int, dt: float) -> None:

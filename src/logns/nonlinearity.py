@@ -23,9 +23,13 @@ _HALF_ANGLE_MIN_POINTS = 1024
 
 
 def check_eps(eps) -> None:
-    """Raise ValueError unless eps, a number or a list, is finite and >= 0. The
-    gap and bound kernels pass each eps array's min and max, which carry any nan."""
-    if not all(0.0 <= e < math.inf for e in (eps if isinstance(eps, list) else [eps])):
+    """Raise ValueError unless eps, a number, a list or an array, is finite and
+    >= 0. An array is judged by its min and max, which carry any nan."""
+    if isinstance(eps, np.ndarray):
+        values = [eps.min(), eps.max()] if eps.size else []
+    else:
+        values = eps if isinstance(eps, list) else [eps]
+    if not all(0.0 <= e < math.inf for e in values):
         raise ValueError(f"eps must be >= 0 and finite, got {eps}")
 
 
@@ -72,12 +76,14 @@ def phase_flow(z, lam, eps, dt):
 
     The coefficient is real, so the modulus is conserved:
     z -> z * exp(2i lam dt ln(|z| + eps)). This is the step's rotation, the
-    kernel `rotation_phase`, with all of z as one run.
+    kernel `rotation_phase`, z being one run. eps is a number or an array-like
+    broadcasting to z's shape; where |z| + eps = 0 the factor is 1.
     """
+    eps = np.asarray(eps, dtype=float)
     check_eps(eps)
     u = np.array(z, dtype=complex)
     phase = np.empty_like(u)
-    rotation_phase(np.abs(u, out=np.empty(u.shape)), 2.0 * lam * dt, eps, phase, u.size, eps == 0)
+    rotation_phase(np.abs(u, out=np.empty(u.shape)), 2.0 * lam * dt, eps, phase, u.size)
     u *= phase
     return u
 
@@ -102,7 +108,7 @@ def monotonicity_gap(z1, z2, eps1=0.0, eps2=0.0):
     Scalar inputs give a scalar. Every eps must pass `check_eps`.
     """
     e1, e2 = np.asarray(eps1, dtype=float), np.asarray(eps2, dtype=float)
-    check_eps([float(x) for e in (e1, e2) if e.size for x in (e.min(), e.max())])
+    check_eps(np.append(e1, e2))
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
     shape = np.broadcast_shapes(z1.shape, z2.shape, e1.shape, e2.shape)
@@ -131,6 +137,6 @@ def monotonicity_gap(z1, z2, eps1=0.0, eps2=0.0):
 def monotonicity_bound(z1, z2, eps1=0.0, eps2=0.0):
     """Right-hand side |z1-z2|^2 + |eps1-eps2| |z1-z2| of the gap inequality."""
     e1, e2 = np.asarray(eps1, dtype=float), np.asarray(eps2, dtype=float)
-    check_eps([float(x) for e in (e1, e2) if e.size for x in (e.min(), e.max())])
+    check_eps(np.append(e1, e2))
     d = np.abs(np.asarray(z1, dtype=complex) - np.asarray(z2, dtype=complex))
     return d * d + np.abs(e1 - e2) * d

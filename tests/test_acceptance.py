@@ -14,7 +14,7 @@ import pytest
 from logns import constants, nonlinearity
 from logns.cli import main
 from logns.data import DatumSpec, make_datum
-from logns.diagnostics import hs_gagliardo_norm, hs_growth_ratio, l2_distance, mass
+from logns.diagnostics import hs_gagliardo_norm, l2_distance, mass
 from logns.experiments import (
     run_convergence_order,
     run_eps_cauchy,
@@ -121,7 +121,8 @@ def test_04_hs_growth_bound():
                         record_every=10, hs_values=(0.25, 0.5))
         traj = evolve(make_datum(spec, geom), cfg)
         for s in (0.25, 0.5):
-            ratios = [hs_growth_ratio(rec, traj.records[0], s, cfg.lam)
+            ratios = [rec.hs_norms[s] ** 2 / (math.exp(4.0 * abs(cfg.lam) * abs(rec.time))
+                                              * traj.records[0].hs_norms[s] ** 2)
                       for rec in traj.records]
             worst = max(worst, max(ratios))
     elapsed = time.monotonic() - start

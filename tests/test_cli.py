@@ -71,7 +71,6 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_integration_error_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM)
         cfg.write_text(cfg.read_text().replace('"lambda": 1.0', '"lambda": 1e308'))
@@ -80,7 +79,6 @@ class TestSimulate:
         assert err.startswith("error: non-finite sample at step 1")
         assert "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_run_keeps_what_it_sampled(self, tmp_path, capsys):
         cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM, sim_extra=', "snapshot_every": 1')
         cfg.write_text(cfg.read_text().replace('"lambda": 1.0', '"lambda": 1e308'))
@@ -111,7 +109,6 @@ class TestSimulate:
         _, t = read_snapshot(out / "snapshot_000000.bin")
         assert t == 0.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_failed_run_with_unwritable_csv_keeps_nothing(self, tmp_path, capsys):
         # a failed run whose time series cannot be written says why, and does
         # not claim to have kept it

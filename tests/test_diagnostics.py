@@ -10,10 +10,8 @@ from logns import diagnostics, geometry, spectral
 from logns.cli import main
 from logns.data import DatumSpec, make_datum
 from logns.diagnostics import (
-    DiagnosticsRecord,
     energy,
     hs_gagliardo_norm,
-    hs_growth_ratio,
     hs_norm,
     l2_distance,
     mass,
@@ -68,6 +66,17 @@ class TestEnergy:
         quad = float(np.sum(2.0 * s * np.log(s + eps))) * (r / 200000)
         e = energy(constant_field(torus(), r), lam, eps)
         assert e == pytest.approx(-2.0 * lam * quad, rel=1e-8)
+
+    def test_unregularized_density_is_the_closed_form_with_exact_zeros(self):
+        # at eps = 0 the masked log keeps 0 ln 0 = 0, with no warning
+        r = np.abs(np.random.default_rng(5).standard_normal(4096)) * 3.0
+        r[::7] = 0.0
+        r[1] = math.exp(0.5)  # where r^2 ln r and r^2 / 2 cancel
+        got = diagnostics._log_potential_density(r, 0.0)
+        pos = r > 0.0
+        assert np.all(got[~pos] == 0.0)
+        closed_form = r[pos] * r[pos] * (np.log(r[pos]) - 0.5)
+        assert np.all(np.abs(got[pos] - closed_form) <= 4e-15 * r[pos] ** 2)
 
     @pytest.mark.parametrize("eps", [1e-3, 0.05, 2.0])
     def test_potential_density_is_bitwise_the_closed_form(self, eps):
@@ -394,15 +403,3 @@ class TestGagliardoNorm:
             gagliardo_brute_force(odd_extension(f), 0.5), rel=1e-12
         )
 
-
-class TestGrowthRatio:
-    def test_plain_ratio(self):
-        r0 = DiagnosticsRecord(0.0, 1.0, 0.0, hs_norms={0.5: 2.0})
-        rt = DiagnosticsRecord(1.0, 1.0, 0.0, hs_norms={0.5: 3.0})
-        got = hs_growth_ratio(rt, r0, 0.5, lam=1.0)
-        assert got == pytest.approx(9.0 / (4.0 * math.exp(4.0)), rel=1e-13)
-
-    def test_missing_exponent_raises(self):
-        r0 = DiagnosticsRecord(0.0, 1.0, 0.0, hs_norms={0.5: 2.0})
-        with pytest.raises(KeyError):
-            hs_growth_ratio(r0, r0, 0.25, lam=1.0)

@@ -20,7 +20,7 @@ from logns.experiments import (
     run_lipschitz,
     run_scaling_invariance,
 )
-from logns.geometry import DomainKind, GridGeometry, scale_datum
+from logns.geometry import DomainKind, Field, GridGeometry
 from logns.integrator import SimConfig, final_state
 
 
@@ -36,6 +36,24 @@ def quick_config(**kw):
 
 GAUSSIAN = DatumSpec(kind="gaussian_bump", width=0.25)
 BAND = DatumSpec(kind="random_band_limited", cutoff=6.0, seed=3)
+
+
+class TestEnvelope:
+    """The growth rule v(t) <= e^{rate |t|} v(0) and the decreasing sup ladder,
+    each stated once for every experiment."""
+
+    def test_plain_ratio(self):
+        # squared H^s norms 4 at t = 0 and 9 at t = 1 under e^{4 |lam| t}, lam = 1
+        ratios = experiments._envelope([(0.0, 4.0), (1.0, 9.0)], 4.0)
+        assert ratios[0] == 1.0
+        assert ratios[1] == pytest.approx(9.0 / (4.0 * math.exp(4.0)), rel=1e-13)
+
+    @pytest.mark.parametrize("sups, decreasing", [
+        ([3.0, 2.0, 1.0], True), ([0.0, 0.0], True), ([2.0, 2.0], False),
+        ([1.0, 0.0, 0.0], True), ([1.0, 2.0], False),
+    ])
+    def test_decreasing_sups(self, sups, decreasing):
+        assert experiments._decreasing(sups) is decreasing
 
 
 class TestLipschitz:
@@ -231,7 +249,7 @@ class TestGalilean:
 
         def boost_off(field, modes, t):
             out = boost(field, modes, t)
-            return scale_datum(out, cmath.exp(1e-8j)) if t else out
+            return Field(out.geometry, cmath.exp(1e-8j) * out.data) if t else out
 
         monkeypatch.setattr(experiments, "galilean_boost", boost_off)
         report = run_galilean(GAUSSIAN, config, boost_modes=(2,))
@@ -278,6 +296,16 @@ class TestEpsCauchy:
         report = run_eps_cauchy(GAUSSIAN, quick_config(), eps_sequence=ladder)
         assert report.margins["monotone"] == 1.0
         assert report.n_samples == len(ladder) - 1
+
+    def test_identical_runs_at_lam_zero_degenerate_case(self):
+        # without the nonlinearity every regularization gives the same run, so
+        # every sup distance is 0: an exactly Cauchy ladder, as h1-approx's
+        # identical truncations are
+        config = quick_config(lam=0.0, geometry=torus(64))
+        report = run_eps_cauchy(GAUSSIAN, config, eps_sequence=[0.25, 0.125, 0.0625])
+        assert report.passed
+        assert report.margins["monotone"] == 1.0
+        assert report.margins["final"] == 0.0
 
     def test_a_single_eps_is_rejected(self):
         with pytest.raises(ValueError, match="at least 2 entries, got 1"):

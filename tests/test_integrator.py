@@ -315,7 +315,6 @@ class TestBatchedMarch:
         assert np.all(np.isfinite(end.data))
         assert mass(end) == pytest.approx(mass(f), rel=1e-13)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("geom", [torus(), interval()], ids=["torus", "interval"])
     def test_non_finite_member_names_its_index_and_step(self, geom):
         good = random_field(geom, seed=1)
@@ -358,12 +357,21 @@ class TestHalfAnglePhase:
 
 class TestFiniteCheck:
     """The state a step leaves is checked before the next rotation or the
-    next sample, whichever comes first: through the rotation's |u| on
-    periodic grids, in full on Dirichlet grids and at every sample. Either
-    way the error names the step that went non-finite and the run's largest
-    finite |u| after it."""
+    next sample, whichever comes first: through the max of the rotation's
+    |u| on periodic grids, the sum of the state on Dirichlet grids, and in
+    full at every sample. Either way the error names the step that went
+    non-finite and the run's largest finite |u| after it. The steps hold
+    numpy's overflow and invalid warnings, so these tests need no warning
+    filter under the suite's warnings-as-errors."""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error")  # no overflow warning on the way
+    def test_an_overflow_is_an_integration_error_not_a_warning(self):
+        data = np.ones(64, dtype=complex)
+        data[3] = 1e308
+        with pytest.raises(IntegrationError, match=r"^non-finite sample at step 1 \(") as info:
+            list(march([Field(torus(), data)], config(), [10]))
+        assert info.value.step == 1
+
     @pytest.mark.parametrize("steps", [[1], [10]])
     @pytest.mark.parametrize("splitting", ["lie", "strang"])
     @pytest.mark.parametrize("geometry, big, finite_max", [

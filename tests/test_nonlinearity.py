@@ -44,10 +44,23 @@ class TestPhaseFlow:
         once = nl.phase_flow(z, lam, eps, 0.8)
         np.testing.assert_allclose(ab, once, rtol=1e-13)
 
-    @pytest.mark.parametrize("eps", [-0.1, math.nan, math.inf])
+    @pytest.mark.parametrize("eps", [-0.1, math.nan, math.inf, np.array([0.1, -0.1])],
+                             ids=["negative", "nan", "inf", "negative-in-array"])
     def test_rejects_negative_or_non_finite_eps(self, eps):
-        with pytest.raises(ValueError, match="eps must be >= 0"):
+        with pytest.raises(ValueError, match="^eps must be >= 0 and finite, got "):
             nl.phase_flow(np.array([1.0 + 1j, 0.5]), 1.0, eps, 1e-3)
+
+    def test_a_list_eps_holding_zero_keeps_zero(self):
+        # 0 ln 0 = 0 where |z| + eps = 0, with no divide or invalid warning
+        out = nl.phase_flow(np.array([0j, 1.0]), 1.0, [0.0, 0.1], 0.1)
+        assert out[0] == 0.0
+        assert out[1] == pytest.approx(np.exp(0.2j * math.log(1.1)), rel=1e-15)
+
+    def test_an_array_eps_gives_the_bits_of_the_list(self):
+        z = np.array([0j, 1.0, 0.3 - 2j])
+        eps = [0.0, 0.1, 0.0]
+        assert np.array_equal(nl.phase_flow(z, -1.3, np.array(eps), 0.2),
+                              nl.phase_flow(z, -1.3, eps, 0.2))
 
 
 def largest_half_angle_coeff():
