@@ -2,7 +2,13 @@
 
 Subcommands: simulate, experiment, norms, check-inequality. Exit codes:
 0 all verdicts pass, 1 any fail, 2 usage, configuration, file, integration or
-allocation error.
+allocation error, or a `norms` record that is not finite.
+
+The argparse tree is built once, at import, and `main` only parses with it:
+building it costs about ten times a parse, which every in-process call (a
+library user, the tests, the benchmark's workers) would otherwise pay. The
+parser keeps no state between parses, and help is formatted, at the
+terminal's width, only when it is printed.
 """
 
 from __future__ import annotations
@@ -208,9 +214,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -4,6 +4,8 @@
 odd-extended to the doubled periodic box, then one FFT gives the power spectrum
 P = V |c_n|^2; the kinetic energy and both H^s norms are weighted sums of P,
 so a record with any number of either norm costs one extension and one FFT.
+A record whose mass, energy or a norm overflows or turns nan raises
+`NonFiniteRecordError` instead of numpy's warnings.
 Dirichlet H^s norms cover the doubled box (hs_norm(f, 0)^2 == 2 mass(f)); the
 kinetic energy is halved; mass and the potential are sums over the half grid.
 """
@@ -22,6 +24,7 @@ from .spectral import bessel_norm, power_spectrum, squared_frequency
 
 __all__ = [
     "DiagnosticsRecord",
+    "NonFiniteRecordError",
     "measure",
     "mass",
     "energy",
@@ -40,6 +43,17 @@ class DiagnosticsRecord:
     energy: float
     hs_norms: dict[float, float] = dataclass_field(default_factory=dict)
     gagliardo_norms: dict[float, float] = dataclass_field(default_factory=dict)
+
+
+class NonFiniteRecordError(ValueError):
+    """Raised by `measure` when a quantity of the record is inf or nan.
+
+    `quantities` names each such quantity with its value, as in "mass inf".
+    """
+
+    def __init__(self, t: float, quantities: str):
+        super().__init__(f"non-finite record at t={t:g}: {quantities}")
+        self.quantities = quantities
 
 
 def mass(field: Field) -> float:
@@ -100,19 +114,31 @@ def measure(
 ) -> DiagnosticsRecord:
     """The record of mass(field), energy(field, lam, eps), hs_norm(field, s) for
     each s in hs_values and hs_gagliardo_norm(field, s) for each s in
-    gagliardo_values, from one spectrum: one extension, one FFT."""
+    gagliardo_values, from one spectrum: one extension, one FFT.
+
+    Raises NonFiniteRecordError, and no numpy warning, when any of them
+    overflows or is nan."""
     check_eps(eps)
-    geometry, power = _spectrum(field)
-    kinetic = 4.0 * math.pi**2 * float(np.sum(squared_frequency(geometry) * power))
-    if field.geometry.is_dirichlet:
-        kinetic /= 2.0  # the extension's integral covers the domain twice
-    modulus = np.abs(field.data)
-    density = _log_potential_density(modulus, eps)
-    potential = field.geometry.cell_volume * float(np.sum(density))
-    hs_norms = {s: bessel_norm(geometry, power, s) for s in hs_values}
-    gagliardo = {s: _gagliardo_norm(geometry, power, s) for s in gagliardo_values}
-    return DiagnosticsRecord(t, squared_l2(field.geometry, modulus),
-                             kinetic - 2.0 * lam * potential, hs_norms, gagliardo)
+    with np.errstate(over="ignore", invalid="ignore"):
+        geometry, power = _spectrum(field)
+        kinetic = 4.0 * math.pi**2 * float(np.sum(squared_frequency(geometry) * power))
+        if field.geometry.is_dirichlet:
+            kinetic /= 2.0  # the extension's integral covers the domain twice
+        modulus = np.abs(field.data)
+        density = _log_potential_density(modulus, eps)
+        potential = field.geometry.cell_volume * float(np.sum(density))
+        record = DiagnosticsRecord(
+            t, squared_l2(field.geometry, modulus), kinetic - 2.0 * lam * potential,
+            {s: bessel_norm(geometry, power, s) for s in hs_values},
+            {s: _gagliardo_norm(geometry, power, s) for s in gagliardo_values})
+    bad = [f"{name} {v:g}" for name, v in (
+        ("mass", record.mass), ("energy", record.energy),
+        *((f"H^{s:g}", v) for s, v in record.hs_norms.items()),
+        *((f"gagliardo H^{s:g}", v) for s, v in record.gagliardo_norms.items()),
+    ) if not math.isfinite(v)]
+    if bad:
+        raise NonFiniteRecordError(t, ", ".join(bad))
+    return record
 
 
 def l2_distance(f: Field, g: Field) -> float:

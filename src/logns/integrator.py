@@ -46,7 +46,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
-from .diagnostics import DiagnosticsRecord, l2_distance, measure
+from .diagnostics import DiagnosticsRecord, NonFiniteRecordError, l2_distance, measure
 from .geometry import Field, GeometryError, GridGeometry, odd_extension, restrict_to_half
 from .nonlinearity import check_eps, rotation_phase
 from .schema import Key, check, choice, integer, ladder, list_of, number
@@ -264,14 +264,20 @@ def samples(
     Records are taken on `config.record_steps`; snapshots, if snapshot_every
     is set, at every snapshot_every-th step and the final step. The other
     entry is None. Nothing is collected, so memory grows with the number of
-    samples only if the consumer keeps them. Deterministic given
+    samples only if the consumer keeps them. A record that is not finite
+    raises IntegrationError naming its step. Deterministic given
     (datum, config).
     """
     records = set(config.record_steps)
     snapshots = set(_strided(config.snapshot_every, config.n_steps))
     steps = sorted(records | snapshots)
     for i, (t, [u]) in zip(steps, march([datum], config, steps)):
-        record = measure(u, t, config.lam, config.eps, config.hs_values) if i in records else None
+        try:
+            record = (measure(u, t, config.lam, config.eps, config.hs_values)
+                      if i in records else None)
+        except NonFiniteRecordError as exc:
+            raise IntegrationError(f"non-finite record at step {i} (t={t:g}): "
+                                   f"{exc.quantities}", step=i, time=t, run=0) from None
         yield t, record, u if i in snapshots else None
 
 

@@ -1,17 +1,23 @@
 """End-to-end command-line behavior and exit codes."""
 
+import argparse
+import io
 import json
+import math
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from logns import cli, experiments, nonlinearity
 from logns.cli import main
 from logns.data import DatumSpec, make_datum
 from logns.diagnostics import energy, hs_gagliardo_norm, hs_norm, mass
 from logns.experiments import EXPERIMENTS
-from logns.geometry import DomainKind, GridGeometry
+from logns.geometry import DomainKind, Field, GridGeometry
 from logns.io import read_snapshot, write_snapshot
 
 
@@ -30,6 +36,15 @@ def write_config(tmp_path, extra="", sim_extra=""):
 
 
 GAUSSIAN_DATUM = ',"datum": {"kind": "gaussian_bump", "width": 0.25}'
+
+
+def overflow_at_step_1(cfg):
+    """Rewrite a `write_config` sim so that its t = 0 record is finite and its
+    first step is not: 2 lam (dt / 2) overflows, so the rotation angle is
+    inf, while 2 lam times the potential of the datum does not."""
+    cfg.write_text(cfg.read_text().replace(
+        '"lambda": 1.0, "eps": 0.01, "dt": 0.01, "t_final": 0.1',
+        '"lambda": 1e306, "eps": 0.01, "dt": 1000.0, "t_final": 10000.0'))
 
 
 def csv_rows(path):
@@ -73,15 +88,27 @@ class TestSimulate:
 
     def test_integration_error_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM)
-        cfg.write_text(cfg.read_text().replace('"lambda": 1.0', '"lambda": 1e308'))
+        overflow_at_step_1(cfg)
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: non-finite sample at step 1")
         assert "Traceback" not in err
 
-    def test_failed_run_keeps_what_it_sampled(self, tmp_path, capsys):
+    def test_a_non_finite_record_exits_2_naming_its_step(self, tmp_path, capsys):
+        # 2 lam overflows, so the energy of the t = 0 record does, before any step
         cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM, sim_extra=', "snapshot_every": 1')
         cfg.write_text(cfg.read_text().replace('"lambda": 1.0', '"lambda": 1e308'))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: non-finite record at step 0 (t=0): energy inf",
+            f"kept {out / 'timeseries.csv'} (0 records, 0 snapshots)",
+        ]
+        assert sorted(p.name for p in out.iterdir()) == ["timeseries.csv"]
+
+    def test_failed_run_keeps_what_it_sampled(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM, sim_extra=', "snapshot_every": 1')
+        overflow_at_step_1(cfg)
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
@@ -113,7 +140,7 @@ class TestSimulate:
         # a failed run whose time series cannot be written says why, and does
         # not claim to have kept it
         cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM)
-        cfg.write_text(cfg.read_text().replace('"lambda": 1.0', '"lambda": 1e308'))
+        overflow_at_step_1(cfg)
         out = tmp_path / "out"
         (out / "timeseries.csv").mkdir(parents=True)
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
@@ -522,6 +549,13 @@ def test_second_datum_needs_one_entry_per_axis(tmp_path, capsys):
     ]
 
 
+def slab_snapshot(tmp_path):
+    geom = GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 1.0), (16, 8))
+    field = make_datum(DatumSpec(kind="random_band_limited", cutoff=3.0, seed=2), geom)
+    write_snapshot(field, 0.5, tmp_path / "slab.bin")
+    return field, tmp_path / "slab.bin"
+
+
 class TestNorms:
     def test_prints_norms_of_snapshot(self, tmp_path, capsys):
         cfg = write_config(
@@ -541,14 +575,8 @@ class TestNorms:
         assert "H^0.25" in text
         assert "gagliardo" in text
 
-    def slab_snapshot(self, tmp_path):
-        geom = GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 1.0), (16, 8))
-        field = make_datum(DatumSpec(kind="random_band_limited", cutoff=3.0, seed=2), geom)
-        write_snapshot(field, 0.5, tmp_path / "slab.bin")
-        return field, tmp_path / "slab.bin"
-
     def test_dirichlet_values_match_the_diagnostics(self, tmp_path, capsys):
-        field, path = self.slab_snapshot(tmp_path)
+        field, path = slab_snapshot(tmp_path)
         argv = ["norms", "--snapshot", str(path), "--s", "0.25,1", "--lambda", "-1", "--eps", "0.01"]
         assert main(argv) == 0
         printed = [float(tok) for line in capsys.readouterr().out.splitlines()
@@ -559,7 +587,7 @@ class TestNorms:
         assert printed == expected
 
     def test_negative_eps_exits_2(self, tmp_path, capsys):
-        _, path = self.slab_snapshot(tmp_path)
+        _, path = slab_snapshot(tmp_path)
         argv = ["norms", "--snapshot", str(path), "--s", "0.5", "--lambda", "1", "--eps", "-0.1"]
         assert main(argv) == 2
         assert "eps must be >= 0" in capsys.readouterr().err
@@ -569,7 +597,7 @@ class TestNorms:
         ("--s", "nan"), ("--s", "0.5,inf"),
     ])
     def test_non_finite_numbers_exit_2(self, tmp_path, capsys, flag, value):
-        _, path = self.slab_snapshot(tmp_path)
+        _, path = slab_snapshot(tmp_path)
         args = {"--s": "0.5", "--lambda": "1", "--eps": "0.01", flag: value}
         assert main(["norms", "--snapshot", str(path), *(a for kv in args.items() for a in kv)]) == 2
         captured = capsys.readouterr()
@@ -618,6 +646,147 @@ class TestNorms:
                 "--lambda", "1.0", "--eps", "0.001"]
         assert main(argv) == 0
         assert capsys.readouterr().out.splitlines() == expected
+
+
+    def test_a_non_finite_record_exits_2_with_one_error_line(self, tmp_path, capsys):
+        # finite samples whose mass |u|^2 overflows: one line, no numpy warning
+        # (the suite turns warnings into errors), and nothing on stdout
+        data = np.ones(64, dtype=complex)
+        data[3] = 1e308
+        write_snapshot(Field(GridGeometry(DomainKind.TORUS, (1.0,), (64,)), data), 0.0,
+                       tmp_path / "big.bin")
+        argv = ["norms", "--snapshot", str(tmp_path / "big.bin"), "--s", "0.5",
+                "--lambda", "1", "--eps", "0.01"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: non-finite record at t=0: mass inf, energy nan, H^0.5 inf, "
+            "gagliardo H^0.5 inf"]
+        assert captured.out == ""
+
+
+# the ends of the float range and the non-finite values a file or a flag may
+# hold; each draw takes one of them or a moderate number, with even odds
+EXTREME_VALUES = [0.0, 1e154, 1e308, -1e308, 1.7976931348623157e308, 1e-310, 5e-324,
+                  math.nan, math.inf, -math.inf]
+EXTREME_NUMBERS = ["0", "-1", "5e-324", "1e-300", "1e-12", "0.999", "1e12", "1e300",
+                   "-1e300", "1.7976931348623157e308", "nan", "inf"]
+moderate = st.floats(min_value=-4.0, max_value=4.0)
+values = st.one_of(st.sampled_from(EXTREME_VALUES), moderate)
+numbers = st.one_of(st.sampled_from(EXTREME_NUMBERS), moderate.map(repr))
+eps_numbers = st.one_of(st.sampled_from(EXTREME_NUMBERS), st.floats(0.0, 4.0).map(repr))
+
+
+@st.composite
+def snapshots(draw):
+    """A geometry of at most 4,096 points of any kind, and its samples: ones,
+    zeros or random values, a Dirichlet boundary plane of zeros, and up to
+    four samples replaced by `values`."""
+    kind = draw(st.sampled_from(list(DomainKind)))
+    lo = 2 if kind is DomainKind.DIRICHLET_SLAB else 1
+    hi = 1 if kind is DomainKind.DIRICHLET_INTERVAL else 3
+    dim = draw(st.integers(lo, hi))
+    exponents, budget = [], 12  # at most 2^12 points, at least 2^2 per axis
+    for axis in range(dim):
+        exponents.append(draw(st.integers(2, budget - 2 * (dim - 1 - axis))))
+        budget -= exponents[-1]
+    points = tuple(2**e for e in exponents)
+    lengths = ((1.0,) * dim if kind is DomainKind.TORUS else tuple(
+        draw(st.lists(st.sampled_from([1e-3, 1.0, 2 * math.pi, 1e3]),
+                      min_size=dim, max_size=dim))))
+    base = draw(st.sampled_from(["ones", "zeros", "random"]))
+    if base == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+        data = rng.standard_normal(points) + 1j * rng.standard_normal(points)
+    else:
+        data = np.full(points, 1.0 if base == "ones" else 0.0, dtype=complex)
+    if kind.is_dirichlet:
+        data[..., 0] = 0.0
+    flat = data.reshape(-1)
+    for index, re, im in draw(st.lists(st.tuples(st.integers(0, flat.size - 1), values,
+                                                 values), max_size=4)):
+        flat[index] = complex(re, im)
+    return Field(GridGeometry(kind, lengths, points), data)
+
+
+class TestNormsFuzz:
+    @given(field=snapshots(), lam=numbers, eps=eps_numbers,
+           s=st.lists(numbers, min_size=1, max_size=3))
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_exits_0_or_2_without_a_traceback(self, tmp_path_factory, field, lam, eps, s):
+        """In process: a call builds no parser, so a few hundred of them are cheap."""
+        path = tmp_path_factory.mktemp("fuzz") / "snap.bin"
+        write_snapshot(field, 0.5, path)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            # "--lambda=-1e300": argparse reads a lone "-1e300" as an option
+            code = main(["norms", "--snapshot", str(path), f"--s={','.join(s)}",
+                         f"--lambda={lam}", f"--eps={eps}"])
+        if code == 0:
+            values = [tok for line in out.getvalue().splitlines()
+                      for tok in line.partition(":")[2].split()
+                      if tok not in ("multiplier", "gagliardo")]
+            assert all(math.isfinite(float(v)) for v in values), out.getvalue()
+            assert err.getvalue() == ""
+        else:
+            assert code == 2
+            [line] = err.getvalue().splitlines()
+            assert line.startswith("error: ")
+            assert out.getvalue() == ""
+
+
+class TestParserReuse:
+    NORMS = ["norms", "--s", "0.25,1", "--lambda", "-1", "--eps", "0.01"]
+
+    @pytest.fixture
+    def snapshot(self, tmp_path):
+        return str(slab_snapshot(tmp_path)[1])
+
+    def test_main_builds_no_parser(self, snapshot, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        outputs = []
+        for _ in range(2):
+            assert main([*self.NORMS, "--snapshot", snapshot]) == 0
+            outputs.append(capsys.readouterr())
+        assert built == []
+        assert outputs[0] == outputs[1] and outputs[0].err == ""
+
+    def test_a_usage_error_after_a_call_exits_2_with_the_usage(self, snapshot, capsys):
+        assert main([*self.NORMS, "--snapshot", snapshot]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            main(["norms", "--snapshot", snapshot])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: logns norms [-h] --snapshot SNAPSHOT --s S")
+        assert err.endswith("logns norms: error: the following arguments are required: "
+                            "--s, --lambda, --eps\n")
+        # the failed parse left no state behind
+        assert main([*self.NORMS, "--snapshot", snapshot]) == 0
+
+    @pytest.mark.parametrize("command", [[], ["simulate"], ["experiment"], ["norms"],
+                                         ["check-inequality"]])
+    def test_help_exits_0_with_the_text_of_a_fresh_parser(self, command, capsys, monkeypatch):
+        """Help is formatted when it is printed, at the terminal width of that time."""
+        texts = {}
+        for columns in ("80", "40"):
+            monkeypatch.setenv("COLUMNS", columns)
+            for name, parse in (("main", main), ("fresh", cli.build_parser().parse_args)):
+                with pytest.raises(SystemExit) as info:
+                    parse([*command, "--help"])
+                assert info.value.code == 0
+                texts[name, columns] = capsys.readouterr().out
+        assert texts["main", "80"] == texts["fresh", "80"]
+        assert texts["main", "40"] == texts["fresh", "40"] != texts["main", "80"]
+        assert texts["main", "80"].startswith(" ".join(["usage: logns", *command]))
 
 
 class TestCheckInequality:

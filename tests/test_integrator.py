@@ -153,13 +153,13 @@ class TestEvolve:
             evolve(Field(torus(), data), config())
         assert (info.value.step, info.value.time, info.value.run) == (None, None, None)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_abort_names_the_step(self):
         data = np.ones(64, dtype=complex)
-        data[3] = 1e308  # overflows inside the first squared-modulus evaluation
-        with pytest.raises(IntegrationError, match="step 1") as info:
+        data[3] = 1e308  # finite, but its record's mass |u|^2 overflows
+        with pytest.raises(IntegrationError, match="step 0") as info:
             evolve(Field(torus(), data), config())
-        assert (info.value.step, info.value.time, info.value.run) == (1, config().dt, 0)
+        assert (info.value.step, info.value.time, info.value.run) == (0, 0.0, 0)
+        assert str(info.value) == "non-finite record at step 0 (t=0): mass inf, energy nan"
 
     def test_tracked_hs_norms_recorded(self):
         traj = evolve(random_field(torus(32)), config(torus(32), hs_values=(0.25, 0.5)))
