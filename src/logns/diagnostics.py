@@ -1,11 +1,13 @@
 """Conserved quantities and Sobolev-norm diagnostics.
 
-`_spectrum` is the one place a field becomes Fourier data: a Dirichlet field is
-odd-extended to the doubled periodic box, then one FFT gives the power spectrum
-P = V |c_n|^2; the kinetic energy and both H^s norms are weighted sums of P,
-so a record with any number of either norm costs one extension and one FFT.
-A record whose mass, energy or a norm overflows or turns nan raises
-`NonFiniteRecordError` instead of numpy's warnings.
+`_spectrum` is the one place a field becomes Fourier data, the power spectrum
+P = V |c_n|^2 on a periodic grid; the kinetic energy and both H^s norms are
+weighted sums of P, so a record with any number of either norm costs one FFT.
+A Dirichlet field is odd-extended to the doubled periodic box, and the
+extension is transformed in place over the non-redundant half of its modes
+(`spectral.odd_power_spectrum`): every weighted sum is read off that half,
+counted twice. A record whose mass, energy or a norm overflows or turns nan
+raises `NonFiniteRecordError` instead of numpy's warnings.
 Dirichlet H^s norms cover the doubled box (hs_norm(f, 0)^2 == 2 mass(f)); the
 kinetic energy is halved; mass and the potential are sums over the half grid.
 """
@@ -13,6 +15,7 @@ kinetic energy is halved; mass and the potential are sums over the half grid.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field as dataclass_field
 from functools import lru_cache
 
@@ -20,7 +23,7 @@ import numpy as np
 
 from .geometry import Field, GridGeometry, odd_extension, require_same_geometry
 from .nonlinearity import check_eps
-from .spectral import bessel_norm, power_spectrum, squared_frequency
+from .spectral import bessel_weight, odd_power_spectrum, power_spectrum, squared_frequency
 
 __all__ = [
     "DiagnosticsRecord",
@@ -92,11 +95,19 @@ def _log_potential_density(r: np.ndarray, eps: float) -> np.ndarray:
     return out
 
 
-def _spectrum(field: Field) -> tuple[GridGeometry, np.ndarray]:
-    """(periodic geometry, P = V |c_n|^2), via the odd extension if Dirichlet."""
-    if field.geometry.is_dirichlet:
-        field = odd_extension(field)
-    return field.geometry, power_spectrum(field)
+def _spectrum(field: Field) -> tuple[GridGeometry, Callable[[np.ndarray], float]]:
+    """(G, total): G the periodic grid of the field's transform, total(w) the
+    sum_n w(n) P(n) over G's modes for a weight w on G. A Dirichlet field's P
+    is kept on the half 1 <= n_d <= N/2 - 1 of the doubled box, which stands
+    for the whole twice; its sums share one product buffer."""
+    if not field.geometry.is_dirichlet:
+        power = power_spectrum(field)
+        return field.geometry, lambda weight: float(np.sum(weight * power))
+    extension = odd_extension(field)
+    power = odd_power_spectrum(extension)
+    kept, product = slice(1, field.geometry.points[-1]), np.empty_like(power)
+    return extension.geometry, lambda weight: 2.0 * float(
+        np.multiply(weight[..., kept], power, out=product).sum())
 
 
 def energy(field: Field, lam: float, eps: float = 0.0) -> float:
@@ -114,14 +125,14 @@ def measure(
 ) -> DiagnosticsRecord:
     """The record of mass(field), energy(field, lam, eps), hs_norm(field, s) for
     each s in hs_values and hs_gagliardo_norm(field, s) for each s in
-    gagliardo_values, from one spectrum: one extension, one FFT.
+    gagliardo_values, from one spectrum (`_spectrum`).
 
     Raises NonFiniteRecordError, and no numpy warning, when any of them
     overflows or is nan."""
     check_eps(eps)
     with np.errstate(over="ignore", invalid="ignore"):
-        geometry, power = _spectrum(field)
-        kinetic = 4.0 * math.pi**2 * float(np.sum(squared_frequency(geometry) * power))
+        geometry, total = _spectrum(field)
+        kinetic = 4.0 * math.pi**2 * total(squared_frequency(geometry))
         if field.geometry.is_dirichlet:
             kinetic /= 2.0  # the extension's integral covers the domain twice
         modulus = np.abs(field.data)
@@ -129,8 +140,8 @@ def measure(
         potential = field.geometry.cell_volume * float(np.sum(density))
         record = DiagnosticsRecord(
             t, squared_l2(field.geometry, modulus), kinetic - 2.0 * lam * potential,
-            {s: bessel_norm(geometry, power, s) for s in hs_values},
-            {s: _gagliardo_norm(geometry, power, s) for s in gagliardo_values})
+            {s: _hs_norm(geometry, total, s) for s in hs_values},
+            {s: _gagliardo_norm(geometry, total, s) for s in gagliardo_values})
     bad = [f"{name} {v:g}" for name, v in (
         ("mass", record.mass), ("energy", record.energy),
         *((f"H^{s:g}", v) for s, v in record.hs_norms.items()),
@@ -151,7 +162,12 @@ def hs_norm(field: Field, s: float) -> float:
     """Multiplier H^s norm (`spectral.hs_multiplier_norm`). A Dirichlet field is
     measured via its odd extension over the doubled box, not halved:
     hs_norm(f, 0)^2 == 2 mass(f)."""
-    return bessel_norm(*_spectrum(field), s)
+    return _hs_norm(*_spectrum(field), s)
+
+
+def _hs_norm(geometry: GridGeometry, total: Callable[[np.ndarray], float], s: float) -> float:
+    """sqrt(sum_n (1 + 4 pi^2 |n/L|^2)^s P(n)) for the spectrum `total` sums on `geometry`."""
+    return math.sqrt(total(bessel_weight(geometry, s)))
 
 
 @lru_cache(maxsize=8)
@@ -191,9 +207,10 @@ def hs_gagliardo_norm(field: Field, s: float) -> float:
     return _gagliardo_norm(*_spectrum(field), s)
 
 
-def _gagliardo_norm(geometry: GridGeometry, power: np.ndarray, s: float) -> float:
-    """sqrt(sum_n sigma_s(n) P(n)) for a power spectrum P on `geometry`."""
+def _gagliardo_norm(geometry: GridGeometry, total: Callable[[np.ndarray], float],
+                    s: float) -> float:
+    """sqrt(sum_n sigma_s(n) P(n)) for the spectrum `total` sums on `geometry`."""
     if not 0.0 < s < 1.0:
         raise ValueError(f"s must lie in (0, 1), got {s}")
-    return math.sqrt(float(np.sum(_gagliardo_symbol(geometry, s) * power)))
+    return math.sqrt(total(_gagliardo_symbol(geometry, s)))
 

@@ -27,15 +27,20 @@ Inside `march`:
   grids, whose |u| covers planes 0..n only, the sum of the whole state. The
   full scan runs only where that reduction is not finite; it names the bad
   sample, or passes where the reduction overflowed on finite data. A sample
-  always checks in full. The steps, not Strang's closing half-rotation, hold
-  numpy's overflow and invalid warnings: their faults raise IntegrationError.
+  is checked by the sum of the state before it is copied, and again after
+  Strang's closing half-rotation of the copy. The steps and the sample hold
+  numpy's overflow and invalid warnings: their faults raise IntegrationError
+  naming the step and the run.
+- A sample is a copy of the state; on Dirichlet grids, of its first n planes
+  with plane 0 set to 0, after one antisymmetry check of the whole batch
+  (`geometry._antisymmetry_fault`, the rule of `restrict_to_half`). A state
+  that is not odd raises IntegrationError naming the step and the run.
 - Strang's adjacent half-rotations are merged: the running state w satisfies
   u_k = N(dt/2) w_k and advances by w_{k+1} = F(dt) N(dt) w_k. A sample
   applies the closing half-rotation, one batched rotation over (B, *points),
-  to a copy of w (on Dirichlet grids, to its restriction to the half grid),
-  so the state, and hence every result, does not depend on which steps are
-  sampled. It runs the step's kernels in the step's own buffers, on every
-  grid: their leading (B, *points) elements.
+  to its copy of w, so the state, and hence every result, does not depend on
+  which steps are sampled. It runs the step's kernels in the step's own
+  buffers, on every grid: their leading (B, *points) elements.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from dataclasses import dataclass, field as dataclass_field, replace
 import numpy as np
 
 from .diagnostics import DiagnosticsRecord, NonFiniteRecordError, l2_distance, measure
-from .geometry import Field, GeometryError, GridGeometry, odd_extension, restrict_to_half
+from .geometry import Field, GeometryError, GridGeometry, _antisymmetry_fault, odd_extension
 from .nonlinearity import check_eps, rotation_phase
 from .schema import Key, check, choice, integer, ladder, list_of, number
 from .spectral import aligned_empty, free_symbol, propagate
@@ -159,6 +164,8 @@ def march(
     run by default). Each run gets bit for bit what it would get alone.
     `steps` must be nondecreasing and within [0, n_steps]; the run stops at
     the last of them. Yielded fields are fresh arrays the caller may keep.
+    A run whose state or sample turns non-finite, or on a Dirichlet grid
+    stops being odd, raises IntegrationError naming the step and the run.
     """
     geometry, lam, dt, n = config.geometry, config.lam, config.dt, config.n_steps
     if any(u.geometry != geometry for u in data):
@@ -196,8 +203,9 @@ def march(
 
     i = checked = 0  # checked: the last step whose state was checked in full
     for target in steps:
-        # an overflow or nan of the steps surfaces as the finiteness checks'
-        # IntegrationError, not as numpy's warning; the guard closes before a yield
+        # an overflow or nan of the steps or of the sample surfaces as the
+        # finiteness checks' IntegrationError, not as numpy's warning; the
+        # guard closes before a yield
         with np.errstate(over="ignore", invalid="ignore"):
             while i < target:
                 i += 1
@@ -215,24 +223,34 @@ def march(
                 if dirichlet:
                     np.multiply(mirrored, phase[..., n_half - 1 : 0 : -1], out=mirrored)
                 propagate(state, symbol)
-        _check_finite(state, i, dt)  # the last step before a sample
-        checked = i
-        # the sample is a copy of the state, on Dirichlet grids its restriction
-        # to the half grid, which checks its antisymmetry
-        sample = (np.array([restrict_to_half(Field(grid, u)).data for u in state])
-                  if dirichlet else state.copy())
-        if strang and i > 0:  # in the leading elements of the step's buffers
-            m, p = (b.ravel()[: sample.size].reshape(sample.shape) for b in (modulus, phase))
-            np.abs(sample, out=m)
-            rotation_phase(m, closing, eps, p, run_points, mask_zeros)
-            sample *= p
+            _check_finite(state, i, dt)  # the last step before a sample
+            checked = i
+            if dirichlet:  # the batch's restriction to the half grid, one check for all
+                fault = _antisymmetry_fault(state)
+                if fault is not None:
+                    k, residual = fault
+                    raise IntegrationError(
+                        f"sample at step {i} (t={i * dt:g}) in run {k} of {len(state)} is "
+                        f"not antisymmetric in the last axis (residual {residual:.3e})",
+                        step=i, time=i * dt, run=k)
+                sample = state[..., :n_half].copy()
+                sample[..., 0] = 0.0
+            else:
+                sample = state.copy()
+            if strang and i > 0:  # in the leading elements of the step's buffers
+                m, p = (b.ravel()[: sample.size].reshape(sample.shape) for b in (modulus, phase))
+                np.abs(sample, out=m)
+                rotation_phase(m, closing, eps, p, run_points, mask_zeros)
+                sample *= p
+                _check_finite(sample, i, dt)
         yield i * dt, [Field(geometry, u) for u in sample]
 
 
 def _check_finite(state: np.ndarray, i: int, dt: float) -> None:
     """Raise an IntegrationError naming the first run whose state after step i
-    holds a non-finite sample."""
-    if np.isfinite(state).all():
+    holds a non-finite sample. A finite sum of every real and imaginary part
+    proves them all finite; the full scan runs only where the sum is not."""
+    if math.isfinite(float(state.view(float).sum())) or np.isfinite(state).all():
         return
     k = next(k for k, u in enumerate(state) if not np.isfinite(u).all())
     modulus = np.abs(state[k])

@@ -1,8 +1,9 @@
 """Fourier machinery: frequency grids, exact free propagator, multiplier H^s norm,
 resampling between grids.
 
-The transforms of a step (`propagate`) and of a record (`power_spectrum`) call
-numpy's pocketfft gufuncs directly; one-time transforms use the public np.fft.
+The transforms of a step (`propagate`) and of a record (`power_spectrum`, or
+`odd_power_spectrum` on the odd extension of a Dirichlet field) call numpy's
+pocketfft gufuncs directly; one-time transforms use the public np.fft.
 
 Fourier coefficients are fftn(data) / data.size, so a plane wave of amplitude
 A has a single coefficient A. For a box with side lengths L the frequency of
@@ -120,19 +121,43 @@ def free_propagator(field: Field, dt: float) -> Field:
 def power_spectrum(field: Field) -> np.ndarray:
     """P(n) = V |f^(n)|^2 on the full mode grid; weight w gives sqrt(sum w P).
 
-    One FFT into one complex buffer, normalised in real arithmetic: every axis
-    length is a power of two, so |c| * (1 / size) is exactly |c / size| and P is
-    bitwise V |fftn(u) / size|^2. The buffer is released before squaring, so
-    the peak is one field plus P.
+    One FFT into one complex buffer, normalised by `_power`; the buffer is
+    released on return, before the caller's first weighted sum, so that peak
+    is one field plus P.
     """
     require_periodic(field.geometry, "power_spectrum")
     coeffs = np.empty_like(field.data)
     _transform(field.data, range(field.data.ndim), False, coeffs)
+    return _power(coeffs, field.geometry)
+
+
+def odd_power_spectrum(field: Field) -> np.ndarray:
+    """power_spectrum(field) on the modes 1 <= n_d <= N/2 - 1 of the last axis,
+    for a field odd in its last axis: an odd extension, which it transforms in
+    place.
+
+    Its spectrum is odd in n_d, so the modes n_d = 0 and N/2 vanish and mode
+    -n_d has the power of mode n_d: the kept half, counted twice, is the
+    whole. The last axis is transformed over all its planes, then the other
+    axes over the kept modes only, in fftn's axis order, so each entry is
+    bitwise power_spectrum's.
+    """
+    require_periodic(field.geometry, "odd_power_spectrum")
+    data = field.data
+    _transform(data, [data.ndim - 1], False, data)
+    kept = data[..., 1 : data.shape[-1] // 2]
+    _transform(kept, range(data.ndim - 1), False, kept)
+    return _power(kept, field.geometry)
+
+
+def _power(coeffs: np.ndarray, geometry: GridGeometry) -> np.ndarray:
+    """V |c / size|^2 for unnormalised FFT coefficients c on `geometry`, in real
+    arithmetic: every axis length is a power of two, so |c| * (1 / size) is
+    exactly |c / size|."""
     power = np.abs(coeffs)
-    del coeffs
-    power *= 1.0 / field.data.size
+    power *= 1.0 / math.prod(geometry.points)
     power **= 2
-    power *= field.geometry.volume
+    power *= geometry.volume
     return power
 
 
@@ -144,17 +169,12 @@ def bessel_weight(geometry: GridGeometry, s: float) -> np.ndarray:
     return weight
 
 
-def bessel_norm(geometry: GridGeometry, power: np.ndarray, s: float) -> float:
-    """sqrt(sum_n (1 + 4 pi^2 |n/L|^2)^s P(n)) for a power spectrum P on `geometry`."""
-    return math.sqrt(float(np.sum(bessel_weight(geometry, s) * power)))
-
-
 def hs_multiplier_norm(field: Field, s: float) -> float:
     """Bessel-potential norm: sqrt(V sum (1 + 4 pi^2 |n/L|^2)^s |f^(n)|^2).
 
     s = 0 reproduces the L^2 norm; any real s is accepted.
     """
-    return bessel_norm(field.geometry, power_spectrum(field), s)
+    return math.sqrt(float(np.sum(bessel_weight(field.geometry, s) * power_spectrum(field))))
 
 
 def resample_modes(field: Field, geometry: GridGeometry) -> Field:

@@ -586,6 +586,27 @@ class TestNorms:
                     hs_gagliardo_norm(field, 0.25), hs_norm(field, 1.0)]
         assert printed == expected
 
+    def test_a_negative_number_in_exponent_form_is_a_value(self, tmp_path, capsys):
+        # argparse alone takes a lone -2e-3 for an option, not for the value of --lambda
+        _, path = slab_snapshot(tmp_path)
+        argv = ["norms", "--snapshot", str(path), "--eps", "0.01"]
+        assert main([*argv, "--s", "0.5", "--lambda=-2e-3"]) == 0
+        joined = capsys.readouterr().out
+        assert main([*argv, "--s", "0.5", "--lambda", "-2e-3"]) == 0
+        assert capsys.readouterr().out == joined
+        # an abbreviated option, and a list of numbers
+        assert main([*argv, "--s", "-5e-1,0.5", "--lam", "-2e-3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3].startswith("H^-0.5  : multiplier ")
+        assert lines[:3] + lines[4:] == joined.splitlines()
+
+    def test_a_huge_negative_lambda_is_no_usage_error(self, tmp_path, capsys):
+        _, path = slab_snapshot(tmp_path)
+        code = main(["norms", "--snapshot", str(path), "--s", "0.5", "--eps", "1e-3",
+                     "--lambda", "-1e300"])
+        assert code in (0, 2)
+        assert "usage:" not in capsys.readouterr().err
+
     def test_negative_eps_exits_2(self, tmp_path, capsys):
         _, path = slab_snapshot(tmp_path)
         argv = ["norms", "--snapshot", str(path), "--s", "0.5", "--lambda", "1", "--eps", "-0.1"]

@@ -205,11 +205,53 @@ class TestMeasure:
         assert peak <= 2 * 16 * 256 * 256 + 64 * 1024, peak
 
 
+HALF_SPECTRUM_GEOMETRIES = {
+    "interval128": GridGeometry(DomainKind.DIRICHLET_INTERVAL, (1.0,), (128,)),
+    "slab64x64": GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 1.0), (64, 64)),
+    "slab32x16": GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 0.5), (32, 16)),
+    "slab8x8x16": GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 1.0, 1.0), (8, 8, 16)),
+}
+
+
+@pytest.mark.parametrize("name", list(HALF_SPECTRUM_GEOMETRIES))
+def test_the_half_spectrum_gives_the_full_doubled_box_sums(name):
+    """A Dirichlet record, read off the non-redundant half of the odd
+    extension's spectrum, equals the sums over the whole doubled box."""
+    geom = HALF_SPECTRUM_GEOMETRIES[name]
+    # a rough datum has power in every mode the half keeps
+    f = make_datum(DatumSpec(kind="random_rough", target_s=0.5, seed=3), geom)
+    lam, eps, hs_values, gagliardo_values = -1.5, 1e-3, (0.0, 0.25, 0.5, 1.0), (0.25, 0.75)
+    record = measure(f, 0.0, lam, eps, hs_values, gagliardo_values)
+
+    ext = odd_extension(f)
+    box = ext.geometry
+    power = box.volume * np.abs(np.fft.fftn(ext.data) / ext.data.size) ** 2
+    xi2 = sum((n / l) ** 2 for n, l in zip(box.mode_grids(), box.lengths))
+    kinetic = 4.0 * math.pi**2 * float(np.sum(xi2 * power)) / 2.0  # the box covers f twice
+    r = np.abs(f.data)
+    density = (r * r - eps * eps) * np.log(r + eps) - 0.5 * r * r + eps * r + eps**2 * math.log(eps)
+    potential = geom.cell_volume * float(np.sum(density))
+    expected = {
+        "mass": geom.cell_volume * float(np.sum(r**2)),
+        "energy": kinetic - 2.0 * lam * potential,
+        **{f"H^{s}": math.sqrt(float(np.sum((1.0 + 4.0 * math.pi**2 * xi2) ** s * power)))
+           for s in hs_values},
+        **{f"gagliardo H^{s}": math.sqrt(float(np.sum(
+            diagnostics._gagliardo_symbol(box, s) * power))) for s in gagliardo_values},
+    }
+    got = {"mass": record.mass, "energy": record.energy,
+           **{f"H^{s}": v for s, v in record.hs_norms.items()},
+           **{f"gagliardo H^{s}": v for s, v in record.gagliardo_norms.items()}}
+    assert got == pytest.approx(expected, rel=1e-13, abs=0.0)
+    assert expected["H^0.0"] ** 2 == pytest.approx(2.0 * expected["mass"], rel=1e-13)
+
+
 def count_calls(monkeypatch, *geometry_functions):
     """Counts forward FFTs of whole fields, np.fft.fftn calls and power
-    spectra (one forward transform each), and calls of the named `geometry`
-    functions, wherever logns bound them."""
-    counts = dict.fromkeys(("fftn", *geometry_functions), 0)
+    spectra (one forward transform each), as `fftn`; the half spectra of odd
+    extensions, as `odd_fftn`; and calls of the named `geometry` functions,
+    wherever logns bound them."""
+    counts = dict.fromkeys(("fftn", "odd_fftn", *geometry_functions), 0)
 
     def counted(key, function):
         def call(*args, **kwargs):
@@ -224,6 +266,7 @@ def count_calls(monkeypatch, *geometry_functions):
 
     monkeypatch.setattr(np.fft, "fftn", counted("fftn", np.fft.fftn))
     patch("fftn", spectral.power_spectrum)
+    patch("odd_fftn", spectral.odd_power_spectrum)
     for key in geometry_functions:
         patch(key, getattr(geometry, key))
     return counts
@@ -237,15 +280,16 @@ def transform_counts(monkeypatch):
 
 class TestTransformCounts:
     def test_one_extension_and_one_fft_per_record(self, transform_counts):
+        # the extension's half spectrum, transformed in place; no full spectrum
         measure(slab_field(), 0.0, 1.0, 1e-3, (0.25, 0.5))
-        assert transform_counts == {"fftn": 1, "odd_extension": 1}
+        assert transform_counts == {"fftn": 0, "odd_fftn": 1, "odd_extension": 1}
 
     def test_gagliardo_norms_ride_on_the_record_spectrum(self, transform_counts):
         f = slab_field()
         measure(f, 0.0, 1.0, 1e-3, (), (0.25, 0.5))  # builds and caches the symbols
-        transform_counts.update(fftn=0, odd_extension=0)
+        transform_counts.update(fftn=0, odd_fftn=0, odd_extension=0)
         record = measure(f, 0.0, 1.0, 1e-3, (0.25, 0.5), (0.25, 0.5))
-        assert transform_counts == {"fftn": 1, "odd_extension": 1}
+        assert transform_counts == {"fftn": 0, "odd_fftn": 1, "odd_extension": 1}
         assert record.gagliardo_norms == {s: hs_gagliardo_norm(f, s) for s in (0.25, 0.5)}
 
     def test_norms_command_takes_one_spectrum(self, transform_counts, tmp_path, capsys):
@@ -254,9 +298,9 @@ class TestTransformCounts:
         argv = ["norms", "--snapshot", str(path), "--s", "0.25,0.5", "--lambda", "1",
                 "--eps", "0.01"]
         assert main(argv) == 0  # builds and caches the symbols
-        transform_counts.update(fftn=0, odd_extension=0)
+        transform_counts.update(fftn=0, odd_fftn=0, odd_extension=0)
         assert main(argv) == 0
-        assert transform_counts == {"fftn": 1, "odd_extension": 1}
+        assert transform_counts == {"fftn": 0, "odd_fftn": 1, "odd_extension": 1}
         assert capsys.readouterr().out.count("gagliardo") == 4
 
     def test_a_record_restricts_extends_and_transforms_once_per_run(self, monkeypatch):
@@ -264,19 +308,24 @@ class TestTransformCounts:
         cfg = SimConfig(lam=1.0, eps=1e-3, dt=1e-3, t_final=0.02, geometry=f.geometry,
                         record_every=2, hs_values=(0.25, 0.5))
         evolve(f, cfg)  # builds and caches the symbol and the weights
-        counts = count_calls(monkeypatch, "odd_extension", "restrict_to_half")
+        counts = count_calls(monkeypatch, "odd_extension", "restrict_to_half",
+                             "_antisymmetry_fault")
         n = len(evolve(f, cfg).records)
         assert n == 11
-        # the datum is extended once per march; then each record restricts the
-        # running state and extends the half for its one FFT
-        assert counts == {"fftn": n, "odd_extension": n + 1, "restrict_to_half": n}
-        counts.update(fftn=0, odd_extension=0, restrict_to_half=0)
+        # the datum is extended once per march; then each sample checks the
+        # running state's antisymmetry once and copies its half, and each
+        # record extends that half for its one half spectrum
+        assert counts == {"fftn": 0, "odd_fftn": n, "odd_extension": n + 1,
+                          "restrict_to_half": 0, "_antisymmetry_fault": n}
+        counts.update(odd_fftn=0, odd_extension=0, _antisymmetry_fault=0)
+        # a batch of two runs is still checked once per sample
         assert len(list(march([f, f], cfg, cfg.record_steps))) == n
-        assert counts == {"fftn": 0, "odd_extension": 2, "restrict_to_half": 2 * n}
+        assert counts == {"fftn": 0, "odd_fftn": 0, "odd_extension": 2,
+                          "restrict_to_half": 0, "_antisymmetry_fault": n}
 
     def test_records_build_no_geometry(self, monkeypatch):
-        """The doubled and half geometries are built once per parent geometry,
-        not once per record."""
+        """The doubled geometry is built once per parent geometry, not once per
+        record; a sample, cut from the doubled state, builds no half geometry."""
         f = slab_field()
         cfg = SimConfig(lam=1.0, eps=1e-3, dt=1e-3, t_final=0.02, geometry=f.geometry,
                         hs_values=(0.25, 0.5))
@@ -291,7 +340,7 @@ class TestTransformCounts:
 
         monkeypatch.setattr(GridGeometry, "__post_init__", counted)
         assert len(evolve(f, cfg).records) == 21
-        assert built == [f.geometry.transform_grid(), f.geometry]
+        assert built == [f.geometry.transform_grid()]
         built.clear()
         evolve(f, cfg)
         assert built == []
@@ -312,9 +361,9 @@ class TestTransformCounts:
     def test_one_extension_and_one_fft_per_gagliardo_norm(self, transform_counts):
         f = slab_field()
         hs_gagliardo_norm(f, 0.5)  # builds and caches the symbol
-        transform_counts.update(fftn=0, odd_extension=0)
+        transform_counts.update(fftn=0, odd_fftn=0, odd_extension=0)
         hs_gagliardo_norm(f, 0.5)
-        assert transform_counts == {"fftn": 1, "odd_extension": 1}
+        assert transform_counts == {"fftn": 0, "odd_fftn": 1, "odd_extension": 1}
 
 
 def gagliardo_brute_force(field, s):

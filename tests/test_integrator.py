@@ -358,8 +358,9 @@ class TestHalfAnglePhase:
 class TestFiniteCheck:
     """The state a step leaves is checked before the next rotation or the
     next sample, whichever comes first: through the max of the rotation's
-    |u| on periodic grids, the sum of the state on Dirichlet grids, and in
-    full at every sample. Either way the error names the step that went
+    |u| on periodic grids, the sum of the state on Dirichlet grids and at
+    every sample, and in full only where that reduction is not finite. Either
+    way the error names the step that went
     non-finite and the run's largest finite |u| after it. The steps hold
     numpy's overflow and invalid warnings, so these tests need no warning
     filter under the suite's warnings-as-errors."""
@@ -418,6 +419,53 @@ class TestFiniteCheck:
         assert (info.value.step, info.value.run) == (2, 0)
         assert calls == [1, 2]
 
+    @pytest.mark.parametrize("geometry", ["torus", "interval"])
+    def test_an_overflow_of_the_closing_rotation_names_its_step(self, geometry, monkeypatch):
+        # step 1 leaves finite samples whose modulus overflows (on the interval,
+        # an odd state); Strang's closing half-rotation of the sample turns them
+        # nan, which the check of the rotated sample reports as step 1
+        geom = {"torus": torus(), "interval": interval()}[geometry]
+        big = 1.3e308 + 1.3e308j
+
+        def propagate(state, symbol):
+            state[...] = big
+            if geom.is_dirichlet:
+                n = geom.points[-1]
+                state[..., 0] = state[..., n] = 0.0
+                state[..., n + 1 :] = -big
+
+        monkeypatch.setattr(integrator, "propagate", propagate)
+        datum = make_datum(DatumSpec(kind="gaussian_bump", width=0.1), geom)
+        with pytest.raises(IntegrationError, match=r"^non-finite sample at step 1 \(t=0.01\) "
+                                                   r"in run 0 of 1; ") as info:
+            list(march([datum], config(geom), [1]))
+        assert (info.value.step, info.value.time, info.value.run) == (1, 0.01, 0)
+
+    def test_a_sample_that_is_not_odd_names_its_step_and_run(self, monkeypatch):
+        # an even perturbation of run 1 alone, in the state step 3 leaves
+        geom = interval()
+        n = geom.points[-1]
+        calls = []
+
+        def propagate(state, symbol):
+            integrator_propagate(state, symbol)
+            calls.append(len(calls) + 1)
+            if len(calls) == 3:
+                state[1, n - 5] += 1e-3
+                state[1, n + 5] += 1e-3
+
+        integrator_propagate = integrator.propagate
+        monkeypatch.setattr(integrator, "propagate", propagate)
+        datum = make_datum(DatumSpec(kind="gaussian_bump", width=0.1), geom)
+        sampled = []
+        with pytest.raises(IntegrationError, match=r"^sample at step 3 \(t=0.03\) in run 1 of 2 "
+                                                   r"is not antisymmetric in the last axis "
+                                                   r"\(residual 2.000e-03\)$") as info:
+            for t, _ in march([datum, datum], config(geom), range(11)):
+                sampled.append(t)
+        assert (info.value.step, info.value.time, info.value.run) == (3, 0.03, 1)
+        assert sampled == [0.0, 0.01, 0.02]
+
     def test_a_finite_state_whose_sum_overflows_does_not_raise(self, monkeypatch):
         # the transform of such a state overflows too, so the free flow is the
         # identity here: each interior sample keeps |u| = 1.4e307 and a phase
@@ -435,7 +483,9 @@ class TestFiniteCheck:
         data = np.full(geom.points, 1e307 + 1e307j)
         data[0] = 0.0
         [(_, [end])] = march([Field(geom, data)], config(geom, lam=1e-4), [10])
-        assert checked == list(range(1, 11))  # the full scan ran after every step, and passed
+        # the full scan ran after every step, and on the closing half-rotation's
+        # sample at step 10, and passed
+        assert checked == [*range(1, 11), 10]
         assert np.all(np.isfinite(end.data))
 
 
