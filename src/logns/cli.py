@@ -128,11 +128,17 @@ def _cmd_check_inequality(args) -> int:
     is uniform on the circle, so the relative phase is uniform, as it is for
     two independent uniform phases, and needs no cos or sin.
 
-    Pairs are drawn _DRAW at a time into two buffers allocated once, which
-    fixes the sample stream, and evaluated in blocks of _BLOCK pairs, which
-    bounds the memory of the kernels' temporaries. Every kernel is elementwise
-    and the reductions are a count and maxima, so the output does not depend
-    on the block size.
+    The moduli (r1, r2 and, unless eps_zero, eps1, eps2) are drawn _DRAW pairs
+    at a time, which fixes the sample stream, and evaluated in blocks of
+    _BLOCK pairs, which bounds the memory of the kernels' temporaries; w is
+    drawn per block, just before its block is evaluated. The generator keeps
+    no state between normal draws, so w is the stream of one draw per chunk.
+    Both buffers are allocated once. The kernels take the real z1 as it is and
+    the scalar eps = 0 of the eps_zero case as a scalar; the slack, the margin
+    and the ratio are formed in place, the slack's |z1 - z2| from z2's buffer
+    once the kernels have read it. Every kernel is elementwise and the
+    reductions are a count and maxima, so the output does not depend on the
+    block size.
     """
     n, seed = args.samples, args.seed
     if n < 1:
@@ -141,7 +147,7 @@ def _cmd_check_inequality(args) -> int:
         raise ValueError(f"--seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     moduli_buf = np.empty(4 * min(n, _DRAW))  # r1, r2 and, unless eps_zero, eps1, eps2
-    normal_buf = np.empty(2 * min(n, _DRAW))  # w, as complex pairs
+    normal_buf = np.empty(2 * min(n, _DRAW, _BLOCK))  # w of one block, as complex pairs
     non_finite = 0  # samples whose gap or bound is inf or nan: any one fails
     worst = -math.inf  # the largest gap - bound - slack over the finite samples
     ratio = 0.0  # the largest gap / (bound + slack): how close the bound came
@@ -156,22 +162,32 @@ def _cmd_check_inequality(args) -> int:
             moduli *= 2.0 * _LOG_SPAN
             moduli -= _LOG_SPAN
             np.exp(moduli, out=moduli)
-            w = rng.standard_normal(out=normal_buf[: 2 * chunk]).view(complex)
             for lo in range(0, chunk, _BLOCK):
                 block = slice(lo, lo + _BLOCK)
                 r1, r2 = moduli[0, block], moduli[1, block]
                 e1, e2 = (0.0, 0.0) if eps_zero else (moduli[2, block], moduli[3, block])
-                z2 = w[block]
+                z2 = rng.standard_normal(out=normal_buf[: 2 * r1.size]).view(complex)
                 z2 *= r2 / np.abs(z2)
                 gap = np.abs(nonlinearity.monotonicity_gap(r1, z2, e1, e2))
                 bound = nonlinearity.monotonicity_bound(r1, z2, e1, e2)
-                slack = 1e-12 * (1.0 + np.abs(r1 - z2) ** 2)
-                finite = np.isfinite(gap) & np.isfinite(bound)
+                # 1e-12 (1 + |z1 - z2|^2), formed in place: z2 is the block's own
+                # buffer, which becomes z2 - z1, of modulus |z1 - z2| bit for bit
+                z2.real -= r1
+                slack = np.abs(z2)
+                slack *= slack
+                slack += 1.0
+                slack *= 1e-12
+                finite = np.isfinite(gap)
+                finite &= np.isfinite(bound)
                 non_finite += r1.size - int(np.count_nonzero(finite))
-                worst = max(worst, float(np.max(gap - bound - slack, where=finite,
-                                                initial=-math.inf)))
-                ratio = max(ratio, float(np.max(gap / (bound + slack), where=finite,
-                                                initial=0.0)))
+                margin = gap - bound
+                margin -= slack
+                worst = max(worst, float(np.maximum.reduce(margin, axis=None, where=finite,
+                                                           initial=-math.inf)))
+                quotient = np.add(bound, slack, out=slack)
+                np.divide(gap, quotient, out=quotient)
+                ratio = max(ratio, float(np.maximum.reduce(quotient, axis=None, where=finite,
+                                                           initial=0.0)))
     passed = non_finite == 0 and worst <= 0.0
     print(f"samples per case : {n}")
     print(f"non-finite       : {non_finite} (gap or bound; 0 passes)")

@@ -65,8 +65,10 @@ def mass(field: Field) -> float:
 
 
 def squared_l2(geometry: GridGeometry, modulus: np.ndarray) -> float:
-    """Cell-volume-weighted sum of modulus^2: every squared L^2 norm of the package."""
-    return geometry.cell_volume * float(np.sum(modulus**2))
+    """Cell-volume-weighted sum of modulus^2: every squared L^2 norm of the package.
+    The sum is np.sum's (pairwise), called as the ufunc's reduce, without the
+    wrapper's cost on small grids."""
+    return geometry.cell_volume * float(np.add.reduce(modulus * modulus, axis=None))
 
 
 def _log_potential_density(r: np.ndarray, eps: float) -> np.ndarray:

@@ -212,11 +212,13 @@ def march(
                 coeff = 2.0 * lam * (dt / 2.0 if strang and i == 1 else dt)
                 # the state the previous step left is checked before the rotation
                 # touches it, in full only where one reduction is not finite: the
-                # max of |u| on periodic grids, the sum of the state on Dirichlet
+                # max of |u| on periodic grids (the ufunc's reduce, without
+                # ndarray.max's Python wrapper), the sum of the state on Dirichlet
                 # grids, whose |u| covers planes 0..n only
                 np.abs(planes, out=modulus)
                 if checked != i - 1 and not math.isfinite(
-                        float(state.view(float).sum()) if dirichlet else modulus.max()):
+                        float(state.view(float).sum()) if dirichlet
+                        else np.maximum.reduce(modulus, axis=None)):
                     _check_finite(state, i - 1, dt)
                 rotation_phase(modulus, coeff, eps, phase, run_points, mask_zeros)
                 planes *= phase

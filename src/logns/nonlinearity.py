@@ -22,15 +22,21 @@ _LOG_RANGE = float(-np.log(np.finfo(float).smallest_subnormal))
 _HALF_ANGLE_MIN_POINTS = 1024
 
 
-def check_eps(eps) -> None:
+def check_eps(eps, other=None) -> None:
     """Raise ValueError unless eps, a number, a list or an array, is finite and
-    >= 0. An array is judged by its min and max, which carry any nan."""
-    if isinstance(eps, np.ndarray):
-        values = [eps.min(), eps.max()] if eps.size else []
-    else:
-        values = eps if isinstance(eps, list) else [eps]
-    if not all(0.0 <= e < math.inf for e in values):
-        raise ValueError(f"eps must be >= 0 and finite, got {eps}")
+    >= 0. An array is judged by its min and max, which carry any nan. With
+    `other`, an array, each of the two is judged alone, so nothing is joined
+    unless one fails; the message then names them joined, np.append(eps, other)."""
+    for e in (eps,) if other is None else (eps, other):
+        if isinstance(e, np.ndarray):
+            # at most one value is read as a float: a 0-d array's reductions
+            # and comparisons cost microseconds each
+            values = e.ravel().tolist() if e.size < 2 else [e.min(), e.max()]
+        else:
+            values = e if isinstance(e, list) else [e]
+        if not all(0.0 <= v < math.inf for v in values):
+            got = eps if other is None else np.append(eps, other)
+            raise ValueError(f"eps must be >= 0 and finite, got {got}")
 
 
 def rotation_phase(modulus, coeff, eps, phase, run_points, mask_zeros=True):
@@ -105,11 +111,16 @@ def monotonicity_gap(z1, z2, eps1=0.0, eps2=0.0):
       and imaginary parts, with no complex temporary;
     - where that factor is exactly 0, the gap is 0. This covers the origin
       (z_i = 0 with eps_i = 0), whose log is -inf: 0 * ln 0 = 0.
-    Scalar inputs give a scalar. Every eps must pass `check_eps`.
+    A real z1 is taken as it is, with y1 = 0 and |z1| a real abs: bitwise the
+    result for z1 + 0j, without the complex copy. When both eps are scalar
+    zeros their additions are skipped: adding 0 to a modulus (never -0) or to
+    |z1| - |z2| leaves its bits. Scalar inputs give a scalar. Every eps must
+    pass `check_eps`.
     """
     e1, e2 = np.asarray(eps1, dtype=float), np.asarray(eps2, dtype=float)
-    check_eps(np.append(e1, e2))
-    z1 = np.asarray(z1, dtype=complex)
+    check_eps(e1, e2)
+    no_eps = e1.ndim == e2.ndim == 0 and float(e1) == float(e2) == 0.0
+    z1 = _real_or_complex(z1)
     z2 = np.asarray(z2, dtype=complex)
     shape = np.broadcast_shapes(z1.shape, z2.shape, e1.shape, e2.shape)
     # 1-d so that the in-place and masked steps below also take scalars
@@ -118,15 +129,19 @@ def monotonicity_gap(z1, z2, eps1=0.0, eps2=0.0):
     # ln 0, 0/0 and a huge ratio leave inf or nan only where the factor is 0
     # or the far branch is taken
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a2 = r2 + e2
-        ldiff = np.log(r1 + e1) - np.log(a2)
-        x = (r1 - r2) + (e1 - e2)
+        if no_eps:
+            a1, a2, x = r1, r2, r1 - r2
+        else:
+            a1, a2, x = r1 + e1, r2 + e2, (r1 - r2) + (e1 - e2)
         x /= a2
+        # r1, r2 and their sums are this call's own arrays, free once x is formed
+        ldiff = np.log(a1, out=a1) - np.log(a2, out=a2)
         near = np.abs(x) < 0.5
         ldiff[near] = np.log1p(x[near])
-        im = z1.real - z2.real
+        x1, y1 = (z1.real, z1.imag) if np.iscomplexobj(z1) else (z1, 0.0)
+        im = x1 - z2.real
         im *= z2.imag
-        t = z1.imag - z2.imag
+        t = y1 - z2.imag
         t *= z2.real
         im -= t
         ldiff *= im
@@ -135,8 +150,22 @@ def monotonicity_gap(z1, z2, eps1=0.0, eps2=0.0):
 
 
 def monotonicity_bound(z1, z2, eps1=0.0, eps2=0.0):
-    """Right-hand side |z1-z2|^2 + |eps1-eps2| |z1-z2| of the gap inequality."""
+    """Right-hand side |z1-z2|^2 + |eps1-eps2| |z1-z2| of the gap inequality.
+
+    A real z1 is subtracted as it is (numpy casts it in the loop: bitwise
+    z1 + 0j), and the sum is formed in the eps term's array. At
+    |z1 - z2| = inf that term is 0 * inf, so the bound is nan.
+    """
     e1, e2 = np.asarray(eps1, dtype=float), np.asarray(eps2, dtype=float)
-    check_eps(np.append(e1, e2))
-    d = np.abs(np.asarray(z1, dtype=complex) - np.asarray(z2, dtype=complex))
-    return d * d + np.abs(e1 - e2) * d
+    check_eps(e1, e2)
+    d = np.abs(_real_or_complex(z1) - np.asarray(z2, dtype=complex))
+    bound = np.abs(e1 - e2) * d
+    d *= d
+    bound += d
+    return bound
+
+
+def _real_or_complex(z) -> np.ndarray:
+    """z as a float array, or as a complex one if it holds complex numbers."""
+    z = np.asarray(z)
+    return z.astype(complex if np.iscomplexobj(z) else float, copy=False)

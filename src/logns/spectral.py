@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
@@ -85,12 +84,28 @@ def free_symbol(geometry: GridGeometry, dt: float) -> np.ndarray:
     return symbol
 
 
-def _transform(a: np.ndarray, axes: Sequence[int], inverse: bool, out: np.ndarray) -> None:
-    """out <- fftn(a, axes=axes), or ifftn, bitwise: numpy's kernel, axis order
-    (reversed) and 1/n scale, one gufunc call per axis. `out` may be `a`."""
+@lru_cache(maxsize=32)
+def _plan(shape: tuple[int, ...], first: int, stop: int) -> tuple[tuple[int, float], ...]:
+    """fftn's 1-d transforms over axes first..stop-1 of an array of `shape`:
+    (axis, 1/n) per axis, in fftn's order (last axis first). Cached per shape
+    and axes, so a step looks its plan up by the state's shape; a tuple of
+    tuples, immutable like every cached value."""
+    return tuple((axis, 1.0 / shape[axis]) for axis in reversed(range(first, stop)))
+
+
+def _transform(a: np.ndarray, plan: tuple[tuple[int, float], ...], inverse: bool,
+               out: np.ndarray) -> None:
+    """out <- fftn(a) over the axes of `plan` (from `_plan`), or ifftn, bitwise:
+    numpy's kernel, axis order and 1/n scale, one gufunc call per axis. The
+    last axis is the gufunc's default core axis and needs no `axes` list.
+    `out` may be `a`."""
     kernel = _pocketfft.ifft if inverse else _pocketfft.fft
-    for axis in reversed(axes):
-        kernel(a, 1.0 / a.shape[axis] if inverse else 1.0, axes=[(axis,), (), (axis,)], out=out)
+    last = a.ndim - 1
+    for axis, scale in plan:
+        if axis == last:
+            kernel(a, scale if inverse else 1.0, out=out)
+        else:
+            kernel(a, scale if inverse else 1.0, axes=[(axis,), (), (axis,)], out=out)
         a = out
 
 
@@ -99,12 +114,14 @@ def propagate(state: np.ndarray, symbol: np.ndarray) -> None:
 
     One 1-d transform per axis in reversed order, as fftn does, each a direct
     pocketfft gufunc call, so a stack of fields gets bit for bit the result of
-    each field alone. No check; every transform writes into `state`.
+    each field alone. The axes and 1/n scales are planned once per state
+    shape (`_plan`), not per step. No check; every transform writes into
+    `state`.
     """
-    axes = range(state.ndim - symbol.ndim, state.ndim)
-    _transform(state, axes, False, state)
+    plan = _plan(state.shape, state.ndim - symbol.ndim, state.ndim)
+    _transform(state, plan, False, state)
     state *= symbol
-    _transform(state, axes, True, state)
+    _transform(state, plan, True, state)
 
 
 def free_propagator(field: Field, dt: float) -> Field:
@@ -126,8 +143,9 @@ def power_spectrum(field: Field) -> np.ndarray:
     is one field plus P.
     """
     require_periodic(field.geometry, "power_spectrum")
-    coeffs = np.empty_like(field.data)
-    _transform(field.data, range(field.data.ndim), False, coeffs)
+    data = field.data
+    coeffs = np.empty_like(data)
+    _transform(data, _plan(data.shape, 0, data.ndim), False, coeffs)
     return _power(coeffs, field.geometry)
 
 
@@ -144,9 +162,9 @@ def odd_power_spectrum(field: Field) -> np.ndarray:
     """
     require_periodic(field.geometry, "odd_power_spectrum")
     data = field.data
-    _transform(data, [data.ndim - 1], False, data)
+    _transform(data, _plan(data.shape, data.ndim - 1, data.ndim), False, data)
     kept = data[..., 1 : data.shape[-1] // 2]
-    _transform(kept, range(data.ndim - 1), False, kept)
+    _transform(kept, _plan(kept.shape, 0, data.ndim - 1), False, kept)
     return _power(kept, field.geometry)
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from logns import data
 from logns.data import DatumSpec, make_datum
 from logns.diagnostics import mass
 from logns.geometry import DomainKind, GridGeometry, odd_extension
@@ -170,8 +171,29 @@ class TestZeroDatum:
         (DatumSpec(kind="plane_wave", modes=(2,), amplitude=0.0), torus()),
     ])
     def test_is_rejected(self, spec, geom):
-        with pytest.raises(ValueError, match=f"^datum: {spec.kind} vanishes"):
+        with pytest.raises(ValueError, match=f"^datum: {spec.kind} vanishes on this "
+                           rf"{geom.kind.value} grid \(norm \S+ against a sample scale of "
+                           rf"\S+\)$"):
             make_datum(spec, geom)
+
+    @pytest.mark.parametrize("kind", ["complex", "complex strided", "real", "tiny", "zero"])
+    def test_norms_are_numpys_without_blas(self, kind, monkeypatch):
+        """The zero test's norms agree with np.linalg.norm to 1e-12, without
+        calling it: its BLAS dot on the strided real and imaginary views of a
+        complex datum cost several times the datum with the BLAS's threads."""
+        rng = np.random.default_rng(25)
+        a = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+        a = {"complex": a, "complex strided": a[:, ::3], "real": a.real.copy(),
+             "tiny": 1e-150 * a, "zero": 0.0 * a}[kind]
+        expected = np.linalg.norm(a)
+
+        def blas_norm(*args, **kwargs):
+            raise AssertionError("np.linalg.norm was called")
+
+        monkeypatch.setattr(np.linalg, "norm", blas_norm)
+        assert data._norm(a) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        make_datum(DatumSpec(kind="random_band_limited", cutoff=8.0),
+                   GridGeometry(DomainKind.TORUS, (1.0, 1.0), (64, 64)))
 
     def test_small_nonzero_datum_is_kept(self):
         f = make_datum(DatumSpec(kind="gaussian_bump", amplitude=1e-100), torus())

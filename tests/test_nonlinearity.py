@@ -291,3 +291,91 @@ class TestMonotonicityGap:
     def test_empty_eps_arrays_have_nothing_to_reject(self, kernel):
         empty = np.zeros(0)
         assert kernel(empty, empty, empty, 0.0).shape == (0,)
+
+
+class TestRealFirstArgument:
+    """A real z1 skips the complex copy of the kernels' first argument; the gap
+    and the bound keep the bits of the kernels called with z1 + 0j, non-finite
+    results included."""
+
+    # 0, -0, subnormals, inf and nan, a negative real, and moduli 1e-15 to 1e15
+    SPECIAL = [0.0, -0.0, 5e-324, 2.2e-308, 1e-310, math.inf, -math.inf, math.nan, -2.5,
+               1e308, 1.0]
+
+    @staticmethod
+    def pairs(n, seed):
+        rng = np.random.default_rng(seed)
+        r = np.exp(rng.uniform(-34.5, 34.5, n))
+        r[: len(TestRealFirstArgument.SPECIAL)] = TestRealFirstArgument.SPECIAL
+        z2 = np.exp(rng.uniform(-34.5, 34.5, n)) * np.exp(2j * np.pi * rng.random(n))
+        z2[20:30] = [0.0, 1.0, -1.0, 1j, 5e-324, 1e308 + 1e308j, math.inf,
+                     complex(math.inf, 1.0), complex(1.0, math.nan), math.nan]
+        e1, e2 = np.exp(rng.uniform(-34.5, 34.5, (2, n)))
+        return r, z2, e1, e2
+
+    @staticmethod
+    def assert_same_bits(got, expected):
+        assert type(got) is type(expected)
+        got, expected = np.asarray(got), np.asarray(expected)
+        assert got.shape == expected.shape and got.dtype == expected.dtype == float
+        assert np.array_equal(got.reshape(-1).view(np.uint64),
+                              expected.reshape(-1).view(np.uint64))
+
+    @pytest.mark.parametrize("kernel", [nl.monotonicity_gap, nl.monotonicity_bound])
+    @pytest.mark.parametrize("eps", ["arrays", "scalar zero", "equal arrays", "zero arrays"])
+    def test_gives_the_bits_of_the_complex_path(self, kernel, eps):
+        r, z2, e1, e2 = self.pairs(4096, seed=23)
+        if eps == "scalar zero":
+            e1 = e2 = 0.0
+        elif eps == "equal arrays":
+            e2 = e1
+        elif eps == "zero arrays":
+            e1 = e2 = np.zeros_like(r)
+        with np.errstate(all="ignore"):
+            got, expected = kernel(r, z2, e1, e2), kernel(r + 0j, z2, e1, e2)
+        self.assert_same_bits(got, expected)
+        # the specials reach the result: inf and nan where the complex path has them
+        assert not np.all(np.isfinite(expected))
+
+    def test_an_infinite_distance_keeps_the_nan_bound(self):
+        # 0 * inf in the eps term, as in the literal expression
+        for z1 in (math.inf, complex(math.inf, 0.0)):
+            with np.errstate(invalid="ignore"):
+                assert math.isnan(nl.monotonicity_bound(z1, 1j))
+                assert math.isnan(nl.monotonicity_bound(np.array([z1]), 1j, 0.0, 0.0)[0])
+
+    @pytest.mark.parametrize("kernel", [nl.monotonicity_gap, nl.monotonicity_bound])
+    @pytest.mark.parametrize("eps", ["arrays", "scalar zero"])
+    def test_broadcasts_as_the_complex_path(self, kernel, eps):
+        rng = np.random.default_rng(24)
+        r = rng.standard_normal((3, 1))
+        z2 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        e1, e2 = (rng.random((2, 1, 1)), 0.25) if eps == "arrays" else (0.0, 0.0)
+        got, expected = kernel(r, z2, e1, e2), kernel(r + 0j, z2, e1, e2)
+        assert got.shape == ((2, 3, 4) if eps == "arrays" else (3, 4))
+        self.assert_same_bits(got, expected)
+
+    @pytest.mark.parametrize("kernel", [nl.monotonicity_gap, nl.monotonicity_bound])
+    def test_scalars_stay_scalars(self, kernel):
+        for args in ((2.0, 1j), (0.5, 3.0 - 1j, 0.1, 0.2), (-1.0, 1.0, 0.0, 0.0)):
+            got, expected = kernel(*args), kernel(args[0] + 0j, *args[1:])
+            assert np.ndim(got) == 0 and not isinstance(got, np.ndarray)
+            self.assert_same_bits(got, expected)
+
+    def test_the_origin_gives_zero_without_warnings(self):
+        with np.errstate(all="raise"):
+            for z1, z2, eps in ((0.0, 2.0 + 1j, ()), (0.0, 0.0, ()),
+                                (0.0, 1e300, (0.0, 1e-300)),
+                                (np.array([0.0, -0.0, 3.0]), np.array([1.0, 0.0, 0.0]), ())):
+                gap = nl.monotonicity_gap(z1, z2, *eps)
+                self.assert_same_bits(gap, nl.monotonicity_gap(np.asarray(z1) + 0j, z2, *eps))
+                assert np.all(gap == 0.0)
+
+    @pytest.mark.parametrize("kernel", [nl.monotonicity_gap, nl.monotonicity_bound])
+    def test_a_rejected_eps_is_named_joined(self, kernel):
+        """Each eps is judged alone; the message shows the two joined, as
+        np.append gives them."""
+        e1, e2 = np.array([0.1, 0.2]), -1.0
+        with pytest.raises(ValueError) as info:
+            kernel(1.0, 2j, e1, e2)
+        assert str(info.value) == f"eps must be >= 0 and finite, got {np.append(e1, e2)}"

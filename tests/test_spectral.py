@@ -69,22 +69,30 @@ class TestFrequencyGrids:
         np.testing.assert_allclose(a, [0, 1, 2, 3, 4, 3, 2, 1])
 
     # the arguments of every lru_cache'd function of spectral and diagnostics
+    # that returns an array, and of the one that does not: the transform plan
     CACHED = {
         "squared_frequency": (), "mode_radius": (), "free_symbol": (1e-3,),
         "bessel_weight": (0.5,), "_gagliardo_symbol": (0.5,),
     }
+    PLAN = "_plan"
 
     def test_every_cached_array_is_read_only(self):
         # a caller writing into a cached grid would corrupt every later user
         geom = torus(16)
         cached = {name: f for module in (spectral, diagnostics)
                   for name, f in vars(module).items() if hasattr(f, "cache_info")}
-        assert set(cached) == set(self.CACHED)
+        assert set(cached) == {*self.CACHED, self.PLAN}
         for name, args in self.CACHED.items():
             out = cached[name](geom, *args)
             assert not out.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
                 out *= 0
+        # the plan of a (3, 16, 64) state's last two axes: tuples of numbers all through
+        plan = cached[self.PLAN]((3, 16, 64), 1, 3)
+        assert plan == ((2, 1 / 64), (1, 1 / 16))
+        assert type(plan) is tuple and all(
+            type(entry) is tuple and all(type(v) in (int, float) for v in entry)
+            for entry in plan)
 
     @pytest.mark.parametrize("geom", [
         torus(64),
@@ -179,6 +187,28 @@ class TestFreePropagator:
         propagate(data, free_symbol(geom, 1e-3))
         assert np.array_equal(data.view(np.uint64), literal.view(np.uint64))
 
+    def test_each_shape_gets_its_own_plan(self):
+        """The step's axes and 1/n scales are planned once per state shape.
+        Shapes alternate in one process, twice round, among them two 2-d grids
+        of different sides and a batch beside its single field, so a plan used
+        for a shape it was not made for breaks the bits of the literal pair."""
+        slab = GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 1.0), (64, 64)).transform_grid()
+        cases = [
+            (torus(64), ()), (torus(64), (3,)),
+            (GridGeometry(DomainKind.TORUS, (1.0, 1.0), (256, 256)), (1,)),
+            (GridGeometry(DomainKind.TORUS, (1.0,) * 3, (16,) * 3), ()),
+            (slab, (1,)),
+        ]
+        rng = np.random.default_rng(21)
+        for geom, batch in [*cases, *cases[::-1]]:
+            shape = (*batch, *geom.points)
+            data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            axes = tuple(range(len(batch), data.ndim))
+            symbol = free_symbol(geom, 1e-3)
+            literal = np.fft.ifftn(np.fft.fftn(data, axes=axes) * symbol, axes=axes)
+            propagate(data, symbol)
+            assert np.array_equal(data.view(np.uint64), literal.view(np.uint64)), shape
+
 
 class TestDirectTransforms:
     """The step and record transforms call numpy's pocketfft gufuncs, not the
@@ -190,13 +220,14 @@ class TestDirectTransforms:
     def test_transform_is_bitwise_numpys(self, shape, inverse):
         rng = np.random.default_rng(18)
         data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        for axis in range(data.ndim):
+        for axis in range(data.ndim):  # the last axis without an `axes` list, the others with
             literal = (np.fft.ifft if inverse else np.fft.fft)(data, axis=axis)
+            plan = spectral._plan(shape, axis, axis + 1)
             out = np.empty_like(data)
-            spectral._transform(data, (axis,), inverse, out)
+            spectral._transform(data, plan, inverse, out)
             assert np.array_equal(out.view(np.uint64), literal.view(np.uint64))
             in_place = data.copy()
-            spectral._transform(in_place, (axis,), inverse, in_place)
+            spectral._transform(in_place, plan, inverse, in_place)
             assert np.array_equal(in_place.view(np.uint64), literal.view(np.uint64))
 
     @pytest.mark.parametrize("geom", [
