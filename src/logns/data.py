@@ -25,6 +25,17 @@ _ZERO_NORM_RATIO = 1e-13
 
 _AMPLITUDE = Key(False, complex_number())
 _SEED = Key(False, integer(lo=0))
+
+
+def _width(v) -> float:
+    """A Gaussian width w > 0 whose variance 2 w^2 is a positive finite float,
+    so the bump's exponent -r^2 / (2 w^2) has a finite, nonzero scale."""
+    w = number(lo=0.0, open_lo=True)(v)
+    if not 0.0 < 2.0 * w * w < math.inf:
+        raise ValueError(f"2 width^2 is out of the float range, got {w!r}")
+    return w
+
+
 # the keys of a config's datum section, which build a DatumSpec: datum kind ->
 # its keys other than `kind`
 DATUM_KEYS = {
@@ -32,7 +43,7 @@ DATUM_KEYS = {
     "gaussian_bump": {
         "amplitude": _AMPLITUDE,
         "center": Key(False, list_of(number())),
-        "width": Key(False, number(lo=0.0, open_lo=True)),
+        "width": Key(False, _width),
     },
     "random_band_limited": {"cutoff": Key(True, number(lo=0.0)), "seed": _SEED},
     "random_rough": {"target_s": Key(True, number(lo=0.0, open_lo=True)), "seed": _SEED},
@@ -74,20 +85,37 @@ def grid_errors(kind: str, fields: dict, dirichlet: bool, dim: int | None) -> li
 
 
 def check_nonzero(data: np.ndarray, samples: np.ndarray, what: str, scale_name: str) -> None:
-    """Raise ValueError "<what> (norm ...)" if `data` is zero to roundoff against `samples`."""
-    norm, scale = _norm(data), _norm(samples)
+    """Raise ValueError "<what> (norm ...)" if `data` is zero to roundoff against `samples`.
+
+    Both norms are taken of the arrays' real and imaginary parts scaled by
+    2^-e, with 2^e the power of two just above the largest of them, so no
+    square overflows; the scaling is exact, so the test is that of the
+    unscaled norms."""
+    parts = [_parts(a) for a in (data, samples)]
+    _, e = math.frexp(max(max(float(np.maximum.reduce(p, axis=None, initial=0.0)),
+                              -float(np.minimum.reduce(p, axis=None, initial=0.0)))
+                          for p in parts))
+    norm, scale = (_norm(p, e) for p in parts)
     if norm <= _ZERO_NORM_RATIO * scale:
+        with np.errstate(over="ignore"):  # a scale above the float range prints as inf
+            norm, scale = (float(np.ldexp(v, e)) for v in (norm, scale))
         raise ValueError(f"{what} (norm {norm:.3g} against {scale_name} of {scale:.3g})")
 
 
-def _norm(a: np.ndarray) -> float:
-    """sqrt(sum |a_j|^2) by numpy's pairwise sum: np.linalg.norm to roundoff,
-    without its BLAS dot, which on a complex array runs on the strided real and
-    imaginary views and, with the BLAS's default threads, costs several times
-    the whole datum."""
-    modulus = np.abs(a)
-    modulus *= modulus
-    return math.sqrt(float(np.add.reduce(modulus, axis=None)))
+def _parts(a: np.ndarray) -> np.ndarray:
+    """The real and imaginary parts of `a` as one float array, a view of a
+    C-contiguous complex array: unlike |a|, no part overflows."""
+    return np.ascontiguousarray(a, dtype=complex).view(float)
+
+
+def _norm(parts: np.ndarray, e: int) -> float:
+    """sqrt(sum_j (p_j 2^-e)^2) over an array's `parts`, by numpy's pairwise
+    sum: np.linalg.norm 2^-e to roundoff, without its BLAS dot, which on a
+    complex array runs on the strided real and imaginary views and, with the
+    BLAS's default threads, costs several times the whole datum."""
+    scaled = np.ldexp(parts, -e)
+    scaled *= scaled
+    return math.sqrt(float(np.add.reduce(scaled, axis=None)))
 
 
 def _plane_wave(spec: DatumSpec, geom: GridGeometry) -> np.ndarray:
@@ -108,7 +136,7 @@ def _gaussian_bump(spec: DatumSpec, geom: GridGeometry) -> np.ndarray:
             (x - c + (k - 2) * l) ** 2
             for x, c, l, k in zip(grids, center, geom.lengths, image)
         )
-        total = total + np.exp(-r2 / (2.0 * spec.width**2))
+        total = total + np.exp(-r2 / (2.0 * spec.width * spec.width))  # as `_width` checks it
     return spec.amplitude * total
 
 
@@ -140,7 +168,7 @@ def make_datum(spec: DatumSpec, geometry: GridGeometry) -> Field:
     Dirichlet grids via odd antisymmetrization on the doubled box. A Gaussian's
     default center is the middle of `geometry`, not of the doubled box, whose
     middle is a node of every odd extension. Raises ValueError on a datum that
-    is zero to roundoff.
+    is zero to roundoff or has a sample that is not finite.
     """
     errors = grid_errors(spec.kind, vars(spec), geometry.is_dirichlet, geometry.dim)
     if errors:
@@ -148,10 +176,17 @@ def make_datum(spec: DatumSpec, geometry: GridGeometry) -> Field:
     if spec.kind == "gaussian_bump" and spec.center is None:
         spec = replace(spec, center=tuple(l / 2 for l in geometry.lengths))
     grid = geometry.transform_grid()
-    samples = data = _generate(spec, grid)
-    if geometry.is_dirichlet:
-        m = grid.points[-1]
-        data = 0.5 * (samples - samples[..., (-np.arange(m)) % m])
+    # an overflow of a generator or of the antisymmetrization surfaces as the
+    # non-finite datum it makes; an overflowing exponent, as in a Gaussian's far
+    # tail, gives exp(-inf) = 0, a finite sample
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = data = _generate(spec, grid)
+        if geometry.is_dirichlet:
+            m = grid.points[-1]
+            data = 0.5 * (samples - samples[..., (-np.arange(m)) % m])
+    if not np.isfinite(data).all():
+        raise ValueError(f"datum: {spec.kind} overflows on this {geometry.kind.value} grid "
+                         "(a sample is not finite)")
     check_nonzero(data, samples, f"datum: {spec.kind} vanishes on this {geometry.kind.value} "
                   "grid", "a sample scale")
     field = Field(grid, data)

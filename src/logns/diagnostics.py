@@ -6,8 +6,11 @@ weighted sums of P, so a record with any number of either norm costs one FFT.
 A Dirichlet field is odd-extended to the doubled periodic box, and the
 extension is transformed in place over the non-redundant half of its modes
 (`spectral.odd_power_spectrum`): every weighted sum is read off that half,
-counted twice. A record whose mass, energy or a norm overflows or turns nan
-raises `NonFiniteRecordError` instead of numpy's warnings.
+counted twice. A record takes every spectral sum first and releases the
+spectrum before it forms |u|; the mass and the log potential are then three
+sums over r = |u| and q = r r (`_modulus_sums`). A record whose mass, energy
+or a norm overflows or turns nan raises `NonFiniteRecordError` instead of
+numpy's warnings.
 Dirichlet H^s norms cover the doubled box (hs_norm(f, 0)^2 == 2 mass(f)); the
 kinetic energy is halved; mass and the potential are sums over the half grid.
 """
@@ -71,45 +74,51 @@ def squared_l2(geometry: GridGeometry, modulus: np.ndarray) -> float:
     return geometry.cell_volume * float(np.add.reduce(modulus * modulus, axis=None))
 
 
-def _log_potential_density(r: np.ndarray, eps: float) -> np.ndarray:
-    """F(r) = integral_0^r 2 s ln(s + eps) ds in closed form.
-
-    At eps = 0 this is r^2 ln r - r^2 / 2, so -2 lam F(|u|) reduces to the
-    unregularized potential -lam |u|^2 (ln |u|^2 - 1).
-    """
-    # (r r - eps eps) ln(r + eps) - 0.5 r r + eps r + eps eps ln(eps) through
-    # two buffers, term by term in the expression's order, so the result is
-    # bitwise that of evaluating it with temporaries. At eps = 0 the log is
-    # masked where r = 0, so 0 ln 0 = 0, and the vanishing eps terms, whose
-    # ln(eps) would raise, are skipped
-    out = np.multiply(r, r)
-    out -= eps * eps
-    tmp = np.add(r, eps)
-    np.log(tmp, out=tmp, where=True if eps else tmp > 0.0)
-    out *= tmp
-    np.multiply(0.5, r, out=tmp)
-    tmp *= r
-    out -= tmp
-    if eps:
-        np.multiply(eps, r, out=tmp)
-        out += tmp
-        out += eps * eps * math.log(eps)
-    return out
-
-
 def _spectrum(field: Field) -> tuple[GridGeometry, Callable[[np.ndarray], float]]:
     """(G, total): G the periodic grid of the field's transform, total(w) the
     sum_n w(n) P(n) over G's modes for a weight w on G. A Dirichlet field's P
     is kept on the half 1 <= n_d <= N/2 - 1 of the doubled box, which stands
-    for the whole twice; its sums share one product buffer."""
-    if not field.geometry.is_dirichlet:
-        power = power_spectrum(field)
-        return field.geometry, lambda weight: float(np.sum(weight * power))
-    extension = odd_extension(field)
-    power = odd_power_spectrum(extension)
-    kept, product = slice(1, field.geometry.points[-1]), np.empty_like(power)
-    return extension.geometry, lambda weight: 2.0 * float(
+    for the whole twice. The sums share one product buffer; the closure holds
+    P and that buffer, and dropping it releases both."""
+    if field.geometry.is_dirichlet:
+        extension = odd_extension(field)
+        geometry, power = extension.geometry, odd_power_spectrum(extension)
+        kept, count = slice(1, field.geometry.points[-1]), 2.0
+    else:
+        geometry, power = field.geometry, power_spectrum(field)
+        kept, count = slice(None), 1.0
+    product = np.empty_like(power)
+    return geometry, lambda weight: count * float(
         np.multiply(weight[..., kept], power, out=product).sum())
+
+
+def _modulus_sums(field: Field, eps: float) -> tuple[float, float]:
+    """(mass, potential) of a field: cell sum r^2 and cell sum F(r), r = |u|, with
+    F(r) = integral_0^r 2 s ln(s + eps) ds
+         = (r^2 - eps^2) ln(r + eps) - r^2 / 2 + eps r + eps^2 ln(eps).
+
+    With q = r r, the potential is cell [sum (q - eps^2) ln(r + eps) - sum q / 2
+    + eps sum r + N eps^2 ln(eps)]: six passes and three sums, of which sum q
+    is also the mass (bitwise `squared_l2` of r). q - eps^2 is formed in place
+    on q and the log in place on r, once sum r is taken. At eps = 0 the log is
+    masked where r = 0, so 0 ln 0 = 0, and the eps terms, whose ln(eps) would
+    raise, are dropped: -2 lam F(|u|) is then the unregularized
+    -lam |u|^2 (ln |u|^2 - 1).
+    """
+    r = np.abs(field.data)
+    q = np.multiply(r, r)
+    squares = float(np.add.reduce(q, axis=None))
+    if eps:
+        moduli = float(np.add.reduce(r, axis=None))
+        q -= eps * eps
+        r += eps
+    np.log(r, out=r, where=True if eps else r > 0.0)
+    q *= r
+    potential = float(np.add.reduce(q, axis=None)) - 0.5 * squares
+    if eps:
+        potential = potential + eps * moduli + r.size * (eps * eps * math.log(eps))
+    cell = field.geometry.cell_volume
+    return cell * squares, cell * potential
 
 
 def energy(field: Field, lam: float, eps: float = 0.0) -> float:
@@ -129,21 +138,23 @@ def measure(
     each s in hs_values and hs_gagliardo_norm(field, s) for each s in
     gagliardo_values, from one spectrum (`_spectrum`).
 
-    Raises NonFiniteRecordError, and no numpy warning, when any of them
-    overflows or is nan."""
+    The spectral sums (the kinetic energy and every norm) are taken first and
+    the spectrum is released before |u| is formed, so the two phases never
+    hold their arrays at once; the mass and the potential follow from
+    `_modulus_sums`. Raises NonFiniteRecordError, and no numpy warning, when
+    any of them overflows or is nan."""
     check_eps(eps)
     with np.errstate(over="ignore", invalid="ignore"):
         geometry, total = _spectrum(field)
         kinetic = 4.0 * math.pi**2 * total(squared_frequency(geometry))
         if field.geometry.is_dirichlet:
             kinetic /= 2.0  # the extension's integral covers the domain twice
-        modulus = np.abs(field.data)
-        density = _log_potential_density(modulus, eps)
-        potential = field.geometry.cell_volume * float(np.sum(density))
-        record = DiagnosticsRecord(
-            t, squared_l2(field.geometry, modulus), kinetic - 2.0 * lam * potential,
-            {s: _hs_norm(geometry, total, s) for s in hs_values},
-            {s: _gagliardo_norm(geometry, total, s) for s in gagliardo_values})
+        hs_norms = {s: _hs_norm(geometry, total, s) for s in hs_values}
+        gagliardo_norms = {s: _gagliardo_norm(geometry, total, s) for s in gagliardo_values}
+        del total  # releases the spectrum before |u| is formed
+        field_mass, potential = _modulus_sums(field, eps)
+        record = DiagnosticsRecord(t, field_mass, kinetic - 2.0 * lam * potential,
+                                   hs_norms, gagliardo_norms)
     bad = [f"{name} {v:g}" for name, v in (
         ("mass", record.mass), ("energy", record.energy),
         *((f"H^{s:g}", v) for s, v in record.hs_norms.items()),

@@ -71,6 +71,15 @@ class GridGeometry:
         for l in self.lengths:
             if not l > 0:
                 raise GeometryError(f"lengths must be positive finite, got {l}")
+        # the scales of the transforms, on the doubled box of a Dirichlet grid
+        # (the same cell and highest mode, twice the last length), in Python
+        # floats, which overflow to inf and underflow to 0 quietly
+        box = (*self.lengths[:-1], 2.0 * self.lengths[-1]) if self.is_dirichlet else self.lengths
+        if not (self.cell_volume > 0.0 and math.prod(box) < math.inf
+                and self.top_symbol_rate < math.inf):
+            raise GeometryError(
+                f"lengths {list(self.lengths)} put the cell volume, the volume or "
+                "4 pi^2 |n/L|^2 at the highest mode out of the float range")
         if self.kind is DomainKind.TORUS and any(l != 1.0 for l in self.lengths):
             raise GeometryError("torus geometry requires unit side lengths")
         if self.kind is DomainKind.DIRICHLET_INTERVAL and self.dim != 1:
@@ -93,6 +102,13 @@ class GridGeometry:
     @property
     def volume(self) -> float:
         return math.prod(self.lengths)
+
+    @property
+    def top_symbol_rate(self) -> float:
+        """4 pi^2 |n/L|^2 at the highest mode, n = -N/2 on every axis: the
+        largest rate of the free symbol's phase, as `spectral` forms it."""
+        return 4.0 * math.pi**2 * sum((n / 2 / l) * (n / 2 / l)
+                                      for n, l in zip(self.points, self.lengths))
 
     def axis_coordinates(self, axis: int) -> np.ndarray:
         """Sample positions x_j = j L / N along one axis."""

@@ -119,6 +119,9 @@ class SimConfig:
         check(self, SIM_KEYS)
         if self.dt == 0:
             raise ValueError(f"dt must be nonzero finite, got {self.dt}")
+        if not self.geometry.top_symbol_rate * abs(self.dt) < math.inf:
+            raise ValueError(f"dt {self.dt:g} overflows the free symbol's phase "
+                             "4 pi^2 |n/L|^2 dt at the grid's highest mode")
         if self.t_final == 0 or self.t_final * self.dt < 0:
             raise ValueError("t_final must be nonzero finite with the same sign as dt")
         if abs(self.dt) > abs(self.t_final):

@@ -171,11 +171,13 @@ def odd_power_spectrum(field: Field) -> np.ndarray:
 def _power(coeffs: np.ndarray, geometry: GridGeometry) -> np.ndarray:
     """V |c / size|^2 for unnormalised FFT coefficients c on `geometry`, in real
     arithmetic: every axis length is a power of two, so |c| * (1 / size) is
-    exactly |c / size|."""
+    exactly |c / size|. Scaling before squaring keeps |c| up to about
+    1e154 size finite; a unit volume, whose product is exact, is not applied."""
     power = np.abs(coeffs)
     power *= 1.0 / math.prod(geometry.points)
     power **= 2
-    power *= geometry.volume
+    if geometry.volume != 1.0:
+        power *= geometry.volume
     return power
 
 

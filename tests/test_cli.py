@@ -757,6 +757,139 @@ class TestNormsFuzz:
             assert out.getvalue() == ""
 
 
+# the numbers a config may hold: the ends of the float range, values whose
+# squares or products leave it, and the non-finite values json reads
+CONFIG_VALUES = [*EXTREME_VALUES, -1.0, 1e-300, 1e-200, 1e-150, 1e-12, 1e12, 1e150, 1e200,
+                 1e300]
+config_numbers = st.one_of(st.sampled_from(CONFIG_VALUES), moderate)
+
+
+@st.composite
+def simulate_configs(draw):
+    """A `logns simulate` config: a grid of any kind with 4 to 64 points per
+    axis and at most 4,096 in all, at most 20 steps, each number drawn from
+    CONFIG_VALUES or a moderate value, and now and then an unknown key."""
+    kind = draw(st.sampled_from(list(DomainKind)))
+    dim = 1 if kind is DomainKind.DIRICHLET_INTERVAL else draw(
+        st.integers(2 if kind is DomainKind.DIRICHLET_SLAB else 1, 3))
+    exponents, budget = [], 12
+    for axis in range(dim):
+        exponents.append(draw(st.integers(2, min(6, budget - 2 * (dim - 1 - axis)))))
+        budget -= exponents[-1]
+    geometry = {"kind": kind.value, "points": [2**e for e in exponents]}
+    if kind is not DomainKind.TORUS or draw(st.booleans()):
+        geometry["lengths"] = draw(st.lists(config_numbers, min_size=dim, max_size=dim))
+    dt = draw(config_numbers)
+    sim = {"lambda": draw(config_numbers), "eps": draw(config_numbers), "dt": dt,
+           "t_final": draw(st.integers(1, 20)) * dt}
+    for key, values in (("splitting", st.sampled_from(["lie", "strang"])),
+                        ("record_every", st.integers(1, 5)),
+                        ("snapshot_every", st.integers(1, 10)),
+                        ("hs_values", st.lists(config_numbers, max_size=3))):
+        if draw(st.booleans()):
+            sim[key] = draw(values)
+    datum = {"kind": draw(st.sampled_from(
+        ["plane_wave", "gaussian_bump", "random_band_limited", "random_rough"]))}
+    optional = {
+        "plane_wave": {"modes": st.lists(st.sampled_from([0, 1, -3, 10**6, 2**63]),
+                                         min_size=dim, max_size=dim)},
+        "gaussian_bump": {"width": config_numbers,
+                          "center": st.lists(config_numbers, min_size=dim, max_size=dim)},
+        "random_band_limited": {"cutoff": config_numbers, "seed": st.integers(0, 9)},
+        "random_rough": {"target_s": config_numbers, "seed": st.integers(0, 9)},
+    }[datum["kind"]]
+    if datum["kind"] in ("plane_wave", "gaussian_bump"):
+        optional["amplitude"] = st.one_of(config_numbers,
+                                          st.lists(config_numbers, min_size=2, max_size=2))
+    for key, values in optional.items():
+        if key in ("modes", "cutoff", "target_s") or draw(st.booleans()):
+            datum[key] = draw(values)
+    doc = {"geometry": geometry, "sim": sim, "datum": datum}
+    if draw(st.integers(0, 9)) == 0:
+        draw(st.sampled_from([doc, geometry, sim, datum]))["bogus"] = 1
+    return doc
+
+
+class TestSimulateFuzz:
+    @given(doc=simulate_configs())
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_exits_0_or_2_without_a_traceback(self, tmp_path_factory, doc):
+        """In process, under the suite's warnings-as-errors: a run ends with
+        its CSV written, or with exit 2 and error lines (and the line naming
+        what a failed run kept), never with a warning or an exception."""
+        work = tmp_path_factory.mktemp("fuzz")
+        (work / "config.json").write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["simulate", "--config", str(work / "config.json"),
+                         "--out-dir", str(work / "out")])
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+            assert out.getvalue().startswith("wrote ")
+        else:
+            assert code == 2
+            assert lines and lines[0].startswith(("error: ", "config error: "))
+            assert all(line.startswith(("error: ", "config error: ", "kept "))
+                       for line in lines), lines
+
+
+class TestOutOfRange:
+    """Configs whose numbers are finite but whose squares or products leave
+    the float range: each exits as below, with no warning (the suite turns
+    warnings into errors) and no traceback."""
+
+    SIM = {"lambda": 1.0, "eps": 0.001, "dt": 0.001, "t_final": 0.002}
+    CASES = {
+        # 2 width^2 is inf, or 0: the bump's exponent has no scale
+        "width 1e300": ({"kind": "torus", "points": [16]}, None,
+                        {"kind": "gaussian_bump", "width": 1e300}, 2,
+                        "config error: datum.width: 2 width^2 is out of the float range"),
+        "width 1e-300": ({"kind": "torus", "points": [16]}, None,
+                         {"kind": "gaussian_bump", "width": 1e-300}, 2,
+                         "config error: datum.width: 2 width^2 is out of the float range"),
+        # a finite datum whose mass overflows is not called vanishing
+        "amplitude 1e160": ({"kind": "torus", "points": [64]}, None,
+                            {"kind": "gaussian_bump", "amplitude": 1e160}, 2,
+                            "error: non-finite record at step 0 (t=0): mass inf"),
+        "amplitude max": ({"kind": "torus", "points": [64]}, None,
+                          {"kind": "gaussian_bump", "amplitude": 1.7976931348623157e308,
+                           "width": 0.3}, 2,
+                          "error: datum: gaussian_bump overflows on this torus grid"),
+        "interval 1e-200": ({"kind": "dirichlet_interval", "points": [64], "lengths": [1e-200]},
+                            None, {"kind": "gaussian_bump"}, 2,
+                            "config error: geometry: lengths [1e-200] put the cell volume"),
+        "box 1e200 x 1e200": ({"kind": "periodic_box", "points": [8, 8],
+                               "lengths": [1e200, 1e200]}, None,
+                              {"kind": "random_rough", "target_s": 0.5}, 2,
+                              "config error: geometry: lengths [1e+200, 1e+200] put"),
+        "dt 1e300": ({"kind": "periodic_box", "points": [16, 16], "lengths": [1e-150, 1.0]},
+                     {"dt": 1e300, "t_final": 2e300}, {"kind": "plane_wave", "modes": [1, 1]},
+                     2, "config error: sim: dt 1e+300 overflows the free symbol's phase"),
+        # the Gaussian's far images square to inf, and exp(-inf) = 0
+        "slab 1e200": ({"kind": "dirichlet_slab", "points": [16, 16], "lengths": [1.0, 1e200]},
+                       None, {"kind": "gaussian_bump"}, 0, None),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_exits_with_one_line(self, tmp_path, capsys, case):
+        geometry, sim, datum, code, first = self.CASES[case]
+        doc = {"geometry": geometry, "sim": {**self.SIM, **(sim or {})}, "datum": datum}
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        argv = ["simulate", "--config", str(tmp_path / "config.json"),
+                "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == code
+        lines = capsys.readouterr().err.splitlines()
+        if code == 0:
+            assert lines == []
+        else:
+            assert lines[0].startswith(first), lines
+            assert lines[1:] == ([] if lines[0].startswith(("config error: ", "error: datum"))
+                                 else [f"kept {tmp_path / 'out' / 'timeseries.csv'} "
+                                       "(0 records, 0 snapshots)"])
+
+
 class TestParserReuse:
     NORMS = ["norms", "--s", "0.25,1", "--lambda", "-1", "--eps", "0.01"]
 

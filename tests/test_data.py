@@ -191,7 +191,9 @@ class TestZeroDatum:
             raise AssertionError("np.linalg.norm was called")
 
         monkeypatch.setattr(np.linalg, "norm", blas_norm)
-        assert data._norm(a) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        for e in (0, 5):  # the norm of the parts scaled by 2^-e
+            assert data._norm(data._parts(a), e) == pytest.approx(
+                math.ldexp(expected, -e), rel=1e-12, abs=0.0)
         make_datum(DatumSpec(kind="random_band_limited", cutoff=8.0),
                    GridGeometry(DomainKind.TORUS, (1.0, 1.0), (64, 64)))
 

@@ -67,23 +67,61 @@ class TestEnergy:
         e = energy(constant_field(torus(), r), lam, eps)
         assert e == pytest.approx(-2.0 * lam * quad, rel=1e-8)
 
-    def test_unregularized_density_is_the_closed_form_with_exact_zeros(self):
+    # the record's potential against math.fsum of the closed form
+    # F(r) = (r^2 - eps^2) ln(r + eps) - r^2 / 2 + eps r + eps^2 ln(eps), per
+    # point in floats, within the roundoff bound derived in CHANGES.md
+
+    @staticmethod
+    def potential_error(r, eps):
+        """(record potential - cell fsum F(r_j), its bound (ceil(log2 N) + 20)
+        u cell M, M = sum_j (r_j^2 + eps^2)(|ln(r_j + eps)| + 1) + r_j^2 / 2
+        + eps r_j + eps^2 |ln eps|) for the field r + 0j on a torus."""
+        f = Field(torus(r.size), r + 0j)
+        _, potential = diagnostics._modulus_sums(f, eps)
+        cell = f.geometry.cell_volume
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log = np.log(r + eps)
+        log[r + eps == 0.0] = 0.0  # 0 ln 0 = 0 at eps = 0
+        tail = eps * eps * math.log(eps) if eps else 0.0
+        closed_form = (r * r - eps * eps) * log - 0.5 * r * r + eps * r + tail
+        magnitude = math.fsum((r * r + eps * eps) * (np.abs(log) + 1.0) + 0.5 * r * r + eps * r
+                              + abs(tail))
+        bound = (math.ceil(math.log2(r.size)) + 20) * 2.0**-53 * cell * magnitude
+        return potential - cell * math.fsum(closed_form), bound
+
+    def test_unregularized_potential_is_the_closed_form_with_exact_zeros(self):
         # at eps = 0 the masked log keeps 0 ln 0 = 0, with no warning
         r = np.abs(np.random.default_rng(5).standard_normal(4096)) * 3.0
         r[::7] = 0.0
         r[1] = math.exp(0.5)  # where r^2 ln r and r^2 / 2 cancel
-        got = diagnostics._log_potential_density(r, 0.0)
-        pos = r > 0.0
-        assert np.all(got[~pos] == 0.0)
-        closed_form = r[pos] * r[pos] * (np.log(r[pos]) - 0.5)
-        assert np.all(np.abs(got[pos] - closed_form) <= 4e-15 * r[pos] ** 2)
+        error, bound = self.potential_error(r, 0.0)
+        assert abs(error) <= bound, (error, bound)
+        # a zero sample adds exactly 0: one nonzero sample gives its own F
+        one = np.zeros(64)
+        one[5] = 2.5
+        _, potential = diagnostics._modulus_sums(Field(torus(64), one + 0j), 0.0)
+        log = float(np.log(np.full(64, 2.5))[5])  # numpy's log, as the record takes it
+        assert potential == (6.25 * log - 0.5 * 6.25) / 64
+
+    def test_potential_where_the_sums_cancel(self):
+        # r = e^(1/2) everywhere: F = 0, while sum q ln r and sum q / 2 are large
+        r = np.full(4096, math.exp(0.5))
+        error, bound = self.potential_error(r, 0.0)
+        assert abs(error) <= bound, (error, bound)
 
     @pytest.mark.parametrize("eps", [1e-3, 0.05, 2.0])
-    def test_potential_density_is_bitwise_the_closed_form(self, eps):
+    def test_regularized_potential_is_the_closed_form(self, eps):
         r = np.abs(np.random.default_rng(4).standard_normal(4096)) * 3.0
-        reference = (r * r - eps * eps) * np.log(r + eps) - 0.5 * r * r + eps * r \
-            + eps * eps * math.log(eps)
-        assert np.array_equal(diagnostics._log_potential_density(r, eps), reference)
+        error, bound = self.potential_error(r, eps)
+        assert abs(error) <= bound, (error, bound)
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-3])
+    def test_mass_is_bitwise_the_squared_l2_of_the_modulus(self, eps):
+        for f in (slab_field(), make_datum(DatumSpec(kind="random_rough", target_s=0.5, seed=2),
+                                           GridGeometry(DomainKind.PERIODIC_BOX, (1.0, 2.0),
+                                                        (16, 8)))):
+            expected = diagnostics.squared_l2(f.geometry, np.abs(f.data))
+            assert measure(f, 0.0, 1.0, eps, ()).mass == expected == mass(f)
 
     def test_plane_wave_kinetic_term(self):
         geom = torus()
@@ -196,13 +234,15 @@ class TestMeasure:
         with pytest.raises(ValueError, match="eps must be >= 0"):
             measure(slab_field(), 0.0, 1.0, eps, ())
 
-    def test_peaks_at_two_field_sizes(self, peak_traced_bytes):
-        # one complex FFT buffer, released before the power spectrum is squared
+    @pytest.mark.parametrize("eps", [1e-3, 0.0])
+    def test_peaks_at_one_and_a_half_field_sizes(self, peak_traced_bytes, eps):
+        # the FFT buffer and |c| (1.5 field sizes), then P and the product
+        # buffer (1), released before |u| and |u|^2 (1)
         geom = GridGeometry(DomainKind.TORUS, (1.0, 1.0), (256, 256))
         f = make_datum(DatumSpec(kind="random_band_limited", cutoff=32.0, seed=0), geom)
-        measure(f, 0.0, 1.0, 1e-3, (1.0,))  # builds the cached weights
-        _, peak = peak_traced_bytes(measure, f, 0.0, 1.0, 1e-3, (1.0,))
-        assert peak <= 2 * 16 * 256 * 256 + 64 * 1024, peak
+        measure(f, 0.0, 1.0, eps, (1.0,), (0.5,))  # builds the cached weights
+        _, peak = peak_traced_bytes(measure, f, 0.0, 1.0, eps, (1.0,), (0.5,))
+        assert peak <= 1.5 * 16 * 256 * 256 + 64 * 1024, peak
 
 
 HALF_SPECTRUM_GEOMETRIES = {
