@@ -1,12 +1,9 @@
 """Conserved quantities and Sobolev-norm diagnostics.
 
-`_spectrum` is the one place a field becomes Fourier data, the power spectrum
-P = V |c_n|^2 on a periodic grid; the kinetic energy and both H^s norms are
-weighted sums of P, so a record with any number of either norm costs one FFT.
-A Dirichlet field is odd-extended to the doubled periodic box, and the
-extension is transformed in place over the non-redundant half of its modes
-(`spectral.odd_power_spectrum`): every weighted sum is read off that half,
-counted twice. A record takes every spectral sum first and releases the
+The kinetic energy and both H^s norms are weighted sums of the power spectrum
+P = V |c_n|^2 (`spectral.spectrum`, which reads a Dirichlet field off the half
+spectrum of its odd extension), so a record with any number of either norm
+costs one FFT. A record takes every spectral sum first and releases the
 spectrum before it forms |u|; the mass and the log potential are then three
 sums over r = |u| and q = r r (`_modulus_sums`). A record whose mass, energy
 or a norm overflows or turns nan raises `NonFiniteRecordError` instead of
@@ -24,9 +21,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import Field, GridGeometry, odd_extension, require_same_geometry
+from .geometry import Field, GridGeometry, require_same_geometry
 from .nonlinearity import check_eps
-from .spectral import bessel_weight, odd_power_spectrum, power_spectrum, squared_frequency
+from .spectral import bessel_weight, hs_multiplier_norm, spectrum, squared_frequency
 
 __all__ = [
     "DiagnosticsRecord",
@@ -74,24 +71,6 @@ def squared_l2(geometry: GridGeometry, modulus: np.ndarray) -> float:
     return geometry.cell_volume * float(np.add.reduce(modulus * modulus, axis=None))
 
 
-def _spectrum(field: Field) -> tuple[GridGeometry, Callable[[np.ndarray], float]]:
-    """(G, total): G the periodic grid of the field's transform, total(w) the
-    sum_n w(n) P(n) over G's modes for a weight w on G. A Dirichlet field's P
-    is kept on the half 1 <= n_d <= N/2 - 1 of the doubled box, which stands
-    for the whole twice. The sums share one product buffer; the closure holds
-    P and that buffer, and dropping it releases both."""
-    if field.geometry.is_dirichlet:
-        extension = odd_extension(field)
-        geometry, power = extension.geometry, odd_power_spectrum(extension)
-        kept, count = slice(1, field.geometry.points[-1]), 2.0
-    else:
-        geometry, power = field.geometry, power_spectrum(field)
-        kept, count = slice(None), 1.0
-    product = np.empty_like(power)
-    return geometry, lambda weight: count * float(
-        np.multiply(weight[..., kept], power, out=product).sum())
-
-
 def _modulus_sums(field: Field, eps: float) -> tuple[float, float]:
     """(mass, potential) of a field: cell sum r^2 and cell sum F(r), r = |u|, with
     F(r) = integral_0^r 2 s ln(s + eps) ds
@@ -136,7 +115,7 @@ def measure(
 ) -> DiagnosticsRecord:
     """The record of mass(field), energy(field, lam, eps), hs_norm(field, s) for
     each s in hs_values and hs_gagliardo_norm(field, s) for each s in
-    gagliardo_values, from one spectrum (`_spectrum`).
+    gagliardo_values, from one spectrum (`spectral.spectrum`).
 
     The spectral sums (the kinetic energy and every norm) are taken first and
     the spectrum is released before |u| is formed, so the two phases never
@@ -145,11 +124,11 @@ def measure(
     any of them overflows or is nan."""
     check_eps(eps)
     with np.errstate(over="ignore", invalid="ignore"):
-        geometry, total = _spectrum(field)
+        geometry, total = spectrum(field)
         kinetic = 4.0 * math.pi**2 * total(squared_frequency(geometry))
         if field.geometry.is_dirichlet:
             kinetic /= 2.0  # the extension's integral covers the domain twice
-        hs_norms = {s: _hs_norm(geometry, total, s) for s in hs_values}
+        hs_norms = {s: math.sqrt(total(bessel_weight(geometry, s))) for s in hs_values}
         gagliardo_norms = {s: _gagliardo_norm(geometry, total, s) for s in gagliardo_values}
         del total  # releases the spectrum before |u| is formed
         field_mass, potential = _modulus_sums(field, eps)
@@ -172,15 +151,9 @@ def l2_distance(f: Field, g: Field) -> float:
 
 
 def hs_norm(field: Field, s: float) -> float:
-    """Multiplier H^s norm (`spectral.hs_multiplier_norm`). A Dirichlet field is
-    measured via its odd extension over the doubled box, not halved:
-    hs_norm(f, 0)^2 == 2 mass(f)."""
-    return _hs_norm(*_spectrum(field), s)
-
-
-def _hs_norm(geometry: GridGeometry, total: Callable[[np.ndarray], float], s: float) -> float:
-    """sqrt(sum_n (1 + 4 pi^2 |n/L|^2)^s P(n)) for the spectrum `total` sums on `geometry`."""
-    return math.sqrt(total(bessel_weight(geometry, s)))
+    """The multiplier H^s norm, `spectral.hs_multiplier_norm`: a Dirichlet
+    field's covers the doubled box, hs_norm(f, 0)^2 == 2 mass(f)."""
+    return hs_multiplier_norm(field, s)
 
 
 @lru_cache(maxsize=8)
@@ -217,7 +190,7 @@ def hs_gagliardo_norm(field: Field, s: float) -> float:
     Gaussian at N = 4096, s = 0.75. Dirichlet fields are measured via odd
     extension.
     """
-    return _gagliardo_norm(*_spectrum(field), s)
+    return _gagliardo_norm(*spectrum(field), s)
 
 
 def _gagliardo_norm(geometry: GridGeometry, total: Callable[[np.ndarray], float],

@@ -1,20 +1,24 @@
-"""Fourier machinery: frequency grids, exact free propagator, multiplier H^s norm,
-resampling between grids.
+"""Fourier machinery: frequency grids, exact free propagator, the spectrum of a
+field and its multiplier H^s norm, resampling between grids.
 
-The transforms of a step (`propagate`) and of a record (`power_spectrum`, or
-`odd_power_spectrum` on the odd extension of a Dirichlet field) call numpy's
-pocketfft gufuncs directly; one-time transforms use the public np.fft.
+`spectrum` is the one place a field becomes Fourier sums, periodic or
+Dirichlet (the half spectrum of its odd extension, counted twice); the
+multiplier norm and every sum of a `diagnostics` record are read off it. The
+transforms of a step (`propagate`) and of a spectrum call numpy's pocketfft
+gufuncs directly; one-time transforms use the public np.fft.
 
 Fourier coefficients are fftn(data) / data.size, so a plane wave of amplitude
 A has a single coefficient A. For a box with side lengths L the frequency of
 mode n is n / L, and norms carry the volume factor: the s = 0 multiplier norm
-squared is the mass of a periodic field (see `diagnostics` for Dirichlet ones).
+squared is the mass of a periodic field, and twice the mass of a Dirichlet
+one, whose norm covers the doubled box.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+from collections.abc import Callable
 from functools import lru_cache
 
 import numpy as np
@@ -23,7 +27,7 @@ import numpy as np
 # transform, so the per-step and per-record transforms call them directly
 from numpy.fft import _pocketfft_umath as _pocketfft
 
-from .geometry import Field, GeometryError, GridGeometry, require_periodic
+from .geometry import Field, GeometryError, GridGeometry, odd_extension, require_periodic
 
 # the byte boundary `aligned_empty` starts its arrays on: a cache line, and
 # the width of an AVX-512 register
@@ -135,37 +139,36 @@ def free_propagator(field: Field, dt: float) -> Field:
     return Field(field.geometry, data)
 
 
-def power_spectrum(field: Field) -> np.ndarray:
-    """P(n) = V |f^(n)|^2 on the full mode grid; weight w gives sqrt(sum w P).
+def spectrum(field: Field) -> tuple[GridGeometry, Callable[[np.ndarray], float]]:
+    """(G, total): G the periodic grid of the field's transform, total(w) the
+    sum_n w(n) P(n) over G's modes for a weight w on G, with P(n) = V |f^(n)|^2.
 
-    One FFT into one complex buffer, normalised by `_power`; the buffer is
-    released on return, before the caller's first weighted sum, so that peak
-    is one field plus P.
+    A periodic field takes one FFT into one complex buffer. A Dirichlet field's
+    odd extension, a fresh array, is transformed in place: its spectrum is odd
+    in n_d, so the modes n_d = 0 and N/2 vanish and mode -n_d has the power of
+    mode n_d, and the half 1 <= n_d <= N/2 - 1 of the doubled box, counted
+    twice, is the whole. Its last axis is transformed over all its planes,
+    then the other axes over the kept modes only, in fftn's axis order, so each
+    kept entry is bitwise the full transform's. The FFT buffer is released
+    before the one product buffer that every sum shares is allocated; the
+    closure holds P and that buffer, and dropping it releases both.
     """
-    require_periodic(field.geometry, "power_spectrum")
-    data = field.data
-    coeffs = np.empty_like(data)
-    _transform(data, _plan(data.shape, 0, data.ndim), False, coeffs)
-    return _power(coeffs, field.geometry)
-
-
-def odd_power_spectrum(field: Field) -> np.ndarray:
-    """power_spectrum(field) on the modes 1 <= n_d <= N/2 - 1 of the last axis,
-    for a field odd in its last axis: an odd extension, which it transforms in
-    place.
-
-    Its spectrum is odd in n_d, so the modes n_d = 0 and N/2 vanish and mode
-    -n_d has the power of mode n_d: the kept half, counted twice, is the
-    whole. The last axis is transformed over all its planes, then the other
-    axes over the kept modes only, in fftn's axis order, so each entry is
-    bitwise power_spectrum's.
-    """
-    require_periodic(field.geometry, "odd_power_spectrum")
-    data = field.data
-    _transform(data, _plan(data.shape, data.ndim - 1, data.ndim), False, data)
-    kept = data[..., 1 : data.shape[-1] // 2]
-    _transform(kept, _plan(kept.shape, 0, data.ndim - 1), False, kept)
-    return _power(kept, field.geometry)
+    geometry = field.geometry.transform_grid()
+    if field.geometry.is_dirichlet:
+        kept, count = slice(1, field.geometry.points[-1]), 2.0
+        coeffs = odd_extension(field).data
+        _transform(coeffs, _plan(coeffs.shape, coeffs.ndim - 1, coeffs.ndim), False, coeffs)
+        coeffs = coeffs[..., kept]
+        _transform(coeffs, _plan(coeffs.shape, 0, coeffs.ndim - 1), False, coeffs)
+    else:
+        kept, count = slice(None), 1.0
+        coeffs = np.empty_like(field.data)
+        _transform(field.data, _plan(coeffs.shape, 0, coeffs.ndim), False, coeffs)
+    power = _power(coeffs, geometry)
+    del coeffs  # the FFT buffer, released before the product buffer
+    product = np.empty_like(power)
+    return geometry, lambda weight: count * float(
+        np.multiply(weight[..., kept], power, out=product).sum())
 
 
 def _power(coeffs: np.ndarray, geometry: GridGeometry) -> np.ndarray:
@@ -192,9 +195,12 @@ def bessel_weight(geometry: GridGeometry, s: float) -> np.ndarray:
 def hs_multiplier_norm(field: Field, s: float) -> float:
     """Bessel-potential norm: sqrt(V sum (1 + 4 pi^2 |n/L|^2)^s |f^(n)|^2).
 
-    s = 0 reproduces the L^2 norm; any real s is accepted.
+    s = 0 reproduces the L^2 norm; any real s is accepted. A Dirichlet field
+    is measured via its odd extension over the doubled box, not halved:
+    hs_multiplier_norm(f, 0)^2 == 2 mass(f).
     """
-    return math.sqrt(float(np.sum(bessel_weight(field.geometry, s) * power_spectrum(field))))
+    geometry, total = spectrum(field)
+    return math.sqrt(total(bessel_weight(geometry, s)))
 
 
 def resample_modes(field: Field, geometry: GridGeometry) -> Field:

@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import math
+import struct
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -181,14 +182,18 @@ class TestSimulate:
         assert err.startswith("error: ") and str(out) in err
         assert "Traceback" not in err
 
-    def test_step_count_is_checked_before_anything_is_written(self, tmp_path, capsys):
+    @pytest.mark.parametrize("sim, message", [
+        ('"dt": 0.003, "t_final": 0.01', "t_final is not an integer multiple of dt"),
+        ('"dt": 0.001, "t_final": 0.01, "record_every": 11',
+         "record_every * dt must not exceed t_final"),
+    ], ids=["multiple", "record_every"])
+    def test_step_count_is_checked_before_anything_is_written(self, tmp_path, capsys, sim,
+                                                              message):
         cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM)
-        cfg.write_text(cfg.read_text().replace('"dt": 0.01, "t_final": 0.1',
-                                               '"dt": 0.003, "t_final": 0.01'))
+        cfg.write_text(cfg.read_text().replace('"dt": 0.01, "t_final": 0.1', sim))
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "config error: sim: t_final is not an integer multiple of dt"]
+        assert capsys.readouterr().err.splitlines() == [f"config error: sim: {message}"]
         assert not out.exists()
 
     def test_invalid_config_reports_every_error(self, tmp_path, capsys):
@@ -626,14 +631,19 @@ class TestNorms:
                                              f"{float(value.split(',')[-1])}"]
         assert captured.out == ""
 
-    def test_bad_snapshot_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("blob, message", [
+        (b"garbage", "bad magic"),
+        # magic, version 1, geometry tag 7, dimension 1
+        (b"LOGNSFLD" + struct.pack("<III", 1, 7, 1) + bytes(24), "unknown geometry tag 7"),
+    ], ids=["magic", "tag"])
+    def test_bad_snapshot_exits_2(self, tmp_path, capsys, blob, message):
         path = tmp_path / "junk.bin"
-        path.write_bytes(b"garbage")
+        path.write_bytes(blob)
         code = main(
             ["norms", "--snapshot", str(path), "--s", "0.5", "--lambda", "1", "--eps", "0"]
         )
         assert code == 2
-        assert "magic" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
     def test_snapshot_that_is_a_directory_exits_2(self, tmp_path, capsys):
         argv = ["norms", "--snapshot", str(tmp_path), "--s", "0.5", "--lambda", "1", "--eps", "0"]

@@ -287,11 +287,11 @@ def test_the_half_spectrum_gives_the_full_doubled_box_sums(name):
 
 
 def count_calls(monkeypatch, *geometry_functions):
-    """Counts forward FFTs of whole fields, np.fft.fftn calls and power
-    spectra (one forward transform each), as `fftn`; the half spectra of odd
-    extensions, as `odd_fftn`; and calls of the named `geometry` functions,
+    """Counts np.fft.fftn calls, as `fftn`; spectra of fields (one forward
+    transform each, the half spectrum of an odd extension on a Dirichlet
+    grid), as `spectrum`; and calls of the named `geometry` functions,
     wherever logns bound them."""
-    counts = dict.fromkeys(("fftn", "odd_fftn", *geometry_functions), 0)
+    counts = dict.fromkeys(("fftn", "spectrum", *geometry_functions), 0)
 
     def counted(key, function):
         def call(*args, **kwargs):
@@ -305,8 +305,7 @@ def count_calls(monkeypatch, *geometry_functions):
                 monkeypatch.setattr(module, function.__name__, counted(key, function))
 
     monkeypatch.setattr(np.fft, "fftn", counted("fftn", np.fft.fftn))
-    patch("fftn", spectral.power_spectrum)
-    patch("odd_fftn", spectral.odd_power_spectrum)
+    patch("spectrum", spectral.spectrum)
     for key in geometry_functions:
         patch(key, getattr(geometry, key))
     return counts
@@ -322,14 +321,14 @@ class TestTransformCounts:
     def test_one_extension_and_one_fft_per_record(self, transform_counts):
         # the extension's half spectrum, transformed in place; no full spectrum
         measure(slab_field(), 0.0, 1.0, 1e-3, (0.25, 0.5))
-        assert transform_counts == {"fftn": 0, "odd_fftn": 1, "odd_extension": 1}
+        assert transform_counts == {"fftn": 0, "spectrum": 1, "odd_extension": 1}
 
     def test_gagliardo_norms_ride_on_the_record_spectrum(self, transform_counts):
         f = slab_field()
         measure(f, 0.0, 1.0, 1e-3, (), (0.25, 0.5))  # builds and caches the symbols
-        transform_counts.update(fftn=0, odd_fftn=0, odd_extension=0)
+        transform_counts.update(fftn=0, spectrum=0, odd_extension=0)
         record = measure(f, 0.0, 1.0, 1e-3, (0.25, 0.5), (0.25, 0.5))
-        assert transform_counts == {"fftn": 0, "odd_fftn": 1, "odd_extension": 1}
+        assert transform_counts == {"fftn": 0, "spectrum": 1, "odd_extension": 1}
         assert record.gagliardo_norms == {s: hs_gagliardo_norm(f, s) for s in (0.25, 0.5)}
 
     def test_norms_command_takes_one_spectrum(self, transform_counts, tmp_path, capsys):
@@ -338,9 +337,9 @@ class TestTransformCounts:
         argv = ["norms", "--snapshot", str(path), "--s", "0.25,0.5", "--lambda", "1",
                 "--eps", "0.01"]
         assert main(argv) == 0  # builds and caches the symbols
-        transform_counts.update(fftn=0, odd_fftn=0, odd_extension=0)
+        transform_counts.update(fftn=0, spectrum=0, odd_extension=0)
         assert main(argv) == 0
-        assert transform_counts == {"fftn": 0, "odd_fftn": 1, "odd_extension": 1}
+        assert transform_counts == {"fftn": 0, "spectrum": 1, "odd_extension": 1}
         assert capsys.readouterr().out.count("gagliardo") == 4
 
     def test_a_record_restricts_extends_and_transforms_once_per_run(self, monkeypatch):
@@ -355,12 +354,12 @@ class TestTransformCounts:
         # the datum is extended once per march; then each sample checks the
         # running state's antisymmetry once and copies its half, and each
         # record extends that half for its one half spectrum
-        assert counts == {"fftn": 0, "odd_fftn": n, "odd_extension": n + 1,
+        assert counts == {"fftn": 0, "spectrum": n, "odd_extension": n + 1,
                           "restrict_to_half": 0, "_antisymmetry_fault": n}
-        counts.update(odd_fftn=0, odd_extension=0, _antisymmetry_fault=0)
+        counts.update(spectrum=0, odd_extension=0, _antisymmetry_fault=0)
         # a batch of two runs is still checked once per sample
         assert len(list(march([f, f], cfg, cfg.record_steps))) == n
-        assert counts == {"fftn": 0, "odd_fftn": 0, "odd_extension": 2,
+        assert counts == {"fftn": 0, "spectrum": 0, "odd_extension": 2,
                           "restrict_to_half": 0, "_antisymmetry_fault": n}
 
     def test_records_build_no_geometry(self, monkeypatch):
@@ -401,9 +400,9 @@ class TestTransformCounts:
     def test_one_extension_and_one_fft_per_gagliardo_norm(self, transform_counts):
         f = slab_field()
         hs_gagliardo_norm(f, 0.5)  # builds and caches the symbol
-        transform_counts.update(fftn=0, odd_fftn=0, odd_extension=0)
+        transform_counts.update(fftn=0, spectrum=0, odd_extension=0)
         hs_gagliardo_norm(f, 0.5)
-        assert transform_counts == {"fftn": 0, "odd_fftn": 1, "odd_extension": 1}
+        assert transform_counts == {"fftn": 0, "spectrum": 1, "odd_extension": 1}
 
 
 def gagliardo_brute_force(field, s):

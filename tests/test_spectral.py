@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from logns import diagnostics, spectral
-from logns.diagnostics import measure
-from logns.geometry import DomainKind, Field, GeometryError, GridGeometry
+from logns.diagnostics import hs_norm, measure
+from logns.geometry import DomainKind, Field, GeometryError, GridGeometry, odd_extension
 from logns.integrator import SimConfig, march
 from logns.spectral import (
     aligned_empty,
@@ -15,9 +15,9 @@ from logns.spectral import (
     free_symbol,
     hs_multiplier_norm,
     mode_radius,
-    power_spectrum,
     propagate,
     resample_modes,
+    spectrum,
     squared_frequency,
     truncate_modes,
 )
@@ -288,7 +288,8 @@ class TestMultiplierNorm:
         geom = GridGeometry(DomainKind.PERIODIC_BOX, (2.0, 0.5), (16, 8))
         f = Field(geom, rng.standard_normal(geom.points) + 1j * rng.standard_normal(geom.points))
         m = geom.cell_volume * float(np.sum(np.abs(f.data) ** 2))
-        assert float(np.sum(power_spectrum(f))) == pytest.approx(m, rel=1e-13)
+        _, total = spectrum(f)
+        assert total(np.ones(geom.points)) == pytest.approx(m, rel=1e-13)
 
     @pytest.mark.parametrize("geom", [
         GridGeometry(DomainKind.TORUS, (1.0, 1.0), (256, 256)),
@@ -302,15 +303,15 @@ class TestMultiplierNorm:
         rng = np.random.default_rng(13)
         data = rng.standard_normal(geom.points) + 1j * rng.standard_normal(geom.points)
         literal = geom.volume * np.abs(np.fft.fftn(data) / data.size) ** 2
-        power = power_spectrum(Field(geom, data))
+        power = spectral._power(np.fft.fftn(data), geom)
         assert np.array_equal(power.view(np.uint64), literal.view(np.uint64))
 
-    def test_rejects_dirichlet(self):
-        geom = GridGeometry(DomainKind.DIRICHLET_INTERVAL, (1.0,), (16,))
-        f = Field(geom, np.sin(math.pi * geom.axis_coordinates(0)))
-        with pytest.raises(GeometryError, match="^power_spectrum requires a periodic "
-                                                "geometry, got dirichlet_interval$"):
-            hs_multiplier_norm(f, 0.5)
+    def test_dirichlet_measures_the_extension(self):
+        geom = GridGeometry(DomainKind.DIRICHLET_INTERVAL, (1.0,), (32,))
+        f = Field(geom, np.sin(3 * math.pi * geom.axis_coordinates(0)))
+        norm = hs_multiplier_norm(f, 0.5)
+        assert norm == hs_norm(f, 0.5)
+        assert norm == hs_multiplier_norm(odd_extension(f), 0.5)
 
 
 class TestTruncateModes:
