@@ -1,8 +1,9 @@
 """Pinned regression constants.
 
-The analysis leaves several implicit constants unspecified; the values below
-were measured once with the brute-force oracles in the test suite and are
-frozen here. Tests assert against these, not against re-derived values.
+The analysis leaves two implicit constants unspecified: the Gagliardo /
+multiplier ratio band of acceptance check 08 and the eps-Cauchy ladder's final
+threshold. Each was measured once and frozen here; tests assert against these,
+not against re-derived values. No growth verdict reads one.
 """
 
 # Gagliardo / multiplier norm ratio on 1-d unit-torus band-limited fields,
@@ -14,13 +15,6 @@ GAGLIARDO_MULTIPLIER_RATIO = {
     0.5: (2.07, 2.51),
     0.75: (1.63, 2.45),
 }
-
-# generous envelope for the one-off cross-check inside the H^s growth
-# experiment, which runs on arbitrary spectra and geometries (observed range
-# across rough/band-limited data and Dirichlet extensions: 1.86 .. 2.98).
-# This is the 1-d band; experiments.gagliardo_equivalence_bounds scales its
-# upper end by sqrt(C(1, s) / C(d, s)) in d dimensions.
-GAGLIARDO_EQUIVALENCE_BOUNDS = (1.2, 4.5)
 
 # final consecutive-pair threshold of the dyadic eps ladder 2^-2 .. 2^-12,
 # relative to sqrt(mass) of the datum (observed 3.4e-3 on the reference

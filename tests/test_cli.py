@@ -259,6 +259,46 @@ class TestExperiment:
         assert captured.err.splitlines() == [f"config error: {message}"]
         assert captured.out == "" and not report_path.exists()
 
+    def test_hs_growth_passes_on_a_wide_gaussian(self, tmp_path, capsys):
+        # nearly all its power is in the mean mode, whose Gagliardo / multiplier
+        # ratio is 1 (1.001228 overall); both envelopes hold
+        doc = {"geometry": {"kind": "torus", "points": [128]},
+               "sim": {"lambda": 1.0, "eps": 1e-3, "dt": 1e-3, "t_final": 0.05,
+                       "hs_values": [0.5]},
+               "datum": {"kind": "gaussian_bump", "width": 0.5}}
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        assert main(["experiment", "hs-growth", "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "report.json")]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "verdict    : PASS" in captured.out.splitlines()
+
+    # lambda 1, dt 50 and t_final 400: e^{4 |lam| t} and e^{2 lam^2 |t dt|}
+    # leave the float range, where math.exp raises; so does lambda^2 at 1e200
+    INF_BUDGET = ["config error: sim: experiment scaling's roundoff budget is inf: its "
+                  "stretch e^{2 lam^2 |t_final dt|} is out of the float range"]
+
+    @pytest.mark.parametrize("name, sim, extra, code, err", [
+        ("lipschitz", {}, {"datum_b": {"kind": "gaussian_bump", "width": 0.2}}, 0, []),
+        ("hs-growth", {}, {}, 0, []),
+        ("scaling", {"eps": 0.0}, {"experiment": {"z": 2.0}}, 2, INF_BUDGET),
+        ("scaling", {"eps": 0.0, "lambda": 1e200, "dt": 0.01, "t_final": 0.02},
+         {"experiment": {"z": 2.0}}, 2, INF_BUDGET),
+    ], ids=["lipschitz", "hs-growth", "scaling", "scaling-lambda-1e200"])
+    def test_a_growth_bound_beyond_the_float_range(self, tmp_path, capsys, name, sim, extra,
+                                                   code, err):
+        doc = {"geometry": {"kind": "torus", "points": [32]},
+               "sim": {"lambda": 1.0, "eps": 1e-3, "dt": 50.0, "t_final": 400.0,
+                       "hs_values": [0.5], **sim},
+               "datum": {"kind": "gaussian_bump", "width": 0.1}, **extra}
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        assert main(["experiment", name, "--config", str(tmp_path / "config.json"),
+                     "--out", str(tmp_path / "report.json")]) == code
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == err
+        if code == 0:  # a finite value under an infinite envelope has ratio 0
+            assert "verdict    : PASS" in captured.out.splitlines()
+
     def test_missing_experiment_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM)
         cfg.write_text(cfg.read_text().replace('"eps": 0.01', '"eps": 0.0'))

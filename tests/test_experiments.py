@@ -8,10 +8,9 @@ from dataclasses import replace
 import pytest
 
 from logns.data import DatumSpec, make_datum
-from logns import constants, experiments, integrator, nonlinearity
-from logns.diagnostics import l2_distance
+from logns import experiments, integrator, nonlinearity
+from logns.diagnostics import l2_distance, measure
 from logns.experiments import (
-    gagliardo_equivalence_bounds,
     run_convergence_order,
     run_eps_cauchy,
     run_galilean,
@@ -48,6 +47,10 @@ class TestEnvelope:
         assert ratios[0] == 1.0
         assert ratios[1] == pytest.approx(9.0 / (4.0 * math.exp(4.0)), rel=1e-13)
 
+    def test_an_envelope_beyond_the_float_range_leaves_ratio_0(self):
+        # e^{4 * 400} overflows, and math.exp raises there
+        assert experiments._envelope([(0.0, 4.0), (400.0, 9.0)], 4.0) == [1.0, 0.0]
+
     @pytest.mark.parametrize("sups, decreasing", [
         ([3.0, 2.0, 1.0], True), ([0.0, 0.0], True), ([2.0, 2.0], False),
         ([1.0, 0.0, 0.0], True), ([1.0, 2.0], False),
@@ -74,33 +77,52 @@ class TestHsGrowth:
         with pytest.raises(ValueError):
             run_hs_growth(BAND, quick_config())
 
-    def test_bound_and_equivalence_cross_check(self):
+    def test_bound_holds_in_both_norms(self):
         report = run_hs_growth(BAND, quick_config(hs_values=(0.25, 0.5)))
         assert report.passed
         assert report.margins["max_ratio_s=0.25"] <= 1.0 + 1e-6
-        assert 1.2 <= report.margins["gagliardo_ratio_s=0.5"] <= 4.5
+        assert report.margins["gagliardo_max_ratio_s=0.5"] <= 1.0 + 1e-6
 
-    @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
-    def test_one_dimensional_envelope_is_the_pinned_band(self, s):
-        assert gagliardo_equivalence_bounds(1, s) == constants.GAGLIARDO_EQUIVALENCE_BOUNDS
-        assert gagliardo_equivalence_bounds(1, s) == (1.2, 4.5)
-
-    def test_envelope_scales_with_dimension(self):
-        # sqrt(C(1, 1/4) / C(d, 1/4)) is 1.548 in 2-d and 2.047 in 3-d
-        lo, hi = constants.GAGLIARDO_EQUIVALENCE_BOUNDS
-        assert gagliardo_equivalence_bounds(2, 0.25) == (lo, pytest.approx(hi * 1.548, rel=1e-3))
-        assert gagliardo_equivalence_bounds(3, 0.25) == (lo, pytest.approx(hi * 2.047, rel=1e-3))
-
-    def test_cross_check_passes_on_3d_torus(self):
-        # the Gagliardo ratio at s = 1/4 is 4.99 here, above the 1-d upper end 4.5
+    def test_gagliardo_envelope_holds_on_3d_torus(self):
+        # the Gagliardo / multiplier ratio at s = 1/4 is 4.99 here, far from its
+        # 1-d values; the envelope compares each norm only with itself
         geom = GridGeometry(DomainKind.TORUS, (1.0, 1.0, 1.0), (16, 16, 16))
         config = SimConfig(lam=1.0, eps=1e-3, dt=1e-3, t_final=0.05, geometry=geom,
                            hs_values=(0.25, 0.5))
         spec = DatumSpec(kind="random_band_limited", cutoff=4.0, seed=0)
         report = run_hs_growth(spec, config)
-        assert report.margins["gagliardo_ratio_s=0.25"] > 4.5
+        assert report.margins["gagliardo_max_ratio_s=0.25"] <= 1.0 + 1e-6
         assert report.margins["max_ratio_s=0.25"] <= 1.0 + 1e-6
         assert report.passed
+
+    def test_exact_solution_passes(self):
+        # the constant plane wave only turns its phase, so every norm is constant
+        report = run_hs_growth(DatumSpec(kind="plane_wave", modes=(0,)),
+                               quick_config(hs_values=(0.25, 0.5, 1.0)))
+        assert report.passed
+        assert set(report.margins.values()) == {1.0}
+
+    def test_a_gagliardo_norm_past_its_envelope_fails(self, monkeypatch):
+        # from the second record on, the Gagliardo norms grow like e^{2 |lam| t}
+        # with 1 % to spare, so their squares break the e^{4 |lam| t} envelope
+        def grown(field, t, lam, eps, hs_values, gagliardo_values):
+            record = measure(field, t, lam, eps, hs_values, gagliardo_values)
+            if t > 0.0:
+                record.gagliardo_norms = {s: 1.01 * math.exp(2.0 * abs(lam) * t) * first[s]
+                                          for s in gagliardo_values}
+            else:
+                first.update(record.gagliardo_norms)
+            return record
+
+        first = {}
+        monkeypatch.setattr(experiments, "measure", grown)
+        report = run_hs_growth(BAND, quick_config(hs_values=(0.25, 0.5, 1.0)))
+        assert not report.passed
+        for s in (0.25, 0.5):
+            assert report.margins[f"gagliardo_max_ratio_s={s:g}"] > 1.0 + 1e-6
+        for s in (0.25, 0.5, 1.0):
+            assert report.margins[f"max_ratio_s={s:g}"] <= 1.0 + 1e-6
+        assert "gagliardo_max_ratio_s=1" not in report.margins
 
 
 def dt8_budget(spec, config):
