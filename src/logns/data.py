@@ -3,6 +3,8 @@
 Dirichlet data are built on the doubled periodic grid, antisymmetrized along
 the last axis, and restricted, so boundary zeros and odd symmetry are exact.
 A datum that vanishes to roundoff is rejected: no bound is tested on u = 0.
+So is one whose mass is not a positive finite float: every verdict divides
+by the datum's norm or by a quantity that vanishes or overflows with it.
 """
 
 from __future__ import annotations
@@ -168,7 +170,8 @@ def make_datum(spec: DatumSpec, geometry: GridGeometry) -> Field:
     Dirichlet grids via odd antisymmetrization on the doubled box. A Gaussian's
     default center is the middle of `geometry`, not of the doubled box, whose
     middle is a node of every odd extension. Raises ValueError on a datum that
-    is zero to roundoff or has a sample that is not finite.
+    is zero to roundoff, has a sample that is not finite, or has a mass that
+    underflows to 0 or overflows.
     """
     errors = grid_errors(spec.kind, vars(spec), geometry.is_dirichlet, geometry.dim)
     if errors:
@@ -190,7 +193,13 @@ def make_datum(spec: DatumSpec, geometry: GridGeometry) -> Field:
     check_nonzero(data, samples, f"datum: {spec.kind} vanishes on this {geometry.kind.value} "
                   "grid", "a sample scale")
     field = Field(grid, data)
-    return restrict_to_half(field) if geometry.is_dirichlet else field
+    field = restrict_to_half(field) if geometry.is_dirichlet else field
+    with np.errstate(over="ignore"):  # an overflow leaves mass inf, rejected below
+        datum_mass = squared_l2(geometry, np.abs(field.data))
+    if not 0.0 < datum_mass < math.inf:
+        raise ValueError(f"datum: {spec.kind} has mass {datum_mass:g} on this "
+                         f"{geometry.kind.value} grid, not a positive finite float")
+    return field
 
 
 def _generate(spec: DatumSpec, geom: GridGeometry) -> np.ndarray:

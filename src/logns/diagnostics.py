@@ -23,7 +23,7 @@ import numpy as np
 
 from .geometry import Field, GridGeometry, require_same_geometry
 from .nonlinearity import check_eps
-from .spectral import bessel_weight, hs_multiplier_norm, spectrum, squared_frequency
+from .spectral import hs_multiplier_norm, spectrum, squared_frequency
 
 __all__ = [
     "DiagnosticsRecord",
@@ -128,7 +128,7 @@ def measure(
         kinetic = 4.0 * math.pi**2 * total(squared_frequency(geometry))
         if field.geometry.is_dirichlet:
             kinetic /= 2.0  # the extension's integral covers the domain twice
-        hs_norms = {s: math.sqrt(total(bessel_weight(geometry, s))) for s in hs_values}
+        hs_norms = {s: hs_multiplier_norm(geometry, total, s) for s in hs_values}
         gagliardo_norms = {s: _gagliardo_norm(geometry, total, s) for s in gagliardo_values}
         del total  # releases the spectrum before |u| is formed
         field_mass, potential = _modulus_sums(field, eps)
@@ -151,9 +151,10 @@ def l2_distance(f: Field, g: Field) -> float:
 
 
 def hs_norm(field: Field, s: float) -> float:
-    """The multiplier H^s norm, `spectral.hs_multiplier_norm`: a Dirichlet
-    field's covers the doubled box, hs_norm(f, 0)^2 == 2 mass(f)."""
-    return hs_multiplier_norm(field, s)
+    """The multiplier H^s norm, `spectral.hs_multiplier_norm` of the field's
+    spectrum: a Dirichlet field's covers the doubled box,
+    hs_norm(f, 0)^2 == 2 mass(f)."""
+    return hs_multiplier_norm(*spectrum(field), s)
 
 
 @lru_cache(maxsize=8)

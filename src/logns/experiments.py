@@ -343,7 +343,7 @@ def run_convergence_order(spec: DatumSpec, config: SimConfig, *,
     step limit; if they run out first, the verdict is FAIL. A ladder whose
     differences are all at roundoff (at most 1e-11 |phi|) passes as the exact
     regime, with no added rung. The margins hold every difference and order,
-    the number of added rungs, and `order`, the last order judged.
+    the number of added rungs, and `order`, the last order judged, if any.
     """
     dt_ladder = _params("convergence", config, dt_ladder=dt_ladder)["dt_ladder"]
     datum = make_datum(spec, config.geometry)
@@ -377,7 +377,8 @@ def run_convergence_order(spec: DatumSpec, config: SimConfig, *,
     margins["added_rungs"] = float(len(dts) - len(dt_ladder))
     if exact:
         margins["exact_regime"] = 1.0
-    margins["order"] = orders[-1] if orders else math.nan
+    if orders:
+        margins["order"] = orders[-1]
     return _report("convergence_order", config, exact or judged(), margins, None, len(dts),
                    spec=spec, dt_ladder=dt_ladder)
 

@@ -10,9 +10,10 @@ one run's samples into records and snapshots; `evolve` keeps them all, while
 Inside `march`:
 - The state is one complex array of shape (B, *points) holding B runs of one
   config, each with its own eps, filled run by run. A step rotates it in
-  place through two preallocated buffers, |u| and the phase, and runs the FFT
-  pair in place over the trailing axes, through numpy's pocketfft gufuncs
-  called directly (`spectral.propagate`); `Field`s are built only at samples.
+  place through two preallocated buffers, |u| and the phase
+  (`nonlinearity.phase_flow`), and runs the FFT pair in place over the
+  trailing axes, through numpy's pocketfft gufuncs called directly
+  (`spectral.free_propagator`); `Field`s are built only at samples.
   The state and both buffers share one allocation, and they and the cached
   symbol start on 64-byte boundaries (`spectral.aligned_empty`).
 - Dirichlet state lives on the doubled periodic grid for the whole run. The
@@ -53,9 +54,9 @@ import numpy as np
 
 from .diagnostics import DiagnosticsRecord, NonFiniteRecordError, l2_distance, measure
 from .geometry import Field, GeometryError, GridGeometry, _antisymmetry_fault, odd_extension
-from .nonlinearity import check_eps, rotation_phase
+from .nonlinearity import check_eps, phase_flow
 from .schema import Key, check, choice, integer, ladder, list_of, number
-from .spectral import aligned_empty, free_symbol, propagate
+from .spectral import aligned_empty, free_propagator, free_symbol
 
 __all__ = [
     "SimConfig",
@@ -223,11 +224,11 @@ def march(
                         float(state.view(float).sum()) if dirichlet
                         else np.maximum.reduce(modulus, axis=None)):
                     _check_finite(state, i - 1, dt)
-                rotation_phase(modulus, coeff, eps, phase, run_points, mask_zeros)
+                phase_flow(modulus, coeff, eps, phase, run_points, mask_zeros)
                 planes *= phase
                 if dirichlet:
                     np.multiply(mirrored, phase[..., n_half - 1 : 0 : -1], out=mirrored)
-                propagate(state, symbol)
+                free_propagator(state, symbol)
             _check_finite(state, i, dt)  # the last step before a sample
             checked = i
             if dirichlet:  # the batch's restriction to the half grid, one check for all
@@ -245,7 +246,7 @@ def march(
             if strang and i > 0:  # in the leading elements of the step's buffers
                 m, p = (b.ravel()[: sample.size].reshape(sample.shape) for b in (modulus, phase))
                 np.abs(sample, out=m)
-                rotation_phase(m, closing, eps, p, run_points, mask_zeros)
+                phase_flow(m, closing, eps, p, run_points, mask_zeros)
                 sample *= p
                 _check_finite(sample, i, dt)
         yield i * dt, [Field(geometry, u) for u in sample]

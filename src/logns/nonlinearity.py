@@ -1,8 +1,10 @@
 """Pointwise kernels for the logarithmic nonlinearity.
 
-Everything here acts on complex scalars or numpy arrays of any shape and is
-pure: no state, no side effects. The singular point z = 0 always uses the
-continuous extension 0 * ln 0 = 0.
+Everything here acts on numpy arrays of any shape and keeps no state. The gap
+and its bound also take complex scalars and are pure. `phase_flow` is the
+step's kernel: it writes into the caller's buffers, overwriting `modulus` and
+filling `phase`. The singular point z = 0 always uses the continuous
+extension 0 * ln 0 = 0.
 """
 
 from __future__ import annotations
@@ -39,13 +41,15 @@ def check_eps(eps, other=None) -> None:
             raise ValueError(f"eps must be >= 0 and finite, got {got}")
 
 
-def rotation_phase(modulus, coeff, eps, phase, run_points, mask_zeros=True):
-    """phase <- exp(i coeff ln(|u| + eps)), the factor by which the phase flow
-    with coeff = 2 lam dt multiplies u, from `modulus` = |u| (real,
-    overwritten).
+def phase_flow(modulus, coeff, eps, phase, run_points, mask_zeros=True):
+    """Exact flow of the pointwise ODE i u' + 2 lam u ln(|u| + eps) = 0 over a
+    time dt, as its factor: phase <- exp(i coeff ln(|u| + eps)) with
+    coeff = 2 lam dt, from `modulus` = |u| (real, overwritten). The coefficient
+    is real, so u * phase keeps the modulus of u.
 
     `phase` is a complex array of the modulus's shape and eps is a scalar or
-    broadcasts against it. No check, no allocation beyond the log's mask:
+    broadcasts against it. No check (callers pass eps through `check_eps`), no
+    allocation beyond the log's mask:
     where |u| + eps = 0 the angle is 0 (the factor 1): the continuous
     extension 0 * ln 0 = 0 of the module docstring.
     With every eps > 0 no |u| + eps vanishes, so mask_zeros=False skips the
@@ -75,23 +79,6 @@ def rotation_phase(modulus, coeff, eps, phase, run_points, mask_zeros=True):
         modulus *= coeff
         np.sin(modulus, out=phase.imag)
         np.cos(modulus, out=phase.real)
-
-
-def phase_flow(z, lam, eps, dt):
-    """Exact flow of the pointwise ODE i u' + 2 lam u ln(|u| + eps) = 0.
-
-    The coefficient is real, so the modulus is conserved:
-    z -> z * exp(2i lam dt ln(|z| + eps)). This is the step's rotation, the
-    kernel `rotation_phase`, z being one run. eps is a number or an array-like
-    broadcasting to z's shape; where |z| + eps = 0 the factor is 1.
-    """
-    eps = np.asarray(eps, dtype=float)
-    check_eps(eps)
-    u = np.array(z, dtype=complex)
-    phase = np.empty_like(u)
-    rotation_phase(np.abs(u, out=np.empty(u.shape)), 2.0 * lam * dt, eps, phase, u.size)
-    u *= phase
-    return u
 
 
 def monotonicity_gap(z1, z2, eps1=0.0, eps2=0.0):

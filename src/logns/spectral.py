@@ -4,8 +4,8 @@ field and its multiplier H^s norm, resampling between grids.
 `spectrum` is the one place a field becomes Fourier sums, periodic or
 Dirichlet (the half spectrum of its odd extension, counted twice); the
 multiplier norm and every sum of a `diagnostics` record are read off it. The
-transforms of a step (`propagate`) and of a spectrum call numpy's pocketfft
-gufuncs directly; one-time transforms use the public np.fft.
+transforms of a step (`free_propagator`) and of a spectrum call numpy's
+pocketfft gufuncs directly; one-time transforms use the public np.fft.
 
 Fourier coefficients are fftn(data) / data.size, so a plane wave of amplitude
 A has a single coefficient A. For a box with side lengths L the frequency of
@@ -113,8 +113,10 @@ def _transform(a: np.ndarray, plan: tuple[tuple[int, float], ...], inverse: bool
         a = out
 
 
-def propagate(state: np.ndarray, symbol: np.ndarray) -> None:
-    """In place state <- ifftn(fftn(state) * symbol) over its trailing symbol.ndim axes.
+def free_propagator(state: np.ndarray, symbol: np.ndarray) -> None:
+    """Exact flow of i u_t + Lap u = 0 with symbol `free_symbol(geometry, dt)`:
+    in place state <- ifftn(fftn(state) * symbol) over its trailing symbol.ndim
+    axes, so mode n picks up e^{-4 pi^2 |n/L|^2 i dt}.
 
     One 1-d transform per axis in reversed order, as fftn does, each a direct
     pocketfft gufunc call, so a stack of fields gets bit for bit the result of
@@ -126,17 +128,6 @@ def propagate(state: np.ndarray, symbol: np.ndarray) -> None:
     _transform(state, plan, False, state)
     state *= symbol
     _transform(state, plan, True, state)
-
-
-def free_propagator(field: Field, dt: float) -> Field:
-    """Exact flow of i u_t + Lap u = 0: mode n picks up e^{-4 pi^2 |n/L|^2 i dt}.
-
-    The symbol is cached per (geometry, dt), so a run builds it once.
-    """
-    require_periodic(field.geometry, "free_propagator")
-    data = field.data.copy()
-    propagate(data, free_symbol(field.geometry, dt))
-    return Field(field.geometry, data)
 
 
 def spectrum(field: Field) -> tuple[GridGeometry, Callable[[np.ndarray], float]]:
@@ -192,14 +183,15 @@ def bessel_weight(geometry: GridGeometry, s: float) -> np.ndarray:
     return weight
 
 
-def hs_multiplier_norm(field: Field, s: float) -> float:
-    """Bessel-potential norm: sqrt(V sum (1 + 4 pi^2 |n/L|^2)^s |f^(n)|^2).
+def hs_multiplier_norm(geometry: GridGeometry, total: Callable[[np.ndarray], float],
+                       s: float) -> float:
+    """Bessel-potential norm sqrt(V sum (1 + 4 pi^2 |n/L|^2)^s |f^(n)|^2) of the
+    field whose `spectrum` is (geometry, total).
 
     s = 0 reproduces the L^2 norm; any real s is accepted. A Dirichlet field
-    is measured via its odd extension over the doubled box, not halved:
-    hs_multiplier_norm(f, 0)^2 == 2 mass(f).
+    is measured via its odd extension over the doubled box, not halved: its
+    norm at s = 0 squared is 2 mass(f).
     """
-    geometry, total = spectrum(field)
     return math.sqrt(total(bessel_weight(geometry, s)))
 
 

@@ -14,7 +14,7 @@ import pytest
 from logns import constants, nonlinearity
 from logns.cli import main
 from logns.data import DatumSpec, make_datum
-from logns.diagnostics import hs_gagliardo_norm, l2_distance, mass
+from logns.diagnostics import hs_gagliardo_norm, hs_norm, l2_distance, mass
 from logns.experiments import (
     run_convergence_order,
     run_eps_cauchy,
@@ -26,7 +26,6 @@ from logns.experiments import (
 from logns.geometry import DomainKind, Field, GridGeometry
 from logns.integrator import SimConfig, evolve, final_state
 from logns.io import read_snapshot, write_snapshot
-from logns.spectral import hs_multiplier_norm
 
 
 VERDICT_LINES: list[str] = []
@@ -197,7 +196,7 @@ def test_08_norm_equivalence():
         spec = DatumSpec(kind="random_band_limited", cutoff=cutoffs[seed % 5], seed=seed)
         field = make_datum(spec, geom)
         for s in (0.25, 0.5, 0.75):
-            ratio = hs_gagliardo_norm(field, s) / hs_multiplier_norm(field, s)
+            ratio = hs_gagliardo_norm(field, s) / hs_norm(field, s)
             lo_seen[s] = min(lo_seen[s], ratio)
             hi_seen[s] = max(hi_seen[s], ratio)
     elapsed = time.monotonic() - start

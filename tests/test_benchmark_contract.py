@@ -111,3 +111,28 @@ def test_experiment_command_calls_its_traced_runner_once(monkeypatch, tmp_path, 
     calls = {entry.runner: tracer.stats[f"experiments.{entry.runner}"].calls
              for entry in EXPERIMENTS.values()}
     assert calls == {entry.runner: int(key == name) for key, entry in EXPERIMENTS.items()}
+
+
+@pytest.mark.parametrize("geometry", [{"kind": "torus", "points": [32]},
+                                      {"kind": "dirichlet_interval", "points": [32], "lengths": [1.0]}],
+                         ids=["torus", "interval"])
+def test_a_run_reaches_the_step_and_record_layers(monkeypatch, tmp_path, capsys, geometry):
+    """The declared layers are the kernels a run calls: one FFT pair and one
+    rotation per step, Strang's closing half-rotation at each sample after
+    step 0, and one multiplier norm per record and tracked exponent."""
+    doc = {"geometry": geometry,
+           "sim": {"lambda": 1.0, "eps": 1e-3, "dt": 1e-3, "t_final": 0.01,
+                   "splitting": "strang", "record_every": 3, "snapshot_every": 4,
+                   "hs_values": [0.5, 1.0]},
+           "datum": {"kind": "gaussian_bump", "width": 0.1}}
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    with installed_tracer(monkeypatch) as tracer:
+        code = main(["simulate", "--config", str(tmp_path / "config.json"),
+                     "--out-dir", str(tmp_path / "out")])
+    assert code == 0, capsys.readouterr().err
+    steps, records, snapshots = 10, {0, 3, 6, 9, 10}, {0, 4, 8, 10}
+    calls = {name: tracer.stats[name].calls for name in (
+        "spectral.free_propagator", "nonlinearity.phase_flow", "spectral.hs_multiplier_norm")}
+    assert calls == {"spectral.free_propagator": steps,
+                     "nonlinearity.phase_flow": steps + len((records | snapshots) - {0}),
+                     "spectral.hs_multiplier_norm": len(records) * 2}

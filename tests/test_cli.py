@@ -299,6 +299,46 @@ class TestExperiment:
         if code == 0:  # a finite value under an infinite envelope has ratio 0
             assert "verdict    : PASS" in captured.out.splitlines()
 
+    # a Gaussian of width 0.1 (lambda 1, eps 1e-3, dt 1e-3): at amplitude 1e154
+    # its mass overflows, at 1e-170 it underflows to 0, while no sample is
+    # zero to roundoff; each ended in a traceback, a nan margin or a vacuous PASS
+    MASS_1E154, MASS_1E_170 = (f"error: datum: gaussian_bump has mass {m} on this torus grid, "
+                               "not a positive finite float" for m in ("inf", "0"))
+
+    @pytest.mark.parametrize("name, points, t_final, amplitude, extra, message", [
+        ("lipschitz", 64, 0.01, 1.0,
+         {"datum_b": {"kind": "gaussian_bump", "width": 0.1, "amplitude": 1e154}}, MASS_1E154),
+        ("galilean", 16, 0.002, 1e-170, {"experiment": {"boost_modes": [1]}}, MASS_1E_170),
+        ("scaling", 16, 0.002, 1e-170, {"sim": {"eps": 0.0}, "experiment": {"z": 2.0}},
+         MASS_1E_170),
+        ("hs-growth", 16, 0.004, 1e-170, {"sim": {"hs_values": [0.5]}}, MASS_1E_170),
+        ("eps-cauchy", 16, 0.004, 1e154, {"experiment": {"eps_sequence": [0.25, 0.125]}},
+         MASS_1E154),
+        ("convergence", 16, 0.004, 1e154, {"experiment": {"dt_ladder": [2e-3, 1e-3]}},
+         MASS_1E154),
+        ("eps-cauchy", 16, 0.004, 1e-170, {"experiment": {"eps_sequence": [0.25, 0.125]}},
+         MASS_1E_170),
+        ("convergence", 16, 0.004, 1e-170, {"experiment": {"dt_ladder": [2e-3, 1e-3]}},
+         MASS_1E_170),
+        ("h1-approx", 16, 0.004, 1e-170, {"experiment": {"cutoffs": [2, 4]}}, MASS_1E_170),
+    ], ids=["lipschitz-b-1e154", "galilean-1e-170", "scaling-1e-170", "hs-growth-1e-170",
+            "eps-cauchy-1e154", "convergence-1e154", "eps-cauchy-1e-170", "convergence-1e-170",
+            "h1-approx-1e-170"])
+    def test_a_datum_whose_mass_leaves_the_float_range_exits_2(
+            self, tmp_path, capsys, name, points, t_final, amplitude, extra, message):
+        doc = {"geometry": {"kind": "torus", "points": [points]},
+               "sim": {"lambda": 1.0, "eps": 1e-3, "dt": 1e-3, "t_final": t_final},
+               "datum": {"kind": "gaussian_bump", "width": 0.1, "amplitude": amplitude}}
+        for section, values in extra.items():
+            doc[section] = {**doc.get(section, {}), **values}
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        report_path = tmp_path / "report.json"
+        assert main(["experiment", name, "--config", str(tmp_path / "config.json"),
+                     "--out", str(report_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [message]
+        assert captured.out == "" and not report_path.exists()
+
     def test_missing_experiment_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM)
         cfg.write_text(cfg.read_text().replace('"eps": 0.01', '"eps": 0.0'))
@@ -838,6 +878,16 @@ def simulate_configs(draw):
                         ("hs_values", st.lists(config_numbers, max_size=3))):
         if draw(st.booleans()):
             sim[key] = draw(values)
+    doc = {"geometry": geometry, "sim": sim, "datum": draw(datum_sections(dim))}
+    if draw(st.integers(0, 9)) == 0:
+        draw(st.sampled_from([doc, geometry, sim, doc["datum"]]))["bogus"] = 1
+    return doc
+
+
+@st.composite
+def datum_sections(draw, dim):
+    """A datum section of any kind for a grid of `dim` axes, each number drawn
+    from CONFIG_VALUES or a moderate value."""
     datum = {"kind": draw(st.sampled_from(
         ["plane_wave", "gaussian_bump", "random_band_limited", "random_rough"]))}
     optional = {
@@ -854,10 +904,7 @@ def simulate_configs(draw):
     for key, values in optional.items():
         if key in ("modes", "cutoff", "target_s") or draw(st.booleans()):
             datum[key] = draw(values)
-    doc = {"geometry": geometry, "sim": sim, "datum": datum}
-    if draw(st.integers(0, 9)) == 0:
-        draw(st.sampled_from([doc, geometry, sim, datum]))["bogus"] = 1
-    return doc
+    return datum
 
 
 class TestSimulateFuzz:
@@ -885,6 +932,82 @@ class TestSimulateFuzz:
                        for line in lines), lines
 
 
+@st.composite
+def ladders(draw, moderate_entries, descending):
+    """Two or three distinct entries, all drawn from CONFIG_VALUES or all from
+    `moderate_entries`, sorted into the ladder's order or left as drawn."""
+    entries = draw(st.sampled_from([config_numbers, moderate_entries]))
+    values = draw(st.lists(entries, min_size=2, max_size=3, unique=True))
+    return sorted(values, reverse=descending) if draw(st.booleans()) else values
+
+
+@st.composite
+def experiment_configs(draw):
+    """A `logns experiment` config: an experiment's name, a `simulate_configs`
+    config, the experiment's parameters and, for lipschitz, a `datum_b`.
+    About half the configs get unit lengths, moderate lambda, eps and dt and
+    no unknown key, so that the extreme numbers of their data and parameters
+    reach a run. A moderate dt rung is t_final / k, k <= 20; scaling's eps
+    and hs-growth's exponents are set or left as drawn."""
+    name = draw(st.sampled_from(list(EXPERIMENTS)))
+    doc = draw(simulate_configs())
+    geometry = doc["geometry"]
+    dim = len(geometry["points"])
+    exponents = st.lists(st.sampled_from([0.25, 0.5, 1.0]), max_size=3, unique=True)
+    if draw(st.booleans()):
+        dt = draw(st.sampled_from([1e-3, 1e-2]))
+        doc = {"geometry": {"kind": geometry["kind"], "points": geometry["points"],
+                            "lengths": [1.0] * dim},
+               "sim": {"lambda": draw(moderate), "eps": draw(st.floats(0.0, 1.0)), "dt": dt,
+                       "t_final": draw(st.integers(1, 20)) * dt,
+                       "splitting": draw(st.sampled_from(["lie", "strang"])),
+                       "hs_values": draw(exponents)},
+               "datum": draw(datum_sections(dim))}
+    sim = doc["sim"]
+    if name == "scaling" and draw(st.booleans()):
+        sim["eps"] = 0.0
+    if name == "hs-growth" and draw(st.booleans()):
+        sim["hs_values"] = draw(exponents.filter(bool))
+    params = {
+        "z": st.one_of(config_numbers, st.lists(config_numbers, min_size=2, max_size=2)),
+        "boost_modes": st.lists(st.sampled_from([0, 1, -3, 10**6]), min_size=dim, max_size=dim),
+        "eps_sequence": ladders(st.floats(0.0, 1.0), descending=True),
+        "cutoffs": ladders(st.floats(0.0, 16.0), descending=False),
+        "dt_ladder": ladders(st.integers(1, 20).map(lambda k: sim["t_final"] / k),
+                             descending=True),
+    }
+    doc["experiment"] = {key: draw(params[key]) for key in EXPERIMENTS[name].params}
+    if EXPERIMENTS[name].needs_datum_b:
+        doc["datum_b"] = draw(datum_sections(dim))
+    return name, doc
+
+
+class TestExperimentFuzz:
+    @given(case=experiment_configs())
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_exits_with_a_verdict_or_2(self, tmp_path_factory, case):
+        """In process, under the suite's warnings-as-errors: a run ends in a
+        verdict whose margins are finite, with nothing on stderr, or with
+        exit 2 and error lines, never with a warning or an exception."""
+        name, doc = case
+        work = tmp_path_factory.mktemp("fuzz")
+        (work / "config.json").write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["experiment", name, "--config", str(work / "config.json"),
+                         "--out", str(work / "report.json")])
+        lines = err.getvalue().splitlines()
+        if code in (0, 1):
+            assert lines == []
+            margins = json.loads((work / "report.json").read_text())["margins"]
+            assert all(math.isfinite(v) for v in margins.values()), margins
+        else:
+            assert code == 2
+            assert lines and all(line.startswith(("error: ", "config error: "))
+                                 for line in lines), lines
+
+
 class TestOutOfRange:
     """Configs whose numbers are finite but whose squares or products leave
     the float range: each exits as below, with no warning (the suite turns
@@ -899,10 +1022,11 @@ class TestOutOfRange:
         "width 1e-300": ({"kind": "torus", "points": [16]}, None,
                          {"kind": "gaussian_bump", "width": 1e-300}, 2,
                          "config error: datum.width: 2 width^2 is out of the float range"),
-        # a finite datum whose mass overflows is not called vanishing
+        # a finite datum whose mass overflows is not called vanishing: the
+        # mass rule rejects it before any record
         "amplitude 1e160": ({"kind": "torus", "points": [64]}, None,
                             {"kind": "gaussian_bump", "amplitude": 1e160}, 2,
-                            "error: non-finite record at step 0 (t=0): mass inf"),
+                            "error: datum: gaussian_bump has mass inf on this torus grid"),
         "amplitude max": ({"kind": "torus", "points": [64]}, None,
                           {"kind": "gaussian_bump", "amplitude": 1.7976931348623157e308,
                            "width": 0.3}, 2,

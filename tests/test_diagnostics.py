@@ -20,7 +20,7 @@ from logns.diagnostics import (
 from logns.geometry import DomainKind, Field, GeometryError, GridGeometry, odd_extension
 from logns.integrator import SimConfig, evolve, march
 from logns.io import write_snapshot
-from logns.spectral import bessel_weight, hs_multiplier_norm
+from logns.spectral import bessel_weight, hs_multiplier_norm, spectrum
 
 
 def torus(n=64):
@@ -183,13 +183,13 @@ class TestHsNorm:
     def test_periodic_delegates_to_multiplier_norm(self):
         rng = np.random.default_rng(2)
         f = Field(torus(), rng.standard_normal(64) + 1j * rng.standard_normal(64))
-        assert hs_norm(f, 0.5) == hs_multiplier_norm(f, 0.5)
+        assert hs_norm(f, 0.5) == hs_multiplier_norm(*spectrum(f), 0.5)
 
     def test_dirichlet_measures_the_extension(self):
         geom = GridGeometry(DomainKind.DIRICHLET_INTERVAL, (1.0,), (32,))
         x = geom.axis_coordinates(0)
         f = Field(geom, np.sin(3 * math.pi * x))
-        assert hs_norm(f, 0.5) == hs_multiplier_norm(odd_extension(f), 0.5)
+        assert hs_norm(f, 0.5) == hs_multiplier_norm(*spectrum(odd_extension(f)), 0.5)
 
 
 def slab_field(seed=8):

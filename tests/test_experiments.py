@@ -441,7 +441,7 @@ class TestConvergenceOrder:
         assert report.passed
         assert report.margins["exact_regime"] == 1.0
         assert report.margins["added_rungs"] == 0
-        assert math.isnan(report.margins["order"])
+        assert "order" not in report.margins
         assert orders(report) == []
         assert len(marched_steps) == 3
 

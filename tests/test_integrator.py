@@ -28,7 +28,7 @@ from logns.integrator import (
     samples,
     step,
 )
-from logns.spectral import free_propagator
+from logns.spectral import free_propagator, free_symbol
 
 
 def torus(n=64):
@@ -234,10 +234,14 @@ class TestFinalState:
 def per_step_dirichlet_reference(datum, cfg):
     """Odd-extend, propagate and restrict on every step; yields every state."""
     def rotate(u, tau):
-        return Field(u.geometry, nonlinearity.phase_flow(u.data, cfg.lam, cfg.eps, tau))
+        phase = np.empty_like(u.data)
+        nonlinearity.phase_flow(np.abs(u.data), 2.0 * cfg.lam * tau, cfg.eps, phase, u.data.size)
+        return Field(u.geometry, u.data * phase)
 
     def free(u):
-        return restrict_to_half(free_propagator(odd_extension(u), cfg.dt))
+        extended = odd_extension(u)
+        free_propagator(extended.data, free_symbol(extended.geometry, cfg.dt))
+        return restrict_to_half(extended)
 
     u = datum
     yield u
@@ -410,8 +414,8 @@ class TestFiniteCheck:
             if len(calls) == 2:  # the state step 2 leaves
                 state[(0,) * (state.ndim - 1) + (j,)] = math.nan
 
-        integrator_propagate = integrator.propagate
-        monkeypatch.setattr(integrator, "propagate", propagate)
+        integrator_propagate = integrator.free_propagator
+        monkeypatch.setattr(integrator, "free_propagator", propagate)
         datum = make_datum(DatumSpec(kind="gaussian_bump", width=0.1), geom)
         with pytest.raises(IntegrationError, match=r"^non-finite sample at step 2 \(t=0.02\) "
                                                    r"in run 0 of 1; ") as info:
@@ -434,7 +438,7 @@ class TestFiniteCheck:
                 state[..., 0] = state[..., n] = 0.0
                 state[..., n + 1 :] = -big
 
-        monkeypatch.setattr(integrator, "propagate", propagate)
+        monkeypatch.setattr(integrator, "free_propagator", propagate)
         datum = make_datum(DatumSpec(kind="gaussian_bump", width=0.1), geom)
         with pytest.raises(IntegrationError, match=r"^non-finite sample at step 1 \(t=0.01\) "
                                                    r"in run 0 of 1; ") as info:
@@ -454,8 +458,8 @@ class TestFiniteCheck:
                 state[1, n - 5] += 1e-3
                 state[1, n + 5] += 1e-3
 
-        integrator_propagate = integrator.propagate
-        monkeypatch.setattr(integrator, "propagate", propagate)
+        integrator_propagate = integrator.free_propagator
+        monkeypatch.setattr(integrator, "free_propagator", propagate)
         datum = make_datum(DatumSpec(kind="gaussian_bump", width=0.1), geom)
         sampled = []
         with pytest.raises(IntegrationError, match=r"^sample at step 3 \(t=0.03\) in run 1 of 2 "
@@ -478,7 +482,7 @@ class TestFiniteCheck:
 
         check = integrator._check_finite
         monkeypatch.setattr(integrator, "_check_finite", check_finite)
-        monkeypatch.setattr(integrator, "propagate", lambda state, symbol: None)
+        monkeypatch.setattr(integrator, "free_propagator", lambda state, symbol: None)
         geom = interval()
         data = np.full(geom.points, 1e307 + 1e307j)
         data[0] = 0.0
@@ -503,7 +507,7 @@ class TestAlignedBuffers:
     def test_step_arrays_start_on_64_byte_boundaries(self, geom, monkeypatch):
         seen = {}
 
-        def rotation_phase(modulus, coeff, eps, phase, *rest):
+        def phase_flow(modulus, coeff, eps, phase, *rest):
             seen.setdefault("modulus", []).append(modulus)
             seen.setdefault("phase", []).append(phase)
             rotation(modulus, coeff, eps, phase, *rest)
@@ -513,9 +517,9 @@ class TestAlignedBuffers:
             seen.setdefault("symbol", []).append(symbol)
             transform(state, symbol)
 
-        rotation, transform = integrator.rotation_phase, integrator.propagate
-        monkeypatch.setattr(integrator, "rotation_phase", rotation_phase)
-        monkeypatch.setattr(integrator, "propagate", propagate)
+        rotation, transform = integrator.phase_flow, integrator.free_propagator
+        monkeypatch.setattr(integrator, "phase_flow", phase_flow)
+        monkeypatch.setattr(integrator, "free_propagator", propagate)
         datum = make_datum(DatumSpec(kind="gaussian_bump", width=0.1), geom)
         list(march([datum, datum], config(geom, dt=1e-3, t_final=2e-3), [1, 2]))
         assert set(seen) == {"modulus", "phase", "state", "symbol"}
