@@ -58,15 +58,17 @@ def _report_json(report: ExperimentReport) -> dict:
 def _cmd_simulate(args) -> int:
     """Write each snapshot as it is sampled and the CSV once, also when the run
     fails: memory does not grow with the snapshot count, and a failed run
-    keeps what it sampled before the failure."""
+    keeps what it sampled before the failure. The datum is made before the
+    output directory and handed to `samples` without a name here, so it is
+    freed once the run's state holds it."""
     doc = load_config(args.config)
-    datum = make_datum(doc.datum, doc.sim.geometry)
+    run = samples(make_datum(doc.datum, doc.sim.geometry), doc.sim)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv = out_dir / "timeseries.csv"
     records, n_snapshots, t, failed = [], 0, None, False
     try:
-        for t, record, snapshot in samples(datum, doc.sim):
+        for t, record, snapshot in run:
             if record is not None:
                 records.append(record)
             if snapshot is not None:
@@ -115,7 +117,7 @@ def _cmd_norms(args) -> int:
 
 # the moduli and eps of `check-inequality` are log-uniform on [1e-15, 1e15]
 _LOG_SPAN = 15.0 * math.log(10.0)
-_DRAW = 2**16  # pairs drawn per generator call: fixes the sample stream
+_DRAW = 2**16  # pairs per chunk of the stream: fixes the sample stream
 _BLOCK = 2**13  # pairs per kernel call: 64 KiB per float array, bounds the memory
 
 
@@ -128,17 +130,20 @@ def _cmd_check_inequality(args) -> int:
     is uniform on the circle, so the relative phase is uniform, as it is for
     two independent uniform phases, and needs no cos or sin.
 
-    The moduli (r1, r2 and, unless eps_zero, eps1, eps2) are drawn _DRAW pairs
-    at a time, which fixes the sample stream, and evaluated in blocks of
-    _BLOCK pairs, which bounds the memory of the kernels' temporaries; w is
-    drawn per block, just before its block is evaluated. The generator keeps
-    no state between normal draws, so w is the stream of one draw per chunk.
-    Both buffers are allocated once. The kernels take the real z1 as it is and
-    the scalar eps = 0 of the eps_zero case as a scalar; the slack, the margin
-    and the ratio are formed in place, the slack's |z1 - z2| from z2's buffer
-    once the kernels have read it. Every kernel is elementwise and the
-    reductions are a count and maxima, so the output does not depend on the
-    block size.
+    The stream is cut in chunks of _DRAW pairs. A chunk of c pairs starts with
+    the moduli, rows x c uniforms in row-major order (r1, r2 and, unless
+    eps_zero, eps1, eps2), and goes on with w, one normal draw per block of
+    _BLOCK pairs. The moduli are not held for the whole chunk: at its start,
+    spare generator k is set to the main generator's state advanced by k c,
+    and draws row k one block at a time, while the main generator, advanced
+    past the rows x c uniforms, draws each block's w just before its block is
+    evaluated. `random` takes one 64-bit output per double, so every modulus
+    has the bits of a whole-chunk draw, and the buffers, allocated once, hold
+    one block. The kernels take the real z1 as it is and the scalar eps = 0
+    of the eps_zero case as a scalar; the slack, the margin and the ratio are
+    formed in place, the slack's |z1 - z2| from z2's buffer once the kernels
+    have read it. Every kernel is elementwise and the reductions are a count
+    and maxima, so the output does not depend on the block size.
     """
     n, seed = args.samples, args.seed
     if n < 1:
@@ -146,8 +151,12 @@ def _cmd_check_inequality(args) -> int:
     if seed < 0:
         raise ValueError(f"--seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
-    moduli_buf = np.empty(4 * min(n, _DRAW))  # r1, r2 and, unless eps_zero, eps1, eps2
-    normal_buf = np.empty(2 * min(n, _DRAW, _BLOCK))  # w of one block, as complex pairs
+    # one generator per row of moduli, made once per call (building one costs a
+    # seeding, or without a seed an OS entropy read); each chunk sets its state
+    rows_rng = [np.random.Generator(np.random.PCG64(seed)) for _ in range(4)]
+    block_size = min(n, _DRAW, _BLOCK)
+    moduli_buf = np.empty(4 * block_size)  # r1, r2 and, unless eps_zero, eps1, eps2
+    normal_buf = np.empty(2 * block_size)  # w of one block, as complex pairs
     non_finite = 0  # samples whose gap or bound is inf or nan: any one fails
     worst = -math.inf  # the largest gap - bound - slack over the finite samples
     ratio = 0.0  # the largest gap / (bound + slack): how close the bound came
@@ -157,16 +166,23 @@ def _cmd_check_inequality(args) -> int:
         while remaining > 0:
             chunk = min(remaining, _DRAW)
             remaining -= chunk
-            # bitwise rng.uniform(-_LOG_SPAN, _LOG_SPAN, size=(rows, chunk))
-            moduli = rng.random(out=moduli_buf[: rows * chunk].reshape(rows, chunk))
-            moduli *= 2.0 * _LOG_SPAN
-            moduli -= _LOG_SPAN
-            np.exp(moduli, out=moduli)
+            state = rng.bit_generator.state
+            for k, row_rng in enumerate(rows_rng[:rows]):
+                row_rng.bit_generator.state = state
+                row_rng.bit_generator.advance(k * chunk)
+            rng.bit_generator.advance(rows * chunk)
             for lo in range(0, chunk, _BLOCK):
-                block = slice(lo, lo + _BLOCK)
-                r1, r2 = moduli[0, block], moduli[1, block]
-                e1, e2 = (0.0, 0.0) if eps_zero else (moduli[2, block], moduli[3, block])
-                z2 = rng.standard_normal(out=normal_buf[: 2 * r1.size]).view(complex)
+                size = min(_BLOCK, chunk - lo)
+                # bitwise rng.uniform(-_LOG_SPAN, _LOG_SPAN, size=(rows, chunk))[:, block]
+                moduli = moduli_buf[: rows * size].reshape(rows, size)
+                for row, row_rng in zip(moduli, rows_rng):
+                    row_rng.random(out=row)
+                moduli *= 2.0 * _LOG_SPAN
+                moduli -= _LOG_SPAN
+                np.exp(moduli, out=moduli)
+                r1, r2 = moduli[0], moduli[1]
+                e1, e2 = (0.0, 0.0) if eps_zero else (moduli[2], moduli[3])
+                z2 = rng.standard_normal(out=normal_buf[: 2 * size]).view(complex)
                 z2 *= r2 / np.abs(z2)
                 gap = np.abs(nonlinearity.monotonicity_gap(r1, z2, e1, e2))
                 bound = nonlinearity.monotonicity_bound(r1, z2, e1, e2)

@@ -10,6 +10,7 @@ by the datum's norm or by a quantity that vanishes or overflows with it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,6 +25,11 @@ __all__ = ["DatumSpec", "make_datum"]
 # an array whose L^2 norm is at most this fraction of that of the samples it was
 # made from is zero up to roundoff (about 450 ulps): `check_nonzero`
 _ZERO_NORM_RATIO = 1e-13
+# the range of a datum's sum of |u|^2 over its samples: at most a quarter of the
+# float range, so the sum of |u - v|^2 <= 2 sum |u|^2 + 2 sum |v|^2 between two
+# data is finite; at least tiny / u_r^2 (u_r = 2^-53, the unit roundoff), so the
+# sum of squares of a difference of relative size u_r is a normal float
+_SQUARES_RANGE = (math.ldexp(sys.float_info.min, 106), sys.float_info.max / 4.0)
 
 _AMPLITUDE = Key(False, complex_number())
 _SEED = Key(False, integer(lo=0))
@@ -163,15 +169,16 @@ def _unit_mass(data: np.ndarray, geom: GridGeometry) -> np.ndarray:
     return data / math.sqrt(squared_l2(geom, np.abs(data)))
 
 
-def make_datum(spec: DatumSpec, geometry: GridGeometry) -> Field:
+def make_datum(spec: DatumSpec, geometry: GridGeometry, section: str = "datum") -> Field:
     """Concrete initial datum for a geometry.
 
     Plane waves are periodic-only (`grid_errors`); the other kinds support
     Dirichlet grids via odd antisymmetrization on the doubled box. A Gaussian's
     default center is the middle of `geometry`, not of the doubled box, whose
-    middle is a node of every odd extension. Raises ValueError on a datum that
-    is zero to roundoff, has a sample that is not finite, or has a mass that
-    underflows to 0 or overflows.
+    middle is a node of every odd extension. Raises ValueError, naming the
+    config `section` the spec came from, on a datum that is zero to roundoff,
+    has a sample that is not finite, has a mass that underflows to 0 or
+    overflows, or has a sum of |u|^2 over its samples outside _SQUARES_RANGE.
     """
     errors = grid_errors(spec.kind, vars(spec), geometry.is_dirichlet, geometry.dim)
     if errors:
@@ -188,17 +195,25 @@ def make_datum(spec: DatumSpec, geometry: GridGeometry) -> Field:
             m = grid.points[-1]
             data = 0.5 * (samples - samples[..., (-np.arange(m)) % m])
     if not np.isfinite(data).all():
-        raise ValueError(f"datum: {spec.kind} overflows on this {geometry.kind.value} grid "
-                         "(a sample is not finite)")
-    check_nonzero(data, samples, f"datum: {spec.kind} vanishes on this {geometry.kind.value} "
-                  "grid", "a sample scale")
+        raise ValueError(f"{section}: {spec.kind} overflows on this {geometry.kind.value} "
+                         "grid (a sample is not finite)")
+    check_nonzero(data, samples, f"{section}: {spec.kind} vanishes on this "
+                  f"{geometry.kind.value} grid", "a sample scale")
     field = Field(grid, data)
     field = restrict_to_half(field) if geometry.is_dirichlet else field
-    with np.errstate(over="ignore"):  # an overflow leaves mass inf, rejected below
-        datum_mass = squared_l2(geometry, np.abs(field.data))
+    with np.errstate(over="ignore"):  # an overflow leaves the sum inf, rejected below
+        modulus = np.abs(field.data)
+        squares = float(np.add.reduce(modulus * modulus, axis=None))
+    datum_mass = geometry.cell_volume * squares  # bitwise `squared_l2`
     if not 0.0 < datum_mass < math.inf:
-        raise ValueError(f"datum: {spec.kind} has mass {datum_mass:g} on this "
+        raise ValueError(f"{section}: {spec.kind} has mass {datum_mass:g} on this "
                          f"{geometry.kind.value} grid, not a positive finite float")
+    lo, hi = _SQUARES_RANGE
+    if not lo <= squares <= hi:
+        raise ValueError(f"{section}: {spec.kind} has a sum of |u|^2 of {squares:.3g} over the "
+                         f"samples of this {geometry.kind.value} grid, outside [{lo:.3g}, "
+                         f"{hi:.3g}], where the verdicts' squared L^2 distances neither "
+                         "underflow nor overflow")
     return field
 
 

@@ -157,7 +157,7 @@ def _lipschitz_check(distances: list[tuple[float, float]], lam: float) -> tuple[
 def run_lipschitz(spec: DatumSpec, config: SimConfig, *, datum_b: DatumSpec) -> ExperimentReport:
     """Check |u(t) - v(t)| <= e^{2 |lam| t} |u(0) - v(0)| on the sample schedule."""
     distances = evolve_pair(make_datum(spec, config.geometry),
-                            make_datum(datum_b, config.geometry), config)
+                            make_datum(datum_b, config.geometry, "datum_b"), config)
     worst, passed = _lipschitz_check(distances, config.lam)
     margins = {"worst_ratio": 0.0, "degenerate": 1.0} if worst is None else {"worst_ratio": worst}
     return _report("lipschitz", config, passed, margins, distances, len(distances),

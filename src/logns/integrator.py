@@ -168,6 +168,8 @@ def march(
     run by default). Each run gets bit for bit what it would get alone.
     `steps` must be nondecreasing and within [0, n_steps]; the run stops at
     the last of them. Yielded fields are fresh arrays the caller may keep.
+    The data are copied into the state when the first sample is computed and
+    not held after that fill, so data the caller does not keep are freed.
     A run whose state or sample turns non-finite, or on a Dirichlet grid
     stops being odd, raises IntegrationError naming the step and the run.
     """
@@ -197,6 +199,7 @@ def march(
     mirrored = state[..., n_half + 1 :]  # used on Dirichlet grids only
     for run, u in zip(state, data):
         run[...] = odd_extension(u).data if dirichlet else u.data
+    data = u = None  # the state holds the data: a caller that drops them frees them
     if not np.isfinite(state).all():
         raise IntegrationError("initial datum contains non-finite samples")
     mask_zeros = min(eps) == 0.0
@@ -288,14 +291,18 @@ def samples(
     Records are taken on `config.record_steps`; snapshots, if snapshot_every
     is set, at every snapshot_every-th step and the final step. The other
     entry is None. Nothing is collected, so memory grows with the number of
-    samples only if the consumer keeps them. A record that is not finite
-    raises IntegrationError naming its step. Deterministic given
-    (datum, config).
+    samples only if the consumer keeps them. Nor is the datum held after
+    `march` has filled the run's state with it: passed without a reference
+    of the caller's, it is freed before the first sample is yielded. A
+    record that is not finite raises IntegrationError naming its step.
+    Deterministic given (datum, config).
     """
     records = set(config.record_steps)
     snapshots = set(_strided(config.snapshot_every, config.n_steps))
     steps = sorted(records | snapshots)
-    for i, (t, [u]) in zip(steps, march([datum], config, steps)):
+    run = march([datum], config, steps)
+    del datum  # `march` holds it until the fill
+    for i, (t, [u]) in zip(steps, run):
         try:
             record = (measure(u, t, config.lam, config.eps, config.hs_values)
                       if i in records else None)

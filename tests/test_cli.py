@@ -5,6 +5,7 @@ import io
 import json
 import math
 import struct
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -65,6 +66,29 @@ class TestSimulate:
         assert len(snaps) == 3
         _, t = read_snapshot(snaps[-1])
         assert t == pytest.approx(0.1)
+
+    def test_the_datum_is_freed_once_the_first_sample_is_yielded(self, tmp_path,
+                                                                  monkeypatch):
+        """`simulate` hands the datum to `samples`, and `samples` and `march`
+        let go of it once the run's state holds it: at every snapshot write,
+        from the t = 0 sample on, neither the datum nor its array is alive."""
+        refs, alive = [], []
+        make, write = cli.make_datum, cli.write_snapshot
+
+        def tracked_make_datum(spec, geometry):
+            datum = make(spec, geometry)
+            refs.extend((weakref.ref(datum), weakref.ref(datum.data)))
+            return datum
+
+        def checking_write_snapshot(field, t, path):
+            alive.append([ref() is not None for ref in refs])
+            write(field, t, path)
+
+        monkeypatch.setattr(cli, "make_datum", tracked_make_datum)
+        monkeypatch.setattr(cli, "write_snapshot", checking_write_snapshot)
+        cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM, sim_extra=', "snapshot_every": 5')
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+        assert alive == [[False, False]] * 3
 
     def test_experiment_section_is_checked_against_every_experiments_keys(self, tmp_path,
                                                                           capsys):
@@ -304,10 +328,22 @@ class TestExperiment:
     # zero to roundoff; each ended in a traceback, a nan margin or a vacuous PASS
     MASS_1E154, MASS_1E_170 = (f"error: datum: gaussian_bump has mass {m} on this torus grid, "
                                "not a positive finite float" for m in ("inf", "0"))
+    # a finite positive mass whose sum of |u|^2 leaves [tiny / u_r^2, max / 4]: on
+    # a 4,096-point box of length 1e-3 at amplitudes 3e151 and -3e151 the
+    # distance between the two data overflowed (a traceback under -W error, else
+    # worst_ratio nan); at 1e-160 and 1e-161 on a 16-point torus every squared
+    # difference underflowed, and each verdict passed on a discrepancy of 0
+    SQUARES_3E151, SQUARES_1E_160, SQUARES_1E_161 = (
+        f"error: datum: gaussian_bump has a sum of |u|^2 of {v} over the samples of this "
+        f"{grid} grid, outside [1.81e-276, 4.49e+307], where the verdicts' squared L^2 "
+        "distances neither underflow nor overflow"
+        for v, grid in (("9.21e+307", "periodic_box"), ("2.84e-320", "torus"),
+                        ("2.87e-322", "torus")))
 
     @pytest.mark.parametrize("name, points, t_final, amplitude, extra, message", [
         ("lipschitz", 64, 0.01, 1.0,
-         {"datum_b": {"kind": "gaussian_bump", "width": 0.1, "amplitude": 1e154}}, MASS_1E154),
+         {"datum_b": {"kind": "gaussian_bump", "width": 0.1, "amplitude": 1e154}},
+         MASS_1E154.replace("datum:", "datum_b:")),
         ("galilean", 16, 0.002, 1e-170, {"experiment": {"boost_modes": [1]}}, MASS_1E_170),
         ("scaling", 16, 0.002, 1e-170, {"sim": {"eps": 0.0}, "experiment": {"z": 2.0}},
          MASS_1E_170),
@@ -321,9 +357,22 @@ class TestExperiment:
         ("convergence", 16, 0.004, 1e-170, {"experiment": {"dt_ladder": [2e-3, 1e-3]}},
          MASS_1E_170),
         ("h1-approx", 16, 0.004, 1e-170, {"experiment": {"cutoffs": [2, 4]}}, MASS_1E_170),
+        ("lipschitz", 4096, 0.01, 3e151,
+         {"geometry": {"kind": "periodic_box", "lengths": [1e-3]},
+          "datum_b": {"kind": "gaussian_bump", "width": 0.1, "amplitude": -3e151}},
+         SQUARES_3E151),
+        ("galilean", 16, 0.004, 1e-160, {"experiment": {"boost_modes": [1]}}, SQUARES_1E_160),
+        ("scaling", 16, 0.004, 1e-160, {"sim": {"eps": 0.0}, "experiment": {"z": 2.0}},
+         SQUARES_1E_160),
+        ("convergence", 16, 0.004, 1e-160, {"experiment": {"dt_ladder": [2e-3, 1e-3]}},
+         SQUARES_1E_160),
+        ("eps-cauchy", 16, 0.004, 1e-160, {"experiment": {"eps_sequence": [0.25, 0.125]}},
+         SQUARES_1E_160),
+        ("h1-approx", 16, 0.004, 1e-161, {"experiment": {"cutoffs": [2, 4]}}, SQUARES_1E_161),
     ], ids=["lipschitz-b-1e154", "galilean-1e-170", "scaling-1e-170", "hs-growth-1e-170",
             "eps-cauchy-1e154", "convergence-1e154", "eps-cauchy-1e-170", "convergence-1e-170",
-            "h1-approx-1e-170"])
+            "h1-approx-1e-170", "lipschitz-box-3e151", "galilean-1e-160", "scaling-1e-160",
+            "convergence-1e-160", "eps-cauchy-1e-160", "h1-approx-1e-161"])
     def test_a_datum_whose_mass_leaves_the_float_range_exits_2(
             self, tmp_path, capsys, name, points, t_final, amplitude, extra, message):
         doc = {"geometry": {"kind": "torus", "points": [points]},
@@ -1236,16 +1285,63 @@ class TestCheckInequality:
 
     def test_peak_memory_is_the_draw_buffers_and_a_few_blocks(self, peak_traced_bytes,
                                                               capsys):
-        """The moduli buffer holds 4 floats per pair of a 2^16 chunk (r1, r2,
-        eps1, eps2), 32 B x 2^16 = 2 MiB, and the normals buffer w for one
-        block of 2^13 pairs, 128 KiB; the kernels' and the suite's temporaries
-        are block-sized, and peaked at 12.45 float arrays of 2^13 pairs
-        (3,044,328 traced bytes in all), so 13 such arrays bound them. Drawn
-        per chunk, w took 1 MiB and the peak was 3,962,908 bytes. A first call
-        of one sample keeps the one-time imports of the generator out of the
-        peak."""
+        """The moduli buffer holds 4 floats per pair of one block of 2^13
+        pairs (r1, r2, eps1, eps2), 32 B x 2^13 = 256 KiB, and the normals
+        buffer w for one block, 128 KiB; the kernels' and the suite's
+        temporaries are block-sized, and peaked at 12.45 float arrays of 2^13
+        pairs, so 13 such arrays bound them: 1,212,246 traced bytes in all,
+        against 3,043,776 when the moduli of a whole 2^16 chunk were held (2
+        MiB). A first call of one sample keeps the one-time imports of the
+        generator out of the peak."""
         assert main(["check-inequality", "--samples", "1", "--seed", "0"]) == 0
         argv = ["check-inequality", "--samples", "1000000", "--seed", "0"]
         code, peak = peak_traced_bytes(main, argv)
         assert code == 0
-        assert peak <= 32 * 2**16 + 16 * 2**13 + 13 * 8 * 2**13
+        assert peak <= 32 * 2**13 + 16 * 2**13 + 13 * 8 * 2**13
+
+    @pytest.mark.parametrize("samples", [1, 8193, 70001, 2**17 + 5])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_stdout_is_that_of_whole_chunk_draws(self, seed, samples, capsys):
+        """The per-row generators draw each block's moduli at the stream
+        positions of a whole-chunk draw, so every printed byte is that of
+        `whole_chunk_suite`, which draws a chunk's moduli at once."""
+        assert main(["check-inequality", "--samples", str(samples), "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == whole_chunk_suite(samples, seed)
+
+
+def whole_chunk_suite(n: int, seed: int) -> str:
+    """The stdout of `check-inequality` drawn the way the stream is defined:
+    per chunk of 2^16 pairs, all rows x chunk moduli in one `random` call,
+    then one normal draw per block of 2^13 pairs. Each quantity is formed by
+    the suite's operations in the suite's order, out of place."""
+    span, draw, block = 15.0 * math.log(10.0), 2**16, 2**13
+    rng = np.random.default_rng(seed)
+    non_finite, worst, ratio = 0, -math.inf, 0.0
+    for eps_zero in (False, True):
+        rows = 2 if eps_zero else 4
+        remaining = n
+        while remaining > 0:
+            chunk = min(remaining, draw)
+            remaining -= chunk
+            moduli = np.exp(rng.random((rows, chunk)) * (2.0 * span) - span)
+            for lo in range(0, chunk, block):
+                r1, r2 = moduli[0, lo : lo + block], moduli[1, lo : lo + block]
+                e1, e2 = ((0.0, 0.0) if eps_zero
+                          else (moduli[2, lo : lo + block], moduli[3, lo : lo + block]))
+                w = rng.standard_normal(2 * r1.size).view(complex)
+                z2 = w * (r2 / np.abs(w))
+                gap = np.abs(nonlinearity.monotonicity_gap(r1, z2, e1, e2))
+                bound = nonlinearity.monotonicity_bound(r1, z2, e1, e2)
+                slack = 1e-12 * (1.0 + np.abs(z2 - r1) ** 2)
+                finite = np.isfinite(gap) & np.isfinite(bound)
+                non_finite += int(np.count_nonzero(~finite))
+                worst = max(worst, float(np.max(gap - bound - slack, where=finite,
+                                                initial=-math.inf)))
+                ratio = max(ratio, float(np.max(gap / (bound + slack), where=finite,
+                                                initial=0.0)))
+    passed = non_finite == 0 and worst <= 0.0
+    return (f"samples per case : {n}\n"
+            f"non-finite       : {non_finite} (gap or bound; 0 passes)\n"
+            f"worst margin     : {worst:.6e} (<= 0 passes)\n"
+            f"worst ratio      : {ratio:.6e} (<= 1 passes)\n"
+            f"verdict          : {'PASS' if passed else 'FAIL'}\n")
