@@ -8,8 +8,9 @@ The argparse tree is built once, at import, and `main` only parses with it:
 building it costs about ten times a parse, which every in-process call (a
 library user, the tests, the benchmark's workers) would otherwise pay. The
 parser keeps no state between parses, and help is formatted, at the
-terminal's width, only when it is printed. A numeric option takes a negative
-value in any form, `--lambda -2e-3` as `--lambda=-2e-3`.
+terminal's width, only when it is printed. A token that starts with `-` and
+a digit, `.` and a digit, `inf` or `nan` is a value, not an option:
+`--lambda -2e-3` is `--lambda=-2e-3`, and `--config -1.json` names `-1.json`.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -213,8 +215,18 @@ def _cmd_check_inequality(args) -> int:
     return 0 if passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads negative numbers as values, as the module docstring says, where
+    Python 3.11's own rule takes `-2e-3` for an option. `add_subparsers`
+    builds each command's parser from this class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="logns",
         description="Split-step spectral solver and verification harness for the "
         "logarithmic Schrodinger equation.",
@@ -248,40 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _PARSER = build_parser()
-# the options whose value is a number or a comma-separated list of numbers
-_NUMERIC_OPTIONS = ("--lambda", "--eps", "--s", "--samples", "--seed")
-
-
-def _join_negative_numbers(argv: list[str]) -> list[str]:
-    """argv with `--lambda -2e-3` written `--lambda=-2e-3`, for each numeric
-    option (or an abbreviation of one) followed by a negative number or list.
-
-    argparse reads a token that starts with '-' as an option unless it looks
-    like a negative number, and on older Pythons (3.11 among them) only -123
-    and -1.5 look like one, so `--lambda -2e-3` lost its value. The joined
-    form is the one argparse documents for values that start with '-'.
-    """
-    out: list[str] = []
-    for token in argv:
-        option = out[-1] if out else ""
-        if (token.startswith("-") and _is_number_list(token) and len(option) > 2
-                and any(name.startswith(option) for name in _NUMERIC_OPTIONS)):
-            out[-1] = f"{option}={token}"
-        else:
-            out.append(token)
-    return out
-
-
-def _is_number_list(token: str) -> bool:
-    try:
-        [float(t) for t in token.split(",") if t]
-    except ValueError:
-        return False
-    return True
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _PARSER.parse_args(_join_negative_numbers(sys.argv[1:] if argv is None else argv))
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

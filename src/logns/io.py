@@ -16,6 +16,7 @@ are little-endian fixed binary, magic "LOGNSFLD".
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field as dataclass_field
@@ -26,7 +27,7 @@ import numpy as np
 from .data import DATUM_KEYS, DATUM_KIND, DatumSpec, grid_errors
 from .diagnostics import DiagnosticsRecord
 from .experiments import EXPERIMENT_KEYS, EXPERIMENTS, parse_params
-from .geometry import GEOMETRY_KEYS, DomainKind, Field, GridGeometry
+from .geometry import GEOMETRY_KEYS, DomainKind, Field, GeometryError, GridGeometry
 from .integrator import SIM_KEYS, SimConfig
 from .schema import Key, section, walk
 
@@ -212,9 +213,10 @@ def write_snapshot(field: Field, time: float, destination: str | Path) -> None:
 def read_snapshot(source: str | Path) -> tuple[Field, float]:
     """Inverse of write_snapshot.
 
-    The header is parsed from the file's leading bytes and the payload length
-    checked against the file size; the samples are then read straight into
-    the returned array, so the file is never held a second time.
+    The header is parsed from the file's leading bytes, its grid checked and
+    the payload length checked against the file size, each fault raised as a
+    SnapshotFormatError that names the file; the samples are then read
+    straight into the returned array, so the file is never held a second time.
     """
     with open(source, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -232,16 +234,18 @@ def read_snapshot(source: str | Path) -> tuple[Field, float]:
             *values, time = layout.unpack(f.read(min(layout.size, size - _FIXED.size)))
         except struct.error as exc:
             raise SnapshotFormatError(f"{source}: truncated header") from exc
-        points, lengths = values[:d], values[d:]
+        try:
+            geometry = GridGeometry(_TAG_KINDS[kind_tag], values[d:], values[:d])
+        except GeometryError as exc:
+            raise SnapshotFormatError(f"{source}: {exc}") from exc
         offset = _FIXED.size + layout.size
-        expected = 16 * int(np.prod(points))
+        expected = 16 * math.prod(geometry.points)
         if size - offset != expected:
             raise SnapshotFormatError(
                 f"{source}: payload is {size - offset} bytes, expected {expected}"
             )
-        data = np.empty(points, dtype="<c16")
+        data = np.empty(geometry.points, dtype="<c16")
         read = f.readinto(data)
     if read != expected:  # the file changed after its size was taken
         raise SnapshotFormatError(f"{source}: payload is {read} bytes, expected {expected}")
-    geometry = GridGeometry(_TAG_KINDS[kind_tag], lengths, points)
     return Field(geometry, data), time

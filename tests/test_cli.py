@@ -728,11 +728,19 @@ class TestNorms:
         joined = capsys.readouterr().out
         assert main([*argv, "--s", "0.5", "--lambda", "-2e-3"]) == 0
         assert capsys.readouterr().out == joined
-        # an abbreviated option, and a list of numbers
+        # an abbreviated option, and a list of numbers, one with a leading point
         assert main([*argv, "--s", "-5e-1,0.5", "--lam", "-2e-3"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[3].startswith("H^-0.5  : multiplier ")
         assert lines[:3] + lines[4:] == joined.splitlines()
+        assert main([*argv, "--s", "-.5,0.5", "--lam", "-2e-3"]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+
+    def test_a_file_name_that_looks_negative_is_a_value(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_config(tmp_path, extra=GAUSSIAN_DATUM).rename("-1.json")
+        assert main(["simulate", "--config", "-1.json", "--out-dir", "out"]) == 0
+        assert capsys.readouterr().out.startswith("wrote out/timeseries.csv (11 records")
 
     def test_a_huge_negative_lambda_is_no_usage_error(self, tmp_path, capsys):
         _, path = slab_snapshot(tmp_path)
@@ -749,7 +757,7 @@ class TestNorms:
 
     @pytest.mark.parametrize("flag, value", [
         ("--eps", "nan"), ("--eps", "inf"), ("--lambda", "nan"), ("--lambda", "inf"),
-        ("--s", "nan"), ("--s", "0.5,inf"),
+        ("--s", "nan"), ("--s", "0.5,inf"), ("--lambda", "-inf"), ("--eps", "-nan"),
     ])
     def test_non_finite_numbers_exit_2(self, tmp_path, capsys, flag, value):
         _, path = slab_snapshot(tmp_path)
@@ -764,7 +772,10 @@ class TestNorms:
         (b"garbage", "bad magic"),
         # magic, version 1, geometry tag 7, dimension 1
         (b"LOGNSFLD" + struct.pack("<III", 1, 7, 1) + bytes(24), "unknown geometry tag 7"),
-    ], ids=["magic", "tag"])
+        # a periodic box of 6 points and its payload
+        (b"LOGNSFLD" + struct.pack("<IIIIdd", 1, 1, 1, 6, 1.0, 0.0) + bytes(96),
+         "points per axis must be powers of two >= 4, got 6"),
+    ], ids=["magic", "tag", "grid"])
     def test_bad_snapshot_exits_2(self, tmp_path, capsys, blob, message):
         path = tmp_path / "junk.bin"
         path.write_bytes(blob)
@@ -829,8 +840,8 @@ class TestNorms:
 # hold; each draw takes one of them or a moderate number, with even odds
 EXTREME_VALUES = [0.0, 1e154, 1e308, -1e308, 1.7976931348623157e308, 1e-310, 5e-324,
                   math.nan, math.inf, -math.inf]
-EXTREME_NUMBERS = ["0", "-1", "5e-324", "1e-300", "1e-12", "0.999", "1e12", "1e300",
-                   "-1e300", "1.7976931348623157e308", "nan", "inf"]
+EXTREME_NUMBERS = ["0", "-1", "-inf", "-.5", "5e-324", "1e-300", "1e-12", "0.999", "1e12",
+                   "1e300", "-1e300", "1.7976931348623157e308", "nan", "inf"]
 moderate = st.floats(min_value=-4.0, max_value=4.0)
 values = st.one_of(st.sampled_from(EXTREME_VALUES), moderate)
 numbers = st.one_of(st.sampled_from(EXTREME_NUMBERS), moderate.map(repr))
@@ -871,18 +882,23 @@ def snapshots(draw):
 
 class TestNormsFuzz:
     @given(field=snapshots(), lam=numbers, eps=eps_numbers,
-           s=st.lists(numbers, min_size=1, max_size=3))
+           s=st.lists(numbers, min_size=1, max_size=3),
+           joined=st.lists(st.booleans(), min_size=3, max_size=3))
     @settings(max_examples=200, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_exits_0_or_2_without_a_traceback(self, tmp_path_factory, field, lam, eps, s):
-        """In process: a call builds no parser, so a few hundred of them are cheap."""
+    def test_exits_0_or_2_without_a_traceback(self, tmp_path_factory, field, lam, eps, s,
+                                              joined):
+        """In process: a call builds no parser, so a few hundred of them are cheap.
+        Each number is passed as `--flag=value` or as `--flag value`."""
         path = tmp_path_factory.mktemp("fuzz") / "snap.bin"
         write_snapshot(field, 0.5, path)
+        argv = ["norms", "--snapshot", str(path)]
+        for flag, value, join in zip(("--s", "--lambda", "--eps"), (",".join(s), lam, eps),
+                                     joined):
+            argv += [f"{flag}={value}"] if join else [flag, value]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
-            # "--lambda=-1e300": argparse reads a lone "-1e300" as an option
-            code = main(["norms", "--snapshot", str(path), f"--s={','.join(s)}",
-                         f"--lambda={lam}", f"--eps={eps}"])
+            code = main(argv)
         if code == 0:
             values = [tok for line in out.getvalue().splitlines()
                       for tok in line.partition(":")[2].split()
@@ -1185,8 +1201,8 @@ class TestCheckInequality:
     def test_rejects_fewer_than_one_sample(self, samples, capsys):
         assert main(["check-inequality", "--samples", samples]) == 2
         captured = capsys.readouterr()
-        assert "--samples must be at least 1" in captured.err
-        assert "PASS" not in captured.out
+        assert captured.err == f"error: --samples must be at least 1, got {samples}\n"
+        assert captured.out == ""
 
     def test_rejects_a_negative_seed(self, capsys):
         assert main(["check-inequality", "--samples", "10", "--seed", "-1"]) == 2

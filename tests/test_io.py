@@ -493,6 +493,42 @@ class TestSnapshots:
         with pytest.raises(SnapshotFormatError, match="truncated header"):
             read_snapshot(path)
 
+    @staticmethod
+    def header(tag, points, lengths):
+        """Magic, version 1, a geometry tag, the points, the lengths and t = 0."""
+        d = len(points)
+        return (b"LOGNSFLD" + struct.pack("<III", 1, tag, d)
+                + struct.pack(f"<{d}I{d}dd", *points, *lengths, 0.0))
+
+    @pytest.mark.parametrize("points, message", [
+        # int64 products of the points wrap, negative and to 0
+        ((2**31, 2**30, 4), "payload is 0 bytes, expected 147573952589676412928"),
+        ((2**31,) * 3, "payload is 0 bytes, expected 158456325028528675187087900672"),
+        ((2**32 - 1,) * 2, "points per axis must be powers of two >= 4, got 4294967295"),
+    ], ids=["negative", "zero", "not-a-power-of-two"])
+    def test_a_huge_grid_is_no_wrapped_size(self, tmp_path, points, message):
+        path = tmp_path / "snap.bin"
+        path.write_bytes(self.header(0, points, (1.0,) * len(points)))
+        with pytest.raises(SnapshotFormatError) as info:
+            read_snapshot(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("kind, points, lengths, message", [
+        (DomainKind.PERIODIC_BOX, (6,), (1.0,), "points per axis must be powers of two >= 4, got 6"),
+        (DomainKind.TORUS, (8,), (2.0,), "torus geometry requires unit side lengths"),
+        (DomainKind.DIRICHLET_INTERVAL, (8, 8), (1.0, 1.0), "dirichlet_interval is one-dimensional"),
+    ], ids=["points", "torus-lengths", "interval-dimension"])
+    @pytest.mark.parametrize("payload", [True, False], ids=["payload", "header-only"])
+    def test_a_grid_the_geometry_rejects_names_the_file(self, tmp_path, kind, points, lengths,
+                                                        message, payload):
+        """The grid is checked before the payload is sized or read."""
+        path = tmp_path / "snap.bin"
+        path.write_bytes(self.header(io._KIND_TAGS[kind], points, lengths)
+                         + bytes(16 * math.prod(points) if payload else 0))
+        with pytest.raises(SnapshotFormatError) as info:
+            read_snapshot(path)
+        assert str(info.value) == f"{path}: {message}"
+
     def test_reads_into_one_owned_array(self, tmp_path, peak_traced_bytes):
         geom = GridGeometry(DomainKind.TORUS, (1.0, 1.0), (256, 256))
         field_bytes = 16 * 256 * 256
