@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nonlinearity
-from .diagnostics import measure
+from .diagnostics import exponent_label, measure
 from .data import make_datum
 from .experiments import EXPERIMENTS, ExperimentReport
 from .integrator import IntegrationError, samples
@@ -58,9 +58,10 @@ def _report_json(report: ExperimentReport) -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    """Write each snapshot as it is sampled and the CSV once, also when the run
-    fails: memory does not grow with the snapshot count, and a failed run
-    keeps what it sampled before the failure. The datum is made before the
+    """Write the CSV's header, then each row and each snapshot as it is
+    sampled: memory does not grow with the record or snapshot count, and a
+    failed run keeps what it sampled before the failure. A CSV that cannot be
+    opened stops the command before the run. The datum is made before the
     output directory and handed to `samples` without a name here, so it is
     freed once the run's state holds it."""
     doc = load_config(args.config)
@@ -68,25 +69,30 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv = out_dir / "timeseries.csv"
-    records, n_snapshots, t, failed = [], 0, None, False
-    try:
-        for t, record, snapshot in run:
-            if record is not None:
-                records.append(record)
-            if snapshot is not None:
-                write_snapshot(snapshot, t, out_dir / f"snapshot_{n_snapshots:06d}.bin")
-                n_snapshots += 1
-    except (OSError, ValueError, IntegrationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        failed = True
-    finally:
-        write_timeseries(records, csv)  # an OSError here reaches main, which exits 2
+    n_records, n_snapshots, t, failed = 0, 0, None, False
+
+    def records():
+        nonlocal n_records, n_snapshots, t, failed
+        try:
+            for t, record, snapshot in run:
+                if record is not None:
+                    yield record  # its row is written before the run goes on
+                    n_records += 1
+                if snapshot is not None:
+                    write_snapshot(snapshot, t, out_dir / f"snapshot_{n_snapshots:06d}.bin")
+                    n_snapshots += 1
+        except (OSError, ValueError, IntegrationError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            failed = True
+
+    # an OSError of the CSV itself reaches main, which exits 2
+    write_timeseries(records(), csv, doc.sim.hs_values)
     if failed:
         last = "" if t is None else f", last sample at t={t:g}"
-        print(f"kept {csv} ({len(records)} records, {n_snapshots} snapshots{last})",
+        print(f"kept {csv} ({n_records} records, {n_snapshots} snapshots{last})",
               file=sys.stderr)
         return 2
-    print(f"wrote {csv} ({len(records)} records, {n_snapshots} snapshots)")
+    print(f"wrote {csv} ({n_records} records, {n_snapshots} snapshots)")
     return 0
 
 
@@ -110,7 +116,7 @@ def _cmd_norms(args) -> int:
     print(f"mass   : {record.mass:.17g}")
     print(f"energy : {record.energy:.17g}")
     for s in s_values:
-        line = f"H^{s:g}  : multiplier {record.hs_norms[s]:.17g}"
+        line = f"H^{exponent_label(s)}  : multiplier {record.hs_norms[s]:.17g}"
         if s in record.gagliardo_norms:
             line += f"  gagliardo {record.gagliardo_norms[s]:.17g}"
         print(line)
@@ -123,29 +129,55 @@ _DRAW = 2**16  # pairs per chunk of the stream: fixes the sample stream
 _BLOCK = 2**13  # pairs per kernel call: 64 KiB per float array, bounds the memory
 
 
+def _draw_z2(rng: np.random.Generator, r2: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """r2 e^{i theta}, theta = pi (2u - 1) for one uniform u per modulus, as a
+    complex view of `buf` (2 r2.size floats at least). u is drawn into buf's
+    first half and becomes t = tan(theta / 2) there, so that with
+    q = 2 / (1 + t^2) the phase is cos = q - 1 and sin = t q, within a few
+    ulps of modulus 1. u = 0 gives t = -1.6e16, finite: z2 = -r2 to within
+    1.2e-16 r2. q is freed on return, so the caller's kernels do not hold it.
+    """
+    size = r2.size
+    t = rng.random(out=buf[:size])
+    t -= 0.5
+    t *= math.pi
+    np.tan(t, out=t)
+    q = t * t
+    q += 1.0
+    np.divide(2.0, q, out=q)
+    t *= q
+    q -= 1.0
+    z2 = buf[: 2 * size].view(complex)
+    np.multiply(t, r2, out=z2.imag)  # z2's imaginary parts overlap t: numpy copies t
+    np.multiply(q, r2, out=z2.real)
+    return z2
+
+
 def _cmd_check_inequality(args) -> int:
     """Randomized suite for the monotonicity-gap inequality (and its eps = 0 case).
 
     The gap, its bound and the slack do not change when z1 and z2 are rotated
     together, so only their relative phase matters. Each pair is drawn as
-    z1 = r1 (real) and z2 = r2 w / |w|, with w a standard complex normal: w / |w|
-    is uniform on the circle, so the relative phase is uniform, as it is for
-    two independent uniform phases, and needs no cos or sin.
+    z1 = r1 (real) and z2 = r2 e^{i theta}, with theta = pi (2u - 1) for one
+    uniform u: the relative phase is uniform, as it is for two independent
+    uniform phases. `_draw_z2` forms e^{i theta} in the half-angle form of
+    `nonlinearity.phase_flow`, one SIMD tan and no cos or sin.
 
     The stream is cut in chunks of _DRAW pairs. A chunk of c pairs starts with
     the moduli, rows x c uniforms in row-major order (r1, r2 and, unless
-    eps_zero, eps1, eps2), and goes on with w, one normal draw per block of
+    eps_zero, eps1, eps2), and goes on with u, one uniform draw per block of
     _BLOCK pairs. The moduli are not held for the whole chunk: at its start,
     spare generator k is set to the main generator's state advanced by k c,
     and draws row k one block at a time, while the main generator, advanced
-    past the rows x c uniforms, draws each block's w just before its block is
+    past the rows x c uniforms, draws each block's u just before its block is
     evaluated. `random` takes one 64-bit output per double, so every modulus
-    has the bits of a whole-chunk draw, and the buffers, allocated once, hold
-    one block. The kernels take the real z1 as it is and the scalar eps = 0
-    of the eps_zero case as a scalar; the slack, the margin and the ratio are
-    formed in place, the slack's |z1 - z2| from z2's buffer once the kernels
-    have read it. Every kernel is elementwise and the reductions are a count
-    and maxima, so the output does not depend on the block size.
+    has the bits of a whole-chunk draw. Two buffers, allocated once, hold one
+    block: the moduli, 32 B a pair, and z2, 16 B a pair. The kernels take the
+    real z1 as it is and the scalar eps = 0 of the eps_zero case as a scalar;
+    the slack, the margin and the ratio are formed in place, the slack's
+    |z1 - z2| from z2's buffer once the kernels have read it. Every kernel is
+    elementwise and the reductions are a count and maxima, so the output does
+    not depend on the block size.
     """
     n, seed = args.samples, args.seed
     if n < 1:
@@ -158,7 +190,7 @@ def _cmd_check_inequality(args) -> int:
     rows_rng = [np.random.Generator(np.random.PCG64(seed)) for _ in range(4)]
     block_size = min(n, _DRAW, _BLOCK)
     moduli_buf = np.empty(4 * block_size)  # r1, r2 and, unless eps_zero, eps1, eps2
-    normal_buf = np.empty(2 * block_size)  # w of one block, as complex pairs
+    z2_buf = np.empty(2 * block_size)  # z2 of one block, as complex pairs
     non_finite = 0  # samples whose gap or bound is inf or nan: any one fails
     worst = -math.inf  # the largest gap - bound - slack over the finite samples
     ratio = 0.0  # the largest gap / (bound + slack): how close the bound came
@@ -184,8 +216,7 @@ def _cmd_check_inequality(args) -> int:
                 np.exp(moduli, out=moduli)
                 r1, r2 = moduli[0], moduli[1]
                 e1, e2 = (0.0, 0.0) if eps_zero else (moduli[2], moduli[3])
-                z2 = rng.standard_normal(out=normal_buf[: 2 * size]).view(complex)
-                z2 *= r2 / np.abs(z2)
+                z2 = _draw_z2(rng, r2, z2_buf)
                 gap = np.abs(nonlinearity.monotonicity_gap(r1, z2, e1, e2))
                 bound = nonlinearity.monotonicity_bound(r1, z2, e1, e2)
                 # 1e-12 (1 + |z1 - z2|^2), formed in place: z2 is the block's own

@@ -136,12 +136,21 @@ def measure(
                                    hs_norms, gagliardo_norms)
     bad = [f"{name} {v:g}" for name, v in (
         ("mass", record.mass), ("energy", record.energy),
-        *((f"H^{s:g}", v) for s, v in record.hs_norms.items()),
-        *((f"gagliardo H^{s:g}", v) for s, v in record.gagliardo_norms.items()),
+        *((f"H^{exponent_label(s)}", v) for s, v in record.hs_norms.items()),
+        *((f"gagliardo H^{exponent_label(s)}", v) for s, v in record.gagliardo_norms.items()),
     ) if not math.isfinite(v)]
     if bad:
         raise NonFiniteRecordError(t, ", ".join(bad))
     return record
+
+
+def exponent_label(s: float) -> str:
+    """s as `:g` prints it (0.5, 1, 1e-05) when that reads back as s, and
+    otherwise its shortest repr that does (0.1234567, not 0.123457): distinct
+    exponents get distinct labels. A formatting helper of `io` and `cli`,
+    not a layer, so it is not in `__all__`."""
+    label = f"{s:g}"
+    return label if float(label) == s else repr(float(s))
 
 
 def l2_distance(f: Field, g: Field) -> float:

@@ -141,11 +141,22 @@ class SimConfig:
     @property
     def record_steps(self) -> list[int]:
         """Diagnostic sample steps: 0, every record_every-th step, and the last."""
-        return _strided(self.record_every, self.n_steps)
+        return list(_strided(self.n_steps, self.record_every))
 
 
-def _strided(every: int | None, n: int) -> list[int]:
-    return sorted({*range(0, n + 1, every), n}) if every else []
+def _strided(n: int, *everies: int | None) -> Iterator[int]:
+    """The steps 0, n and the multiples of each `every` between them,
+    ascending, each once; an `every` of None adds none."""
+    i = 0
+    while i < n:
+        yield i
+        i = min([n, *((i // every + 1) * every for every in everies if every)])
+    yield n
+
+
+def _on(every: int | None, n: int, i: int) -> bool:
+    """Whether step i is one of _strided(n, every)."""
+    return bool(every) and (i % every == 0 or i == n)
 
 
 @dataclass
@@ -167,9 +178,12 @@ def march(
     Run k starts from data[k] with regularization eps[k] (config.eps for every
     run by default). Each run gets bit for bit what it would get alone.
     `steps` must be nondecreasing and within [0, n_steps]; the run stops at
-    the last of them. Yielded fields are fresh arrays the caller may keep.
-    The data are copied into the state when the first sample is computed and
-    not held after that fill, so data the caller does not keep are freed.
+    the last of them. They are read one at a time, as the run reaches each,
+    so a generator of steps is never held whole, and a step out of order
+    raises ValueError when it is read. Yielded fields are fresh arrays the
+    caller may keep. The data are copied into the state when the first
+    sample is computed and not held after that fill, so data the caller does
+    not keep are freed.
     A run whose state or sample turns non-finite, or on a Dirichlet grid
     stops being odd, raises IntegrationError naming the step and the run.
     """
@@ -180,10 +194,6 @@ def march(
     if len(eps) != len(data):
         raise ValueError(f"need one eps per run, got {len(eps)} for {len(data)} runs")
     check_eps(eps)
-    steps = list(steps)
-    for prev, target in zip([0, *steps], steps):
-        if not prev <= target <= n:
-            raise ValueError(f"sample steps must be nondecreasing within [0, {n}], got {target}")
 
     strang = config.splitting == "strang"
     dirichlet = geometry.is_dirichlet
@@ -210,6 +220,8 @@ def march(
 
     i = checked = 0  # checked: the last step whose state was checked in full
     for target in steps:
+        if not i <= target <= n:
+            raise ValueError(f"sample steps must be nondecreasing within [0, {n}], got {target}")
         # an overflow or nan of the steps or of the sample surfaces as the
         # finiteness checks' IntegrationError, not as numpy's warning; the
         # guard closes before a yield
@@ -291,25 +303,25 @@ def samples(
     Records are taken on `config.record_steps`; snapshots, if snapshot_every
     is set, at every snapshot_every-th step and the final step. The other
     entry is None. Nothing is collected, so memory grows with the number of
-    samples only if the consumer keeps them. Nor is the datum held after
-    `march` has filled the run's state with it: passed without a reference
-    of the caller's, it is freed before the first sample is yielded. A
-    record that is not finite raises IntegrationError naming its step.
+    samples only if the consumer keeps them, and the schedule of steps is
+    computed as the run reaches each step, not held. Nor is the datum held
+    after `march` has filled the run's state with it: passed without a
+    reference of the caller's, it is freed before the first sample is
+    yielded. A record that is not finite raises IntegrationError naming its
+    step.
     Deterministic given (datum, config).
     """
-    records = set(config.record_steps)
-    snapshots = set(_strided(config.snapshot_every, config.n_steps))
-    steps = sorted(records | snapshots)
-    run = march([datum], config, steps)
+    n, records, snapshots = config.n_steps, config.record_every, config.snapshot_every
+    run = march([datum], config, _strided(n, records, snapshots))
     del datum  # `march` holds it until the fill
-    for i, (t, [u]) in zip(steps, run):
+    for i, (t, [u]) in zip(_strided(n, records, snapshots), run):
         try:
             record = (measure(u, t, config.lam, config.eps, config.hs_values)
-                      if i in records else None)
+                      if _on(records, n, i) else None)
         except NonFiniteRecordError as exc:
             raise IntegrationError(f"non-finite record at step {i} (t={t:g}): "
                                    f"{exc.quantities}", step=i, time=t, run=0) from None
-        yield t, record, u if i in snapshots else None
+        yield t, record, u if _on(snapshots, n, i) else None
 
 
 def evolve(datum: Field, config: SimConfig) -> Trajectory:

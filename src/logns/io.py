@@ -19,13 +19,14 @@ import json
 import math
 import os
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
 import numpy as np
 
 from .data import DATUM_KEYS, DATUM_KIND, DatumSpec, grid_errors
-from .diagnostics import DiagnosticsRecord
+from .diagnostics import DiagnosticsRecord, exponent_label
 from .experiments import EXPERIMENT_KEYS, EXPERIMENTS, parse_params
 from .geometry import GEOMETRY_KEYS, DomainKind, Field, GeometryError, GridGeometry
 from .integrator import SIM_KEYS, SimConfig
@@ -176,24 +177,40 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def write_timeseries(records: list[DiagnosticsRecord], destination: str | Path) -> None:
-    """CSV with columns time,mass,energy,hs_<s>... (s ascending).
+def write_timeseries(records: Iterable[DiagnosticsRecord], destination: str | Path,
+                     hs_values: Iterable[float]) -> None:
+    """CSV with columns time,mass,energy,hs_<s>... for s in hs_values
+    ascending, each labelled by `exponent_label`, and one row per record.
 
-    17 significant digits, LF line endings.
+    17 significant digits, LF line endings. The header is written first and
+    each row as its record is drawn from `records`, so a generator's rows
+    reach the file as they are sampled, and the rows it gave before it stops,
+    or raises, are kept. An OSError of the file itself is raised as an
+    IOError that names it; whatever `records` raises passes unchanged.
     """
-    s_values = sorted({s for rec in records for s in rec.hs_norms})
-    header = ["time", "mass", "energy"]
-    header += [f"hs_{s:g}" for s in s_values]
-    lines = [",".join(header)]
-    for rec in records:
-        row = [_fmt(rec.time), _fmt(rec.mass), _fmt(rec.energy)]
-        row += [_fmt(rec.hs_norms[s]) for s in s_values]
-        lines.append(",".join(row))
+    s_values = sorted(set(hs_values))
     path = Path(destination)
     try:
-        path.write_bytes(("\n".join(lines) + "\n").encode())
+        f = open(path, "w", encoding="ascii", newline="\n")
     except OSError as exc:
-        raise IOError(f"cannot write time series to {path}: {exc}") from exc
+        raise _unwritable(path, exc) from exc
+    with f:
+        header = ["time", "mass", "energy", *(f"hs_{exponent_label(s)}" for s in s_values)]
+        _write_row(f, path, header)
+        for rec in records:
+            _write_row(f, path, [_fmt(rec.time), _fmt(rec.mass), _fmt(rec.energy),
+                                 *(_fmt(rec.hs_norms[s]) for s in s_values)])
+
+
+def _write_row(f, path: Path, cells: list[str]) -> None:
+    try:
+        f.write(",".join(cells) + "\n")
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
+
+
+def _unwritable(path: Path, exc: OSError) -> IOError:
+    return IOError(f"cannot write time series to {path}: {exc}")
 
 
 def write_snapshot(field: Field, time: float, destination: str | Path) -> None:

@@ -20,7 +20,8 @@ from logns.data import DatumSpec, make_datum
 from logns.diagnostics import energy, hs_gagliardo_norm, hs_norm, mass
 from logns.experiments import EXPERIMENTS
 from logns.geometry import DomainKind, Field, GridGeometry
-from logns.io import read_snapshot, write_snapshot
+from logns.integrator import evolve
+from logns.io import load_config, read_snapshot, write_snapshot, write_timeseries
 
 
 def write_config(tmp_path, extra="", sim_extra=""):
@@ -161,19 +162,70 @@ class TestSimulate:
         _, t = read_snapshot(out / "snapshot_000000.bin")
         assert t == 0.0
 
-    def test_failed_run_with_unwritable_csv_keeps_nothing(self, tmp_path, capsys):
-        # a failed run whose time series cannot be written says why, and does
-        # not claim to have kept it
-        cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM)
-        overflow_at_step_1(cfg)
+    def test_an_unwritable_csv_exits_2_before_the_run(self, tmp_path, capsys):
+        # the CSV is opened before the first step: a run whose time series
+        # cannot be written does not start, writes no snapshot and keeps nothing
+        cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM, sim_extra=', "snapshot_every": 1')
         out = tmp_path / "out"
         (out / "timeseries.csv").mkdir(parents=True)
         assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "kept" not in err
-        assert [line.split(":")[0] for line in err.splitlines()] == ["error", "error"]
-        assert err.startswith("error: non-finite sample at step 1")
-        assert f"error: cannot write time series to {out / 'timeseries.csv'}" in err
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: cannot write time series to {out / 'timeseries.csv'}: ")
+        assert captured.out == ""
+        assert sorted(p.name for p in out.iterdir()) == ["timeseries.csv"]
+
+    def test_memory_is_flat_in_the_record_count(self, tmp_path, peak_traced_bytes):
+        """Each row is written as its record is sampled and the schedule of
+        steps is not held, so 20,001 records peak within 1 MB of 2,001. With
+        the records kept to the end, 20,001 of them peaked at 15.66 MB and
+        2,001 at 1.57 MB."""
+
+        def peak(t_final):
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps({
+                "geometry": {"kind": "torus", "points": [4]},
+                "sim": {"lambda": 1.0, "eps": 1e-3, "dt": 1e-3, "t_final": t_final,
+                        "hs_values": [0.5]},
+                "datum": {"kind": "gaussian_bump", "width": 0.25},
+            }))
+            argv = ["simulate", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]
+            code, peak = peak_traced_bytes(main, argv)
+            assert code == 0
+            assert len(csv_rows(tmp_path / "out" / "timeseries.csv")) == round(t_final / 1e-3) + 1
+            return peak
+
+        peak(0.002)  # builds and caches the symbol and the weight
+        few, many = peak(2.0), peak(20.0)
+        assert abs(many - few) < 1_000_000, (few, many)
+
+    def test_the_csv_is_that_of_the_kept_records(self, tmp_path):
+        """The streamed CSV is byte for byte the one written from every record
+        of `evolve`, which keeps them all."""
+        cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM,
+                           sim_extra=', "hs_values": [0.75, 0.25], "record_every": 3')
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        doc = load_config(cfg)
+        kept = tmp_path / "kept.csv"
+        traj = evolve(make_datum(doc.datum, doc.sim.geometry), doc.sim)
+        write_timeseries(traj.records, kept, doc.sim.hs_values)
+        assert (out / "timeseries.csv").read_bytes() == kept.read_bytes()
+        assert kept.read_text().startswith("time,mass,energy,hs_0.25,hs_0.75\n0,")
+
+    def test_distinct_exponents_get_distinct_columns(self, tmp_path):
+        """`:g` prints 0.1234567 and 0.1234568 both as 0.123457."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "geometry": {"kind": "torus", "points": [16]},
+            "sim": {"lambda": 1.0, "eps": 1e-3, "dt": 1e-3, "t_final": 2e-3,
+                    "hs_values": [0.1234567, 0.1234568]},
+            "datum": {"kind": "gaussian_bump", "width": 0.25},
+        }))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        header = (out / "timeseries.csv").read_text().splitlines()[0]
+        assert header == "time,mass,energy,hs_0.1234567,hs_0.1234568"
 
     def test_memory_is_flat_in_the_snapshot_count(self, tmp_path, peak_traced_bytes):
         """Each snapshot is written as it is sampled, so a run with a snapshot
@@ -736,6 +788,18 @@ class TestNorms:
         assert main([*argv, "--s", "-.5,0.5", "--lam", "-2e-3"]) == 0
         assert capsys.readouterr().out.splitlines() == lines
 
+    def test_distinct_exponents_get_distinct_lines(self, tmp_path, capsys):
+        """`:g` prints 0.1234567 and 0.1234568 both as 0.123457; the labels
+        `:g` gives exactly (0.5, 1) are kept."""
+        field, path = slab_snapshot(tmp_path)
+        argv = ["norms", "--snapshot", str(path), "--s", "0.1234567,0.1234568,0.5,1",
+                "--lambda", "1", "--eps", "0.01"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()[3:]
+        assert [line.split()[0] for line in lines] == [
+            "H^0.1234567", "H^0.1234568", "H^0.5", "H^1"]
+        assert float(lines[0].split()[3]) == hs_norm(field, 0.1234567)
+
     def test_a_file_name_that_looks_negative_is_a_value(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         write_config(tmp_path, extra=GAUSSIAN_DATUM).rename("-1.json")
@@ -1212,14 +1276,15 @@ class TestCheckInequality:
 
     def test_stdout_is_pinned(self, capsys):
         """Every printed digit of the default suite at seed 0, with one relative
-        phase per pair (two independent phases per pair printed worst ratio
-        5.757966e-01)."""
+        phase per pair drawn from one uniform (two independent phases per pair
+        printed worst ratio 5.757966e-01, and a relative phase from two
+        normals 6.094800e-01)."""
         assert main(["check-inequality", "--samples", "1000000", "--seed", "0"]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "samples per case : 1000000",
             "non-finite       : 0 (gap or bound; 0 passes)",
             "worst margin     : -1.000000e-12 (<= 0 passes)",
-            "worst ratio      : 6.094800e-01 (<= 1 passes)",
+            "worst ratio      : 6.902857e-01 (<= 1 passes)",
             "verdict          : PASS",
         ]
 
@@ -1302,8 +1367,8 @@ class TestCheckInequality:
     def test_peak_memory_is_the_draw_buffers_and_a_few_blocks(self, peak_traced_bytes,
                                                               capsys):
         """The moduli buffer holds 4 floats per pair of one block of 2^13
-        pairs (r1, r2, eps1, eps2), 32 B x 2^13 = 256 KiB, and the normals
-        buffer w for one block, 128 KiB; the kernels' and the suite's
+        pairs (r1, r2, eps1, eps2), 32 B x 2^13 = 256 KiB, and the z2
+        buffer for one block, 128 KiB; the kernels' and the suite's
         temporaries are block-sized, and peaked at 12.45 float arrays of 2^13
         pairs, so 13 such arrays bound them: 1,212,246 traced bytes in all,
         against 3,043,776 when the moduli of a whole 2^16 chunk were held (2
@@ -1324,12 +1389,56 @@ class TestCheckInequality:
         assert main(["check-inequality", "--samples", str(samples), "--seed", str(seed)]) == 0
         assert capsys.readouterr().out == whole_chunk_suite(samples, seed)
 
+    def test_relative_phases_fill_the_circle_evenly(self):
+        """2^16 phases at seed 0 in 64 equal bins of (-pi, pi], 1024 expected
+        in each. For uniform phases Pearson's statistic X^2 is asymptotically
+        chi-square with k = 63 degrees of freedom, and Laurent & Massart (Ann.
+        Statist. 2000, Lemma 1) give P(X^2 >= k + 2 sqrt(k x) + 2 x) <= e^-x;
+        x = 20 makes that 63 + 2 sqrt(1260) + 40 < 174, a bound a uniform draw
+        exceeds with probability below 2.1e-9. A phase on half the circle
+        gives X^2 = 65536. Each phase is also pi (2u - 1) for the uniform u
+        the generator gave, to within 4.5e-16."""
+        n = 2**16
+        z2 = cli._draw_z2(np.random.default_rng(0), np.ones(n), np.empty(2 * n))
+        theta = np.angle(z2)
+        counts, _ = np.histogram(theta, bins=64, range=(-math.pi, math.pi))
+        assert counts.sum() == n
+        assert np.sum((counts - n / 64) ** 2 / (n / 64)) < 174.0
+        u = np.random.default_rng(0).random(n)
+        assert np.max(np.abs(np.angle(np.exp(1j * (theta - math.pi * (2.0 * u - 1.0)))))) < 4.5e-16
+
+    def test_the_phase_keeps_the_modulus_to_4_ulps(self):
+        """|z2| = r2 within 4 units in the last place of r2, for every pair of
+        a block whose r2 spans [1e-15, 1e15] as the suite's moduli do."""
+        rng = np.random.default_rng(5)
+        r2 = np.exp(rng.uniform(-cli._LOG_SPAN, cli._LOG_SPAN, cli._BLOCK))
+        z2 = cli._draw_z2(rng, r2, np.empty(2 * cli._BLOCK))
+        assert z2.shape == r2.shape
+        assert np.all(np.abs(np.abs(z2) - r2) <= 4.0 * np.spacing(r2))
+
+    def test_a_zero_uniform_gives_a_finite_phase_near_pi(self):
+        """u = 0 is theta = -pi, where tan(theta / 2) is -1.6e16 and not an
+        overflow: z2 is -r2 and an imaginary part of 1.2e-16 r2, with no
+        warning (every warning is an error in this suite)."""
+
+        class Zeros:
+            def random(self, out):
+                out[:] = 0.0
+                return out
+
+        r2 = np.array([1e-15, 1.0, 3.0, 1e15])
+        z2 = cli._draw_z2(Zeros(), r2, np.empty(2 * r2.size))
+        assert np.all(np.isfinite(z2))
+        assert np.array_equal(z2.real, -r2)
+        assert np.all(np.abs(z2.imag) <= 1.3e-16 * r2)
+
 
 def whole_chunk_suite(n: int, seed: int) -> str:
     """The stdout of `check-inequality` drawn the way the stream is defined:
     per chunk of 2^16 pairs, all rows x chunk moduli in one `random` call,
-    then one normal draw per block of 2^13 pairs. Each quantity is formed by
-    the suite's operations in the suite's order, out of place."""
+    then one uniform draw u per block of 2^13 pairs, whose relative phase
+    theta = pi (2u - 1) is formed in the half-angle form. Each quantity is
+    formed by the suite's operations in the suite's order, out of place."""
     span, draw, block = 15.0 * math.log(10.0), 2**16, 2**13
     rng = np.random.default_rng(seed)
     non_finite, worst, ratio = 0, -math.inf, 0.0
@@ -1344,8 +1453,10 @@ def whole_chunk_suite(n: int, seed: int) -> str:
                 r1, r2 = moduli[0, lo : lo + block], moduli[1, lo : lo + block]
                 e1, e2 = ((0.0, 0.0) if eps_zero
                           else (moduli[2, lo : lo + block], moduli[3, lo : lo + block]))
-                w = rng.standard_normal(2 * r1.size).view(complex)
-                z2 = w * (r2 / np.abs(w))
+                t = np.tan((rng.random(r1.size) - 0.5) * math.pi)
+                q = 2.0 / (t * t + 1.0)
+                z2 = np.empty(r1.size, dtype=complex)
+                z2.real, z2.imag = (q - 1.0) * r2, t * q * r2
                 gap = np.abs(nonlinearity.monotonicity_gap(r1, z2, e1, e2))
                 bound = nonlinearity.monotonicity_bound(r1, z2, e1, e2)
                 slack = 1e-12 * (1.0 + np.abs(z2 - r1) ** 2)

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logns import diagnostics, geometry, spectral
 from logns.cli import main
@@ -491,3 +493,27 @@ class TestGagliardoNorm:
             gagliardo_brute_force(odd_extension(f), 0.5), rel=1e-12
         )
 
+
+
+class TestExponentLabel:
+    @pytest.mark.parametrize("s, label", [
+        (0.5, "0.5"), (1.0, "1"), (0.25, "0.25"), (1e-05, "1e-05"),
+        (2.0 / 3.0, "0.6666666666666666"),
+        (0.1234567, "0.1234567"), (np.float64(0.1234568), "0.1234568"),
+    ])
+    def test_labels(self, s, label):
+        """`:g` where it reads back exactly, so every label printed before is
+        kept; the shortest repr otherwise, never numpy's `np.float64(...)`."""
+        assert diagnostics.exponent_label(s) == label
+
+    @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    @settings(max_examples=500, derandomize=True)
+    def test_a_label_reads_back_as_its_exponent(self, s):
+        assert float(diagnostics.exponent_label(s)) == s
+
+    def test_a_non_finite_record_names_each_exponent(self):
+        """Two exponents that `:g` prints alike are named apart."""
+        field = constant_field(torus(16), 1e200)
+        with pytest.raises(diagnostics.NonFiniteRecordError) as info:
+            measure(field, 0.0, 1.0, 0.0, (0.1234567, 0.1234568))
+        assert "H^0.1234567 inf, H^0.1234568 inf" in info.value.quantities

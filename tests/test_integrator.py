@@ -1,5 +1,6 @@
 """Splitting scheme mechanics: substeps, schedules, conservation, errors."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -201,6 +202,23 @@ class TestMarch:
     def test_rejects_steps_off_the_run(self, steps):
         with pytest.raises(ValueError):
             list(march([random_field(torus(32))], config(torus(32)), steps))
+
+    def test_reads_each_step_as_it_reaches_it(self):
+        """The steps are not collected first: each sample is yielded before
+        the next step is read, so a step out of order raises only when it is
+        reached."""
+        read = []
+
+        def steps():
+            for i in (0, 3, 2):
+                read.append(i)
+                yield i
+
+        run = march([random_field(torus(32))], config(torus(32)), steps())
+        assert [round(t, 12) for t, _ in itertools.islice(run, 2)] == [0.0, 0.03]
+        assert read == [0, 3]
+        with pytest.raises(ValueError, match="nondecreasing within \\[0, 10\\], got 2$"):
+            next(run)
 
     def test_samples_are_independent_copies(self):
         f = random_field(torus(32))

@@ -376,6 +376,9 @@ def test_readme_config_section_names_every_key():
     assert not missing
 
 
+HS_VALUES = (0.5, 0.25)  # the exponents of `sample_records`, in config order
+
+
 def sample_records():
     return [
         DiagnosticsRecord(0.0, 1.0, -0.5, hs_norms={0.5: 1.25, 0.25: 1.1}),
@@ -387,13 +390,13 @@ def sample_records():
 class TestTimeseries:
     def test_header_and_ordering(self, tmp_path):
         path = tmp_path / "ts.csv"
-        write_timeseries(sample_records(), path)
+        write_timeseries(sample_records(), path, HS_VALUES)
         first = path.read_text().splitlines()[0]
         assert first == "time,mass,energy,hs_0.25,hs_0.5"
 
     def test_lf_line_endings(self, tmp_path):
         path = tmp_path / "ts.csv"
-        write_timeseries(sample_records(), path)
+        write_timeseries(sample_records(), path, HS_VALUES)
         blob = path.read_bytes()
         assert b"\r" not in blob
         assert blob.endswith(b"\n")
@@ -401,7 +404,7 @@ class TestTimeseries:
     def test_round_trip_preserves_doubles(self, tmp_path):
         path = tmp_path / "ts.csv"
         records = sample_records()
-        write_timeseries(records, path)
+        write_timeseries(records, path, HS_VALUES)
         back = np.loadtxt(path, delimiter=",", skiprows=1)
         assert back.shape == (2, 5)
         for orig, row in zip(records, back.tolist()):
@@ -410,9 +413,51 @@ class TestTimeseries:
 
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_timeseries(sample_records(), a)
-        write_timeseries(sample_records(), b)
+        write_timeseries(sample_records(), a, HS_VALUES)
+        write_timeseries(sample_records(), b, HS_VALUES)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_the_header_comes_from_the_exponents_without_a_record(self, tmp_path):
+        path = tmp_path / "ts.csv"
+        write_timeseries([], path, (1.0, 0.5, 1e-05))
+        assert path.read_text() == "time,mass,energy,hs_1e-05,hs_0.5,hs_1\n"
+
+    def test_distinct_exponents_get_distinct_labels(self, tmp_path):
+        """`:g` prints 0.1234567 and 0.1234568 both as 0.123457; each label
+        reads back as its own exponent."""
+        s_values = (0.1234567, 0.1234568)
+        records = [DiagnosticsRecord(0.0, 1.0, 2.0, hs_norms={0.1234567: 3.0, 0.1234568: 4.0})]
+        path = tmp_path / "ts.csv"
+        write_timeseries(records, path, s_values)
+        header, row = path.read_text().splitlines()
+        assert header == "time,mass,energy,hs_0.1234567,hs_0.1234568"
+        assert [float(label.removeprefix("hs_")) for label in header.split(",")[3:]] == [
+            0.1234567, 0.1234568]
+        assert row == "0,1,2,3,4"
+
+    def test_rows_are_written_as_the_records_come(self, tmp_path):
+        """Each row is written as its record is drawn, so the rows of a
+        generator that raises are kept, and what it raises passes unchanged,
+        an OSError too."""
+        path = tmp_path / "ts.csv"
+
+        def failing():
+            yield from sample_records()
+            raise OSError("the run's own fault")
+
+        with pytest.raises(OSError, match="^the run's own fault$"):
+            write_timeseries(failing(), path, HS_VALUES)
+        complete = tmp_path / "complete.csv"
+        write_timeseries(sample_records(), complete, HS_VALUES)
+        assert path.read_bytes() == complete.read_bytes()
+
+    def test_an_unwritable_destination_reads_nothing(self, tmp_path):
+        def untouched():
+            raise AssertionError("a record was drawn")
+            yield
+
+        with pytest.raises(OSError, match="^cannot write time series to "):
+            write_timeseries(untouched(), tmp_path, HS_VALUES)
 
 
 def sample_field(kind=DomainKind.TORUS):
