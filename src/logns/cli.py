@@ -125,8 +125,7 @@ def _cmd_norms(args) -> int:
 
 # the moduli and eps of `check-inequality` are log-uniform on [1e-15, 1e15]
 _LOG_SPAN = 15.0 * math.log(10.0)
-_DRAW = 2**16  # pairs per chunk of the stream: fixes the sample stream
-_BLOCK = 2**13  # pairs per kernel call: 64 KiB per float array, bounds the memory
+_BLOCK = 2**13  # pairs per draw and kernel call: fixes the stream, bounds the memory
 
 
 def _draw_z2(rng: np.random.Generator, r2: np.ndarray, buf: np.ndarray) -> np.ndarray:
@@ -163,21 +162,15 @@ def _cmd_check_inequality(args) -> int:
     uniform phases. `_draw_z2` forms e^{i theta} in the half-angle form of
     `nonlinearity.phase_flow`, one SIMD tan and no cos or sin.
 
-    The stream is cut in chunks of _DRAW pairs. A chunk of c pairs starts with
-    the moduli, rows x c uniforms in row-major order (r1, r2 and, unless
-    eps_zero, eps1, eps2), and goes on with u, one uniform draw per block of
-    _BLOCK pairs. The moduli are not held for the whole chunk: at its start,
-    spare generator k is set to the main generator's state advanced by k c,
-    and draws row k one block at a time, while the main generator, advanced
-    past the rows x c uniforms, draws each block's u just before its block is
-    evaluated. `random` takes one 64-bit output per double, so every modulus
-    has the bits of a whole-chunk draw. Two buffers, allocated once, hold one
-    block: the moduli, 32 B a pair, and z2, 16 B a pair. The kernels take the
-    real z1 as it is and the scalar eps = 0 of the eps_zero case as a scalar;
-    the slack, the margin and the ratio are formed in place, the slack's
-    |z1 - z2| from z2's buffer once the kernels have read it. Every kernel is
-    elementwise and the reductions are a count and maxima, so the output does
-    not depend on the block size.
+    The one generator's stream is cut in blocks of _BLOCK pairs, which alone
+    fixes the stream and bounds the memory. A block of c pairs starts with the
+    moduli, rows x c uniforms in row-major order (r1, r2 and, unless eps_zero,
+    eps1, eps2), and goes on with u, one uniform per pair. Two buffers,
+    allocated once, hold one block: the moduli, 32 B a pair, and z2, 16 B a
+    pair. The kernels take the real z1 as it is and the scalar eps = 0 of the
+    eps_zero case as a scalar; the slack, the margin and the ratio are formed
+    in place, the slack's |z1 - z2| from z2's buffer once the kernels have
+    read it.
     """
     n, seed = args.samples, args.seed
     if n < 1:
@@ -185,10 +178,7 @@ def _cmd_check_inequality(args) -> int:
     if seed < 0:
         raise ValueError(f"--seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
-    # one generator per row of moduli, made once per call (building one costs a
-    # seeding, or without a seed an OS entropy read); each chunk sets its state
-    rows_rng = [np.random.Generator(np.random.PCG64(seed)) for _ in range(4)]
-    block_size = min(n, _DRAW, _BLOCK)
+    block_size = min(n, _BLOCK)
     moduli_buf = np.empty(4 * block_size)  # r1, r2 and, unless eps_zero, eps1, eps2
     z2_buf = np.empty(2 * block_size)  # z2 of one block, as complex pairs
     non_finite = 0  # samples whose gap or bound is inf or nan: any one fails
@@ -196,47 +186,35 @@ def _cmd_check_inequality(args) -> int:
     ratio = 0.0  # the largest gap / (bound + slack): how close the bound came
     for eps_zero in (False, True):
         rows = 2 if eps_zero else 4
-        remaining = n
-        while remaining > 0:
-            chunk = min(remaining, _DRAW)
-            remaining -= chunk
-            state = rng.bit_generator.state
-            for k, row_rng in enumerate(rows_rng[:rows]):
-                row_rng.bit_generator.state = state
-                row_rng.bit_generator.advance(k * chunk)
-            rng.bit_generator.advance(rows * chunk)
-            for lo in range(0, chunk, _BLOCK):
-                size = min(_BLOCK, chunk - lo)
-                # bitwise rng.uniform(-_LOG_SPAN, _LOG_SPAN, size=(rows, chunk))[:, block]
-                moduli = moduli_buf[: rows * size].reshape(rows, size)
-                for row, row_rng in zip(moduli, rows_rng):
-                    row_rng.random(out=row)
-                moduli *= 2.0 * _LOG_SPAN
-                moduli -= _LOG_SPAN
-                np.exp(moduli, out=moduli)
-                r1, r2 = moduli[0], moduli[1]
-                e1, e2 = (0.0, 0.0) if eps_zero else (moduli[2], moduli[3])
-                z2 = _draw_z2(rng, r2, z2_buf)
-                gap = np.abs(nonlinearity.monotonicity_gap(r1, z2, e1, e2))
-                bound = nonlinearity.monotonicity_bound(r1, z2, e1, e2)
-                # 1e-12 (1 + |z1 - z2|^2), formed in place: z2 is the block's own
-                # buffer, which becomes z2 - z1, of modulus |z1 - z2| bit for bit
-                z2.real -= r1
-                slack = np.abs(z2)
-                slack *= slack
-                slack += 1.0
-                slack *= 1e-12
-                finite = np.isfinite(gap)
-                finite &= np.isfinite(bound)
-                non_finite += r1.size - int(np.count_nonzero(finite))
-                margin = gap - bound
-                margin -= slack
-                worst = max(worst, float(np.maximum.reduce(margin, axis=None, where=finite,
-                                                           initial=-math.inf)))
-                quotient = np.add(bound, slack, out=slack)
-                np.divide(gap, quotient, out=quotient)
-                ratio = max(ratio, float(np.maximum.reduce(quotient, axis=None, where=finite,
-                                                           initial=0.0)))
+        for lo in range(0, n, _BLOCK):
+            size = min(_BLOCK, n - lo)
+            moduli = rng.random(out=moduli_buf[: rows * size]).reshape(rows, size)
+            moduli *= 2.0 * _LOG_SPAN
+            moduli -= _LOG_SPAN
+            np.exp(moduli, out=moduli)
+            r1, r2 = moduli[0], moduli[1]
+            e1, e2 = (0.0, 0.0) if eps_zero else (moduli[2], moduli[3])
+            z2 = _draw_z2(rng, r2, z2_buf)
+            gap = np.abs(nonlinearity.monotonicity_gap(r1, z2, e1, e2))
+            bound = nonlinearity.monotonicity_bound(r1, z2, e1, e2)
+            # 1e-12 (1 + |z1 - z2|^2), formed in place: z2 is the block's own
+            # buffer, which becomes z2 - z1, of modulus |z1 - z2| bit for bit
+            z2.real -= r1
+            slack = np.abs(z2)
+            slack *= slack
+            slack += 1.0
+            slack *= 1e-12
+            finite = np.isfinite(gap)
+            finite &= np.isfinite(bound)
+            non_finite += r1.size - int(np.count_nonzero(finite))
+            margin = gap - bound
+            margin -= slack
+            worst = max(worst, float(np.maximum.reduce(margin, axis=None, where=finite,
+                                                       initial=-math.inf)))
+            quotient = np.add(bound, slack, out=slack)
+            np.divide(gap, quotient, out=quotient)
+            ratio = max(ratio, float(np.maximum.reduce(quotient, axis=None, where=finite,
+                                                       initial=0.0)))
     passed = non_finite == 0 and worst <= 0.0
     print(f"samples per case : {n}")
     print(f"non-finite       : {non_finite} (gap or bound; 0 passes)")

@@ -224,26 +224,47 @@ def test_09_eps_cauchy_ladder():
     _verdict(9, f"eps-Cauchy ladder (final rel dist {final_rel:.2e})", ok)
 
 
-def test_10_splitting_orders():
-    """Strang lands near order 2, Lie near order 1, on smooth data."""
+def splitting_orders_verdict(reports):
+    """Check 10's label and verdict on one convergence report per splitting:
+    Strang's last order in [1.7, 2.3], Lie's in [0.8, 1.2]. A ladder in the
+    exact regime, as a linear run's is, judges no order and has no `order`
+    margin: it fails, labelled `<splitting> exact-regime`."""
+    bands = {"strang": (1.7, 2.3), "lie": (0.8, 1.2)}
+    ok, parts = True, []
+    for splitting, report in reports.items():
+        lo, hi = bands[splitting]
+        order = report.margins.get("order")
+        ok &= report.passed and order is not None and lo <= order <= hi
+        parts.append(f"{splitting} exact-regime" if order is None else f"{splitting} {order:.2f}")
+    return f"splitting orders ({', '.join(parts)})", ok
+
+
+def splitting_order_reports(lam):
+    """The convergence report of each splitting on check 10's run at lambda."""
     geom = torus(64)
     spec = DatumSpec(kind="gaussian_bump", width=0.25)
     ladder = [4e-3, 2e-3, 1e-3]
-    orders = {}
-    ok = True
-    for splitting in ("strang", "lie"):
-        cfg = SimConfig(lam=1.0, eps=1e-2, dt=1e-3, t_final=1.0, geometry=geom,
-                        splitting=splitting)
-        report = run_convergence_order(spec, cfg, dt_ladder=ladder)
-        orders[splitting] = report.margins["order"]
-        ok &= report.passed
-    ok &= 1.7 <= orders["strang"] <= 2.3
-    ok &= 0.8 <= orders["lie"] <= 1.2
-    _verdict(
-        10,
-        f"splitting orders (strang {orders['strang']:.2f}, lie {orders['lie']:.2f})",
-        ok,
-    )
+    return {splitting: run_convergence_order(
+                spec, SimConfig(lam=lam, eps=1e-2, dt=1e-3, t_final=1.0, geometry=geom,
+                                splitting=splitting), dt_ladder=ladder)
+            for splitting in ("strang", "lie")}
+
+
+def test_10_splitting_orders():
+    """Strang lands near order 2, Lie near order 1, on smooth data."""
+    _verdict(10, *splitting_orders_verdict(splitting_order_reports(1.0)))
+
+
+def test_check_10_fails_a_linear_run():
+    """lambda = 0 is linear, so both splittings are exact: the ladders are in
+    the exact regime and their reports have no `order`, which check 10 fails
+    by name (reading the margin raised KeyError)."""
+    reports = splitting_order_reports(0.0)
+    for report in reports.values():
+        assert report.margins["exact_regime"] == 1.0
+        assert "order" not in report.margins
+    assert splitting_orders_verdict(reports) == (
+        "splitting orders (strang exact-regime, lie exact-regime)", False)
 
 
 def test_11_determinism_and_round_trips(tmp_path):
