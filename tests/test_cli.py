@@ -1378,6 +1378,17 @@ class TestCheckInequality:
         assert main(["check-inequality", "--samples", str(samples), "--seed", str(seed)]) == 0
         assert capsys.readouterr().out == whole_block_suite(samples, seed)
 
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("block", [2**16, 1000], ids=["one block of 2^16", "1000"])
+    def test_the_block_alone_fixes_the_stream(self, seed, block, capsys, monkeypatch):
+        """`_BLOCK` cuts the stream: at a block of 2^16, which holds all 70001
+        pairs in two blocks, and of 1000, which does not divide them, every
+        printed byte is that of `whole_block_suite` cut at that block, and the
+        buffers follow the block."""
+        monkeypatch.setattr(cli, "_BLOCK", block)
+        assert main(["check-inequality", "--samples", "70001", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == whole_block_suite(70001, seed, block)
+
     def test_relative_phases_fill_the_circle_evenly(self):
         """2^16 phases at seed 0 in 64 equal bins of (-pi, pi], 1024 expected
         in each. For uniform phases Pearson's statistic X^2 is asymptotically
@@ -1422,13 +1433,13 @@ class TestCheckInequality:
         assert np.all(np.abs(z2.imag) <= 1.3e-16 * r2)
 
 
-def whole_block_suite(n: int, seed: int) -> str:
+def whole_block_suite(n: int, seed: int, block: int = 2**13) -> str:
     """The stdout of `check-inequality` drawn the way the stream is defined:
-    per block of 2^13 pairs, all rows x block moduli in one `random` call,
+    per block of `block` pairs, all rows x block moduli in one `random` call,
     then one uniform u per pair, whose relative phase theta = pi (2u - 1) is
     formed in the half-angle form. Each quantity is formed by the suite's
     operations in the suite's order, out of place."""
-    span, block = 15.0 * math.log(10.0), 2**13
+    span = 15.0 * math.log(10.0)
     rng = np.random.default_rng(seed)
     non_finite, worst, ratio = 0, -math.inf, 0.0
     for eps_zero in (False, True):
