@@ -1137,6 +1137,80 @@ class TestExperimentFuzz:
                                  for line in lines), lines
 
 
+
+@st.composite
+def sweep_datum(draw, dim, periodic):
+    """A datum of the soundness sweep: a Gaussian of width 0.05 to 0.2 and
+    amplitude 0.2 to 3, a band-limited or rough (s = 0.25 to 2) field, or,
+    on a periodic grid, a plane wave."""
+    kind = draw(st.sampled_from(["gaussian_bump", "random_band_limited", "random_rough",
+                                 *["plane_wave"] * periodic]))
+    if kind == "gaussian_bump":
+        return {"kind": kind, "width": draw(st.sampled_from([0.05, 0.1, 0.2])),
+                "amplitude": draw(st.sampled_from([0.2, 1.0, 3.0]))}
+    if kind == "random_band_limited":
+        return {"kind": kind, "cutoff": draw(st.sampled_from([2.0, 4.0, 8.0])),
+                "seed": draw(st.integers(0, 9))}
+    if kind == "random_rough":
+        return {"kind": kind, "target_s": draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])),
+                "seed": draw(st.integers(0, 9))}
+    return {"kind": kind, "modes": draw(st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)),
+            "amplitude": draw(st.sampled_from([0.2, 1.0, 3.0]))}
+
+
+@st.composite
+def sound_configs(draw):
+    """A valid config of an experiment whose verdict is a theorem the scheme
+    meets: lipschitz, hs-growth or scaling (at eps = 0). The torus in 1-d to
+    3-d, the periodic box, the interval and 2-d and 3-d slabs, with 8 to 256
+    points per axis in 1-d, 8 to 32 in 2-d and 8 in 3-d (the sweep's
+    budget is about 2 s), 20 to 100 steps and both splittings."""
+    name = draw(st.sampled_from(["lipschitz", "hs-growth", "scaling"]))
+    kind, dim = draw(st.sampled_from([
+        ("torus", 1), ("torus", 2), ("torus", 3), ("periodic_box", 1), ("periodic_box", 2),
+        ("dirichlet_interval", 1), ("dirichlet_slab", 2), ("dirichlet_slab", 3)]))
+    points = {1: [8, 16, 32, 64, 128, 256], 2: [8, 16, 32], 3: [8]}[dim]
+    geometry = {"kind": kind, "points": draw(st.lists(st.sampled_from(points),
+                                                      min_size=dim, max_size=dim))}
+    if kind != "torus":
+        geometry["lengths"] = draw(st.lists(st.sampled_from([1.0, 2.0, 2.0 * math.pi]),
+                                            min_size=dim, max_size=dim))
+    dt = draw(st.sampled_from([5e-4, 1e-3, 2e-3]))
+    sim = {"lambda": draw(st.sampled_from([-2.0, -1.0, -0.3, 0.5, 1.0, 2.0])),
+           "eps": 0.0 if name == "scaling" else draw(st.sampled_from([0.0, 1e-3, 1e-2, 0.1])),
+           "dt": dt, "t_final": draw(st.integers(20, 100)) * dt,
+           "splitting": draw(st.sampled_from(["lie", "strang"])),
+           "record_every": draw(st.sampled_from([1, 5, 10]))}
+    if name == "hs-growth":
+        sim["hs_values"] = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=1,
+                                         max_size=3, unique=True))
+    periodic = kind in ("torus", "periodic_box")
+    doc = {"geometry": geometry, "sim": sim, "datum": draw(sweep_datum(dim, periodic))}
+    if name == "lipschitz":
+        doc["datum_b"] = draw(sweep_datum(dim, periodic))
+    if name == "scaling":
+        doc["experiment"] = {"z": draw(st.sampled_from([0.5, 2.0, [0.6, 0.8], [-1.0, 3.0]]))}
+    return name, doc
+
+
+class TestSoundnessSweep:
+    @given(case=sound_configs())
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_the_scheme_passes_every_theorem_it_meets(self, tmp_path_factory, case):
+        """In process: the correct scheme PASSes lipschitz, hs-growth and
+        scaling on every valid config drawn, exit 0 with nothing on stderr.
+        A FAIL here is a false FAIL of the harness, or a fault of the scheme."""
+        name, doc = case
+        work = tmp_path_factory.mktemp("sweep")
+        (work / "config.json").write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["experiment", name, "--config", str(work / "config.json"),
+                         "--out", str(work / "report.json")])
+        assert (code, err.getvalue()) == (0, ""), out.getvalue()
+
+
 class TestOutOfRange:
     """Configs whose numbers are finite but whose squares or products leave
     the float range: each exits as below, with no warning (the suite turns
@@ -1274,25 +1348,29 @@ class TestCheckInequality:
         assert captured.err == "error: --seed must be non-negative, got -1\n"
         assert captured.out == ""
 
-    def test_stdout_is_pinned(self, capsys):
-        """Every printed digit of the default suite at seed 0, with each block's
-        moduli and relative phases drawn from one stream (moduli drawn per
-        chunk of 2^16 pairs printed worst ratio 6.902857e-01, two independent
-        phases per pair 5.757966e-01, and a relative phase from two normals
-        6.094800e-01)."""
-        assert main(["check-inequality", "--samples", "1000000", "--seed", "0"]) == 0
+    @pytest.mark.parametrize("seed, ratio", [
+        (0, "6.526562e-01"), (3, "5.628545e-01"), (7, "6.014502e-01"),
+    ])
+    def test_stdout_is_pinned(self, seed, ratio, capsys):
+        """Every printed digit of the default suite at three seeds, with each
+        block's moduli and relative phases drawn from one stream and shared by
+        both cases. The worst ratio is the unequal-eps case's; at eps = 0 the
+        ratio is at most 1/2. At seed 0, moduli drawn per chunk of 2^16 pairs
+        printed worst ratio 6.902857e-01, two independent phases per pair
+        5.757966e-01, and a relative phase from two normals 6.094800e-01."""
+        assert main(["check-inequality", "--samples", "1000000", "--seed", str(seed)]) == 0
         assert capsys.readouterr().out.splitlines() == [
             "samples per case : 1000000",
             "non-finite       : 0 (gap or bound; 0 passes)",
             "worst margin     : -1.000000e-12 (<= 0 passes)",
-            "worst ratio      : 6.526562e-01 (<= 1 passes)",
+            f"worst ratio      : {ratio} (<= 1 passes)",
             "verdict          : PASS",
         ]
 
     def test_a_count_off_the_block_size_draws_every_sample(self, capsys, monkeypatch):
-        """70001 is not a multiple of the 2^13 block: each case draws and
-        evaluates eight blocks of 2^13 pairs, then one of 4465, so every pair
-        is evaluated once per case."""
+        """70001 is not a multiple of the 2^13 block: the suite draws eight
+        blocks of 2^13 pairs, then one of 4465, and judges both cases on each
+        block, so every pair is evaluated once per case."""
         sizes = []
         gap = nonlinearity.monotonicity_gap
 
@@ -1302,7 +1380,7 @@ class TestCheckInequality:
 
         monkeypatch.setattr(nonlinearity, "monotonicity_gap", sized_gap)
         assert main(["check-inequality", "--samples", "70001", "--seed", "3"]) == 0
-        assert sizes == ([8192] * 8 + [4465]) * 2
+        assert sizes == [8192, 8192] * 8 + [4465, 4465]
         out = capsys.readouterr().out
         assert "samples per case : 70001" in out
         assert "verdict          : PASS" in out
@@ -1343,6 +1421,50 @@ class TestCheckInequality:
         assert float(out.split("worst ratio      :")[1].split()[0]) > 1.0
         assert "verdict          : FAIL" in out
 
+    def test_draws_5_uniforms_per_pair(self, monkeypatch, capsys):
+        """4 moduli (r1, r2, eps1, eps2) and one u per pair, shared by both
+        cases, in two `random` calls per block: 5 uniforms per pair where a
+        fresh draw for the eps = 0 case made it 8."""
+        counts = []
+        default_rng = np.random.default_rng
+
+        class Counting:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def random(self, *args, **kwargs):
+                out = self.rng.random(*args, **kwargs)
+                counts.append(out.size)
+                return out
+
+        monkeypatch.setattr(np.random, "default_rng", Counting)
+        assert main(["check-inequality", "--samples", "70001", "--seed", "3"]) == 0
+        assert counts == [4 * 8192, 8192] * 8 + [4 * 4465, 4465]
+        assert sum(counts) == 5 * 70001
+        assert "verdict          : PASS" in capsys.readouterr().out
+
+    def test_both_cases_of_a_block_get_its_one_draw(self, monkeypatch, capsys):
+        """The two gap calls of a block receive bitwise-equal r1 and z2, the
+        first with the block's eps rows and the second with the scalar
+        eps = 0; so do the two bound calls."""
+        calls = {"monotonicity_gap": [], "monotonicity_bound": []}
+        for name, record in calls.items():
+            def recording(z1, z2, eps1, eps2, kernel=getattr(nonlinearity, name),
+                          record=record):
+                record.append((z1.copy(), z2.copy(), np.copy(eps1), np.copy(eps2)))
+                return kernel(z1, z2, eps1, eps2)
+
+            monkeypatch.setattr(nonlinearity, name, recording)
+        assert main(["check-inequality", "--samples", "20000", "--seed", "0"]) == 0
+        assert "verdict          : PASS" in capsys.readouterr().out
+        for record in calls.values():
+            assert [z1.size for z1, *_ in record] == [8192, 8192, 8192, 8192, 3616, 3616]
+            for (r1, z2, e1, e2), (r1_0, z2_0, e1_0, e2_0) in zip(record[::2], record[1::2]):
+                assert r1.dtype == float and z2.dtype == complex
+                assert r1.tobytes() == r1_0.tobytes() and z2.tobytes() == z2_0.tobytes()
+                assert e1.shape == e2.shape == r1.shape and np.all(e1 != e2)
+                assert e1_0.shape == e2_0.shape == () and e1_0 == e2_0 == 0.0
+
     def test_peak_memory_is_at_most_the_two_phase_suites(self, peak_traced_bytes, capsys):
         """The suite with two phases per pair peaked at 12,289,298 traced bytes
         (13,146,168 on a process's first call) at 10^6 samples; one relative
@@ -1357,10 +1479,11 @@ class TestCheckInequality:
         """The moduli buffer holds 4 floats per pair of one block of 2^13
         pairs (r1, r2, eps1, eps2), 32 B x 2^13 = 256 KiB, and the z2
         buffer for one block, 128 KiB; the kernels' and the suite's
-        temporaries are block-sized, and peaked at 12.45 float arrays of 2^13
-        pairs, so 13 such arrays bound them: 1,245,184 traced bytes in all,
-        against 3,043,776 when the moduli of a whole 2^16 chunk were held (2
-        MiB). A first call of one sample keeps the one-time imports of the
+        temporaries are block-sized, and peaked at 11.44 float arrays of 2^13
+        pairs (1,142,930 traced bytes; 12.45 when each case drew its own
+        pairs and formed its own slack), so 13 such arrays bound them:
+        1,245,184 traced bytes in all, against 3,043,776 when the moduli of a
+        whole 2^16 chunk were held (2 MiB). A first call of one sample keeps the one-time imports of the
         generator out of the peak."""
         assert main(["check-inequality", "--samples", "1", "--seed", "0"]) == 0
         argv = ["check-inequality", "--samples", "1000000", "--seed", "0"]
@@ -1435,26 +1558,25 @@ class TestCheckInequality:
 
 def whole_block_suite(n: int, seed: int, block: int = 2**13) -> str:
     """The stdout of `check-inequality` drawn the way the stream is defined:
-    per block of `block` pairs, all rows x block moduli in one `random` call,
-    then one uniform u per pair, whose relative phase theta = pi (2u - 1) is
-    formed in the half-angle form. Each quantity is formed by the suite's
-    operations in the suite's order, out of place."""
+    per block of `block` pairs, all 4 x block moduli (r1, r2, eps1, eps2) in
+    one `random` call, then one uniform u per pair, whose relative phase
+    theta = pi (2u - 1) is formed in the half-angle form. Both cases, the
+    block's eps and eps = 0, read that one draw. Each quantity is formed by
+    the suite's operations in the suite's order, out of place."""
     span = 15.0 * math.log(10.0)
     rng = np.random.default_rng(seed)
     non_finite, worst, ratio = 0, -math.inf, 0.0
-    for eps_zero in (False, True):
-        rows = 2 if eps_zero else 4
-        for lo in range(0, n, block):
-            moduli = np.exp(rng.random((rows, min(block, n - lo))) * (2.0 * span) - span)
-            r1, r2 = moduli[0], moduli[1]
-            e1, e2 = (0.0, 0.0) if eps_zero else (moduli[2], moduli[3])
-            t = np.tan((rng.random(r1.size) - 0.5) * math.pi)
-            q = 2.0 / (t * t + 1.0)
-            z2 = np.empty(r1.size, dtype=complex)
-            z2.real, z2.imag = (q - 1.0) * r2, t * q * r2
+    for lo in range(0, n, block):
+        moduli = np.exp(rng.random((4, min(block, n - lo))) * (2.0 * span) - span)
+        r1, r2 = moduli[0], moduli[1]
+        t = np.tan((rng.random(r1.size) - 0.5) * math.pi)
+        q = 2.0 / (t * t + 1.0)
+        z2 = np.empty(r1.size, dtype=complex)
+        z2.real, z2.imag = (q - 1.0) * r2, t * q * r2
+        slack = 1e-12 * (1.0 + np.abs(z2 - r1) ** 2)
+        for e1, e2 in ((moduli[2], moduli[3]), (0.0, 0.0)):
             gap = np.abs(nonlinearity.monotonicity_gap(r1, z2, e1, e2))
             bound = nonlinearity.monotonicity_bound(r1, z2, e1, e2)
-            slack = 1e-12 * (1.0 + np.abs(z2 - r1) ** 2)
             finite = np.isfinite(gap) & np.isfinite(bound)
             non_finite += int(np.count_nonzero(~finite))
             worst = max(worst, float(np.max(gap - bound - slack, where=finite,
