@@ -20,6 +20,8 @@ import math
 import os
 import struct
 from collections.abc import Iterable
+from itertools import chain
+from contextlib import suppress
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 
@@ -173,10 +175,6 @@ def load_config(path: str | Path, experiment: str | None = None) -> ConfigDocume
     return parse_config(Path(path).read_text(), experiment)
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def write_timeseries(records: Iterable[DiagnosticsRecord], destination: str | Path,
                      hs_values: Iterable[float]) -> None:
     """CSV with columns time,mass,energy,hs_<s>... for s in hs_values
@@ -190,41 +188,44 @@ def write_timeseries(records: Iterable[DiagnosticsRecord], destination: str | Pa
     """
     s_values = sorted(set(hs_values))
     path = Path(destination)
+    header = ["time", "mass", "energy", *(f"hs_{exponent_label(s)}" for s in s_values)]
+    rows = ([f"{v:.17g}" for v in (rec.time, rec.mass, rec.energy,
+                                  *(rec.hs_norms[s] for s in s_values))] for rec in records)
+    f = _writing("time series", path, open, path, "w", encoding="ascii", newline="\n")
     try:
-        f = open(path, "w", encoding="ascii", newline="\n")
-    except OSError as exc:
-        raise _unwritable(path, exc) from exc
-    with f:
-        header = ["time", "mass", "energy", *(f"hs_{exponent_label(s)}" for s in s_values)]
-        _write_row(f, path, header)
-        for rec in records:
-            _write_row(f, path, [_fmt(rec.time), _fmt(rec.mass), _fmt(rec.energy),
-                                 *(_fmt(rec.hs_norms[s]) for s in s_values)])
+        for cells in chain([header], rows):
+            _writing("time series", path, f.write, ",".join(cells) + "\n")
+    except BaseException:
+        with suppress(OSError):  # rows still buffered may not hide what was raised
+            f.close()
+        raise
+    _writing("time series", path, f.close)  # it writes the rows still buffered
 
 
-def _write_row(f, path: Path, cells: list[str]) -> None:
+def _writing(what: str, path, call, *args, **kwargs):
+    """call(*args, **kwargs), with an OSError raised as an IOError that names `path`."""
     try:
-        f.write(",".join(cells) + "\n")
+        return call(*args, **kwargs)
     except OSError as exc:
-        raise _unwritable(path, exc) from exc
-
-
-def _unwritable(path: Path, exc: OSError) -> IOError:
-    return IOError(f"cannot write time series to {path}: {exc}")
+        raise IOError(f"cannot write {what} to {path}: {exc}") from exc
 
 
 def write_snapshot(field: Field, time: float, destination: str | Path) -> None:
     """Fixed little-endian binary snapshot; layout documented in the README.
 
     The header is written first, then the samples straight from the array.
+    An OSError, at close too, is raised as an IOError that names the file.
     """
     geom = field.geometry
     header = _FIXED.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, _KIND_TAGS[geom.kind], geom.dim)
     header += _layout(geom.dim).pack(*geom.points, *geom.lengths, time)
     payload = np.ascontiguousarray(field.data, dtype="<c16")
-    with open(destination, "wb") as f:
-        f.write(header)
-        f.write(memoryview(payload))  # no copy of the samples
+    try:
+        with open(destination, "wb") as f:
+            f.write(header)
+            f.write(memoryview(payload))  # no copy of the samples
+    except OSError as exc:
+        raise IOError(f"cannot write snapshot to {destination}: {exc}") from exc
 
 
 def read_snapshot(source: str | Path) -> tuple[Field, float]:

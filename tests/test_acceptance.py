@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from logns import constants, nonlinearity
+from logns import constants
 from logns.cli import main
 from logns.data import DatumSpec, make_datum
 from logns.diagnostics import hs_gagliardo_norm, hs_norm, l2_distance, mass
@@ -42,26 +42,15 @@ def torus(n):
     return GridGeometry(DomainKind.TORUS, (1.0,), (n,))
 
 
-def test_01_monotonicity_inequality_suite():
-    """10^6 random tuples satisfy the gap bound, with and without regularization."""
-    rng = np.random.default_rng(20240817)
+def test_01_monotonicity_inequality_suite(capsys):
+    """`logns check-inequality` passes 10^6 random tuples for each case, with
+    and without regularization."""
     start = time.monotonic()
-    ok = True
-    n = 1_000_000
-    for eps_case in ("random", "zero"):
-        moduli = 10.0 ** rng.uniform(-15, 15, size=(2, n))
-        phases = np.exp(2j * np.pi * rng.random((2, n)))
-        z1, z2 = moduli * phases
-        if eps_case == "zero":
-            e1 = e2 = np.zeros(n)
-        else:
-            e1, e2 = 10.0 ** rng.uniform(-15, 15, size=(2, n))
-        gap = np.abs(nonlinearity.monotonicity_gap(z1, z2, e1, e2))
-        bound = nonlinearity.monotonicity_bound(z1, z2, e1, e2)
-        slack = 1e-12 * (1.0 + np.abs(z1 - z2) ** 2)
-        ok &= bool(np.all(gap <= bound + slack))
+    code = main(["check-inequality", "--samples", "1000000", "--seed", "20240817"])
     elapsed = time.monotonic() - start
-    ok &= elapsed < 5.0
+    out = capsys.readouterr().out.splitlines()
+    ok = code == 0 and "samples per case : 1000000" in out and elapsed < 5.0
+    ok &= "non-finite       : 0 (gap or bound; 0 passes)" in out
     _verdict(1, "pointwise monotonicity inequality (2 x 1e6 tuples)", ok)
 
 

@@ -162,6 +162,31 @@ class TestSimulate:
         _, t = read_snapshot(out / "snapshot_000000.bin")
         assert t == 0.0
 
+    def test_a_full_device_names_the_csv(self, tmp_path, capsys):
+        """The few rows stay buffered until the CSV is closed, after the run:
+        the fault there names the file as an open or a write fault does."""
+        cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "timeseries.csv").symlink_to("/dev/full")
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: cannot write time series to {out / 'timeseries.csv'}: "
+            "[Errno 28] No space left on device"]
+        assert captured.out == ""
+
+    def test_a_full_device_names_the_snapshot(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, extra=GAUSSIAN_DATUM, sim_extra=', "snapshot_every": 1')
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "snapshot_000001.bin").symlink_to("/dev/full")
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: cannot write snapshot to {out / 'snapshot_000001.bin'}: "
+            "[Errno 28] No space left on device",
+            f"kept {out / 'timeseries.csv'} (2 records, 1 snapshots, last sample at t=0.01)"]
+
     def test_an_unwritable_csv_exits_2_before_the_run(self, tmp_path, capsys):
         # the CSV is opened before the first step: a run whose time series
         # cannot be written does not start, writes no snapshot and keeps nothing
@@ -348,6 +373,23 @@ class TestExperiment:
         captured = capsys.readouterr()
         assert captured.err == ""
         assert "verdict    : PASS" in captured.out.splitlines()
+
+    def test_a_full_device_names_the_report(self, tmp_path, capsys):
+        """The report is written after the verdict is printed; the device's
+        fault, at close, names the report's path."""
+        doc = {"geometry": {"kind": "torus", "points": [16]},
+               "sim": {"lambda": 1.0, "eps": 1e-3, "dt": 1e-3, "t_final": 2e-3,
+                       "hs_values": [0.5]},
+               "datum": {"kind": "gaussian_bump", "width": 0.5}}
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        report_path = tmp_path / "report.json"
+        report_path.symlink_to("/dev/full")
+        assert main(["experiment", "hs-growth", "--config", str(tmp_path / "config.json"),
+                     "--out", str(report_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1] == "verdict    : PASS"
+        assert captured.err.splitlines() == [
+            f"error: cannot write report to {report_path}: [Errno 28] No space left on device"]
 
     # lambda 1, dt 50 and t_final 400: e^{4 |lam| t} and e^{2 lam^2 |t dt|}
     # leave the float range, where math.exp raises; so does lambda^2 at 1e200
@@ -1445,8 +1487,8 @@ class TestCheckInequality:
 
     def test_both_cases_of_a_block_get_its_one_draw(self, monkeypatch, capsys):
         """The two gap calls of a block receive bitwise-equal r1 and z2, the
-        first with the block's eps rows and the second with the scalar
-        eps = 0; so do the two bound calls."""
+        first with the scalar eps = 0, whose bound gives the slack, and the
+        second with the block's eps rows; so do the two bound calls."""
         calls = {"monotonicity_gap": [], "monotonicity_bound": []}
         for name, record in calls.items():
             def recording(z1, z2, eps1, eps2, kernel=getattr(nonlinearity, name),
@@ -1459,11 +1501,11 @@ class TestCheckInequality:
         assert "verdict          : PASS" in capsys.readouterr().out
         for record in calls.values():
             assert [z1.size for z1, *_ in record] == [8192, 8192, 8192, 8192, 3616, 3616]
-            for (r1, z2, e1, e2), (r1_0, z2_0, e1_0, e2_0) in zip(record[::2], record[1::2]):
+            for (r1_0, z2_0, e1_0, e2_0), (r1, z2, e1, e2) in zip(record[::2], record[1::2]):
                 assert r1.dtype == float and z2.dtype == complex
                 assert r1.tobytes() == r1_0.tobytes() and z2.tobytes() == z2_0.tobytes()
-                assert e1.shape == e2.shape == r1.shape and np.all(e1 != e2)
                 assert e1_0.shape == e2_0.shape == () and e1_0 == e2_0 == 0.0
+                assert e1.shape == e2.shape == r1.shape and np.all(e1 != e2)
 
     def test_peak_memory_is_at_most_the_two_phase_suites(self, peak_traced_bytes, capsys):
         """The suite with two phases per pair peaked at 12,289,298 traced bytes
@@ -1480,8 +1522,10 @@ class TestCheckInequality:
         pairs (r1, r2, eps1, eps2), 32 B x 2^13 = 256 KiB, and the z2
         buffer for one block, 128 KiB; the kernels' and the suite's
         temporaries are block-sized, and peaked at 11.44 float arrays of 2^13
-        pairs (1,142,930 traced bytes; 12.45 when each case drew its own
-        pairs and formed its own slack), so 13 such arrays bound them:
+        pairs (1,142,900 traced bytes with the slack formed from the eps = 0
+        bound, 1,143,024 with it formed from its own |z1 - z2|; 12.45 when
+        each case drew its own pairs and formed its own slack), so 13 such
+        arrays bound them:
         1,245,184 traced bytes in all, against 3,043,776 when the moduli of a
         whole 2^16 chunk were held (2 MiB). A first call of one sample keeps the one-time imports of the
         generator out of the peak."""

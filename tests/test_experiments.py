@@ -102,6 +102,17 @@ class TestHsGrowth:
         assert report.passed
         assert set(report.margins.values()) == {1.0}
 
+    def test_the_series_is_each_records_worst_ratio_over_every_norm(self):
+        """The exponents' order changes no point of the series: each is the
+        largest envelope ratio at its record over every judged norm, so the
+        series peaks at the largest margin."""
+        forward = run_hs_growth(BAND, quick_config(hs_values=(0.25, 0.5, 1.0)))
+        backward = run_hs_growth(BAND, quick_config(hs_values=(1.0, 0.5, 0.25)))
+        assert backward.series == forward.series
+        assert backward.margins == forward.margins
+        assert forward.n_samples == len(forward.series) == backward.n_samples
+        assert max(r for _, r in forward.series) == max(forward.margins.values())
+
     def test_a_gagliardo_norm_past_its_envelope_fails(self, monkeypatch):
         # from the second record on, the Gagliardo norms grow like e^{2 |lam| t}
         # with 1 % to spare, so their squares break the e^{4 |lam| t} envelope

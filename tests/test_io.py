@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -460,6 +461,30 @@ class TestTimeseries:
             write_timeseries(untouched(), tmp_path, HS_VALUES)
 
 
+    def test_a_full_device_names_the_file(self, tmp_path):
+        """The rows are small enough to stay buffered, so the device's fault
+        comes when the file is closed, after the last record."""
+        path = tmp_path / "ts.csv"
+        path.symlink_to("/dev/full")
+        with pytest.raises(OSError) as info:
+            write_timeseries(sample_records(), path, HS_VALUES)
+        assert str(info.value) == (
+            f"cannot write time series to {path}: [Errno 28] No space left on device")
+
+    def test_what_the_records_raise_passes_a_full_device_unchanged(self, tmp_path):
+        """Rows still buffered when the records raise cannot be written to the
+        full device; that fault does not take the place of the records' own."""
+        path = tmp_path / "ts.csv"
+        path.symlink_to("/dev/full")
+
+        def failing():
+            yield from sample_records()
+            raise OSError("the run's own fault")
+
+        with pytest.raises(OSError, match="^the run's own fault$"):
+            write_timeseries(failing(), path, HS_VALUES)
+
+
 def sample_field(kind=DomainKind.TORUS):
     if kind is DomainKind.DIRICHLET_INTERVAL:
         geom = GridGeometry(kind, (0.5,), (16,))
@@ -523,6 +548,32 @@ class TestSnapshots:
         path.write_bytes(path.read_bytes() + bytes(16))
         with pytest.raises(SnapshotFormatError, match="payload is 272 bytes, expected 256"):
             read_snapshot(path)
+
+    def test_a_full_device_names_the_file(self, tmp_path):
+        """A 16-point snapshot stays buffered, so the device's fault comes at close."""
+        path = tmp_path / "snap.bin"
+        path.symlink_to("/dev/full")
+        with pytest.raises(OSError) as info:
+            write_snapshot(sample_field(), 0.0, path)
+        assert str(info.value) == (
+            f"cannot write snapshot to {path}: [Errno 28] No space left on device")
+
+    def test_a_payload_cut_after_its_size_was_taken(self, tmp_path, monkeypatch):
+        """The payload is checked against the size `os.fstat` gave; a file cut
+        after that reads short, and the shortfall names the file."""
+        path = tmp_path / "snap.bin"
+        write_snapshot(sample_field(), 0.0, path)
+        full_size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-40])
+        fstat = io.os.fstat
+
+        def stale_fstat(fd):
+            return os.stat_result((*fstat(fd)[:6], full_size, *fstat(fd)[7:]))
+
+        monkeypatch.setattr(io.os, "fstat", stale_fstat)
+        with pytest.raises(SnapshotFormatError) as info:
+            read_snapshot(path)
+        assert str(info.value) == f"{path}: payload is 216 bytes, expected 256"
 
     @pytest.mark.parametrize("keep", [22, 30, 39])  # in the points, lengths, time
     def test_header_cut_after_the_dimension(self, tmp_path, keep):
