@@ -103,7 +103,10 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_norms(args) -> int:
-    s_values = [float(tok) for tok in args.s.split(",") if tok]
+    try:
+        s_values = [float(tok) for tok in args.s.split(",")]
+    except ValueError:
+        raise ValueError(f"--s must be a comma-separated list of numbers, got {args.s!r}") from None
     for flag, v in (("--lambda", args.lam), ("--eps", args.eps), *(("--s", s) for s in s_values)):
         if not math.isfinite(v):
             raise ValueError(f"{flag} must be finite, got {v}")

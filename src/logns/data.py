@@ -135,16 +135,12 @@ def _plane_wave(spec: DatumSpec, geom: GridGeometry) -> np.ndarray:
 
 
 def _gaussian_bump(spec: DatumSpec, geom: GridGeometry) -> np.ndarray:
-    center = spec.center
-    grids = geom.coordinate_grids()
-    # periodized sum of images keeps the bump smooth across the wrap
-    total = np.zeros(geom.points, dtype=float)
-    for image in np.ndindex(*([5] * geom.dim)):
-        r2 = sum(
-            (x - c + (k - 2) * l) ** 2
-            for x, c, l, k in zip(grids, center, geom.lengths, image)
-        )
-        total = total + np.exp(-r2 / (2.0 * spec.width * spec.width))  # as `_width` checks it
+    # the periodized sum of images keeps the bump smooth across the wrap; it
+    # factors over the axes, so each axis sums its own five images
+    var = 2.0 * spec.width * spec.width  # as `_width` checks it
+    total = 1.0
+    for x, c, l in zip(geom.coordinate_grids(), spec.center, geom.lengths):
+        total = total * sum(np.exp(-(x - c + k * l) ** 2 / var) for k in range(-2, 3))
     return spec.amplitude * total
 
 
@@ -153,7 +149,7 @@ def _random_band_limited(spec: DatumSpec, geom: GridGeometry) -> np.ndarray:
     shape = geom.points
     coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     coeffs[mode_radius(geom) > spec.cutoff] = 0.0
-    return _unit_mass(np.fft.ifftn(coeffs) * coeffs.size, geom)
+    return _unit_mass(np.fft.ifftn(coeffs), geom)
 
 
 def _random_rough(spec: DatumSpec, geom: GridGeometry) -> np.ndarray:
@@ -162,7 +158,7 @@ def _random_rough(spec: DatumSpec, geom: GridGeometry) -> np.ndarray:
     # decay exponent s + d/2 + 0.05 puts the datum just inside H^s
     decay = (1.0 + radius) ** -(spec.target_s + geom.dim / 2.0 + 0.05)
     phases = np.exp(2j * math.pi * rng.random(geom.points))
-    return _unit_mass(np.fft.ifftn(decay * phases) * decay.size, geom)
+    return _unit_mass(np.fft.ifftn(decay * phases), geom)
 
 
 def _unit_mass(data: np.ndarray, geom: GridGeometry) -> np.ndarray:

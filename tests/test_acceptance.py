@@ -14,7 +14,7 @@ import pytest
 from logns import constants
 from logns.cli import main
 from logns.data import DatumSpec, make_datum
-from logns.diagnostics import hs_gagliardo_norm, hs_norm, l2_distance, mass
+from logns.diagnostics import l2_distance, mass, measure
 from logns.experiments import (
     run_convergence_order,
     run_eps_cauchy,
@@ -178,14 +178,16 @@ def test_08_norm_equivalence():
     """Gagliardo/multiplier ratio on 1e3 band-limited fields stays in pinned bands."""
     geom = torus(256)
     cutoffs = (8.0, 16.0, 32.0, 64.0, 96.0)
+    exponents = (0.25, 0.5, 0.75)
     start = time.monotonic()
-    lo_seen = {s: math.inf for s in (0.25, 0.5, 0.75)}
-    hi_seen = {s: 0.0 for s in (0.25, 0.5, 0.75)}
+    lo_seen = {s: math.inf for s in exponents}
+    hi_seen = {s: 0.0 for s in exponents}
     for seed in range(1000):
         spec = DatumSpec(kind="random_band_limited", cutoff=cutoffs[seed % 5], seed=seed)
-        field = make_datum(spec, geom)
-        for s in (0.25, 0.5, 0.75):
-            ratio = hs_gagliardo_norm(field, s) / hs_norm(field, s)
+        # one record: both norms at every s from one spectrum
+        record = measure(make_datum(spec, geom), 0.0, 1.0, 0.0, exponents, exponents)
+        for s in exponents:
+            ratio = record.gagliardo_norms[s] / record.hs_norms[s]
             lo_seen[s] = min(lo_seen[s], ratio)
             hi_seen[s] = max(hi_seen[s], ratio)
     elapsed = time.monotonic() - start

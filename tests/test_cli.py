@@ -874,6 +874,17 @@ class TestNorms:
                                              f"{float(value.split(',')[-1])}"]
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["", "0.5,,0.25", "abc"], ids=["empty", "empty-token", "word"])
+    def test_a_malformed_exponent_list_exits_2(self, tmp_path, capsys, value):
+        # an empty list or token is no exponent: none is skipped or printed as none
+        _, path = slab_snapshot(tmp_path)
+        argv = ["norms", "--snapshot", str(path), "--s", value, "--lambda", "1", "--eps", "0.01"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: --s must be a comma-separated list of numbers, got {value!r}"]
+        assert captured.out == ""
+
     @pytest.mark.parametrize("blob, message", [
         (b"garbage", "bad magic"),
         # magic, version 1, geometry tag 7, dimension 1

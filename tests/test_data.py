@@ -84,6 +84,55 @@ class TestGaussianBump:
             make_datum(DatumSpec(kind="gaussian_bump", center=(0.5, 0.5)), torus())
 
 
+def image_sum_bump(spec, geom):
+    """The bump as one exponential of the squared distance per tuple of
+    images, 5^d of them: the form the per-axis sums factor."""
+    grids = geom.coordinate_grids()
+    total = np.zeros(geom.points, dtype=float)
+    for image in np.ndindex(*([5] * geom.dim)):
+        r2 = sum((x - c + (k - 2) * l) ** 2
+                 for x, c, l, k in zip(grids, spec.center, geom.lengths, image))
+        total = total + np.exp(-r2 / (2.0 * spec.width * spec.width))
+    return spec.amplitude * total
+
+
+class TestGaussianImageSum:
+    WIDTHS = (0.01, 0.05, 0.2, 1.0, 50.0)
+    TWO_PI = 2.0 * math.pi
+
+    @pytest.mark.parametrize("geom", [
+        GridGeometry(DomainKind.TORUS, (1.0,), (64,)),
+        GridGeometry(DomainKind.PERIODIC_BOX, (TWO_PI,), (32,)),
+        GridGeometry(DomainKind.DIRICHLET_INTERVAL, (1.0,), (64,)).transform_grid(),
+    ], ids=["torus", "box", "interval"])
+    @pytest.mark.parametrize("offset", [0.5, 0.37])
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_one_axis_keeps_its_bits(self, geom, offset, width):
+        spec = DatumSpec(kind="gaussian_bump", amplitude=3 - 2j, width=width,
+                         center=(offset * geom.lengths[0],))
+        np.testing.assert_array_equal(data._gaussian_bump(spec, geom),
+                                      image_sum_bump(spec, geom))
+
+    @pytest.mark.parametrize("geom", [
+        GridGeometry(DomainKind.TORUS, (1.0, 1.0), (32, 16)),
+        GridGeometry(DomainKind.TORUS, (1.0,) * 3, (16,) * 3),
+        GridGeometry(DomainKind.PERIODIC_BOX, (TWO_PI,) * 2, (8, 8)),
+        GridGeometry(DomainKind.PERIODIC_BOX, (TWO_PI, 1.0, 3.0), (8, 16, 8)),
+        GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0, 0.5), (16, 16)).transform_grid(),
+        GridGeometry(DomainKind.DIRICHLET_SLAB, (1.0,) * 3, (8, 8, 16)).transform_grid(),
+    ], ids=["torus2d", "torus3d", "box2d", "box3d", "slab2d", "slab3d"])
+    @pytest.mark.parametrize("offset", [0.5, 0.37])
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_more_axes_agree_to_roundoff(self, geom, offset, width):
+        # exp(-a) exp(-b) rounds apart from exp(-(a + b)); most where every
+        # sample lies deep in the tail, as at width 0.01 on a coarse box
+        spec = DatumSpec(kind="gaussian_bump", width=width,
+                         center=tuple(offset * l for l in geom.lengths))
+        expected = image_sum_bump(spec, geom)
+        got = data._gaussian_bump(spec, geom)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
+
 class TestRandomKinds:
     def test_band_limited_support(self):
         geom = torus()

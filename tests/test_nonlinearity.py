@@ -206,7 +206,7 @@ class TestMonotonicityGap:
         assert abs(gap) <= abs(2j - 1.0) ** 2
 
     @given(finite_complex, finite_complex, small_eps, small_eps)
-    @settings(max_examples=300)
+    @settings(max_examples=300, derandomize=True)
     def test_bounded_by_lemma(self, z1, z2, e1, e2):
         gap = abs(nl.monotonicity_gap(z1, z2, e1, e2))
         bound = nl.monotonicity_bound(z1, z2, e1, e2)
