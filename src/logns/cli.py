@@ -102,17 +102,27 @@ def _cmd_experiment(args) -> int:
     return 0 if report.passed else 1
 
 
+def _number(flag: str, token: str, kind: type = float):
+    """`token` as `kind` reads it, if made of ASCII signs, points, digits and letters."""
+    try:
+        return kind(re.fullmatch(r"[-+.0-9A-Za-z]+", token)[0])  # no match: None[0], a TypeError
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{flag} must be {what}, got {token!r}") from None
+
+
 def _cmd_norms(args) -> int:
     try:
-        s_values = [float(tok) for tok in args.s.split(",")]
+        s_values = [_number("--s", tok) for tok in args.s.split(",")]
     except ValueError:
         raise ValueError(f"--s must be a comma-separated list of numbers, got {args.s!r}") from None
-    for flag, v in (("--lambda", args.lam), ("--eps", args.eps), *(("--s", s) for s in s_values)):
+    lam, eps = _number("--lambda", args.lam), _number("--eps", args.eps)
+    for flag, v in (("--lambda", lam), ("--eps", eps), *(("--s", s) for s in s_values)):
         if not math.isfinite(v):
             raise ValueError(f"{flag} must be finite, got {v}")
     field, t = read_snapshot(args.snapshot)
     fractional = tuple(s for s in s_values if 0.0 < s < 1.0)
-    record = measure(field, t, args.lam, args.eps, tuple(s_values), fractional)
+    record = measure(field, t, lam, eps, tuple(s_values), fractional)
     print(f"time   : {t:.17g}")
     print(f"mass   : {record.mass:.17g}")
     print(f"energy : {record.energy:.17g}")
@@ -129,28 +139,16 @@ _LOG_SPAN = 15.0 * math.log(10.0)
 _BLOCK = 2**13  # pairs per draw and kernel call: fixes the stream, bounds the memory
 
 
-def _draw_z2(rng: np.random.Generator, r2: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """r2 e^{i theta}, theta = pi (2u - 1) for one uniform u per modulus, as a
-    complex view of `buf` (2 r2.size floats at least). u is drawn into buf's
-    first half and becomes t = tan(theta / 2) there, so that with
-    q = 2 / (1 + t^2) the phase is cos = q - 1 and sin = t q, within a few
-    ulps of modulus 1. u = 0 gives t = -1.6e16, finite: z2 = -r2 to within
-    1.2e-16 r2. q is freed on return, so the caller's kernels do not hold it.
-    """
-    size = r2.size
-    t = rng.random(out=buf[:size])
-    t -= 0.5
-    t *= math.pi
-    np.tan(t, out=t)
-    q = t * t
-    q += 1.0
-    np.divide(2.0, q, out=q)
-    t *= q
-    q -= 1.0
-    z2 = buf[: 2 * size].view(complex)
-    np.multiply(t, r2, out=z2.imag)  # z2's imaginary parts overlap t: numpy copies t
-    np.multiply(q, r2, out=z2.real)
-    return z2
+def _draw_z2(u: np.ndarray, r2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """r2 e^{i theta} in the complex `out`, theta = pi (2u - 1) for each uniform u
+    (overwritten). u = 0 gives tan(theta / 2) = -1.6e16: z2 = -r2 to 1.2e-16 r2."""
+    u -= 0.5
+    u *= math.pi
+    cos = np.empty_like(u)  # freed on return; q in the strided out.real took 25 % longer
+    nonlinearity._half_angle_phase(u, u, cos, cos)
+    np.multiply(u, r2, out=out.imag)
+    np.multiply(cos, r2, out=out.real)
+    return out
 
 
 def _cmd_check_inequality(args) -> int:
@@ -158,42 +156,39 @@ def _cmd_check_inequality(args) -> int:
 
     The gap, its bound and the slack do not change when z1 and z2 are rotated
     together, so only their relative phase matters. Each pair is drawn as
-    z1 = r1 (real) and z2 = r2 e^{i theta}, with theta = pi (2u - 1) for one
-    uniform u: the relative phase is uniform, as it is for two independent
-    uniform phases. `_draw_z2` forms e^{i theta} in the half-angle form of
-    `nonlinearity.phase_flow`, one SIMD tan and no cos or sin.
+    z1 = r1 (real) and z2 = r2 e^{i theta}, theta = pi (2u - 1) for one uniform
+    u: the relative phase is uniform, as for two independent uniform phases.
 
-    The one generator's stream is cut in blocks of _BLOCK pairs, which alone
-    fixes the stream and bounds the memory. A block of c pairs starts with the
-    moduli, 4 x c uniforms in row-major order (r1, r2, eps1, eps2), and goes
-    on with u, one uniform per pair. Both cases are judged on the block's one
-    draw: the kernels run with the scalar eps = 0 and then with (eps1, eps2),
-    on the same r1 and z2, so each case has n i.i.d. pairs. Two buffers,
-    allocated once, hold one block: the moduli, 32 B a pair, and z2, 16 B a
-    pair. The slack 1e-12 (1 + |z1 - z2|^2) is formed once per block from the
-    eps = 0 bound, in r2's row; the margin and the ratio are formed in place.
-    At 10^6 pairs the traced peak is 1,142,900 B.
+    The one generator's stream is cut in blocks of _BLOCK pairs. A block of c
+    pairs is one draw of 5 x c uniforms in row-major order (r1, r2, eps1,
+    eps2, u); both cases are judged on it, the kernels running with the scalar
+    eps = 0 and then with (eps1, eps2) on the same r1 and z2, so each case has
+    n i.i.d. pairs. Two buffers, allocated once, hold a block: the draw, 40 B
+    a pair, and z2, 16 B a pair. The slack 1e-12 (1 + |z1 - z2|^2) is formed
+    once per block from the eps = 0 bound, in r2's row; the margin and the
+    ratio are formed in place. At 10^6 pairs the traced peak is 1,208,690 B.
     """
-    n, seed = args.samples, args.seed
+    n, seed = _number("--samples", args.samples, int), _number("--seed", args.seed, int)
     if n < 1:
         raise ValueError(f"--samples must be at least 1, got {n}")
     if seed < 0:
         raise ValueError(f"--seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     block_size = min(n, _BLOCK)
-    moduli_buf = np.empty(4 * block_size)  # r1, r2 (then the slack), eps1, eps2
-    z2_buf = np.empty(2 * block_size)  # z2 of one block, as complex pairs
+    draw_buf = np.empty(5 * block_size)  # r1, r2 (then the slack), eps1, eps2, u
+    z2_buf = np.empty(block_size, dtype=complex)
     non_finite = 0  # samples whose gap or bound is inf or nan: any one fails
     worst = -math.inf  # the largest gap - bound - slack over the finite samples
     ratio = 0.0  # the largest gap / (bound + slack): how close the bound came
     for lo in range(0, n, _BLOCK):
         size = min(_BLOCK, n - lo)
-        moduli = rng.random(out=moduli_buf[: 4 * size]).reshape(4, size)
+        draw = rng.random(out=draw_buf[: 5 * size]).reshape(5, size)
+        moduli = draw[:4]
         moduli *= 2.0 * _LOG_SPAN
         moduli -= _LOG_SPAN
         np.exp(moduli, out=moduli)
         r1 = moduli[0]
-        z2 = _draw_z2(rng, moduli[1], z2_buf)
+        z2 = _draw_z2(draw[4], moduli[1], z2_buf[:size])
         slack = None
         for e1, e2 in ((0.0, 0.0), (moduli[2], moduli[3])):
             gap = np.abs(nonlinearity.monotonicity_gap(r1, z2, e1, e2))
@@ -253,13 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norms", help="print norms of a snapshot file")
     p.add_argument("--snapshot", required=True)
     p.add_argument("--s", required=True, help="comma-separated Sobolev exponents")
-    p.add_argument("--lambda", dest="lam", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", required=True)
+    p.add_argument("--eps", required=True)
     p.set_defaults(func=_cmd_norms)
 
     p = sub.add_parser("check-inequality", help="randomized monotonicity-gap suite")
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", default="1000000")
+    p.add_argument("--seed", default="0")
     p.set_defaults(func=_cmd_check_inequality)
 
     return parser

@@ -55,30 +55,35 @@ def phase_flow(modulus, coeff, eps, phase, run_points, mask_zeros=True):
     With every eps > 0 no |u| + eps vanishes, so mask_zeros=False skips the
     mask and gives the same result.
 
-    When |coeff| * _LOG_RANGE <= pi/2, every angle theta of a finite |u| lies
-    in [-pi/2, pi/2], so t = tan(theta/2) lies in [-1, 1] and q = 2/(1 + t^2)
-    in [1, 2]: the phase is then cos = q - 1 (exact) and sin = t q, one SIMD
-    tan and five arithmetic passes, within 4 * 2^-52 of cos and sin. This
-    holds for all of u or for none of it, and it is taken only on runs of at
-    least _HALF_ANGLE_MIN_POINTS points, `run_points` being the points of one
-    run (not of a batch), so a run's result does not depend on its
-    batch-mates. Otherwise the phase is cos and sin of the angle.
+    When |coeff| * _LOG_RANGE <= pi/2, every angle of a finite |u| lies in
+    [-pi/2, pi/2], and the phase is `_half_angle_phase`'s: one SIMD tan and
+    five arithmetic passes, within 4 * 2^-52 of cos and sin. This holds for
+    all of u or for none of it, and it is taken only on runs of at least
+    _HALF_ANGLE_MIN_POINTS points, `run_points` being the points of one run
+    (not of a batch), so a run's result does not depend on its batch-mates.
+    Otherwise the phase is cos and sin of the angle.
     """
     modulus += eps
     np.log(modulus, out=modulus, where=modulus > 0.0 if mask_zeros else True)  # masked 0 stays
     if run_points >= _HALF_ANGLE_MIN_POINTS and abs(coeff) * _LOG_RANGE <= math.pi / 2:
         modulus *= coeff / 2.0
-        t = phase.imag
-        np.tan(modulus, out=t)
-        np.multiply(t, t, out=modulus)
-        modulus += 1.0
-        np.divide(2.0, modulus, out=modulus)
-        np.subtract(modulus, 1.0, out=phase.real)
-        t *= modulus
+        _half_angle_phase(modulus, phase.imag, phase.real, modulus)
     else:
         modulus *= coeff
         np.sin(modulus, out=phase.imag)
         np.cos(modulus, out=phase.real)
+
+
+def _half_angle_phase(half, sin, cos, scratch) -> None:
+    """sin and cos of 2 half, |half| <= pi/2: t = tan(half) in `sin` (which may
+    be `half`), q = 2 / (1 + t^2) in `scratch` (`half` or `cos`), then
+    sin = t q and cos = q - 1, an exact subtraction wherever |t| <= 1."""
+    np.tan(half, out=sin)
+    np.multiply(sin, sin, out=scratch)
+    scratch += 1.0
+    np.divide(2.0, scratch, out=scratch)
+    sin *= scratch
+    np.subtract(scratch, 1.0, out=cos)
 
 
 def monotonicity_gap(z1, z2, eps1=0.0, eps2=0.0):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logns import cli
 from logns import nonlinearity as nl
 
 finite_complex = st.complex_numbers(
@@ -144,6 +145,73 @@ class TestPhaseFactor:
         assert not np.array_equal(phase_of(modulus, at).real, cos_sin_phase(modulus, at).real)
         assert np.array_equal(phase_of(modulus, coeff, run_points=run_points),
                               cos_sin_phase(modulus, coeff))
+
+
+def inline_phase_flow_branch(half, phase):
+    """`phase_flow`'s half-angle branch as it was written inline, from the
+    half angle (overwritten) into the strided views of `phase`."""
+    t = phase.imag
+    np.tan(half, out=t)
+    np.multiply(t, t, out=half)
+    half += 1.0
+    np.divide(2.0, half, out=half)
+    np.subtract(half, 1.0, out=phase.real)
+    t *= half
+
+
+def inline_draw_z2(u, r2):
+    """`check-inequality`'s z2 as it was written inline, with the uniforms u
+    taken as given where they were drawn into the first half of the buffer
+    whose complex view became z2."""
+    size = r2.size
+    buf = np.empty(2 * size)
+    t = buf[:size]
+    t[:] = u
+    t -= 0.5
+    t *= math.pi
+    np.tan(t, out=t)
+    q = t * t
+    q += 1.0
+    np.divide(2.0, q, out=q)
+    t *= q
+    q -= 1.0
+    z2 = buf.view(complex)
+    np.multiply(t, r2, out=z2.imag)  # z2's imaginary parts overlap t: numpy copies t
+    np.multiply(q, r2, out=z2.real)
+    return z2
+
+
+class TestHalfAngleKernel:
+    """`_half_angle_phase` gives every bit of the two inline copies it
+    replaced, at sizes with and without a partial SIMD vector."""
+
+    @pytest.mark.parametrize("n", [1, 7, 1024, 4099])
+    def test_phase_flow_keeps_the_inline_bits(self, n):
+        rng = np.random.default_rng(n)
+        # t = tan(half) in [-1, 1], with its ends, zeros and subnormals
+        half = rng.uniform(-math.pi / 4, math.pi / 4, n)
+        half[:6] = [-math.pi / 4, math.pi / 4, 0.0, -0.0, 5e-324, -1e-300][:n]
+        phase, ref = np.empty(n, dtype=complex), np.empty(n, dtype=complex)
+        scratch = half.copy()
+        nl._half_angle_phase(scratch, phase.imag, phase.real, scratch)
+        inline_phase_flow_branch(half.copy(), ref)
+        assert phase.tobytes() == ref.tobytes()
+        # and through phase_flow itself, from a modulus
+        modulus = np.exp(rng.uniform(-700.0, 700.0, max(n, 1024)))
+        coeff, eps = largest_half_angle_coeff(), 1e-3
+        half = np.log(modulus + eps) * (coeff / 2.0)
+        ref = np.empty(modulus.size, dtype=complex)
+        inline_phase_flow_branch(half, ref)
+        assert phase_of(modulus, coeff, eps).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 7, 8192, 4099])
+    def test_check_inequality_keeps_the_inline_bits(self, n):
+        rng = np.random.default_rng(n)
+        r2 = np.exp(rng.uniform(-35.0, 35.0, n))
+        u = rng.random(n)
+        u[:3] = [0.0, np.nextafter(1.0, 0.0), 0.5][:n]
+        z2 = cli._draw_z2(u.copy(), r2, np.empty(n, dtype=complex))
+        assert z2.tobytes() == inline_draw_z2(u, r2).tobytes()
 
 
 def two_pass_gap(z1, z2, eps1=0.0, eps2=0.0):
